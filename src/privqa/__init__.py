@@ -16,7 +16,6 @@ from privqa.contexts import (
     ftcr_admit,
     parse_generation,
     serialize_context,
-    strip_relations,
 )
 from privqa.corpus import AugmentedInstance, Dataset, QAInstance, load_dataset, sample_fewshot
 from privqa.gateway import Gateway, GenerationRecord, GenerationRequest, cache_key
@@ -64,7 +63,6 @@ __all__ = [
     "sample_fewshot",
     "score_choices",
     "serialize_context",
-    "strip_relations",
     "subsample_keywords",
     "train",
 ]

@@ -16,16 +16,12 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
-from privqa import __version__
-from privqa.contexts import CONTEXT_HEAD, ContextView, ParseError, parse_generation
+from privqa.contexts import ContextView, ParseError
 from privqa.corpus import (
     INGEST_FORMATS,
-    AugmentedInstance,
     DatasetFormatError,
     ingest_records,
     load_augmented,
@@ -34,48 +30,44 @@ from privqa.corpus import (
     write_dataset,
 )
 from privqa.gateway import (
+    DEFAULT_CREDENTIAL_ENV,
     MODES,
-    PROMPT_STYLE,
     Gateway,
     GatewayError,
-    GenerationRequest,
     HttpTransport,
 )
 from privqa.harness import (
+    DEFAULT_SWEEP_RATIOS,
     REGIMES,
     EvalReport,
     ExperimentConfig,
     HarnessError,
     PipelineProvider,
     accuracy,
-    build_inputs,
-    config_digest,
-    eval_view,
+    augment_completion,
+    build_keyword_map,
+    predict_labels,
+    provenance,
     render_report_table,
     run_budget_sweep,
     run_ood,
     run_representation_compare,
-    to_train_item,
+    train_scorer,
     write_report,
 )
 from privqa.keywords import (
-    METHOD_NER,
     METHODS,
     ExtractionError,
     corpus_budget_report,
-    extract_ner,
-    extract_random_span,
-    extract_random_words,
     format_budget,
     load_gazetteer,
     load_keyword_sets,
     save_keyword_sets,
-    stable_seed,
-    subsample_keywords,
 )
 from privqa.plugin import PluginError
 from privqa.promptkit import PromptError, build_prompt, bundled_demo_path, load_demonstrations
-from privqa.scorer import ScorerError, load_model, save_model, score_texts, train
+from privqa.scorer import ScorerError, load_model, save_model
+from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus
 
 USER_ERRORS = (
     DatasetFormatError,
@@ -90,6 +82,16 @@ USER_ERRORS = (
     json.JSONDecodeError,
 )
 
+# Experiment flags whose destination is not the ExperimentConfig field name.
+_FLAG_DEST = {
+    "early_stop_patience": "patience",
+    "featurizer_dim": "dim",
+    "model_id": "model",
+    "cache_path": "cache",
+    "demo_file": "demos",
+    "gazetteer_file": "gazetteer",
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit code 2; here that means an internal error, so
@@ -98,12 +100,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fill(args: argparse.Namespace, **defaults) -> None:
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
@@ -121,47 +117,20 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    _fill(
-        args,
-        regime="FTC",
-        view="Full",
-        ratio=1.0,
-        method=METHOD_NER,
-        seed=0,
-        learning_rate=0.05,
-        batch_size=8,
-        max_epochs=100,
-        warmup_steps=200,
-        early_stop_patience=5,
-        weight_decay=0.01,
-        dim=2**18,
-        hash_seed=17,
-        model="gpt-3.5-turbo",
-        mode="replay",
-        cache="",
-        demos="",
-        gazetteer="",
-    )
-    return ExperimentConfig(
-        regime=args.regime,
-        view=args.view,
-        ratio=float(args.ratio),
-        method=args.method,
-        seed=int(args.seed),
-        learning_rate=float(args.learning_rate),
-        batch_size=int(args.batch_size),
-        max_epochs=int(args.max_epochs),
-        warmup_steps=int(args.warmup_steps),
-        early_stop_patience=int(args.early_stop_patience),
-        weight_decay=float(args.weight_decay),
-        featurizer_dim=int(args.dim),
-        hash_seed=int(args.hash_seed),
-        model_id=args.model,
-        mode=args.mode,
-        cache_path=args.cache,
-        demo_file=args.demos,
-        gazetteer_file=args.gazetteer,
-    )
+    """A validated config from the set flags; unset ones keep its defaults."""
+    values = {}
+    for f in fields(ExperimentConfig):
+        value = getattr(args, _FLAG_DEST.get(f.name, f.name), None)
+        if value is None:
+            continue
+        kind = type(f.default)
+        try:
+            values[f.name] = kind(value)
+        except (TypeError, ValueError):
+            raise HarnessError(f"{f.name}: {value!r} is not of type {kind.__name__}") from None
+    cfg = ExperimentConfig(**values)
+    cfg.validate()
+    return cfg
 
 
 def _load_demos(spec: str):
@@ -183,25 +152,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    _fill(args, ratio=1.0, seed=0)
     dataset = load_dataset(args.data)
-    kmap = {}
-    if args.method == METHOD_NER:
-        if not args.gazetteer:
-            raise ExtractionError("entity extraction needs --gazetteer")
-        gazetteer = load_gazetteer(args.gazetteer)
-        for inst in dataset.instances:
-            ks = extract_ner(inst.question, gazetteer)
-            if args.ratio < 1.0 and ks.keywords:
-                ks = subsample_keywords(ks, args.ratio, stable_seed(args.seed, inst.id))
-            kmap[inst.id] = ks
-    else:
-        extractor = {
-            "RandomSpan": extract_random_span,
-            "RandomWords": extract_random_words,
-        }[args.method]
-        for inst in dataset.instances:
-            kmap[inst.id] = extractor(inst.question, args.ratio, stable_seed(args.seed, inst.id))
+    gazetteer = load_gazetteer(args.gazetteer) if args.gazetteer else ()
+    kmap = build_keyword_map(dataset, args.ratio, args.seed, args.method, gazetteer)
     save_keyword_sets(kmap, args.output)
     covered = sum(1 for ks in kmap.values() if ks.keywords)
     print(f"extracted keywords for {covered}/{len(dataset)} instances -> {args.output}")
@@ -233,10 +186,8 @@ def _cmd_prompt(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    _fill(args, mode="replay", model="gpt-3.5-turbo", api_url="", credential_env="PRIVQA_API_KEY")
     dataset = load_dataset(args.data)
     kmap = load_keyword_sets(args.keywords)
-    demos = _load_demos(args.demos)
     mock = None
     if args.completions:
         mock = json.loads(Path(args.completions).read_text(encoding="utf-8"))
@@ -245,23 +196,17 @@ def _cmd_generate(args) -> int:
         if not args.api_url:
             raise GatewayError("live mode needs --api-url")
         transport = HttpTransport(args.api_url, credential_env=args.credential_env)
-    gateway = Gateway(args.cache, transport=transport, mock_completions=mock)
+    provider = PipelineProvider(
+        Gateway(args.cache, transport=transport, mock_completions=mock),
+        _load_demos(args.demos),
+        model_id=args.model,
+        mode=args.mode,
+    )
     augmented = []
     for inst in dataset.instances:
         if inst.id not in kmap:
             raise ExtractionError(f"no keywords for instance {inst.id!r}")
-        prompt = build_prompt(demos, kmap[inst.id].keywords, inst.choices, query_id=inst.id)
-        record = gateway.complete(GenerationRequest(model_id=args.model, prompt=prompt), args.mode)
-        text = record.completion
-        if CONTEXT_HEAD not in text:
-            text = CONTEXT_HEAD + text
-        try:
-            parsed = parse_generation(text, inst.labels())
-        except ParseError as exc:
-            raise HarnessError(f"instance {inst.id!r}: {exc}") from exc
-        augmented.append(
-            AugmentedInstance(instance=inst, context=parsed, generation_id=record.cache_key)
-        )
+        augmented.append(provider.augment(inst, kmap[inst.id]))
     write_augmented(augmented, args.output)
     print(f"generated {len(augmented)} contexts -> {args.output}")
     return 0
@@ -279,20 +224,14 @@ def _cmd_parse(args) -> int:
             inst = by_id.get(str(rec.get("id")))
             if inst is None:
                 raise DatasetFormatError(f"{args.input}:{lineno}: unknown instance id {rec.get('id')!r}")
-            text = str(rec.get("completion", ""))
-            if CONTEXT_HEAD not in text:
-                text = CONTEXT_HEAD + text
             try:
-                parsed = parse_generation(text, inst.labels())
-            except ParseError as exc:
-                raise HarnessError(f"{args.input}:{lineno}: instance {inst.id!r}: {exc}") from exc
-            augmented.append(
-                AugmentedInstance(
-                    instance=inst,
-                    context=parsed,
-                    generation_id=str(rec.get("generation_id", "")),
+                augmented.append(
+                    augment_completion(
+                        inst, str(rec.get("completion", "")), str(rec.get("generation_id", ""))
+                    )
                 )
-            )
+            except HarnessError as exc:
+                raise HarnessError(f"{args.input}:{lineno}: {exc}") from exc
     write_augmented(augmented, args.output)
     print(f"parsed {len(augmented)} generations -> {args.output}")
     return 0
@@ -304,16 +243,8 @@ def _cmd_parse(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _experiment_config(args)
-    cfg.validate()
-    train_aug = load_augmented(args.train)
-    dev_aug = load_augmented(args.dev)
-    train_inputs = build_inputs(train_aug, cfg.regime, cfg.context_view())
-    dev_inputs = build_inputs(dev_aug, "FTC", eval_view(cfg))
-    model, tlog = train(
-        cfg.train_config(),
-        [to_train_item(ci) for ci in train_inputs],
-        [to_train_item(ci) for ci in dev_inputs],
-        cfg.featurizer(),
+    model, tlog, train_inputs = train_scorer(
+        cfg, load_augmented(args.train), load_augmented(args.dev)
     )
     save_model(model, args.checkpoint)
     if cfg.regime == "FTCR":
@@ -328,16 +259,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _experiment_config(args)
-    cfg.validate()
-    model = load_model(args.checkpoint)
-    augmented = load_augmented(args.data)
-    inputs = build_inputs(augmented, "FTC", eval_view(cfg))
-    preds = {}
-    gold = {}
-    for ci in inputs:
-        sv = score_texts(model, ci.labels, ci.texts)
-        preds[ci.id] = ci.labels[int(np.argmax(sv.probs))]
-        gold[ci.id] = ci.gold
+    preds, gold = predict_labels(load_model(args.checkpoint), cfg, load_augmented(args.data))
     acc = accuracy(preds, gold)
     print(f"accuracy: {acc * 100:.2f}% ({round(acc * len(gold))}/{len(gold)})")
     if args.report:
@@ -347,12 +269,7 @@ def _cmd_eval(args) -> int:
             metrics={"accuracy": acc, "n": len(gold), "n_correct": round(acc * len(gold))},
             budget=None,
             ftcr=None,
-            provenance={
-                "config_digest": config_digest(cfg),
-                "cache_digest": "",
-                "code_version": __version__,
-                "prompt_style": PROMPT_STYLE,
-            },
+            provenance=provenance(cfg),
             predictions=preds,
         )
         write_report(report, args.report)
@@ -360,55 +277,24 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_ood(args) -> int:
-    cfg = _experiment_config(args)
-    cfg.validate()
-    train_aug = load_augmented(args.train)
-    dev_aug = load_augmented(args.dev)
-    target_aug = load_augmented(args.target)
-    train_inputs = build_inputs(train_aug, cfg.regime, cfg.context_view())
-    dev_inputs = build_inputs(dev_aug, "FTC", eval_view(cfg))
-    model, tlog = train(
-        cfg.train_config(),
-        [to_train_item(ci) for ci in train_inputs],
-        [to_train_item(ci) for ci in dev_inputs],
-        cfg.featurizer(),
-    )
-    preds = {}
-    gold = {}
-    for ci in build_inputs(target_aug, "FTC", eval_view(cfg)):
-        sv = score_texts(model, ci.labels, ci.texts)
-        preds[ci.id] = ci.labels[int(np.argmax(sv.probs))]
-        gold[ci.id] = ci.gold
-    acc = accuracy(preds, gold)
-    print(
-        f"transfer accuracy: {acc * 100:.2f}% ({round(acc * len(gold))}/{len(gold)});"
-        f" dev {tlog.best_dev_accuracy * 100:.2f}%"
-    )
-    if args.checkpoint:
-        save_model(model, args.checkpoint)
-        print(f"saved checkpoint -> {args.checkpoint}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Experiment commands
 
 
-def _synthetic_setup(args):
-    from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus
-
-    _fill(args, seed=0, train_size=500, dev_size=200, test_size=200)
-    spec = SyntheticSpec(
-        seed=int(args.seed),
-        train_size=int(args.train_size),
-        dev_size=int(args.dev_size),
-        test_size=int(args.test_size),
-    )
-    return build_corpus(spec), SyntheticContextProvider(spec)
+def _synthetic_spec(args, seed: int) -> SyntheticSpec:
+    sizes = {
+        name: int(getattr(args, name))
+        for name in ("train_size", "dev_size", "test_size")
+        if getattr(args, name) is not None
+    }
+    return SyntheticSpec(seed=seed, **sizes)
 
 
-def _pipeline_setup(args, cfg: ExperimentConfig):
+def _setup(args, cfg: ExperimentConfig):
+    """Datasets and context provider: the synthetic oracle or the pipeline."""
+    if args.synthetic:
+        spec = _synthetic_spec(args, cfg.seed)
+        return build_corpus(spec), SyntheticContextProvider(spec)
     datasets = {
         "train": load_dataset(args.data_train),
         "dev": load_dataset(args.data_dev),
@@ -430,63 +316,68 @@ def _pipeline_setup(args, cfg: ExperimentConfig):
     return datasets, provider
 
 
+def _write_reports(out: str | None, named: list[tuple[str, EvalReport]]) -> None:
+    if not out:
+        return
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, report in named:
+        write_report(report, outdir / f"{name}.json")
+    print(f"wrote {len(named)} reports -> {outdir}")
+
+
 def _cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
-    cfg.validate()
-    if args.synthetic:
-        datasets, provider = _synthetic_setup(args)
-    else:
-        datasets, provider = _pipeline_setup(args, cfg)
-    ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else (0.25, 0.5, 0.75, 1.0)
+    datasets, provider = _setup(args, cfg)
+    ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else DEFAULT_SWEEP_RATIOS
     reports = run_budget_sweep(cfg, datasets, provider, ratios)
     print(render_report_table(reports))
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for report in reports:
-            ratio = report.config["ratio"]
-            write_report(report, outdir / f"sweep-ratio{ratio:g}-seed{cfg.seed}.json")
-        print(f"wrote {len(reports)} reports -> {outdir}")
+    _write_reports(
+        args.out,
+        [(f"sweep-ratio{r.config['ratio']:g}-seed{cfg.seed}", r) for r in reports],
+    )
     return 0
 
 
 def _cmd_compare(args) -> int:
     cfg = _experiment_config(args)
-    cfg.validate()
-    if args.synthetic:
-        datasets, provider = _synthetic_setup(args)
-    else:
-        datasets, provider = _pipeline_setup(args, cfg)
+    datasets, provider = _setup(args, cfg)
     results = run_representation_compare(cfg, datasets, provider)
     print(render_report_table([results[m] for m in results]))
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for method, report in results.items():
-            write_report(report, outdir / f"compare-{method}-seed{cfg.seed}.json")
-        print(f"wrote {len(results)} reports -> {outdir}")
+    _write_reports(
+        args.out, [(f"compare-{m}-seed{cfg.seed}", r) for m, r in results.items()]
+    )
     return 0
 
 
-def _cmd_ood_synthetic(args, cfg: ExperimentConfig) -> int:
-    from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus
-
-    _fill(args, seed=0, target_seed=1, train_size=500, dev_size=200, test_size=200)
-    sizes = dict(
-        train_size=int(args.train_size),
-        dev_size=int(args.dev_size),
-        test_size=int(args.test_size),
+def _cmd_ood(args) -> int:
+    cfg = _experiment_config(args)
+    if args.synthetic:
+        target_seed = 1 if args.target_seed is None else int(args.target_seed)
+        source_spec = _synthetic_spec(args, cfg.seed)
+        target_spec = _synthetic_spec(args, target_seed)
+        report = run_ood(
+            cfg,
+            build_corpus(source_spec),
+            build_corpus(target_spec),
+            provider=SyntheticContextProvider(source_spec),
+            target_provider=SyntheticContextProvider(target_spec),
+        )
+        print(render_report_table([report]))
+        return 0
+    for name in ("train", "dev", "target"):
+        if getattr(args, name) is None:
+            raise HarnessError(f"ood needs --{name} (or --synthetic)")
+    model, tlog, _ = train_scorer(cfg, load_augmented(args.train), load_augmented(args.dev))
+    preds, gold = predict_labels(model, cfg, load_augmented(args.target))
+    acc = accuracy(preds, gold)
+    print(
+        f"transfer accuracy: {acc * 100:.2f}% ({round(acc * len(gold))}/{len(gold)});"
+        f" dev {tlog.best_dev_accuracy * 100:.2f}%"
     )
-    source_spec = SyntheticSpec(seed=int(args.seed), **sizes)
-    target_spec = SyntheticSpec(seed=int(args.target_seed), **sizes)
-    report = run_ood(
-        cfg,
-        build_corpus(source_spec),
-        build_corpus(target_spec),
-        provider=SyntheticContextProvider(source_spec),
-        target_provider=SyntheticContextProvider(target_spec),
-    )
-    print(render_report_table([report]))
+    if args.checkpoint:
+        save_model(model, args.checkpoint)
+        print(f"saved checkpoint -> {args.checkpoint}")
     return 0
 
 
@@ -524,7 +415,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--max-epochs", type=int)
     p.add_argument("--warmup-steps", type=int)
-    p.add_argument("--patience", dest="early_stop_patience", type=int)
+    p.add_argument("--patience", type=int)
     p.add_argument("--weight-decay", type=float)
     p.add_argument("--dim", type=int, help="featurizer dimension")
     p.add_argument("--hash-seed", type=int)
@@ -551,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--gazetteer")
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--ratio", type=float, default=ExperimentConfig.ratio)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_extract)
 
@@ -573,11 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keywords", required=True)
     p.add_argument("--demos", required=True)
     p.add_argument("--cache", required=True)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--model")
+    p.add_argument("--mode", choices=MODES, default=ExperimentConfig.mode)
+    p.add_argument("--model", default=ExperimentConfig.model_id)
     p.add_argument("--completions", help="JSON id->completion map for mock mode")
     p.add_argument("--api-url")
-    p.add_argument("--credential-env")
+    p.add_argument("--credential-env", default=DEFAULT_CREDENTIAL_ENV)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -612,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev")
     p.add_argument("--target")
     p.add_argument("--checkpoint")
-    p.set_defaults(func=_cmd_ood_dispatch)
+    p.set_defaults(func=_cmd_ood)
 
     p = sub.add_parser("sweep", help="sweep the keyword disclosure ratio")
     _add_experiment_flags(p)
@@ -624,7 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dev")
     p.add_argument("--data-test")
     p.add_argument("--completions")
-    p.add_argument("--ratios", help="comma-separated, default 0.25,0.5,0.75,1.0")
+    p.add_argument(
+        "--ratios",
+        help=f"comma-separated, default {','.join(map(str, DEFAULT_SWEEP_RATIOS))}",
+    )
     p.add_argument("--out", help="directory for per-ratio reports")
     p.set_defaults(func=_cmd_sweep)
 
@@ -646,17 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     return parser
-
-
-def _cmd_ood_dispatch(args) -> int:
-    cfg = _experiment_config(args)
-    cfg.validate()
-    if args.synthetic:
-        return _cmd_ood_synthetic(args, cfg)
-    for name in ("train", "dev", "target"):
-        if getattr(args, name) is None:
-            raise HarnessError(f"ood needs --{name} (or --synthetic)")
-    return _cmd_ood(args)
 
 
 def main(argv=None) -> int:

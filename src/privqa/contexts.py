@@ -205,20 +205,6 @@ def serialize_context(ctx: ParsedContext, labels: tuple[str, ...] | list[str]) -
     return "\n".join(lines)
 
 
-def strip_relations(ctx: ParsedContext) -> ParsedContext:
-    """Drop every relation sentence, keeping knowledge text. Idempotent."""
-    return ParsedContext(
-        overall=ctx.overall,
-        specific={
-            label: SpecificContext(knowledge=sc.knowledge, relation="")
-            for label, sc in ctx.specific.items()
-        },
-        decision=ctx.decision,
-        raw=ctx.raw,
-        warnings=ctx.warnings,
-    )
-
-
 def apply_view(ctx: ParsedContext, view: ContextView) -> tuple[str, dict[str, str]]:
     """Reduce a context to (overall text, per-choice text) under a view."""
     if view is ContextView.NO_CONTEXT:

@@ -31,6 +31,7 @@ DEFAULT_MAX_TOKENS = 1024
 DEFAULT_MAX_IN_FLIGHT = 4
 DEFAULT_MAX_ATTEMPTS = 5
 DEFAULT_BACKOFF_START = 1.0
+DEFAULT_CREDENTIAL_ENV = "PRIVQA_API_KEY"
 
 MODES = ("live", "replay", "mock")
 
@@ -115,7 +116,7 @@ class HttpTransport:
     def __init__(
         self,
         url: str,
-        credential_env: str = "PRIVQA_API_KEY",
+        credential_env: str = DEFAULT_CREDENTIAL_ENV,
         timeout: float = 60.0,
     ) -> None:
         self.url = url

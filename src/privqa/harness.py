@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -32,12 +33,13 @@ from privqa.contexts import (
     ftcr_admit,
     parse_generation,
 )
-from privqa.corpus import AugmentedInstance, Dataset, plain_augmented
-from privqa.gateway import PROMPT_STYLE, Gateway, GenerationRequest
+from privqa.corpus import AugmentedInstance, Dataset, QAInstance, plain_augmented
+from privqa.gateway import MODES, PROMPT_STYLE, Gateway, GenerationRequest
 from privqa.keywords import (
     METHOD_NER,
     METHOD_RANDOM_SPAN,
     METHOD_RANDOM_WORDS,
+    METHODS,
     KeywordSet,
     corpus_budget_report,
     extract_ner,
@@ -53,6 +55,7 @@ from privqa.scorer import (
     ScorerModel,
     TrainConfig,
     TrainItem,
+    TrainLog,
     choice_texts,
     save_model,
     score_texts,
@@ -76,15 +79,15 @@ class ExperimentConfig:
     view: str = "Full"
     ratio: float = 1.0
     method: str = METHOD_NER
-    seed: int = 0
-    learning_rate: float = 0.05
-    batch_size: int = 8
-    max_epochs: int = 100
-    warmup_steps: int = 200
-    early_stop_patience: int = 5
-    weight_decay: float = 0.01
-    featurizer_dim: int = 2**18
-    hash_seed: int = 17
+    seed: int = TrainConfig.seed
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    warmup_steps: int = TrainConfig.warmup_steps
+    early_stop_patience: int = TrainConfig.early_stop_patience
+    weight_decay: float = TrainConfig.weight_decay
+    featurizer_dim: int = FeaturizerConfig.dim
+    hash_seed: int = FeaturizerConfig.hash_seed
     model_id: str = "gpt-3.5-turbo"
     mode: str = "replay"
     cache_path: str = ""
@@ -103,6 +106,18 @@ class ExperimentConfig:
             ) from None
         if not 0.0 <= self.ratio <= 1.0:
             raise HarnessError(f"ratio {self.ratio} outside [0, 1]")
+        if self.method not in METHODS:
+            raise HarnessError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.mode not in MODES:
+            raise HarnessError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        for name in ("batch_size", "max_epochs", "early_stop_patience", "featurizer_dim"):
+            if not getattr(self, name) >= 1:
+                raise HarnessError(f"{name} {getattr(self, name)} must be at least 1")
+        for name in ("warmup_steps", "weight_decay"):
+            if not getattr(self, name) >= 0:
+                raise HarnessError(f"{name} {getattr(self, name)} must not be negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise HarnessError(f"learning_rate {self.learning_rate} must be finite and positive")
 
     def context_view(self) -> ContextView:
         return ContextView(self.view)
@@ -203,34 +218,70 @@ def accuracy(predictions: dict[str, str], gold: dict[str, str]) -> float:
     return sum(1 for i in gold if predictions[i] == gold[i]) / len(gold)
 
 
-def summarize_accuracy(values: Sequence[float]) -> dict[str, float]:
-    """Mean and population standard deviation over per-seed accuracies."""
-    arr = np.asarray(values, dtype=np.float64)
-    return {"mean": float(arr.mean()), "std": float(arr.std())}
-
-
 # ---------------------------------------------------------------------------
-# Gateway-backed provider
+# Context providers
 
 
-class PipelineProvider:
-    """Materializes contexts through extract, prompt, generate, and parse."""
+def build_keyword_map(
+    dataset: Dataset,
+    ratio: float,
+    seed: int,
+    method: str,
+    gazetteer: Sequence[str],
+) -> dict[str, KeywordSet]:
+    """Per-instance disclosed keywords.
 
-    def __init__(
-        self,
-        gateway: Gateway,
-        demos: Sequence[Demonstration],
-        gazetteer: Sequence[str] | None = None,
-        model_id: str = "gpt-3.5-turbo",
-        mode: str = "replay",
-    ):
-        if not demos:
-            raise HarnessError("pipeline provider needs at least one demonstration")
-        self.gateway = gateway
-        self.demos = list(demos)
-        self.gazetteer = list(gazetteer or [])
-        self.model_id = model_id
-        self.mode = mode
+    For entity keywords `ratio` subsamples the extracted set with a
+    per-instance seed, so lower ratios disclose nested subsets of higher
+    ones. A question with no gazetteer match discloses nothing: it keeps the
+    empty set, so its budget counts 0 words and its prompt carries only the
+    answers. For the random baselines `ratio` is the disclosed fraction of
+    question words directly.
+    """
+    if method == METHOD_NER and not gazetteer:
+        raise HarnessError("entity extraction needs a gazetteer")
+    out: dict[str, KeywordSet] = {}
+    for inst in dataset.instances:
+        inst_seed = stable_seed(seed, inst.id)
+        if method == METHOD_NER:
+            ks = extract_ner(inst.question, gazetteer)
+            out[inst.id] = subsample_keywords(ks, ratio, inst_seed) if ks.keywords else ks
+        elif method == METHOD_RANDOM_SPAN:
+            out[inst.id] = extract_random_span(inst.question, ratio, inst_seed)
+        elif method == METHOD_RANDOM_WORDS:
+            out[inst.id] = extract_random_words(inst.question, ratio, inst_seed)
+        else:
+            raise HarnessError(f"unknown keyword method {method!r}")
+    return out
+
+
+def augment_completion(
+    instance: QAInstance, completion: str, generation_id: str
+) -> AugmentedInstance:
+    """Parse one completion into the instance's context.
+
+    A completion that continues the prompt's bare cue gets the
+    "Context:" head back before parsing.
+    """
+    text = completion if CONTEXT_HEAD in completion else CONTEXT_HEAD + completion
+    try:
+        parsed = parse_generation(text, instance.labels())
+    except ParseError as exc:
+        raise HarnessError(f"instance {instance.id!r}: {exc}") from exc
+    return AugmentedInstance(instance=instance, context=parsed, generation_id=generation_id)
+
+
+class ContextProvider:
+    """Materializes contexts: keyword map, one completion per instance, parse.
+
+    Subclasses differ only in where a completion comes from.
+    """
+
+    gazetteer: Sequence[str] = ()
+
+    def completion(self, instance: QAInstance, keywords: KeywordSet) -> tuple[str, str]:
+        """(completion text, generation id) for one instance's disclosure."""
+        raise NotImplementedError
 
     def keyword_map(
         self,
@@ -239,23 +290,10 @@ class PipelineProvider:
         seed: int,
         method: str = METHOD_NER,
     ) -> dict[str, KeywordSet]:
-        out: dict[str, KeywordSet] = {}
-        for inst in dataset.instances:
-            inst_seed = stable_seed(seed, inst.id)
-            if method == METHOD_NER:
-                if not self.gazetteer:
-                    raise HarnessError("entity extraction needs a gazetteer")
-                ks = extract_ner(inst.question, self.gazetteer)
-                if not ks.keywords:
-                    raise HarnessError(f"instance {inst.id!r}: no gazetteer match")
-                out[inst.id] = subsample_keywords(ks, ratio, inst_seed)
-            elif method == METHOD_RANDOM_SPAN:
-                out[inst.id] = extract_random_span(inst.question, ratio, inst_seed)
-            elif method == METHOD_RANDOM_WORDS:
-                out[inst.id] = extract_random_words(inst.question, ratio, inst_seed)
-            else:
-                raise HarnessError(f"unknown keyword method {method!r}")
-        return out
+        return build_keyword_map(dataset, ratio, seed, method, self.gazetteer)
+
+    def augment(self, instance: QAInstance, keywords: KeywordSet) -> AugmentedInstance:
+        return augment_completion(instance, *self.completion(instance, keywords))
 
     def provide(
         self,
@@ -265,27 +303,36 @@ class PipelineProvider:
         method: str = METHOD_NER,
     ) -> list[AugmentedInstance]:
         kmap = self.keyword_map(dataset, ratio, seed, method)
-        out = []
-        for inst in dataset.instances:
-            prompt = build_prompt(
-                self.demos, kmap[inst.id].keywords, inst.choices, query_id=inst.id
-            )
-            record = self.gateway.complete(
-                GenerationRequest(model_id=self.model_id, prompt=prompt), self.mode
-            )
-            text = record.completion
-            if CONTEXT_HEAD not in text:
-                text = CONTEXT_HEAD + text
-            try:
-                parsed = parse_generation(text, inst.labels())
-            except ParseError as exc:
-                raise HarnessError(f"instance {inst.id!r}: {exc}") from exc
-            out.append(
-                AugmentedInstance(
-                    instance=inst, context=parsed, generation_id=record.cache_key
-                )
-            )
-        return out
+        return [self.augment(inst, kmap[inst.id]) for inst in dataset.instances]
+
+
+class PipelineProvider(ContextProvider):
+    """Completions from the gateway, through a few-shot prompt."""
+
+    def __init__(
+        self,
+        gateway: Gateway,
+        demos: Sequence[Demonstration],
+        gazetteer: Sequence[str] | None = None,
+        model_id: str = ExperimentConfig.model_id,
+        mode: str = ExperimentConfig.mode,
+    ):
+        if not demos:
+            raise HarnessError("pipeline provider needs at least one demonstration")
+        self.gateway = gateway
+        self.demos = list(demos)
+        self.gazetteer = list(gazetteer or [])
+        self.model_id = model_id
+        self.mode = mode
+
+    def completion(self, instance: QAInstance, keywords: KeywordSet) -> tuple[str, str]:
+        prompt = build_prompt(
+            self.demos, keywords.keywords, instance.choices, query_id=instance.id
+        )
+        record = self.gateway.complete(
+            GenerationRequest(model_id=self.model_id, prompt=prompt), self.mode
+        )
+        return record.completion, record.cache_key
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +353,7 @@ class EvalReport:
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "config": report.config,
-        "dataset": report.dataset,
-        "metrics": report.metrics,
-        "budget": report.budget,
-        "ftcr": report.ftcr,
-        "provenance": report.provenance,
-        "predictions": report.predictions,
-    }
+    return asdict(report)
 
 
 def render_report(report: EvalReport) -> str:
@@ -330,6 +369,15 @@ def _file_digest(path: str | Path) -> str:
     if not str(path) or not p.exists():
         return ""
     return hashlib.sha256(p.read_bytes()).hexdigest()
+
+
+def provenance(config: ExperimentConfig) -> dict:
+    return {
+        "config_digest": config_digest(config),
+        "cache_digest": _file_digest(config.cache_path),
+        "code_version": __version__,
+        "prompt_style": PROMPT_STYLE,
+    }
 
 
 def render_report_table(reports: Sequence[EvalReport]) -> str:
@@ -373,13 +421,12 @@ def _materialize(
     return provider.provide(dataset, config.ratio, config.seed, config.method)
 
 
-def _train_model(
+def train_scorer(
     config: ExperimentConfig,
-    datasets: dict[str, Dataset],
-    provider,
-) -> tuple[ScorerModel, object, list[ChoiceInputs]]:
-    train_aug = _materialize(config, datasets["train"], provider)
-    dev_aug = _materialize(config, datasets["dev"], provider)
+    train_aug: Sequence[AugmentedInstance],
+    dev_aug: Sequence[AugmentedInstance],
+) -> tuple[ScorerModel, TrainLog, list[ChoiceInputs]]:
+    """Train under the configured regime, early-stopping on the dev instances."""
     train_inputs = build_inputs(train_aug, config.regime, config.context_view())
     dev_inputs = build_inputs(dev_aug, "FTC", eval_view(config))
     model, tlog = train(
@@ -391,10 +438,10 @@ def _train_model(
     return model, tlog, train_inputs
 
 
-def _predict_split(
-    model: ScorerModel, config: ExperimentConfig, dataset: Dataset, provider
+def predict_labels(
+    model: ScorerModel, config: ExperimentConfig, augmented: Sequence[AugmentedInstance]
 ) -> tuple[dict[str, str], dict[str, str]]:
-    augmented = _materialize(config, dataset, provider)
+    """(predicted, gold) label per instance id under the config's eval view."""
     inputs = build_inputs(augmented, "FTC", eval_view(config))
     preds = {}
     gold = {}
@@ -420,17 +467,22 @@ def _budget_section(
     }
 
 
-def _build_report(
+def _run(
     config: ExperimentConfig,
     datasets: dict[str, Dataset],
-    tlog,
-    train_inputs: list[ChoiceInputs],
-    preds: dict[str, str],
-    gold: dict[str, str],
+    test: Dataset,
     provider,
-    eval_name: str,
-    eval_split: str,
+    test_provider,
+    workdir: str | Path | None,
+    transfer: dict | None = None,
 ) -> EvalReport:
+    """Train on datasets' train/dev splits, predict `test`, and build the report."""
+    model, tlog, train_inputs = train_scorer(
+        config,
+        _materialize(config, datasets["train"], provider),
+        _materialize(config, datasets["dev"], provider),
+    )
+    preds, gold = predict_labels(model, config, _materialize(config, test, test_provider))
     acc = accuracy(preds, gold)
     ftcr = None
     if config.regime == "FTCR":
@@ -438,11 +490,11 @@ def _build_report(
             "admitted": sum(1 for ci in train_inputs if ci.used_context),
             "total": len(train_inputs),
         }
-    return EvalReport(
+    report = EvalReport(
         config=asdict(config),
         dataset={
-            "name": eval_name,
-            "split": eval_split,
+            "name": test.name,
+            "split": test.split,
             "sizes": {split: len(ds) for split, ds in sorted(datasets.items())},
         },
         metrics={
@@ -455,23 +507,17 @@ def _build_report(
         },
         budget=_budget_section(config, datasets["train"], provider),
         ftcr=ftcr,
-        provenance={
-            "config_digest": config_digest(config),
-            "cache_digest": _file_digest(config.cache_path),
-            "code_version": __version__,
-            "prompt_style": PROMPT_STYLE,
-        },
+        provenance=provenance(config),
         predictions=preds,
     )
-
-
-def _save_outputs(
-    report: EvalReport, model: ScorerModel, config: ExperimentConfig, workdir: str | Path
-) -> None:
-    wd = Path(workdir)
-    wd.mkdir(parents=True, exist_ok=True)
-    save_model(model, wd / f"model-seed{config.seed}.npz")
-    write_report(report, wd / f"report-seed{config.seed}.json")
+    if transfer is not None:
+        report.dataset["transfer"] = transfer
+    if workdir is not None:
+        wd = Path(workdir)
+        wd.mkdir(parents=True, exist_ok=True)
+        save_model(model, wd / f"model-seed{config.seed}.npz")
+        write_report(report, wd / f"report-seed{config.seed}.json")
+    return report
 
 
 def run_experiment(
@@ -483,22 +529,7 @@ def run_experiment(
     """Train under the configured regime and evaluate on the test split."""
     config.validate()
     _require_splits(datasets, "train", "dev", "test")
-    model, tlog, train_inputs = _train_model(config, datasets, provider)
-    preds, gold = _predict_split(model, config, datasets["test"], provider)
-    report = _build_report(
-        config,
-        datasets,
-        tlog,
-        train_inputs,
-        preds,
-        gold,
-        provider,
-        datasets["test"].name,
-        datasets["test"].split,
-    )
-    if workdir is not None:
-        _save_outputs(report, model, config, workdir)
-    return report
+    return _run(config, datasets, datasets["test"], provider, provider, workdir)
 
 
 def run_ood(
@@ -513,28 +544,10 @@ def run_ood(
     config.validate()
     _require_splits(source, "train", "dev")
     _require_splits(target, "test")
-    model, tlog, train_inputs = _train_model(config, source, provider)
-    preds, gold = _predict_split(
-        model, config, target["test"], target_provider or provider
+    transfer = {"source": source["train"].name, "target": target["test"].name}
+    return _run(
+        config, source, target["test"], provider, target_provider or provider, workdir, transfer
     )
-    report = _build_report(
-        config,
-        source,
-        tlog,
-        train_inputs,
-        preds,
-        gold,
-        provider,
-        target["test"].name,
-        target["test"].split,
-    )
-    report.dataset["transfer"] = {
-        "source": source["train"].name,
-        "target": target["test"].name,
-    }
-    if workdir is not None:
-        _save_outputs(report, model, config, workdir)
-    return report
 
 
 def run_budget_sweep(

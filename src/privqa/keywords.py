@@ -14,13 +14,11 @@ import json
 import math
 import random
 import re
-import subprocess
-import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from privqa.corpus import Dataset
+from privqa.corpus import Dataset, nfc
 
 METHOD_NER = "NER"
 METHOD_RANDOM_SPAN = "RandomSpan"
@@ -33,10 +31,6 @@ _EDGE_PUNCT = ".,;:!?()[]{}<>\"'‘’“”…"
 
 class ExtractionError(Exception):
     """Keyword extraction or budget accounting failed."""
-
-
-def nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
 
 
 def question_words(question: str) -> list[str]:
@@ -275,7 +269,7 @@ def format_budget(budget: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sidecar files and the external-extractor seam
+# Sidecar files
 
 
 def load_gazetteer(path: str | Path) -> list[str]:
@@ -331,76 +325,3 @@ def load_keyword_sets(path: str | Path) -> dict[str, KeywordSet]:
             except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
                 raise ExtractionError(f"{p}:{lineno}: bad keyword record ({exc})") from exc
     return out
-
-
-def keyword_set_from_spans(question: str, spans: Sequence[str]) -> KeywordSet:
-    """Build a validated KeywordSet from externally proposed spans.
-
-    Each span must occur verbatim (case-insensitively) in the question at a
-    word boundary; duplicates collapse to the first occurrence and the result
-    is ordered by position.
-    """
-    q = nfc(question)
-    word_spans = _word_spans(q)
-    lower_q = q.lower()
-    found: list[tuple[int, str]] = []
-    seen: set[str] = set()
-    for span in spans:
-        s = nfc(span).strip()
-        if not s:
-            continue
-        key = s.lower()
-        if key in seen:
-            continue
-        pos = lower_q.find(key)
-        while pos >= 0:
-            end = pos + len(key)
-            lead_ok = pos == 0 or not lower_q[pos - 1].isalnum()
-            tail_ok = end == len(lower_q) or not lower_q[end].isalnum()
-            if lead_ok and tail_ok:
-                break
-            pos = lower_q.find(key, pos + 1)
-        if pos < 0:
-            raise ExtractionError(f"keyword {s!r} does not occur in the question")
-        word_index = next(i for i, (ws, we) in enumerate(word_spans) if ws <= pos < we)
-        seen.add(key)
-        found.append((word_index, q[pos : pos + len(s)]))
-    found.sort(key=lambda t: t[0])
-    keywords = tuple(text for _, text in found)
-    return KeywordSet(
-        keywords=keywords,
-        method=METHOD_NER,
-        ratio=1.0,
-        seed=0,
-        starts=tuple(i for i, _ in found),
-        word_count=_count_words(keywords),
-    )
-
-
-def extract_external(
-    questions: Sequence[str],
-    command: Sequence[str],
-    timeout: float = 60.0,
-) -> list[list[str]]:
-    """Run an external extractor: one question per stdin line, one
-    tab-separated keyword list per stdout line."""
-    payload = "\n".join(q.replace("\n", " ").replace("\t", " ") for q in questions) + "\n"
-    try:
-        proc = subprocess.run(
-            list(command),
-            input=payload,
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-            check=False,
-        )
-    except FileNotFoundError as exc:
-        raise ExtractionError(f"extractor command not found: {command[0]!r}") from exc
-    except subprocess.TimeoutExpired as exc:
-        raise ExtractionError(f"extractor timed out after {timeout}s") from exc
-    if proc.returncode != 0:
-        raise ExtractionError(f"extractor exited {proc.returncode}: {proc.stderr.strip()[:200]}")
-    lines = proc.stdout.splitlines()
-    if len(lines) != len(questions):
-        raise ExtractionError(f"extractor returned {len(lines)} lines for {len(questions)} questions")
-    return [[k for k in line.split("\t") if k.strip()] for line in lines]

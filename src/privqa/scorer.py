@@ -28,8 +28,6 @@ from privqa.corpus import AugmentedInstance
 # so distinct (question, answer, contexts) tuples assemble to distinct inputs.
 SEPARATOR = "\x1e"
 
-DEFAULT_DIM = 2**18
-
 
 class ScorerError(Exception):
     """Model construction or checkpoint IO failed."""
@@ -41,7 +39,7 @@ class TrainingDiverged(ScorerError):
 
 @dataclass(frozen=True)
 class FeaturizerConfig:
-    dim: int = DEFAULT_DIM
+    dim: int = 2**18
     hash_seed: int = 17
     ngram_orders: tuple[int, ...] = (1, 2)
     lowercase: bool = True
@@ -54,9 +52,6 @@ class FeatureVector:
     indices: np.ndarray
     values: np.ndarray
     dim: int
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(i): float(v) for i, v in zip(self.indices, self.values)}
 
 
 def assemble_input(question: str, answer: str, overall: str, choice_context: str) -> str:
@@ -349,13 +344,6 @@ def train(
     if log.stopped_epoch < 0:
         log.stopped_epoch = len(log.history) - 1
     return best, log
-
-
-def evaluate_accuracy(
-    model: ScorerModel, items: Sequence[TrainItem]
-) -> float:
-    featurized = [(_featurize_item(it, model.featurizer), it.gold_index) for it in items]
-    return _eval_items(model, featurized)
 
 
 # ---------------------------------------------------------------------------

@@ -20,19 +20,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from privqa.contexts import ParsedContext, SpecificContext, parse_generation, serialize_context
-from privqa.corpus import LABELS, AugmentedInstance, Dataset, QAInstance
-from privqa.keywords import (
-    METHOD_NER,
-    METHOD_RANDOM_SPAN,
-    METHOD_RANDOM_WORDS,
-    KeywordSet,
-    extract_ner,
-    extract_random_span,
-    extract_random_words,
-    stable_seed,
-    subsample_keywords,
+# parse_generation and subsample_keywords are not called here: the oracle's
+# keyword map and parse run through privqa.harness. They stay importable from
+# this module because perfbench/tracer.py patches them by name.
+from privqa.contexts import (  # noqa: F401
+    ParsedContext,
+    SpecificContext,
+    parse_generation,
+    serialize_context,
 )
+from privqa.corpus import LABELS, Dataset, QAInstance
+from privqa.harness import ContextProvider
+from privqa.keywords import METHOD_NER, KeywordSet, extract_ner, subsample_keywords  # noqa: F401
 from privqa.promptkit import Demonstration
 
 # Planted in the gold choice's knowledge only when the key keyword was
@@ -113,42 +112,15 @@ def _disclosed_words(keywords: KeywordSet) -> set[str]:
     return words
 
 
-class SyntheticContextProvider:
-    """Oracle that stands in for the extract-prompt-generate-parse pipeline."""
+class SyntheticContextProvider(ContextProvider):
+    """Oracle that stands in for the gateway: completions are oracle text."""
 
     def __init__(self, spec: SyntheticSpec):
         self.spec = spec
-        self._gazetteer = gazetteer_tokens(spec)
+        self.gazetteer = gazetteer_tokens(spec)
 
     def keywords_for(self, instance: QAInstance) -> KeywordSet:
-        return extract_ner(instance.question, self._gazetteer)
-
-    def keyword_map(
-        self,
-        dataset: Dataset,
-        ratio: float,
-        seed: int,
-        method: str = METHOD_NER,
-    ) -> dict[str, KeywordSet]:
-        """Per-instance disclosed keywords.
-
-        For entity keywords `ratio` subsamples the extracted set with a
-        per-instance seed, so lower ratios disclose nested subsets of higher
-        ones. For the random baselines `ratio` is the disclosed fraction of
-        question words directly.
-        """
-        out: dict[str, KeywordSet] = {}
-        for inst in dataset.instances:
-            inst_seed = stable_seed(seed, inst.id)
-            if method == METHOD_NER:
-                out[inst.id] = subsample_keywords(self.keywords_for(inst), ratio, inst_seed)
-            elif method == METHOD_RANDOM_SPAN:
-                out[inst.id] = extract_random_span(inst.question, ratio, inst_seed)
-            elif method == METHOD_RANDOM_WORDS:
-                out[inst.id] = extract_random_words(inst.question, ratio, inst_seed)
-            else:
-                raise ValueError(f"unknown keyword method {method!r}")
-        return out
+        return extract_ner(instance.question, self.gazetteer)
 
     def oracle_context(self, instance: QAInstance, keywords: KeywordSet) -> ParsedContext:
         """The structured context the oracle would generate for a disclosure."""
@@ -198,29 +170,13 @@ class SyntheticContextProvider:
     def generation_text(self, instance: QAInstance, keywords: KeywordSet) -> str:
         return serialize_context(self.oracle_context(instance, keywords), instance.labels())
 
+    def completion(self, instance: QAInstance, keywords: KeywordSet) -> tuple[str, str]:
+        return self.generation_text(instance, keywords), f"synthetic:{instance.id}"
+
     def completion_for(self, instance: QAInstance, keywords: KeywordSet) -> str:
         """The oracle text as an LLM continuation: everything after the cue."""
         text = self.generation_text(instance, keywords)
         return text[len("Context:") :]
-
-    def augment(self, instance: QAInstance, keywords: KeywordSet) -> AugmentedInstance:
-        text = self.generation_text(instance, keywords)
-        parsed = parse_generation(text, instance.labels())
-        return AugmentedInstance(
-            instance=instance,
-            context=parsed,
-            generation_id=f"synthetic:{instance.id}",
-        )
-
-    def provide(
-        self,
-        dataset: Dataset,
-        ratio: float,
-        seed: int,
-        method: str = METHOD_NER,
-    ) -> list[AugmentedInstance]:
-        kmap = self.keyword_map(dataset, ratio, seed, method)
-        return [self.augment(inst, kmap[inst.id]) for inst in dataset.instances]
 
     def mock_completions(
         self,

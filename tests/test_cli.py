@@ -5,13 +5,29 @@ from pathlib import Path
 import pytest
 
 from privqa import cli
-from privqa.corpus import load_augmented, load_dataset, write_dataset
-from privqa.keywords import save_keyword_sets
+from privqa.corpus import (
+    Dataset,
+    QAInstance,
+    load_augmented,
+    load_dataset,
+    write_augmented,
+    write_dataset,
+)
+from privqa.gateway import GenerationRecord
+from privqa.harness import (
+    ExperimentConfig,
+    PipelineProvider,
+    accuracy,
+    predict_labels,
+    train_scorer,
+)
+from privqa.keywords import KeywordSet, corpus_budget_report, load_keyword_sets, save_keyword_sets
 from privqa.promptkit import render_block
 from privqa.synthetic import (
     SyntheticContextProvider,
     SyntheticSpec,
     build_corpus,
+    filler_tokens,
     gazetteer_tokens,
 )
 
@@ -378,3 +394,107 @@ def test_generate_replay_miss_is_user_error(ws, capsys, tmp_path):
     )
     assert code == 1
     assert "no cached completion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("method", "bogus", "method"),
+        ("mode", "bogus", "mode"),
+        ("batch-size", 0, "batch_size"),
+        ("max-epochs", 0, "max_epochs"),
+        ("patience", 0, "early_stop_patience"),
+        ("dim", 0, "featurizer_dim"),
+        ("warmup-steps", -1, "warmup_steps"),
+        ("weight-decay", -0.5, "weight_decay"),
+        ("learning-rate", 0, "learning_rate"),
+        ("learning-rate", "nan", "learning_rate"),
+        ("batch-size", "eight", "batch_size"),
+    ],
+)
+def test_bad_config_field_is_user_error(tmp_path, capsys, key, value, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    code = run(["sweep", "--synthetic", "--train-size", "8", "--config", cfg])
+    assert code == 1
+    assert field in capsys.readouterr().err
+
+
+def test_unmatched_question_discloses_nothing(ws, tmp_path, capsys):
+    # filler tokens are never gazetteer terms, so this question has no match
+    inst = QAInstance(
+        id="nomatch",
+        question=" ".join(filler_tokens(SPEC)[:16]),
+        choices={"a": "tok001", "b": "tok003", "c": "tok005", "d": "tok007"},
+        gold="a",
+        meta={"key": "tok000"},
+    )
+    data = Dataset(name="synthetic", split="dev", instances=(inst,))
+    write_dataset(data, tmp_path / "data.jsonl")
+    code = run(
+        [
+            "extract",
+            "--data", tmp_path / "data.jsonl",
+            "--method", "NER",
+            "--gazetteer", ws["root"] / "gazetteer.txt",
+            "--ratio", "0.5",
+            "--output", tmp_path / "kw.jsonl",
+        ]
+    )
+    assert code == 0
+    assert "0/1" in capsys.readouterr().out
+
+    oracle = ws["provider"]
+    prompts = []
+
+    class RecordingGateway:
+        def complete(self, request, mode):
+            prompts.append(request.prompt.text)
+            completion = oracle.completion_for(inst, KeywordSet((), "NER", 1.0, 0, (), 0))
+            return GenerationRecord("key", completion, mode, 0.0)
+
+    pipe = PipelineProvider(
+        RecordingGateway(), oracle.demonstrations(ws["corpus"]["train"]), gazetteer=oracle.gazetteer
+    )
+    from_cli = load_keyword_sets(tmp_path / "kw.jsonl")["nomatch"]
+    for provider in (pipe, oracle):
+        ks = provider.keyword_map(data, 0.5, seed=0)["nomatch"]
+        assert ks == from_cli
+        assert ks.keywords == () and ks.word_count == 0
+        assert corpus_budget_report(data, {"nomatch": ks}).budget == 0.0
+        [aug] = provider.provide(data, 0.5, seed=0)
+        assert aug.instance == inst
+    # the prompt's query block carries only the answers
+    assert prompts == [prompts[0]]
+    assert prompts[0].endswith("\n\n" + render_block((), inst.choices))
+
+
+def test_ood_files_match_harness_steps(ws, tmp_path, capsys):
+    corpus, provider = ws["corpus"], ws["provider"]
+    paths = {}
+    for split, ratio in (("train", 1.0), ("dev", 1.0), ("test", 0.5)):
+        paths[split] = tmp_path / f"aug-{split}.jsonl"
+        write_augmented(provider.provide(corpus[split], ratio, seed=0), paths[split])
+    code = run(
+        [
+            "ood",
+            *FAST,
+            "--train", paths["train"],
+            "--dev", paths["dev"],
+            "--target", paths["test"],
+        ]
+    )
+    assert code == 0
+    cfg = ExperimentConfig(
+        featurizer_dim=16384, max_epochs=10, warmup_steps=20, early_stop_patience=3
+    )
+    model, tlog, _ = train_scorer(
+        cfg, load_augmented(paths["train"]), load_augmented(paths["dev"])
+    )
+    preds, gold = predict_labels(model, cfg, load_augmented(paths["test"]))
+    acc = accuracy(preds, gold)
+    assert 0.0 < acc < 1.0
+    assert (
+        f"transfer accuracy: {acc * 100:.2f}% ({round(acc * len(gold))}/{len(gold)})"
+        in capsys.readouterr().out
+    )

@@ -14,7 +14,6 @@ from privqa.contexts import (
     ftcr_admit,
     parse_generation,
     serialize_context,
-    strip_relations,
 )
 from privqa.promptkit import bundled_demo_path, load_demonstrations
 
@@ -180,13 +179,6 @@ def test_serialize_empty_decision_is_none():
     ctx = ParsedContext(overall="x.", specific={}, decision=frozenset())
     assert serialize_context(ctx, ()).endswith("the answer is None.")
 
-
-def test_strip_relations_idempotent():
-    ctx = parse_generation(SAMPLE, LABELS4)
-    stripped = strip_relations(ctx)
-    assert stripped.specific["a"] == SpecificContext("First fact.", "")
-    assert strip_relations(stripped) == stripped
-    assert stripped.decision == ctx.decision
 
 
 def test_apply_view():

@@ -20,7 +20,6 @@ from privqa.harness import (
     run_experiment,
     run_ood,
     run_representation_compare,
-    summarize_accuracy,
     to_train_item,
     write_report,
 )
@@ -156,12 +155,6 @@ def test_accuracy_empty():
         accuracy({}, {})
 
 
-def test_summarize_accuracy():
-    s = summarize_accuracy([0.0, 1.0])
-    assert s["mean"] == 0.5
-    assert s["std"] == 0.5
-
-
 def test_pipeline_provider_equals_oracle(tmp_path, corpus, provider):
     # the full extract-prompt-generate-parse path over a gateway in mock mode
     # must reproduce the oracle contexts exactly
@@ -171,7 +164,7 @@ def test_pipeline_provider_equals_oracle(tmp_path, corpus, provider):
     pipe = PipelineProvider(
         gateway=gw,
         demos=provider.demonstrations(corpus["train"]),
-        gazetteer=provider._gazetteer,
+        gazetteer=provider.gazetteer,
         mode="mock",
     )
     got = pipe.provide(data, 0.5, seed=SPEC.seed)
@@ -189,7 +182,7 @@ def test_pipeline_provider_parse_error_names_instance(tmp_path, corpus, provider
     pipe = PipelineProvider(
         gateway=gw,
         demos=provider.demonstrations(corpus["train"]),
-        gazetteer=provider._gazetteer,
+        gazetteer=provider.gazetteer,
         mode="mock",
     )
     with pytest.raises(HarnessError, match=bad_id):

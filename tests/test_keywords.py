@@ -10,12 +10,10 @@ from privqa.keywords import (
     ExtractionError,
     KeywordSet,
     corpus_budget_report,
-    extract_external,
     extract_ner,
     extract_random_span,
     extract_random_words,
     format_budget,
-    keyword_set_from_spans,
     load_gazetteer,
     load_keyword_sets,
     privacy_budget,
@@ -236,29 +234,3 @@ def test_keyword_sets_corrupt_line(tmp_path):
     path.write_text('{"id": "q1"}\n', encoding="utf-8")
     with pytest.raises(ExtractionError, match=r":1:"):
         load_keyword_sets(path)
-
-
-def test_keyword_set_from_spans():
-    q = "The heart rate and heart rhythm differ."
-    ks = keyword_set_from_spans(q, ["heart rhythm", "heart rate", "heart rate"])
-    # ordered by question position, duplicates dropped
-    assert ks.keywords == ("heart rate", "heart rhythm")
-    with pytest.raises(ExtractionError, match="ear"):
-        keyword_set_from_spans(q, ["ear"])  # inside "heart", not at a boundary
-
-
-def test_extract_external_echo():
-    script = (
-        "import sys\n"
-        "for line in sys.stdin:\n"
-        "    words = line.split()\n"
-        "    print('\\t'.join(words[:2]))\n"
-    )
-    got = extract_external(["alpha beta gamma", "delta"], ["python3", "-c", script])
-    assert got == [["alpha", "beta"], ["delta"]]
-
-
-def test_extract_external_count_mismatch():
-    script = "print('only one line')"
-    with pytest.raises(ExtractionError, match="1 lines for 2"):
-        extract_external(["a", "b"], ["python3", "-c", script])

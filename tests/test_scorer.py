@@ -17,13 +17,13 @@ from privqa.scorer import (
     assemble_input,
     batch_loss,
     choice_texts,
-    evaluate_accuracy,
     featurize,
     load_model,
     loss_and_grad,
     predict,
     save_model,
     score_choices,
+    score_texts,
     softmax,
     train,
     train_item,
@@ -91,17 +91,18 @@ def test_assemble_input_scrubs_separator_from_segments():
 
 def test_featurize_frozen_indices():
     fv = featurize("alpha beta", CFG)
-    assert fv.as_dict() == {841: 1.0, 2440: 1.0, 3446: 1.0}
+    assert dict(zip(fv.indices, fv.values)) == {841: 1.0, 2440: 1.0, 3446: 1.0}
 
 
 def test_featurize_counts_repeats():
     fv = featurize("alpha alpha beta", CFG)
-    d = fv.as_dict()
+    d = dict(zip(fv.indices, fv.values))
     assert d[841] == 2.0  # unigram "alpha" seen twice
 
 
 def test_featurize_lowercases():
-    assert featurize("Alpha BETA", CFG).as_dict() == featurize("alpha beta", CFG).as_dict()
+    upper, lower = featurize("Alpha BETA", CFG), featurize("alpha beta", CFG)
+    assert dict(zip(upper.indices, upper.values)) == dict(zip(lower.indices, lower.values))
 
 
 def test_featurize_empty():
@@ -239,7 +240,9 @@ def test_train_learns_separable_data():
     cfg = TrainConfig(max_epochs=20, warmup_steps=20, seed=1)
     model, log = train(cfg, train_items, dev_items, featurizer=CFG)
     assert log.best_dev_accuracy == 1.0
-    assert evaluate_accuracy(model, make_separable_items(30, rng)) == 1.0
+    for item in make_separable_items(30, rng):
+        sv = score_texts(model, ("a", "b", "c", "d"), item.texts)
+        assert int(np.argmax(sv.probs)) == item.gold_index
 
 
 def test_train_is_deterministic():
