@@ -11,6 +11,7 @@ id they interrupted.
 from __future__ import annotations
 
 import json
+import math
 import queue
 import subprocess
 import threading
@@ -116,11 +117,16 @@ class ExternalScorer:
                 f" scores for {len(inputs)} inputs"
             )
         try:
-            return [float(s) for s in scores]
+            values = [float(s) for s in scores]
         except (TypeError, ValueError) as exc:
             raise PluginError(
                 f"response for instance {instance_id} has non-numeric scores"
             ) from exc
+        # json.loads accepts NaN and Infinity; softmax would turn them into NaN
+        # probabilities and argmax would silently pick the first label
+        if not all(math.isfinite(v) for v in values):
+            raise PluginError(f"response for instance {instance_id} has non-finite scores")
+        return values
 
     def close(self) -> None:
         if self._proc is None:

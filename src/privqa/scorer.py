@@ -7,6 +7,15 @@ a shared linear head. Scores are normalized with a softmax across the
 instance's choices; training minimizes mean cross-entropy of the gold label
 with AdamW-style decoupled weight decay, linear warmup, and early stopping
 on development accuracy.
+
+Training runs over the feature support: the hashed indices that occur in
+the training texts, remapped to a compact range. A feature outside the
+support gets zero gradient at every step, so under decoupled decay its
+Adam moments and its weight stay exactly 0; every optimizer operation is
+elementwise, and the gradient is summed in the same order as a per-item
+loop. The trained weights, bias and log therefore equal those of dense
+Adam over all `dim` weights bit for bit, and the returned model is
+full-dim.
 """
 
 from __future__ import annotations
@@ -44,6 +53,12 @@ class FeaturizerConfig:
     ngram_orders: tuple[int, ...] = (1, 2)
     lowercase: bool = True
 
+    def __post_init__(self) -> None:
+        # n-gram -> index memo filled by `featurize`. It lives on this object,
+        # which a run builds once, so every run starts cold; it is not a field,
+        # so equality, hashing and checkpoint metadata ignore it.
+        object.__setattr__(self, "_index", {})
+
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -72,13 +87,15 @@ def _hash_token(token: str, seed: int, dim: int) -> int:
 def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
     """Hash word n-grams of the text into a sparse count vector."""
     tokens = text.lower().split() if config.lowercase else text.split()
+    index: dict[str, int] = config._index
     counts: dict[int, float] = {}
     for order in config.ngram_orders:
         if order < 1:
             raise ScorerError(f"ngram order {order} must be >= 1")
-        for i in range(len(tokens) - order + 1):
-            gram = "\x1f".join(tokens[i : i + order])
-            idx = _hash_token(gram, config.hash_seed, config.dim)
+        for gram in map("\x1f".join, zip(*[tokens[k:] for k in range(order)])):
+            idx = index.get(gram)
+            if idx is None:
+                idx = index[gram] = _hash_token(gram, config.hash_seed, config.dim)
             counts[idx] = counts.get(idx, 0.0) + 1.0
     idxs = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     vals = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
@@ -95,9 +112,6 @@ class ScorerModel:
     def zeros(cls, featurizer: FeaturizerConfig | None = None) -> "ScorerModel":
         cfg = featurizer or FeaturizerConfig()
         return cls(weights=np.zeros(cfg.dim, dtype=np.float64), bias=0.0, featurizer=cfg)
-
-    def copy(self) -> "ScorerModel":
-        return ScorerModel(weights=self.weights.copy(), bias=self.bias, featurizer=self.featurizer)
 
 
 @dataclass(frozen=True)
@@ -124,13 +138,18 @@ def choice_texts(instance: AugmentedInstance, view: ContextView) -> tuple[str, .
     )
 
 
-def _raw_score(model: ScorerModel, fv: FeatureVector) -> float:
-    return float(model.weights[fv.indices] @ fv.values) + model.bias
+def _scores(
+    weights: np.ndarray, bias: float, indices: Sequence[np.ndarray], values: Sequence[np.ndarray]
+) -> list[float]:
+    """Raw score per choice: one dot product over the choice's own n-grams."""
+    return [float(weights[i] @ v) + bias for i, v in zip(indices, values)]
 
 
 def score_texts(model: ScorerModel, labels: Sequence[str], texts: Sequence[str]) -> ScoreVector:
     fvs = [featurize(t, model.featurizer) for t in texts]
-    raw = [_raw_score(model, fv) for fv in fvs]
+    raw = _scores(
+        model.weights, model.bias, [fv.indices for fv in fvs], [fv.values for fv in fvs]
+    )
     probs = softmax(raw)
     return ScoreVector(labels=tuple(labels), scores=tuple(raw), probs=tuple(float(p) for p in probs))
 
@@ -179,54 +198,106 @@ def _featurize_item(item: TrainItem, cfg: FeaturizerConfig) -> list[FeatureVecto
     return [featurize(t, cfg) for t in item.texts]
 
 
-def _loss_grad_featurized(
-    model: ScorerModel,
-    batch: Sequence[tuple[list[FeatureVector], int]],
-) -> LossGrad:
+@dataclass(frozen=True)
+class _Encoded:
+    """One item's choices with indices remapped into a support's positions."""
+
+    indices: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+    gold: int
+    flat_indices: np.ndarray
+    flat_values: np.ndarray
+    sizes: np.ndarray
+
+
+def _support(featurized: Sequence[tuple[list[FeatureVector], int]]) -> np.ndarray:
+    """Sorted distinct feature indices of the featurized items."""
+    return np.unique(np.concatenate([fv.indices for fvs, _ in featurized for fv in fvs]))
+
+
+def _encode(fvs: list[FeatureVector], gold: int, support: np.ndarray) -> _Encoded:
+    """Remap to positions in `support`; an index outside it maps to `support.size`.
+
+    Outside n-grams are kept, not dropped, so each choice's dot product sums
+    the same number of terms in the same order as over full-dim weights.
+    """
+    flat = np.concatenate([fv.indices for fv in fvs])
+    pos = np.searchsorted(support, flat)
+    found = pos < support.size
+    found[found] = support[pos[found]] == flat[found]
+    pos[~found] = support.size
+    sizes = np.array([fv.indices.size for fv in fvs], dtype=np.int64)
+    values = tuple(fv.values for fv in fvs)
+    return _Encoded(
+        indices=tuple(np.split(pos, np.cumsum(sizes)[:-1])),
+        values=values,
+        gold=gold,
+        flat_indices=pos,
+        flat_values=np.concatenate(values),
+        sizes=sizes,
+    )
+
+
+def _loss_grad(
+    weights: np.ndarray, bias: float, batch: Sequence[_Encoded]
+) -> tuple[float, np.ndarray, float]:
+    """Mean cross-entropy, its weight gradient (dense over `weights`) and its bias gradient."""
+    inv = 1.0 / len(batch)
+    total = 0.0
+    coeffs = []
+    for item in batch:
+        probs = softmax(_scores(weights, bias, item.indices, item.values))
+        total -= math.log(max(probs[item.gold], 1e-300))
+        probs[item.gold] -= 1.0
+        probs *= inv
+        coeffs.append(probs)
+    coeff = np.concatenate(coeffs)
+    # a plain left-to-right sum (builtin sum() compensates on newer Pythons)
+    bias_grad = 0.0
+    for c in coeff.tolist():
+        bias_grad += c
+    # bincount adds its weights in input order, and the parts are laid out in
+    # (item, choice, n-gram) order: every gradient entry is the sequential sum
+    grad = np.bincount(
+        np.concatenate([item.flat_indices for item in batch]),
+        weights=np.repeat(coeff, np.concatenate([item.sizes for item in batch]))
+        * np.concatenate([item.flat_values for item in batch]),
+        minlength=weights.size,
+    )
+    return total * inv, grad, bias_grad
+
+
+def _encode_batch(
+    model: ScorerModel, batch: Sequence[AugmentedInstance], view: ContextView
+) -> tuple[np.ndarray, list[_Encoded]]:
     if not batch:
         raise ScorerError("empty batch")
-    grad: dict[int, float] = {}
-    bias_grad = 0.0
-    total = 0.0
-    inv = 1.0 / len(batch)
-    for fvs, gold in batch:
-        raw = [_raw_score(model, fv) for fv in fvs]
-        probs = softmax(raw)
-        total -= math.log(max(probs[gold], 1e-300))
-        for j, fv in enumerate(fvs):
-            coeff = (probs[j] - (1.0 if j == gold else 0.0)) * inv
-            bias_grad += coeff
-            for idx, val in zip(fv.indices, fv.values):
-                i = int(idx)
-                grad[i] = grad.get(i, 0.0) + coeff * float(val)
-    return LossGrad(loss=total * inv, weight_grad=grad, bias_grad=bias_grad)
-
-
-def _batch_from_instances(
-    batch: Sequence[AugmentedInstance], view: ContextView, cfg: FeaturizerConfig
-) -> list[tuple[list[FeatureVector], int]]:
-    out = []
+    featurized = []
     for aug in batch:
         item = train_item(aug, view)
-        out.append((_featurize_item(item, cfg), item.gold_index))
-    return out
+        featurized.append((_featurize_item(item, model.featurizer), item.gold_index))
+    support = _support(featurized)
+    return support, [_encode(fvs, gold, support) for fvs, gold in featurized]
 
 
 def loss_and_grad(
     model: ScorerModel, batch: Sequence[AugmentedInstance], view: ContextView
 ) -> LossGrad:
-    """Mean cross-entropy over the batch and its sparse gradient."""
-    return _loss_grad_featurized(model, _batch_from_instances(batch, view, model.featurizer))
+    """Mean cross-entropy over the batch and its sparse gradient.
+
+    `weight_grad` has one entry per distinct feature index in the batch.
+    """
+    support, encoded = _encode_batch(model, batch, view)
+    loss, grad, bias_grad = _loss_grad(model.weights[support], model.bias, encoded)
+    return LossGrad(
+        loss=loss, weight_grad=dict(zip(support.tolist(), grad.tolist())), bias_grad=bias_grad
+    )
 
 
 def batch_loss(model: ScorerModel, batch: Sequence[AugmentedInstance], view: ContextView) -> float:
     """Loss only, for finite-difference checks."""
-    featurized = _batch_from_instances(batch, view, model.featurizer)
-    total = 0.0
-    for fvs, gold in featurized:
-        probs = softmax([_raw_score(model, fv) for fv in fvs])
-        total -= math.log(max(probs[gold], 1e-300))
-    return total / len(featurized)
+    support, encoded = _encode_batch(model, batch, view)
+    return _loss_grad(model.weights[support], model.bias, encoded)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +326,6 @@ class TrainLog:
     stopped_epoch: int = -1
 
 
-def _eval_items(model: ScorerModel, items: Sequence[tuple[list[FeatureVector], int]]) -> float:
-    if not items:
-        return 0.0
-    correct = 0
-    for fvs, gold in items:
-        raw = np.array([_raw_score(model, fv) for fv in fvs])
-        if int(np.argmax(raw)) == gold:
-            correct += 1
-    return correct / len(items)
-
-
 def train(
     config: TrainConfig,
     train_items: Sequence[TrainItem],
@@ -282,59 +342,68 @@ def train(
     if not dev_items:
         raise ScorerError("no dev items for early stopping")
     cfg = featurizer or FeaturizerConfig()
-    model = ScorerModel.zeros(cfg)
 
     train_fv = [(_featurize_item(it, cfg), it.gold_index) for it in train_items]
     dev_fv = [(_featurize_item(it, cfg), it.gold_index) for it in dev_items]
+    # Weights live at support positions 0..K-1. Slot K holds the dev n-grams
+    # that never occur in training: its gradient is always 0, so it stays 0.0.
+    support = _support(train_fv)
+    train_enc = [_encode(fvs, gold, support) for fvs, gold in train_fv]
+    dev_enc = [_encode(fvs, gold, support) for fvs, gold in dev_fv]
 
-    m = np.zeros(cfg.dim, dtype=np.float64)
-    v = np.zeros(cfg.dim, dtype=np.float64)
+    w = np.zeros(support.size + 1, dtype=np.float64)
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    t = np.empty_like(w)
+    u = np.empty_like(w)
+    bias = 0.0
     rng = random.Random(config.seed)
     log = TrainLog()
-    best = model.copy()
+    best_w, best_bias = w.copy(), bias
     since_best = 0
     step = 0
 
     for epoch in range(config.max_epochs):
-        order = list(range(len(train_fv)))
+        order = list(range(len(train_enc)))
         rng.shuffle(order)
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, len(order), config.batch_size):
-            batch = [train_fv[i] for i in order[lo : lo + config.batch_size]]
-            lg = _loss_grad_featurized(model, batch)
-            if not math.isfinite(lg.loss):
+            batch = [train_enc[i] for i in order[lo : lo + config.batch_size]]
+            loss, g, bias_grad = _loss_grad(w, bias, batch)
+            if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch} step {step}")
-            epoch_loss += lg.loss
+            epoch_loss += loss
             n_batches += 1
             step += 1
             lr = config.learning_rate * min(1.0, step / max(1, config.warmup_steps))
 
-            g = np.zeros(cfg.dim, dtype=np.float64)
-            if lg.weight_grad:
-                idx = np.fromiter(lg.weight_grad.keys(), dtype=np.int64, count=len(lg.weight_grad))
-                val = np.fromiter(
-                    lg.weight_grad.values(), dtype=np.float64, count=len(lg.weight_grad)
-                )
-                g[idx] = val
+            # AdamW with decoupled decay, written into two scratch buffers; the
+            # operations are those of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2,
+            # w -= lr * mhat / (sqrt(vhat) + eps), w -= (lr*decay) * w
             m *= config.beta1
-            m += (1 - config.beta1) * g
+            m += np.multiply(1 - config.beta1, g, out=t)
             v *= config.beta2
-            v += (1 - config.beta2) * np.square(g)
-            mhat = m / (1 - config.beta1**step)
-            vhat = v / (1 - config.beta2**step)
-            model.weights -= lr * (mhat / (np.sqrt(vhat) + config.eps))
-            model.weights -= lr * config.weight_decay * model.weights
-            model.bias -= lr * lg.bias_grad
+            v += np.multiply(1 - config.beta2, np.square(g, out=t), out=t)
+            mhat = np.divide(m, 1 - config.beta1**step, out=t)
+            denom = np.sqrt(np.divide(v, 1 - config.beta2**step, out=u), out=u)
+            denom += config.eps
+            mhat /= denom
+            w -= np.multiply(lr, mhat, out=t)
+            w -= np.multiply(lr * config.weight_decay, w, out=t)
+            bias -= lr * bias_grad
 
-        dev_acc = _eval_items(model, dev_fv)
+        correct = sum(
+            int(np.argmax(_scores(w, bias, it.indices, it.values))) == it.gold for it in dev_enc
+        )
+        dev_acc = correct / len(dev_enc)
         log.history.append(
             {"epoch": epoch, "train_loss": epoch_loss / max(1, n_batches), "dev_accuracy": dev_acc}
         )
         if dev_acc > log.best_dev_accuracy or log.best_epoch < 0:
             log.best_dev_accuracy = dev_acc
             log.best_epoch = epoch
-            best = model.copy()
+            best_w, best_bias = w.copy(), bias
             since_best = 0
         else:
             since_best += 1
@@ -343,7 +412,9 @@ def train(
                 break
     if log.stopped_epoch < 0:
         log.stopped_epoch = len(log.history) - 1
-    return best, log
+    weights = np.zeros(cfg.dim, dtype=np.float64)
+    weights[support] = best_w[:-1]
+    return ScorerModel(weights=weights, bias=best_bias, featurizer=cfg), log
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,18 @@ def test_response_non_numeric_scores():
             s.score("inst-10", ["a", "b"])
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_response_non_finite_scores(bad):
+    # json.dumps writes NaN / Infinity / -Infinity, which json.loads accepts
+    body = (
+        "req = json.loads(line); "
+        f'print(json.dumps({{"id": req["id"], "scores": [1.0, float("{bad}")]}}), flush=True)'
+    )
+    with ExternalScorer(bad_responder(body), timeout=5.0) as s:
+        with pytest.raises(PluginError, match="inst-13 has non-finite"):
+            s.score("inst-13", ["a", "b"])
+
+
 def test_silent_scorer_times_out():
     body = "import time; time.sleep(30)"
     with ExternalScorer(bad_responder(body), timeout=0.5) as s:

@@ -1,8 +1,11 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from privqa.contexts import ContextView, ParsedContext, SpecificContext
 from privqa.corpus import AugmentedInstance, QAInstance
@@ -14,6 +17,7 @@ from privqa.scorer import (
     TrainConfig,
     TrainingDiverged,
     TrainItem,
+    _hash_token,
     assemble_input,
     batch_loss,
     choice_texts,
@@ -103,6 +107,31 @@ def test_featurize_counts_repeats():
 def test_featurize_lowercases():
     upper, lower = featurize("Alpha BETA", CFG), featurize("alpha beta", CFG)
     assert dict(zip(upper.indices, upper.values)) == dict(zip(lower.indices, lower.values))
+
+
+def test_featurize_memo_is_per_config(tmp_path):
+    text = "alpha beta gamma alpha"
+    grams = ["alpha", "beta", "gamma", "alpha", "alpha\x1fbeta", "beta\x1fgamma", "gamma\x1falpha"]
+    configs = [
+        FeaturizerConfig(dim=4096, hash_seed=17),
+        FeaturizerConfig(dim=4096, hash_seed=18),
+        FeaturizerConfig(dim=1000, hash_seed=18),
+    ]
+    for cfg in configs:
+        expected = {}
+        for gram in grams:
+            idx = _hash_token(gram, cfg.hash_seed, cfg.dim)
+            expected[idx] = expected.get(idx, 0.0) + 1.0
+        fv = featurize(text, cfg)
+        assert fv.indices.tolist() == list(expected)
+        assert fv.values.tolist() == list(expected.values())
+    # the memo is no field: a used config still equals and hashes like a new one
+    fresh = FeaturizerConfig(dim=4096, hash_seed=17)
+    assert configs[0] == fresh and hash(configs[0]) == hash(fresh)
+    save_model(ScorerModel.zeros(configs[0]), tmp_path / "m.npz")
+    with np.load(tmp_path / "m.npz") as data:
+        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+    assert meta == {"dim": 4096, "hash_seed": 17, "ngram_orders": [1, 2], "lowercase": True}
 
 
 def test_featurize_empty():
@@ -202,6 +231,44 @@ def test_gradient_matches_finite_differences():
     assert worst <= 1e-4
 
 
+def reference_loss_grad(weights, bias, featurized):
+    """Per-item dict loop over full-dim weights: the order the kernel must sum in."""
+    grad = {}
+    bias_grad = 0.0
+    total = 0.0
+    inv = 1.0 / len(featurized)
+    for fvs, gold in featurized:
+        probs = softmax([float(weights[fv.indices] @ fv.values) + bias for fv in fvs])
+        total -= math.log(max(probs[gold], 1e-300))
+        for j, fv in enumerate(fvs):
+            coeff = (probs[j] - (1.0 if j == gold else 0.0)) * inv
+            bias_grad += coeff
+            for idx, val in zip(fv.indices.tolist(), fv.values.tolist()):
+                grad[idx] = grad.get(idx, 0.0) + coeff * val
+    return total * inv, grad, bias_grad
+
+
+def test_gradient_equals_dict_loop_exactly():
+    rng = random.Random(14)
+    for pair in range(30):
+        batch = [random_augmented(rng, f"e{pair}-{i}") for i in range(rng.randrange(1, 9))]
+        model = ScorerModel.zeros(CFG)
+        model.weights[:] = np.array([rng.gauss(0, 0.5) for _ in range(CFG.dim)])
+        model.bias = rng.gauss(0, 0.5)
+        featurized = [
+            ([featurize(t, CFG) for t in item.texts], item.gold_index)
+            for item in (train_item(aug, ContextView.FULL) for aug in batch)
+        ]
+        loss, grad, bias_grad = reference_loss_grad(model.weights, model.bias, featurized)
+        lg = loss_and_grad(model, batch, ContextView.FULL)
+        touched = {int(i) for fvs, _ in featurized for fv in fvs for i in fv.indices}
+        assert set(lg.weight_grad) == touched
+        assert lg.weight_grad == grad
+        assert lg.bias_grad == bias_grad
+        assert lg.loss == loss
+        assert batch_loss(model, batch, ContextView.FULL) == loss
+
+
 def test_bias_gradient_is_zero_for_shared_bias():
     # the bias shifts every choice equally, so softmax cancels it exactly
     rng = random.Random(4)
@@ -243,6 +310,114 @@ def test_train_learns_separable_data():
     for item in make_separable_items(30, rng):
         sv = score_texts(model, ("a", "b", "c", "d"), item.texts)
         assert int(np.argmax(sv.probs)) == item.gold_index
+
+
+def reference_train(config, train_items, dev_items, cfg):
+    """Dense AdamW over all `cfg.dim` weights: (weights, bias, history)."""
+    train_fv = [([featurize(t, cfg) for t in it.texts], it.gold_index) for it in train_items]
+    dev_fv = [([featurize(t, cfg) for t in it.texts], it.gold_index) for it in dev_items]
+    w = np.zeros(cfg.dim)
+    m = np.zeros(cfg.dim)
+    v = np.zeros(cfg.dim)
+    bias = 0.0
+    rng = random.Random(config.seed)
+    history = []
+    best = (w.copy(), bias)
+    best_acc, best_epoch, since_best, step = 0.0, -1, 0, 0
+    for epoch in range(config.max_epochs):
+        order = list(range(len(train_fv)))
+        rng.shuffle(order)
+        epoch_loss = 0.0
+        n_batches = 0
+        for lo in range(0, len(order), config.batch_size):
+            batch = [train_fv[i] for i in order[lo : lo + config.batch_size]]
+            loss, grad, bias_grad = reference_loss_grad(w, bias, batch)
+            epoch_loss += loss
+            n_batches += 1
+            step += 1
+            lr = config.learning_rate * min(1.0, step / max(1, config.warmup_steps))
+            g = np.zeros(cfg.dim)
+            for idx, val in grad.items():
+                g[idx] = val
+            m *= config.beta1
+            m += (1 - config.beta1) * g
+            v *= config.beta2
+            v += (1 - config.beta2) * np.square(g)
+            mhat = m / (1 - config.beta1**step)
+            vhat = v / (1 - config.beta2**step)
+            w -= lr * (mhat / (np.sqrt(vhat) + config.eps))
+            w -= lr * config.weight_decay * w
+            bias -= lr * bias_grad
+        correct = 0
+        for fvs, gold in dev_fv:
+            raw = [float(w[fv.indices] @ fv.values) + bias for fv in fvs]
+            correct += int(np.argmax(raw)) == gold
+        acc = correct / len(dev_fv)
+        history.append(
+            {"epoch": epoch, "train_loss": epoch_loss / n_batches, "dev_accuracy": acc}
+        )
+        if acc > best_acc or best_epoch < 0:
+            best, best_acc, best_epoch, since_best = (w.copy(), bias), acc, epoch, 0
+        else:
+            since_best += 1
+            if since_best >= config.early_stop_patience:
+                break
+    return best[0], best[1], history
+
+
+TRAIN_WORDS = ["alpha", "beta", "gamma", "delta", "eps"]
+# dev-only words make n-grams that never occur in training
+DEV_WORDS = TRAIN_WORDS + ["zeta", "eta", "theta"]
+
+
+@st.composite
+def items(draw, words, prefix, min_size=1):
+    out = []
+    for i in range(draw(st.integers(min_size, 6))):
+        texts = draw(
+            st.lists(st.lists(st.sampled_from(words), max_size=5), min_size=2, max_size=4)
+        )
+        gold = draw(st.integers(0, len(texts) - 1))
+        out.append(TrainItem(f"{prefix}{i}", tuple(" ".join(t) for t in texts), gold))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    train_items=items(TRAIN_WORDS, "t"),
+    dev_items=items(DEV_WORDS, "d"),
+    dim=st.sampled_from([16, 4096]),
+    batch_size=st.integers(1, 4),
+    epochs=st.integers(1, 4),
+    patience=st.integers(1, 3),
+    learning_rate=st.sampled_from([0.05, 0.5]),
+    weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
+    seed=st.integers(0, 3),
+)
+@example(
+    # every training text is empty: the support is empty (K = 0)
+    train_items=[TrainItem("t0", ("", ""), 0), TrainItem("t1", ("", "", ""), 2)],
+    dev_items=[TrainItem("d0", ("zeta eta", "alpha"), 1)],
+    dim=4096, batch_size=1, epochs=2, patience=1, learning_rate=0.5, weight_decay=0.01, seed=0,
+)
+def test_compact_training_equals_dense(
+    train_items, dev_items, dim, batch_size, epochs, patience, learning_rate, weight_decay, seed
+):
+    cfg = FeaturizerConfig(dim=dim, hash_seed=17)
+    config = TrainConfig(
+        learning_rate=learning_rate,
+        batch_size=batch_size,
+        max_epochs=epochs,
+        warmup_steps=3,
+        early_stop_patience=patience,
+        seed=seed,
+        weight_decay=weight_decay,
+    )
+    model, log = train(config, train_items, dev_items, featurizer=cfg)
+    weights, bias, history = reference_train(config, train_items, dev_items, cfg)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.bias == bias
+    assert log.history == history
 
 
 def test_train_is_deterministic():
