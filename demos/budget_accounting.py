@@ -3,6 +3,7 @@
 from privqa.keywords import (
     METHOD_RANDOM_SPAN,
     METHOD_RANDOM_WORDS,
+    Gazetteer,
     corpus_budget_report,
     extract_ner,
     format_budget,
@@ -12,7 +13,8 @@ from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corp
 spec = SyntheticSpec(seed=0, train_size=100, dev_size=20, test_size=20)
 corpus = build_corpus(spec)
 provider = SyntheticContextProvider(spec)
-gazetteer = gazetteer_tokens(spec)
+# the term list is compiled once and then matched against every question
+gazetteer = Gazetteer(gazetteer_tokens(spec))
 
 inst = corpus["train"].instances[0]
 print("question:", inst.question)

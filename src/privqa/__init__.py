@@ -20,12 +20,12 @@ from privqa.contexts import (
 from privqa.corpus import AugmentedInstance, Dataset, QAInstance, load_dataset, sample_fewshot
 from privqa.gateway import Gateway, GenerationRecord, GenerationRequest, cache_key
 from privqa.keywords import (
+    Gazetteer,
     KeywordSet,
     corpus_budget_report,
     extract_ner,
     extract_random_span,
     extract_random_words,
-    privacy_budget,
     subsample_keywords,
 )
 from privqa.promptkit import Demonstration, PromptText, build_prompt, load_demonstrations
@@ -38,6 +38,7 @@ __all__ = [
     "Demonstration",
     "FeaturizerConfig",
     "Gateway",
+    "Gazetteer",
     "GenerationRecord",
     "GenerationRequest",
     "KeywordSet",
@@ -59,7 +60,6 @@ __all__ = [
     "load_demonstrations",
     "parse_generation",
     "predict",
-    "privacy_budget",
     "sample_fewshot",
     "score_choices",
     "serialize_context",

@@ -58,6 +58,7 @@ from privqa.harness import (
 from privqa.keywords import (
     METHODS,
     ExtractionError,
+    Gazetteer,
     corpus_budget_report,
     format_budget,
     load_gazetteer,
@@ -133,6 +134,16 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _load_completions(path: str | None) -> dict[str, str] | None:
+    """Canned completions for mock mode: a JSON object of instance id -> text."""
+    if not path:
+        return None
+    mock = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not (isinstance(mock, dict) and all(isinstance(v, str) for v in mock.values())):
+        raise HarnessError(f"completions file {path} must hold a JSON object of strings")
+    return mock
+
+
 def _load_demos(spec: str):
     p = Path(spec)
     if p.exists():
@@ -153,7 +164,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_extract(args) -> int:
     dataset = load_dataset(args.data)
-    gazetteer = load_gazetteer(args.gazetteer) if args.gazetteer else ()
+    gazetteer = Gazetteer(load_gazetteer(args.gazetteer)) if args.gazetteer else None
     kmap = build_keyword_map(dataset, args.ratio, args.seed, args.method, gazetteer)
     save_keyword_sets(kmap, args.output)
     covered = sum(1 for ks in kmap.values() if ks.keywords)
@@ -188,9 +199,7 @@ def _cmd_prompt(args) -> int:
 def _cmd_generate(args) -> int:
     dataset = load_dataset(args.data)
     kmap = load_keyword_sets(args.keywords)
-    mock = None
-    if args.completions:
-        mock = json.loads(Path(args.completions).read_text(encoding="utf-8"))
+    mock = _load_completions(args.completions)
     transport = None
     if args.mode == "live":
         if not args.api_url:
@@ -304,9 +313,7 @@ def _setup(args, cfg: ExperimentConfig):
     if demos is None:
         raise HarnessError("pipeline runs need --demos")
     gazetteer = load_gazetteer(cfg.gazetteer_file) if cfg.gazetteer_file else None
-    mock = None
-    if getattr(args, "completions", None):
-        mock = json.loads(Path(args.completions).read_text(encoding="utf-8"))
+    mock = _load_completions(args.completions)
     if not cfg.cache_path:
         raise HarnessError("pipeline runs need --cache")
     gateway = Gateway(cfg.cache_path, mock_completions=mock)

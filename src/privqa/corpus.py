@@ -142,15 +142,12 @@ def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
             yield lineno, rec
 
 
-def load_dataset(path: str | Path, format: str = "canonical-jsonl") -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Load a canonical dataset file, validating every record.
 
     Schema violations are reported with their line number; duplicate ids are
-    rejected. `format` exists so callers can be explicit; only the canonical
-    layout is accepted here (use `ingest_records` for source layouts).
+    rejected. Source layouts go through `ingest_records` instead.
     """
-    if format != "canonical-jsonl":
-        raise DatasetFormatError(f"unsupported load format {format!r}; ingest source files first")
     p = Path(path)
     instances: list[QAInstance] = []
     seen: set[str] = set()

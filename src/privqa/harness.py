@@ -40,6 +40,7 @@ from privqa.keywords import (
     METHOD_RANDOM_SPAN,
     METHOD_RANDOM_WORDS,
     METHODS,
+    Gazetteer,
     KeywordSet,
     corpus_budget_report,
     extract_ner,
@@ -227,7 +228,7 @@ def build_keyword_map(
     ratio: float,
     seed: int,
     method: str,
-    gazetteer: Sequence[str],
+    gazetteer: Gazetteer | None,
 ) -> dict[str, KeywordSet]:
     """Per-instance disclosed keywords.
 
@@ -238,7 +239,7 @@ def build_keyword_map(
     answers. For the random baselines `ratio` is the disclosed fraction of
     question words directly.
     """
-    if method == METHOD_NER and not gazetteer:
+    if method == METHOD_NER and gazetteer is None:
         raise HarnessError("entity extraction needs a gazetteer")
     out: dict[str, KeywordSet] = {}
     for inst in dataset.instances:
@@ -277,7 +278,7 @@ class ContextProvider:
     Subclasses differ only in where a completion comes from.
     """
 
-    gazetteer: Sequence[str] = ()
+    gazetteer: Gazetteer | None = None
 
     def completion(self, instance: QAInstance, keywords: KeywordSet) -> tuple[str, str]:
         """(completion text, generation id) for one instance's disclosure."""
@@ -307,7 +308,10 @@ class ContextProvider:
 
 
 class PipelineProvider(ContextProvider):
-    """Completions from the gateway, through a few-shot prompt."""
+    """Completions from the gateway, through a few-shot prompt.
+
+    `gazetteer` is a list of term strings; it is compiled once, here.
+    """
 
     def __init__(
         self,
@@ -321,7 +325,7 @@ class PipelineProvider(ContextProvider):
             raise HarnessError("pipeline provider needs at least one demonstration")
         self.gateway = gateway
         self.demos = list(demos)
-        self.gazetteer = list(gazetteer or [])
+        self.gazetteer = None if gazetteer is None else Gazetteer(gazetteer)
         self.model_id = model_id
         self.mode = mode
 

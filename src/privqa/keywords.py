@@ -4,7 +4,8 @@ A question never leaves the machine whole. What may be disclosed is a
 KeywordSet: gazetteer-matched entity spans, a random contiguous span, or a
 random word sample, each paired with word-count bookkeeping so the disclosed
 fraction of the question (the privacy budget) can be reported per instance
-and per corpus.
+and per corpus. A term list is compiled once into a Gazetteer; entity
+extraction then only looks question n-grams up in it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from privqa.corpus import Dataset, nfc
 
@@ -75,7 +76,22 @@ def _core(word: str) -> str:
 # Extraction methods
 
 
-def extract_ner(question: str, gazetteer: Sequence[str]) -> KeywordSet:
+class Gazetteer:
+    """Gazetteer terms compiled for matching, built once per term list.
+
+    Each term is NFC-normalized, lowercased and split on whitespace; blank
+    terms are dropped. A term's length is part of its tuple, so one set
+    holds every length.
+    """
+
+    def __init__(self, terms: Iterable[str]):
+        self.terms = frozenset(filter(None, (tuple(nfc(t).lower().split()) for t in terms)))
+        if not self.terms:
+            raise ExtractionError("empty gazetteer")
+        self.max_len = max(map(len, self.terms))
+
+
+def extract_ner(question: str, gazetteer: Gazetteer) -> KeywordSet:
     """Match gazetteer terms against the question.
 
     Longest match wins at each position, matches never overlap, and keywords
@@ -83,16 +99,7 @@ def extract_ner(question: str, gazetteer: Sequence[str]) -> KeywordSet:
     edge punctuation stripped; the emitted keyword is the verbatim surface
     span. Repeated terms are deduplicated to their first occurrence.
     """
-    if not gazetteer:
-        raise ExtractionError("empty gazetteer")
     q = nfc(question)
-    terms: dict[int, set[tuple[str, ...]]] = {}
-    for term in gazetteer:
-        toks = tuple(nfc(term).lower().split())
-        if toks:
-            terms.setdefault(len(toks), set()).add(toks)
-    max_len = max(terms) if terms else 0
-
     spans = _word_spans(q)
     cores = [_core(q[s:e]) for s, e in spans]
     keywords: list[str] = []
@@ -101,9 +108,9 @@ def extract_ner(question: str, gazetteer: Sequence[str]) -> KeywordSet:
     i = 0
     while i < len(spans):
         matched = 0
-        for n in range(min(max_len, len(spans) - i), 0, -1):
+        for n in range(min(gazetteer.max_len, len(spans) - i), 0, -1):
             cand = tuple(cores[i : i + n])
-            if n in terms and cand in terms[n]:
+            if cand in gazetteer.terms:
                 if cand not in seen:
                     seen.add(cand)
                     first, last = spans[i], spans[i + n - 1]
@@ -221,14 +228,6 @@ class BudgetReport:
     avg_question_words: float
     budget: float
     per_instance: dict[str, float]
-
-
-def privacy_budget(keywords: KeywordSet, question: str) -> float:
-    """Disclosed fraction of one question, in words."""
-    qw = len(question_words(question))
-    if qw == 0:
-        raise ExtractionError("question has no words")
-    return keywords.word_count / qw
 
 
 def corpus_budget_report(dataset: Dataset, keyword_map: dict[str, KeywordSet]) -> BudgetReport:

@@ -267,19 +267,6 @@ def _loss_grad(
     return total * inv, grad, bias_grad
 
 
-def _encode_batch(
-    model: ScorerModel, batch: Sequence[AugmentedInstance], view: ContextView
-) -> tuple[np.ndarray, list[_Encoded]]:
-    if not batch:
-        raise ScorerError("empty batch")
-    featurized = []
-    for aug in batch:
-        item = train_item(aug, view)
-        featurized.append((_featurize_item(item, model.featurizer), item.gold_index))
-    support = _support(featurized)
-    return support, [_encode(fvs, gold, support) for fvs, gold in featurized]
-
-
 def loss_and_grad(
     model: ScorerModel, batch: Sequence[AugmentedInstance], view: ContextView
 ) -> LossGrad:
@@ -287,17 +274,18 @@ def loss_and_grad(
 
     `weight_grad` has one entry per distinct feature index in the batch.
     """
-    support, encoded = _encode_batch(model, batch, view)
+    if not batch:
+        raise ScorerError("empty batch")
+    featurized = []
+    for aug in batch:
+        item = train_item(aug, view)
+        featurized.append((_featurize_item(item, model.featurizer), item.gold_index))
+    support = _support(featurized)
+    encoded = [_encode(fvs, gold, support) for fvs, gold in featurized]
     loss, grad, bias_grad = _loss_grad(model.weights[support], model.bias, encoded)
     return LossGrad(
         loss=loss, weight_grad=dict(zip(support.tolist(), grad.tolist())), bias_grad=bias_grad
     )
-
-
-def batch_loss(model: ScorerModel, batch: Sequence[AugmentedInstance], view: ContextView) -> float:
-    """Loss only, for finite-difference checks."""
-    support, encoded = _encode_batch(model, batch, view)
-    return _loss_grad(model.weights[support], model.bias, encoded)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from privqa.contexts import (  # noqa: F401
 )
 from privqa.corpus import LABELS, Dataset, QAInstance
 from privqa.harness import ContextProvider
-from privqa.keywords import METHOD_NER, KeywordSet, extract_ner, subsample_keywords  # noqa: F401
+from privqa.keywords import METHOD_NER, Gazetteer, KeywordSet, extract_ner
+from privqa.keywords import subsample_keywords  # noqa: F401
 from privqa.promptkit import Demonstration
 
 # Planted in the gold choice's knowledge only when the key keyword was
@@ -57,10 +58,6 @@ class SyntheticSpec:
     vocab_size: int = 500
 
 
-def vocab_tokens(spec: SyntheticSpec) -> list[str]:
-    return [f"tok{i:03d}" for i in range(spec.vocab_size)]
-
-
 def gazetteer_tokens(spec: SyntheticSpec) -> list[str]:
     """Even-indexed vocabulary tokens; question keywords come from these."""
     return [f"tok{i:03d}" for i in range(0, spec.vocab_size, 2)]
@@ -70,10 +67,10 @@ def filler_tokens(spec: SyntheticSpec) -> list[str]:
     return [f"tok{i:03d}" for i in range(1, spec.vocab_size, 2)]
 
 
-def _build_instance(spec: SyntheticSpec, split: str, index: int) -> QAInstance:
+def _build_instance(
+    spec: SyntheticSpec, split: str, index: int, gaz: list[str], fil: list[str]
+) -> QAInstance:
     rng = random.Random(f"{spec.seed}:{split}:{index}")
-    gaz = gazetteer_tokens(spec)
-    fil = filler_tokens(spec)
     keywords = rng.sample(gaz, spec.keyword_count)
     fillers = rng.sample(fil, spec.question_words - spec.keyword_count)
     words = keywords + fillers
@@ -95,10 +92,11 @@ def _build_instance(spec: SyntheticSpec, split: str, index: int) -> QAInstance:
 
 def build_corpus(spec: SyntheticSpec) -> dict[str, Dataset]:
     """Deterministic train/dev/test datasets for the given spec."""
+    gaz, fil = gazetteer_tokens(spec), filler_tokens(spec)
     sizes = {"train": spec.train_size, "dev": spec.dev_size, "test": spec.test_size}
     out = {}
     for split, size in sizes.items():
-        instances = tuple(_build_instance(spec, split, i) for i in range(size))
+        instances = tuple(_build_instance(spec, split, i, gaz, fil) for i in range(size))
         for inst in instances:
             inst.validate()
         out[split] = Dataset(name="synthetic", split=split, instances=instances)
@@ -117,7 +115,8 @@ class SyntheticContextProvider(ContextProvider):
 
     def __init__(self, spec: SyntheticSpec):
         self.spec = spec
-        self.gazetteer = gazetteer_tokens(spec)
+        self.gazetteer = Gazetteer(gazetteer_tokens(spec))
+        self.fillers = filler_tokens(spec)
 
     def keywords_for(self, instance: QAInstance) -> KeywordSet:
         return extract_ner(instance.question, self.gazetteer)
@@ -129,12 +128,11 @@ class SyntheticContextProvider(ContextProvider):
         key = instance.meta["key"]
         informed = key in disclosed
         labels = instance.labels()
-        fil = filler_tokens(spec)
 
         noise_rng = random.Random(f"{spec.seed}:noise:{instance.id}")
         specific: dict[str, SpecificContext] = {}
         for label in labels:
-            n1, n2 = noise_rng.sample(fil, 2)
+            n1, n2 = noise_rng.sample(self.fillers, 2)
             if informed and label == instance.gold:
                 knowledge = (
                     f"The option {instance.choices[label]} matches the key term {key} "

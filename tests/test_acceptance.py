@@ -43,7 +43,6 @@ from privqa.promptkit import bundled_demo_path, load_demonstrations
 from privqa.scorer import (
     FeaturizerConfig,
     ScorerModel,
-    batch_loss,
     choice_texts,
     loss_and_grad,
     softmax,
@@ -194,18 +193,18 @@ def test_criterion_3_gradient_check():
         for idx in coords:
             keep = model.weights[idx]
             model.weights[idx] = keep + eps
-            up = batch_loss(model, batch, ContextView.FULL)
+            up = loss_and_grad(model, batch, ContextView.FULL).loss
             model.weights[idx] = keep - eps
-            down = batch_loss(model, batch, ContextView.FULL)
+            down = loss_and_grad(model, batch, ContextView.FULL).loss
             model.weights[idx] = keep
             fd = (up - down) / (2 * eps)
             worst = max(worst, abs(fd - lg.weight_grad.get(idx, 0.0)) / scale)
 
         keep = model.bias
         model.bias = keep + eps
-        up = batch_loss(model, batch, ContextView.FULL)
+        up = loss_and_grad(model, batch, ContextView.FULL).loss
         model.bias = keep - eps
-        down = batch_loss(model, batch, ContextView.FULL)
+        down = loss_and_grad(model, batch, ContextView.FULL).loss
         model.bias = keep
         worst = max(worst, abs((up - down) / (2 * eps) - lg.bias_grad) / scale)
     elapsed = time.perf_counter() - start
@@ -230,7 +229,7 @@ def test_criterion_4_analytic_loss():
     for i in range(20):
         aug = _random_augmented(rng, f"u{i}", cfg.dim)
         worst_loss = max(
-            worst_loss, abs(batch_loss(model, [aug], ContextView.FULL) - math.log(4))
+            worst_loss, abs(loss_and_grad(model, [aug], ContextView.FULL).loss - math.log(4))
         )
     worst_sum = 0.0
     for _ in range(10_000):

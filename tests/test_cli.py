@@ -397,6 +397,38 @@ def test_generate_replay_miss_is_user_error(ws, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [["a completion"], {"syn-dev-0000": 5}, "a completion"],
+    ids=["list", "non-string-value", "bare-string"],
+)
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_malformed_completions_is_user_error(ws, tmp_path, capsys, command, content):
+    root = ws["root"]
+    bad = tmp_path / "completions.json"
+    bad.write_text(json.dumps(content), encoding="utf-8")
+    mock = [
+        "--demos", root / "demos.txt",
+        "--cache", tmp_path / "cache.jsonl",
+        "--mode", "mock",
+        "--completions", bad,
+    ]
+    if command == "generate":
+        data = [
+            "--data", root / "data-dev.jsonl",
+            "--keywords", root / "kw-dev.jsonl",
+            "--output", tmp_path / "aug.jsonl",
+        ]
+    else:
+        data = [
+            arg
+            for split in ("train", "dev", "test")
+            for arg in (f"--data-{split}", root / f"data-{split}.jsonl")
+        ] + ["--gazetteer", root / "gazetteer.txt"]
+    assert run([command, *data, *mock]) == 1
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "key, value, field",
     [
         ("method", "bogus", "method"),
@@ -454,7 +486,9 @@ def test_unmatched_question_discloses_nothing(ws, tmp_path, capsys):
             return GenerationRecord("key", completion, mode, 0.0)
 
     pipe = PipelineProvider(
-        RecordingGateway(), oracle.demonstrations(ws["corpus"]["train"]), gazetteer=oracle.gazetteer
+        RecordingGateway(),
+        oracle.demonstrations(ws["corpus"]["train"]),
+        gazetteer=gazetteer_tokens(SPEC),
     )
     from_cli = load_keyword_sets(tmp_path / "kw.jsonl")["nomatch"]
     for provider in (pipe, oracle):

@@ -75,11 +75,6 @@ def test_load_rejects_duplicate_ids(tmp_path):
         load_dataset(path)
 
 
-def test_load_unknown_format(tmp_path):
-    with pytest.raises(DatasetFormatError, match="unsupported load format"):
-        load_dataset(tmp_path / "x.jsonl", format="csv")
-
-
 def test_load_reference_scale(tmp_path):
     # Loader handles a file at the size of the largest published split.
     n = REFERENCE_SPLIT_SIZES["medqa"]["train"]

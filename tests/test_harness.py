@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privqa.contexts import ContextView, ftcr_admit
 from privqa.gateway import Gateway
@@ -11,6 +13,7 @@ from privqa.harness import (
     PipelineProvider,
     accuracy,
     build_inputs,
+    build_keyword_map,
     config_digest,
     eval_view,
     render_report,
@@ -23,8 +26,8 @@ from privqa.harness import (
     to_train_item,
     write_report,
 )
-from privqa.keywords import METHOD_NER, METHOD_RANDOM_SPAN, METHOD_RANDOM_WORDS
-from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus
+from privqa.keywords import METHOD_NER, METHOD_RANDOM_SPAN, METHOD_RANDOM_WORDS, Gazetteer
+from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus, gazetteer_tokens
 
 SPEC = SyntheticSpec(seed=5, train_size=60, dev_size=24, test_size=24)
 
@@ -164,7 +167,7 @@ def test_pipeline_provider_equals_oracle(tmp_path, corpus, provider):
     pipe = PipelineProvider(
         gateway=gw,
         demos=provider.demonstrations(corpus["train"]),
-        gazetteer=provider.gazetteer,
+        gazetteer=gazetteer_tokens(SPEC),
         mode="mock",
     )
     got = pipe.provide(data, 0.5, seed=SPEC.seed)
@@ -182,7 +185,7 @@ def test_pipeline_provider_parse_error_names_instance(tmp_path, corpus, provider
     pipe = PipelineProvider(
         gateway=gw,
         demos=provider.demonstrations(corpus["train"]),
-        gazetteer=provider.gazetteer,
+        gazetteer=gazetteer_tokens(SPEC),
         mode="mock",
     )
     with pytest.raises(HarnessError, match=bad_id):
@@ -285,6 +288,25 @@ def test_run_budget_sweep(corpus, provider):
     assert abs(reports[1].budget["budget"] - 0.5) < 1e-12
     assert reports[0].config["ratio"] == 0.5
     assert reports[1].config["ratio"] == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 2**16),
+    keyword_count=st.integers(1, 16),
+    seed=st.integers(0, 2**63),
+    ratios=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda r: r[0] < r[1]),
+)
+def test_keyword_map_nested_across_ratios(corpus_seed, keyword_count, seed, ratios):
+    # everything disclosed at the lower ratio is disclosed at the higher one
+    spec = SyntheticSpec(seed=corpus_seed, train_size=25, keyword_count=keyword_count)
+    data = build_corpus(spec)["train"]
+    gazetteer = Gazetteer(gazetteer_tokens(spec))
+    lo, hi = (build_keyword_map(data, r, seed, METHOD_NER, gazetteer) for r in ratios)
+    for inst in data.instances:
+        small, large = lo[inst.id], hi[inst.id]
+        assert set(zip(small.keywords, small.starts)) <= set(zip(large.keywords, large.starts))
+        assert small.word_count <= large.word_count
 
 
 def test_run_representation_compare(corpus, provider):

@@ -1,14 +1,22 @@
 import json
+import unicodedata
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from privqa.corpus import Dataset, QAInstance
+from privqa.corpus import Dataset, QAInstance, nfc
 from privqa.keywords import (
     METHOD_NER,
     METHOD_RANDOM_SPAN,
     METHOD_RANDOM_WORDS,
     ExtractionError,
+    Gazetteer,
     KeywordSet,
+    _EDGE_PUNCT,
+    _core,
+    _count_words,
+    _word_spans,
     corpus_budget_report,
     extract_ner,
     extract_random_span,
@@ -16,7 +24,6 @@ from privqa.keywords import (
     format_budget,
     load_gazetteer,
     load_keyword_sets,
-    privacy_budget,
     question_words,
     round_half_away,
     save_keyword_sets,
@@ -24,7 +31,7 @@ from privqa.keywords import (
     subsample_keywords,
 )
 
-GAZETTEER = ["heart", "heart attack", "aspirin", "blood pressure", "troponin"]
+GAZETTEER = Gazetteer(["heart", "heart attack", "aspirin", "blood pressure", "troponin"])
 
 
 def test_question_words_attach_punctuation():
@@ -78,8 +85,93 @@ def test_extract_ner_question_order_and_no_overlap():
 
 
 def test_extract_ner_empty_gazetteer():
-    with pytest.raises(ExtractionError):
-        extract_ner("anything", [])
+    with pytest.raises(ExtractionError, match="empty gazetteer"):
+        Gazetteer([])
+    # a list of blank terms compiles to nothing, so it fails the same way
+    with pytest.raises(ExtractionError, match="empty gazetteer"):
+        Gazetteer(["  ", "\t"])
+
+
+def reference_extract_ner(question, gazetteer):
+    """The matcher before the compiled Gazetteer: it rebuilt the term index per call."""
+    if not gazetteer:
+        raise ExtractionError("empty gazetteer")
+    q = nfc(question)
+    terms = {}
+    for term in gazetteer:
+        toks = tuple(nfc(term).lower().split())
+        if toks:
+            terms.setdefault(len(toks), set()).add(toks)
+    max_len = max(terms) if terms else 0
+
+    spans = _word_spans(q)
+    cores = [_core(q[s:e]) for s, e in spans]
+    keywords = []
+    starts = []
+    seen = set()
+    i = 0
+    while i < len(spans):
+        matched = 0
+        for n in range(min(max_len, len(spans) - i), 0, -1):
+            cand = tuple(cores[i : i + n])
+            if n in terms and cand in terms[n]:
+                if cand not in seen:
+                    seen.add(cand)
+                    first, last = spans[i], spans[i + n - 1]
+                    raw = q[first[0] : last[1]]
+                    lead = len(raw) - len(raw.lstrip(_EDGE_PUNCT))
+                    trail = len(raw) - len(raw.rstrip(_EDGE_PUNCT))
+                    keywords.append(raw[lead : len(raw) - trail])
+                    starts.append(i)
+                matched = n
+                break
+        i += matched or 1
+    return KeywordSet(
+        keywords=tuple(keywords),
+        method=METHOD_NER,
+        ratio=1.0,
+        seed=0,
+        starts=tuple(starts),
+        word_count=_count_words(keywords),
+    )
+
+
+# a small vocabulary, so terms repeat and overlap and questions match them;
+# the accented words differ between their NFC and NFD spellings
+_VOCAB = ["heart", "attack", "blood", "pressure", "café", "naïve", "Ünit", "x"]
+_word = st.builds(
+    lambda w, case, form: unicodedata.normalize(form, getattr(w, case)()),
+    st.sampled_from(_VOCAB),
+    st.sampled_from(["lower", "upper", "title"]),
+    st.sampled_from(["NFC", "NFD"]),
+)
+_term = st.one_of(
+    st.lists(_word, min_size=1, max_size=3).map(" ".join),
+    st.sampled_from(["", "   ", "heart\tattack", " blood  pressure "]),
+)
+_question_word = st.builds(
+    lambda lead, w, trail, sep: lead + w + trail + sep,
+    st.sampled_from(["", "(", '"', "‘", "“"]),
+    _word,
+    st.sampled_from(["", ",", ".", "?!", ")", "…", "’", "-x"]),
+    st.sampled_from([" ", "  ", "\t", "\n"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(_term, min_size=1, max_size=8), words=st.lists(_question_word, max_size=14))
+@example(terms=["heart", "heart attack", "attack"], words=["Heart ", "ATTACK, ", "heart. "])
+@example(terms=["café"], words=[unicodedata.normalize("NFD", "(Café) "), "café "])
+def test_compiled_matcher_equals_per_call_matcher(terms, words):
+    question = "".join(words)
+    want = reference_extract_ner(question, terms)
+    if not any(t.split() for t in terms):
+        # all-blank lists matched nothing before; now they fail at construction
+        assert want.keywords == ()
+        with pytest.raises(ExtractionError, match="empty gazetteer"):
+            Gazetteer(terms)
+        return
+    assert extract_ner(question, Gazetteer(terms)) == want
 
 
 def test_random_span_window():
@@ -162,11 +254,6 @@ def _budget_dataset(question_lengths, keyword_lengths):
         words = tuple(f"w{j}" for j in range(kn))
         kmap[inst.id] = KeywordSet(words, METHOD_NER, 1.0, 0, tuple(range(kn)), kn)
     return Dataset("fix", "test", tuple(instances)), kmap
-
-
-def test_privacy_budget_single():
-    ks = KeywordSet(("a", "b c"), METHOD_NER, 1.0, 0, (0, 2), 3)
-    assert privacy_budget(ks, "a x b c y z") == 0.5
 
 
 def test_corpus_budget_is_ratio_of_averages():

@@ -19,7 +19,6 @@ from privqa.scorer import (
     TrainItem,
     _hash_token,
     assemble_input,
-    batch_loss,
     choice_texts,
     featurize,
     load_model,
@@ -157,7 +156,7 @@ def test_softmax_overflow_safe():
 def test_uniform_model_loss_is_log_n_choices():
     aug = make_augmented()
     model = ScorerModel.zeros(CFG)
-    loss = batch_loss(model, [aug], ContextView.FULL)
+    loss = loss_and_grad(model, [aug], ContextView.FULL).loss
     assert abs(loss - math.log(4)) < 1e-12
 
 
@@ -175,7 +174,7 @@ def test_confident_model_loss_near_zero():
     model.weights[fv.indices] = 100.0
     sv = score_choices(model, aug, ContextView.FULL)
     assert sv.probs[1] > 0.999
-    assert batch_loss(model, [aug], ContextView.FULL) < 1e-3
+    assert loss_and_grad(model, [aug], ContextView.FULL).loss < 1e-3
 
 
 def test_choice_texts_respond_to_view():
@@ -213,18 +212,18 @@ def test_gradient_matches_finite_differences():
         for idx in coords:
             keep = model.weights[idx]
             model.weights[idx] = keep + eps
-            up = batch_loss(model, batch, ContextView.FULL)
+            up = loss_and_grad(model, batch, ContextView.FULL).loss
             model.weights[idx] = keep - eps
-            down = batch_loss(model, batch, ContextView.FULL)
+            down = loss_and_grad(model, batch, ContextView.FULL).loss
             model.weights[idx] = keep
             fd = (up - down) / (2 * eps)
             worst = max(worst, abs(fd - lg.weight_grad.get(idx, 0.0)) / scale)
 
         keep = model.bias
         model.bias = keep + eps
-        up = batch_loss(model, batch, ContextView.FULL)
+        up = loss_and_grad(model, batch, ContextView.FULL).loss
         model.bias = keep - eps
-        down = batch_loss(model, batch, ContextView.FULL)
+        down = loss_and_grad(model, batch, ContextView.FULL).loss
         model.bias = keep
         fd_bias = (up - down) / (2 * eps)
         worst = max(worst, abs(fd_bias - lg.bias_grad))
@@ -266,7 +265,6 @@ def test_gradient_equals_dict_loop_exactly():
         assert lg.weight_grad == grad
         assert lg.bias_grad == bias_grad
         assert lg.loss == loss
-        assert batch_loss(model, batch, ContextView.FULL) == loss
 
 
 def test_bias_gradient_is_zero_for_shared_bias():
