@@ -29,7 +29,7 @@ from privqa.keywords import (
     subsample_keywords,
 )
 from privqa.promptkit import Demonstration, PromptText, build_prompt, load_demonstrations
-from privqa.scorer import FeaturizerConfig, ScorerModel, TrainConfig, predict, score_choices, train
+from privqa.scorer import FeaturizerConfig, ScorerModel, TrainConfig, train
 
 __all__ = [
     "AugmentedInstance",
@@ -59,9 +59,7 @@ __all__ = [
     "load_dataset",
     "load_demonstrations",
     "parse_generation",
-    "predict",
     "sample_fewshot",
-    "score_choices",
     "serialize_context",
     "subsample_keywords",
     "train",

@@ -23,6 +23,7 @@ from privqa.contexts import ContextView, ParseError
 from privqa.corpus import (
     INGEST_FORMATS,
     DatasetFormatError,
+    _read_jsonl,
     ingest_records,
     load_augmented,
     load_dataset,
@@ -46,6 +47,7 @@ from privqa.harness import (
     accuracy,
     augment_completion,
     build_keyword_map,
+    ftcr_admission,
     predict_labels,
     provenance,
     render_report_table,
@@ -225,22 +227,18 @@ def _cmd_parse(args) -> int:
     dataset = load_dataset(args.data)
     by_id = dataset.by_id()
     augmented = []
-    with Path(args.input).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            inst = by_id.get(str(rec.get("id")))
-            if inst is None:
-                raise DatasetFormatError(f"{args.input}:{lineno}: unknown instance id {rec.get('id')!r}")
-            try:
-                augmented.append(
-                    augment_completion(
-                        inst, str(rec.get("completion", "")), str(rec.get("generation_id", ""))
-                    )
+    for lineno, rec in _read_jsonl(args.input):
+        inst = by_id.get(str(rec.get("id")))
+        if inst is None:
+            raise DatasetFormatError(f"{args.input}:{lineno}: unknown instance id {rec.get('id')!r}")
+        try:
+            augmented.append(
+                augment_completion(
+                    inst, str(rec.get("completion", "")), str(rec.get("generation_id", ""))
                 )
-            except HarnessError as exc:
-                raise HarnessError(f"{args.input}:{lineno}: {exc}") from exc
+            )
+        except HarnessError as exc:
+            raise HarnessError(f"{args.input}:{lineno}: {exc}") from exc
     write_augmented(augmented, args.output)
     print(f"parsed {len(augmented)} generations -> {args.output}")
     return 0
@@ -252,13 +250,12 @@ def _cmd_parse(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _experiment_config(args)
-    model, tlog, train_inputs = train_scorer(
-        cfg, load_augmented(args.train), load_augmented(args.dev)
-    )
+    train_aug = load_augmented(args.train)
+    model, tlog = train_scorer(cfg, train_aug, load_augmented(args.dev))
     save_model(model, args.checkpoint)
-    if cfg.regime == "FTCR":
-        admitted = sum(1 for ci in train_inputs if ci.used_context)
-        print(f"context admitted for {admitted}/{len(train_inputs)} training instances")
+    ftcr = ftcr_admission(cfg, train_aug)
+    if ftcr is not None:
+        print(f"context admitted for {ftcr['admitted']}/{ftcr['total']} training instances")
     print(
         f"best dev accuracy {tlog.best_dev_accuracy * 100:.2f}% at epoch {tlog.best_epoch}"
         f" -> {args.checkpoint}"
@@ -375,7 +372,7 @@ def _cmd_ood(args) -> int:
     for name in ("train", "dev", "target"):
         if getattr(args, name) is None:
             raise HarnessError(f"ood needs --{name} (or --synthetic)")
-    model, tlog, _ = train_scorer(cfg, load_augmented(args.train), load_augmented(args.dev))
+    model, tlog = train_scorer(cfg, load_augmented(args.train), load_augmented(args.dev))
     preds, gold = predict_labels(model, cfg, load_augmented(args.target))
     acc = accuracy(preds, gold)
     print(
@@ -388,22 +385,35 @@ def _cmd_ood(args) -> int:
     return 0
 
 
+def _load_report(path: str) -> EvalReport:
+    """A saved report, checked for the fields the summary table reads."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise HarnessError(f"report {path} must hold a JSON object")
+    metrics, config, budget = data.get("metrics"), data.get("config", {}), data.get("budget")
+    if not (
+        isinstance(metrics, dict)
+        and isinstance(metrics.get("accuracy"), (int, float))
+        and "n" in metrics
+    ):
+        raise HarnessError(f"report {path} needs a numeric metrics.accuracy and metrics.n")
+    if not (isinstance(config, dict) and isinstance(config.get("ratio", 0.0), (int, float))):
+        raise HarnessError(f"report {path}: config must be an object with a numeric ratio")
+    if budget and not (isinstance(budget, dict) and isinstance(budget.get("formatted"), str)):
+        raise HarnessError(f"report {path}: budget must be null or carry a 'formatted' string")
+    return EvalReport(
+        config=config,
+        dataset=data.get("dataset", {}),
+        metrics=metrics,
+        budget=budget,
+        ftcr=data.get("ftcr"),
+        provenance=data.get("provenance", {}),
+        predictions=data.get("predictions", {}),
+    )
+
+
 def _cmd_report(args) -> int:
-    reports = []
-    for path in args.inputs:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        reports.append(
-            EvalReport(
-                config=data.get("config", {}),
-                dataset=data.get("dataset", {}),
-                metrics=data.get("metrics", {}),
-                budget=data.get("budget"),
-                ftcr=data.get("ftcr"),
-                provenance=data.get("provenance", {}),
-                predictions=data.get("predictions", {}),
-            )
-        )
-    print(render_report_table(reports))
+    print(render_report_table([_load_report(path) for path in args.inputs]))
     return 0
 
 

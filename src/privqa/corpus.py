@@ -97,19 +97,24 @@ class AugmentedInstance:
             )
 
 
-def _instance_from_record(rec: dict[str, Any]) -> QAInstance:
+def _instance_from_record(rec: Any) -> QAInstance:
+    if not isinstance(rec, dict):
+        raise DatasetFormatError("instance must be an object")
     for key in ("id", "question", "choices", "gold"):
         if key not in rec:
             raise DatasetFormatError(f"missing field {key!r}")
     choices = rec["choices"]
     if not isinstance(choices, dict) or not all(isinstance(v, str) for v in choices.values()):
         raise DatasetFormatError("choices must map labels to strings")
+    meta = rec.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DatasetFormatError("meta must be an object")
     inst = QAInstance(
         id=str(rec["id"]),
         question=nfc(str(rec["question"])),
         choices={str(k): nfc(str(v)) for k, v in sorted(choices.items())},
         gold=str(rec["gold"]),
-        meta={str(k): str(v) for k, v in rec.get("meta", {}).items()},
+        meta={str(k): str(v) for k, v in meta.items()},
     )
     inst.validate()
     return inst
@@ -200,18 +205,26 @@ def _context_to_record(ctx: ParsedContext) -> dict[str, Any]:
     }
 
 
-def _context_from_record(rec: dict[str, Any]) -> ParsedContext:
+def _context_from_record(rec: Any) -> ParsedContext:
+    if not isinstance(rec, dict):
+        raise DatasetFormatError("context must be an object")
+    blocks = rec.get("specific", {})
+    if not (isinstance(blocks, dict) and all(isinstance(b, dict) for b in blocks.values())):
+        raise DatasetFormatError("context specific must map labels to objects")
+    decision = rec.get("decision", [])
+    if not isinstance(decision, list):
+        raise DatasetFormatError("context decision must be a list of labels")
     specific = {
         str(label): SpecificContext(
             knowledge=str(block.get("knowledge", "")),
             relation=str(block.get("relation", "")),
         )
-        for label, block in sorted(rec.get("specific", {}).items())
+        for label, block in sorted(blocks.items())
     }
     return ParsedContext(
         overall=str(rec.get("overall", "")),
         specific=specific,
-        decision=frozenset(str(x) for x in rec.get("decision", [])),
+        decision=frozenset(str(x) for x in decision),
         raw=str(rec.get("raw", "")),
     )
 

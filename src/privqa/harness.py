@@ -1,10 +1,12 @@
 """Experiment harness: regimes, evaluation, and reproducible reports.
 
 A run materializes context-augmented instances (from an oracle provider or
-the gateway pipeline), assembles per-choice scorer inputs under a training
+the gateway pipeline), assembles per-choice scorer texts under a training
 regime and ablation view, trains the scorer, and evaluates accuracy on the
-test split. Reports carry no timestamps and hash their own configuration and
-response cache, so a replayed run writes byte-identical output.
+test split. This module alone decides how an instance becomes scorer texts
+and how scores become a label; the scorer only scores texts. Reports carry
+no timestamps and hash their own configuration and response cache, so a
+replayed run writes byte-identical output.
 
 Regimes:
     FTC   every instance trains with its context under the configured view.
@@ -30,6 +32,7 @@ from privqa.contexts import (
     CONTEXT_HEAD,
     ContextView,
     ParseError,
+    apply_view,
     ftcr_admit,
     parse_generation,
 )
@@ -57,7 +60,6 @@ from privqa.scorer import (
     TrainConfig,
     TrainItem,
     TrainLog,
-    choice_texts,
     save_model,
     score_texts,
     train,
@@ -146,16 +148,27 @@ def config_digest(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # Input assembly
 
+# Segment separator: a control character that never occurs in natural text,
+# so distinct (question, answer, contexts) tuples assemble to distinct inputs.
+SEPARATOR = "\x1e"
 
-@dataclass(frozen=True)
-class ChoiceInputs:
-    """Scorer-ready per-choice texts for one instance."""
 
-    id: str
-    gold: str
-    labels: tuple[str, ...]
-    texts: tuple[str, ...]
-    used_context: bool
+def assemble_input(question: str, answer: str, overall: str, choice_context: str) -> str:
+    """Join the four segments with the reserved separator token."""
+    clean = [
+        seg.replace(SEPARATOR, " ") for seg in (question, answer, overall, choice_context)
+    ]
+    return f" {SEPARATOR} ".join(clean)
+
+
+def choice_texts(instance: AugmentedInstance, view: ContextView) -> tuple[str, ...]:
+    """The per-choice scorer texts of an instance under a view, in label order."""
+    overall, per_choice = apply_view(instance.context, view)
+    q = instance.instance.question
+    return tuple(
+        assemble_input(q, answer, overall, per_choice.get(label, ""))
+        for label, answer in instance.instance.choices.items()
+    )
 
 
 def resolve_view(regime: str, view: ContextView, aug: AugmentedInstance) -> ContextView:
@@ -169,27 +182,38 @@ def resolve_view(regime: str, view: ContextView, aug: AugmentedInstance) -> Cont
 
 def build_inputs(
     augmented: Sequence[AugmentedInstance], regime: str, view: ContextView
-) -> list[ChoiceInputs]:
-    """Assemble training inputs under a regime.
+) -> list[TrainItem]:
+    """Scorer inputs under a regime: per-choice texts and the gold position.
 
     FTCR rejections are kept, demoted to context-free inputs, so the training
     set size never depends on decision quality.
     """
     if regime not in REGIMES:
         raise HarnessError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    out = []
-    for aug in augmented:
-        v = resolve_view(regime, view, aug)
-        out.append(
-            ChoiceInputs(
-                id=aug.instance.id,
-                gold=aug.instance.gold,
-                labels=aug.instance.labels(),
-                texts=choice_texts(aug, v),
-                used_context=v is not ContextView.NO_CONTEXT,
-            )
+    return [
+        TrainItem(
+            id=aug.instance.id,
+            texts=choice_texts(aug, resolve_view(regime, view, aug)),
+            gold_index=aug.instance.labels().index(aug.instance.gold),
         )
-    return out
+        for aug in augmented
+    ]
+
+
+def ftcr_admission(
+    config: ExperimentConfig, train_aug: Sequence[AugmentedInstance]
+) -> dict | None:
+    """The report's FTCR section: how many training instances keep their context.
+
+    None for the other regimes.
+    """
+    if config.regime != "FTCR":
+        return None
+    view = config.context_view()
+    admitted = sum(
+        resolve_view("FTCR", view, aug) is not ContextView.NO_CONTEXT for aug in train_aug
+    )
+    return {"admitted": admitted, "total": len(train_aug)}
 
 
 def eval_view(config: ExperimentConfig) -> ContextView:
@@ -197,12 +221,6 @@ def eval_view(config: ExperimentConfig) -> ContextView:
     if config.regime == "SFT":
         return ContextView.NO_CONTEXT
     return config.context_view()
-
-
-def to_train_item(inputs: ChoiceInputs) -> TrainItem:
-    return TrainItem(
-        id=inputs.id, texts=inputs.texts, gold_index=inputs.labels.index(inputs.gold)
-    )
 
 
 def accuracy(predictions: dict[str, str], gold: dict[str, str]) -> float:
@@ -429,30 +447,32 @@ def train_scorer(
     config: ExperimentConfig,
     train_aug: Sequence[AugmentedInstance],
     dev_aug: Sequence[AugmentedInstance],
-) -> tuple[ScorerModel, TrainLog, list[ChoiceInputs]]:
+) -> tuple[ScorerModel, TrainLog]:
     """Train under the configured regime, early-stopping on the dev instances."""
-    train_inputs = build_inputs(train_aug, config.regime, config.context_view())
-    dev_inputs = build_inputs(dev_aug, "FTC", eval_view(config))
-    model, tlog = train(
+    return train(
         config.train_config(),
-        [to_train_item(ci) for ci in train_inputs],
-        [to_train_item(ci) for ci in dev_inputs],
+        build_inputs(train_aug, config.regime, config.context_view()),
+        build_inputs(dev_aug, "FTC", eval_view(config)),
         config.featurizer(),
     )
-    return model, tlog, train_inputs
 
 
 def predict_labels(
     model: ScorerModel, config: ExperimentConfig, augmented: Sequence[AugmentedInstance]
 ) -> tuple[dict[str, str], dict[str, str]]:
-    """(predicted, gold) label per instance id under the config's eval view."""
+    """(predicted, gold) label per instance id under the config's eval view.
+
+    The prediction is the highest-probability label; exact ties go to the
+    lowest label.
+    """
     inputs = build_inputs(augmented, "FTC", eval_view(config))
     preds = {}
     gold = {}
-    for ci in inputs:
-        sv = score_texts(model, ci.labels, ci.texts)
-        preds[ci.id] = ci.labels[int(np.argmax(sv.probs))]
-        gold[ci.id] = ci.gold
+    for aug, item in zip(augmented, inputs):
+        labels = aug.instance.labels()
+        sv = score_texts(model, labels, item.texts)
+        preds[item.id] = labels[int(np.argmax(sv.probs))]
+        gold[item.id] = aug.instance.gold
     return preds, gold
 
 
@@ -481,19 +501,12 @@ def _run(
     transfer: dict | None = None,
 ) -> EvalReport:
     """Train on datasets' train/dev splits, predict `test`, and build the report."""
-    model, tlog, train_inputs = train_scorer(
-        config,
-        _materialize(config, datasets["train"], provider),
-        _materialize(config, datasets["dev"], provider),
+    train_aug = _materialize(config, datasets["train"], provider)
+    model, tlog = train_scorer(
+        config, train_aug, _materialize(config, datasets["dev"], provider)
     )
     preds, gold = predict_labels(model, config, _materialize(config, test, test_provider))
     acc = accuracy(preds, gold)
-    ftcr = None
-    if config.regime == "FTCR":
-        ftcr = {
-            "admitted": sum(1 for ci in train_inputs if ci.used_context),
-            "total": len(train_inputs),
-        }
     report = EvalReport(
         config=asdict(config),
         dataset={
@@ -510,7 +523,7 @@ def _run(
             "stopped_epoch": tlog.stopped_epoch,
         },
         budget=_budget_section(config, datasets["train"], provider),
-        ftcr=ftcr,
+        ftcr=ftcr_admission(config, train_aug),
         provenance=provenance(config),
         predictions=preds,
     )

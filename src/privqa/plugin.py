@@ -19,7 +19,8 @@ from typing import Sequence
 
 from privqa.contexts import ContextView
 from privqa.corpus import AugmentedInstance
-from privqa.scorer import ScoreVector, choice_texts, softmax
+from privqa.harness import choice_texts
+from privqa.scorer import ScoreVector, softmax
 
 PROTOCOL_VERSION = 1
 

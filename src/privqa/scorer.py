@@ -1,12 +1,12 @@
-"""Hashed-feature linear scorer over per-choice assembled inputs.
+"""Hashed-feature linear scorer over per-choice texts.
 
-Each candidate answer is scored from one assembled text
-[question ⊕ answer ⊕ overall context ⊕ choice context], featurized as
-hashed lowercase word unigrams and bigrams with counts, and passed through
-a shared linear head. Scores are normalized with a softmax across the
-instance's choices; training minimizes mean cross-entropy of the gold label
-with AdamW-style decoupled weight decay, linear warmup, and early stopping
-on development accuracy.
+The scorer only sees texts: each candidate answer is one text (how a
+question, answer and context become that text is the harness's concern),
+featurized as hashed lowercase word unigrams and bigrams with counts, and
+passed through a shared linear head. Scores are normalized with a softmax
+across an item's choices; training minimizes mean cross-entropy of the gold
+position with AdamW-style decoupled weight decay, linear warmup, and early
+stopping on development accuracy.
 
 Training runs over the feature support: the hashed indices that occur in
 the training texts, remapped to a compact range. A feature outside the
@@ -30,12 +30,16 @@ from typing import Sequence
 
 import numpy as np
 
-from privqa.contexts import ContextView, apply_view
-from privqa.corpus import AugmentedInstance
+# Featurization is fixed: these word n-gram orders, over text that `featurize`
+# always lowercases. Checkpoints record both, and one made with other values
+# does not load.
+NGRAM_ORDERS = (1, 2)
+LOWERCASE = True
 
-# Segment separator: a control character that never occurs in natural text,
-# so distinct (question, answer, contexts) tuples assemble to distinct inputs.
-SEPARATOR = "\x1e"
+# AdamW moment decay rates and denominator epsilon.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class ScorerError(Exception):
@@ -50,8 +54,6 @@ class TrainingDiverged(ScorerError):
 class FeaturizerConfig:
     dim: int = 2**18
     hash_seed: int = 17
-    ngram_orders: tuple[int, ...] = (1, 2)
-    lowercase: bool = True
 
     def __post_init__(self) -> None:
         # n-gram -> index memo filled by `featurize`. It lives on this object,
@@ -69,14 +71,6 @@ class FeatureVector:
     dim: int
 
 
-def assemble_input(question: str, answer: str, overall: str, choice_context: str) -> str:
-    """Join the four segments with the reserved separator token."""
-    clean = [
-        seg.replace(SEPARATOR, " ") for seg in (question, answer, overall, choice_context)
-    ]
-    return f" {SEPARATOR} ".join(clean)
-
-
 def _hash_token(token: str, seed: int, dim: int) -> int:
     h = hashlib.blake2b(
         token.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
@@ -86,12 +80,10 @@ def _hash_token(token: str, seed: int, dim: int) -> int:
 
 def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
     """Hash word n-grams of the text into a sparse count vector."""
-    tokens = text.lower().split() if config.lowercase else text.split()
+    tokens = text.lower().split()
     index: dict[str, int] = config._index
     counts: dict[int, float] = {}
-    for order in config.ngram_orders:
-        if order < 1:
-            raise ScorerError(f"ngram order {order} must be >= 1")
+    for order in NGRAM_ORDERS:
         for gram in map("\x1f".join, zip(*[tokens[k:] for k in range(order)])):
             idx = index.get(gram)
             if idx is None:
@@ -128,16 +120,6 @@ def softmax(scores: Sequence[float]) -> np.ndarray:
     return e / e.sum()
 
 
-def choice_texts(instance: AugmentedInstance, view: ContextView) -> tuple[str, ...]:
-    """Assemble the per-choice scorer inputs for an instance under a view."""
-    overall, per_choice = apply_view(instance.context, view)
-    q = instance.instance.question
-    return tuple(
-        assemble_input(q, answer, overall, per_choice.get(label, ""))
-        for label, answer in instance.instance.choices.items()
-    )
-
-
 def _scores(
     weights: np.ndarray, bias: float, indices: Sequence[np.ndarray], values: Sequence[np.ndarray]
 ) -> list[float]:
@@ -152,17 +134,6 @@ def score_texts(model: ScorerModel, labels: Sequence[str], texts: Sequence[str])
     )
     probs = softmax(raw)
     return ScoreVector(labels=tuple(labels), scores=tuple(raw), probs=tuple(float(p) for p in probs))
-
-
-def score_choices(model: ScorerModel, instance: AugmentedInstance, view: ContextView) -> ScoreVector:
-    labels = instance.instance.labels()
-    return score_texts(model, labels, choice_texts(instance, view))
-
-
-def predict(model: ScorerModel, instance: AugmentedInstance, view: ContextView) -> str:
-    """Argmax label; exact ties resolve to the lowest label."""
-    sv = score_choices(model, instance, view)
-    return sv.labels[int(np.argmax(sv.probs))]
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +154,6 @@ class LossGrad:
     loss: float
     weight_grad: dict[int, float]
     bias_grad: float
-
-
-def train_item(instance: AugmentedInstance, view: ContextView) -> TrainItem:
-    labels = instance.instance.labels()
-    return TrainItem(
-        id=instance.instance.id,
-        texts=choice_texts(instance, view),
-        gold_index=labels.index(instance.instance.gold),
-    )
 
 
 def _featurize_item(item: TrainItem, cfg: FeaturizerConfig) -> list[FeatureVector]:
@@ -267,19 +229,14 @@ def _loss_grad(
     return total * inv, grad, bias_grad
 
 
-def loss_and_grad(
-    model: ScorerModel, batch: Sequence[AugmentedInstance], view: ContextView
-) -> LossGrad:
+def loss_and_grad(model: ScorerModel, batch: Sequence[TrainItem]) -> LossGrad:
     """Mean cross-entropy over the batch and its sparse gradient.
 
     `weight_grad` has one entry per distinct feature index in the batch.
     """
     if not batch:
         raise ScorerError("empty batch")
-    featurized = []
-    for aug in batch:
-        item = train_item(aug, view)
-        featurized.append((_featurize_item(item, model.featurizer), item.gold_index))
+    featurized = [(_featurize_item(item, model.featurizer), item.gold_index) for item in batch]
     support = _support(featurized)
     encoded = [_encode(fvs, gold, support) for fvs, gold in featurized]
     loss, grad, bias_grad = _loss_grad(model.weights[support], model.bias, encoded)
@@ -301,9 +258,6 @@ class TrainConfig:
     early_stop_patience: int = 5
     seed: int = 0
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass
@@ -369,13 +323,13 @@ def train(
             # AdamW with decoupled decay, written into two scratch buffers; the
             # operations are those of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2,
             # w -= lr * mhat / (sqrt(vhat) + eps), w -= (lr*decay) * w
-            m *= config.beta1
-            m += np.multiply(1 - config.beta1, g, out=t)
-            v *= config.beta2
-            v += np.multiply(1 - config.beta2, np.square(g, out=t), out=t)
-            mhat = np.divide(m, 1 - config.beta1**step, out=t)
-            denom = np.sqrt(np.divide(v, 1 - config.beta2**step, out=u), out=u)
-            denom += config.eps
+            m *= BETA1
+            m += np.multiply(1 - BETA1, g, out=t)
+            v *= BETA2
+            v += np.multiply(1 - BETA2, np.square(g, out=t), out=t)
+            mhat = np.divide(m, 1 - BETA1**step, out=t)
+            denom = np.sqrt(np.divide(v, 1 - BETA2**step, out=u), out=u)
+            denom += EPS
             mhat /= denom
             w -= np.multiply(lr, mhat, out=t)
             w -= np.multiply(lr * config.weight_decay, w, out=t)
@@ -413,8 +367,8 @@ def save_model(model: ScorerModel, path: str | Path) -> None:
     meta = {
         "dim": model.featurizer.dim,
         "hash_seed": model.featurizer.hash_seed,
-        "ngram_orders": list(model.featurizer.ngram_orders),
-        "lowercase": model.featurizer.lowercase,
+        "ngram_orders": list(NGRAM_ORDERS),
+        "lowercase": LOWERCASE,
     }
     np.savez(
         Path(path),
@@ -433,14 +387,15 @@ def load_model(path: str | Path) -> ScorerModel:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             weights = np.asarray(data["weights"], dtype=np.float64)
             bias = float(data["bias"])
-        except (KeyError, ValueError) as exc:
+            cfg = FeaturizerConfig(dim=int(meta["dim"]), hash_seed=int(meta["hash_seed"]))
+            featurization = (meta["ngram_orders"], meta["lowercase"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ScorerError(f"corrupt checkpoint {p}: {exc}") from exc
-    cfg = FeaturizerConfig(
-        dim=int(meta["dim"]),
-        hash_seed=int(meta["hash_seed"]),
-        ngram_orders=tuple(int(o) for o in meta["ngram_orders"]),
-        lowercase=bool(meta["lowercase"]),
-    )
+    if featurization != (list(NGRAM_ORDERS), LOWERCASE):
+        raise ScorerError(
+            f"checkpoint {p}: ngram_orders {featurization[0]} and lowercase {featurization[1]}"
+            f" differ from this featurizer's {list(NGRAM_ORDERS)} and {LOWERCASE}"
+        )
     if weights.shape != (cfg.dim,):
         raise ScorerError(
             f"checkpoint {p}: weight shape {weights.shape} does not match dim {cfg.dim}"

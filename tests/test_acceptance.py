@@ -28,6 +28,7 @@ from privqa.harness import (
     ExperimentConfig,
     PipelineProvider,
     build_inputs,
+    choice_texts,
     render_report,
     run_budget_sweep,
     run_experiment,
@@ -43,7 +44,6 @@ from privqa.promptkit import bundled_demo_path, load_demonstrations
 from privqa.scorer import (
     FeaturizerConfig,
     ScorerModel,
-    choice_texts,
     loss_and_grad,
     softmax,
 )
@@ -180,11 +180,15 @@ def test_criterion_3_gradient_check():
     worst = 0.0
     start = time.perf_counter()
     for pair in range(100):
-        batch = [_random_augmented(rng, f"g{pair}-{i}", cfg.dim) for i in range(3)]
+        batch = build_inputs(
+            [_random_augmented(rng, f"g{pair}-{i}", cfg.dim) for i in range(3)],
+            "FTC",
+            ContextView.FULL,
+        )
         model = ScorerModel.zeros(cfg)
         model.weights[:] = np.array([rng.gauss(0, 0.5) for _ in range(cfg.dim)])
         model.bias = rng.gauss(0, 0.5)
-        lg = loss_and_grad(model, batch, ContextView.FULL)
+        lg = loss_and_grad(model, batch)
         scale = max(max((abs(v) for v in lg.weight_grad.values()), default=0.0), 1e-8)
 
         touched = sorted(lg.weight_grad)
@@ -193,18 +197,18 @@ def test_criterion_3_gradient_check():
         for idx in coords:
             keep = model.weights[idx]
             model.weights[idx] = keep + eps
-            up = loss_and_grad(model, batch, ContextView.FULL).loss
+            up = loss_and_grad(model, batch).loss
             model.weights[idx] = keep - eps
-            down = loss_and_grad(model, batch, ContextView.FULL).loss
+            down = loss_and_grad(model, batch).loss
             model.weights[idx] = keep
             fd = (up - down) / (2 * eps)
             worst = max(worst, abs(fd - lg.weight_grad.get(idx, 0.0)) / scale)
 
         keep = model.bias
         model.bias = keep + eps
-        up = loss_and_grad(model, batch, ContextView.FULL).loss
+        up = loss_and_grad(model, batch).loss
         model.bias = keep - eps
-        down = loss_and_grad(model, batch, ContextView.FULL).loss
+        down = loss_and_grad(model, batch).loss
         model.bias = keep
         worst = max(worst, abs((up - down) / (2 * eps) - lg.bias_grad) / scale)
     elapsed = time.perf_counter() - start
@@ -227,10 +231,8 @@ def test_criterion_4_analytic_loss():
     model = ScorerModel.zeros(cfg)
     worst_loss = 0.0
     for i in range(20):
-        aug = _random_augmented(rng, f"u{i}", cfg.dim)
-        worst_loss = max(
-            worst_loss, abs(loss_and_grad(model, [aug], ContextView.FULL).loss - math.log(4))
-        )
+        items = build_inputs([_random_augmented(rng, f"u{i}", cfg.dim)], "FTC", ContextView.FULL)
+        worst_loss = max(worst_loss, abs(loss_and_grad(model, items).loss - math.log(4)))
     worst_sum = 0.0
     for _ in range(10_000):
         scores = [rng.uniform(-100, 100) for _ in range(rng.randrange(2, 9))]
@@ -297,7 +299,11 @@ def test_criterion_6_regime_laws(full_synthetic):
 
     dev_aug = provider.provide(corpus["dev"], 0.5, seed=0)
     inputs = build_inputs(dev_aug, "FTCR", ContextView.FULL)
-    with_context = {ci.id for ci in inputs if ci.used_context}
+    with_context = {
+        item.id
+        for item, aug in zip(inputs, dev_aug)
+        if item.texts != choice_texts(aug, ContextView.NO_CONTEXT)
+    }
     admitted = {
         a.instance.id for a in dev_aug if ftcr_admit(a.context, a.instance.gold)
     }

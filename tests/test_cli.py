@@ -23,6 +23,7 @@ from privqa.harness import (
 )
 from privqa.keywords import KeywordSet, corpus_budget_report, load_keyword_sets, save_keyword_sets
 from privqa.promptkit import render_block
+from privqa.scorer import FeaturizerConfig, ScorerModel, save_model
 from privqa.synthetic import (
     SyntheticContextProvider,
     SyntheticSpec,
@@ -212,6 +213,62 @@ def test_parse_unknown_id(ws, capsys, tmp_path):
     )
     assert code == 1
     assert "ghost" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("[1]", "record is not an object"), ("{not json", "invalid JSON")],
+    ids=["not-object", "not-json"],
+)
+def test_parse_malformed_line_is_user_error(ws, capsys, tmp_path, line, message):
+    raw = tmp_path / "raw.jsonl"
+    good = json.dumps({"id": ws["corpus"]["dev"].instances[0].id, "completion": "x"})
+    raw.write_text("\n" + line + "\n" + good + "\n", encoding="utf-8")
+    code = run(
+        [
+            "parse",
+            "--input", raw,
+            "--data", ws["root"] / "data-dev.jsonl",
+            "--output", tmp_path / "out.jsonl",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{raw}:2:" in err and message in err
+
+
+def test_eval_malformed_augmented_is_user_error(ws, capsys, tmp_path):
+    aug = tmp_path / "aug.jsonl"
+    provider = ws["provider"]
+    write_augmented(provider.provide(ws["corpus"]["dev"], 1.0, seed=0)[:2], aug)
+    lines = aug.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[0])
+    rec["context"] = "flat text"
+    lines[0] = json.dumps(rec)
+    aug.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model = tmp_path / "model.npz"
+    save_model(ScorerModel.zeros(FeaturizerConfig(dim=16384)), model)
+    code = run(["eval", "--checkpoint", model, "--data", aug])
+    assert code == 1
+    assert f"{aug}:1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        [],
+        {"config": {}, "metrics": {"n": 3}},
+        {"config": [], "metrics": {"accuracy": 0.5, "n": 3}},
+        {"config": {"ratio": "half"}, "metrics": {"accuracy": 0.5, "n": 3}},
+        {"metrics": {"accuracy": 0.5, "n": 3}, "budget": {"budget": 0.5}},
+    ],
+    ids=["list", "no-accuracy", "config-list", "ratio-string", "budget-unformatted"],
+)
+def test_report_malformed_file_is_user_error(capsys, tmp_path, content):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    assert run(["report", path]) == 1
+    assert str(path) in capsys.readouterr().err
 
 
 def test_ingest_command(tmp_path, capsys):
@@ -522,7 +579,7 @@ def test_ood_files_match_harness_steps(ws, tmp_path, capsys):
     cfg = ExperimentConfig(
         featurizer_dim=16384, max_epochs=10, warmup_steps=20, early_stop_patience=3
     )
-    model, tlog, _ = train_scorer(
+    model, tlog = train_scorer(
         cfg, load_augmented(paths["train"]), load_augmented(paths["dev"])
     )
     preds, gold = predict_labels(model, cfg, load_augmented(paths["test"]))

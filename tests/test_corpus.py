@@ -138,6 +138,46 @@ def test_augmented_round_trip(tmp_path):
         assert back.context.raw == "raw text"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("context", "not an object", "context must be an object"),
+        ("context", [1, 2], "context must be an object"),
+        ("specific", {"a": "text", "b": {}}, "specific must map labels to objects"),
+        ("specific", ["a", "b"], "specific must map labels to objects"),
+        ("decision", "b", "decision must be a list"),
+        ("instance", [], "instance must be an object"),
+        ("meta", ["x"], "meta must be an object"),
+    ],
+    ids=[
+        "context-string",
+        "context-list",
+        "specific-block-string",
+        "specific-list",
+        "decision-string",
+        "instance-list",
+        "meta-list",
+    ],
+)
+def test_load_augmented_malformed_record(tmp_path, field, value, message):
+    insts = [make_instance(i) for i in range(2)]
+    items = [AugmentedInstance(inst, _context_for(inst), "g") for inst in insts]
+    path = tmp_path / "aug.jsonl"
+    write_augmented(items, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    if field in ("context", "instance"):
+        rec[field] = value
+    elif field == "meta":
+        rec["instance"]["meta"] = value
+    else:
+        rec["context"][field] = value
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=f"{path}:2: .*{message}"):
+        load_augmented(path)
+
+
 def test_augmented_validate_label_coverage():
     inst = make_instance(0)
     ctx = ParsedContext(

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion from an empty working directory."""
+"""Every demo script runs to completion from an empty working directory
+and leaves nothing behind there or in its temp dir."""
 
 import os
 import subprocess
@@ -28,3 +29,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == []

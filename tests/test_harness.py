@@ -4,18 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privqa.contexts import ContextView, ftcr_admit
+from privqa.contexts import ContextView, ParsedContext, SpecificContext, ftcr_admit
+from privqa.corpus import LABELS, AugmentedInstance, QAInstance
 from privqa.gateway import Gateway
 from privqa.harness import (
-    ChoiceInputs,
     ExperimentConfig,
     HarnessError,
     PipelineProvider,
     accuracy,
     build_inputs,
     build_keyword_map,
+    choice_texts,
     config_digest,
     eval_view,
+    ftcr_admission,
     render_report,
     render_report_table,
     resolve_view,
@@ -23,11 +25,11 @@ from privqa.harness import (
     run_experiment,
     run_ood,
     run_representation_compare,
-    to_train_item,
     write_report,
 )
 from privqa.keywords import METHOD_NER, METHOD_RANDOM_SPAN, METHOD_RANDOM_WORDS, Gazetteer
 from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus, gazetteer_tokens
+from tests.test_scorer import make_augmented
 
 SPEC = SyntheticSpec(seed=5, train_size=60, dev_size=24, test_size=24)
 
@@ -95,15 +97,23 @@ def test_resolve_view(mixed_augmented):
     assert resolve_view("FTCR", ContextView.FULL, rejected) is ContextView.NO_CONTEXT
 
 
+def with_context(items, augmented):
+    """Ids whose texts carry context: they differ from the context-free texts."""
+    return {
+        item.id
+        for item, aug in zip(items, augmented)
+        if item.texts != choice_texts(aug, ContextView.NO_CONTEXT)
+    }
+
+
 def test_build_inputs_regimes(mixed_augmented):
     ftc = build_inputs(mixed_augmented, "FTC", ContextView.FULL)
     sft = build_inputs(mixed_augmented, "SFT", ContextView.FULL)
     ftcr = build_inputs(mixed_augmented, "FTCR", ContextView.FULL)
     assert len(ftc) == len(sft) == len(ftcr) == len(mixed_augmented)
-    assert all(ci.used_context for ci in ftc)
-    assert not any(ci.used_context for ci in sft)
-    admitted = [ci for ci in ftcr if ci.used_context]
-    assert 0 < len(admitted) < len(ftcr)
+    assert with_context(ftc, mixed_augmented) == {a.instance.id for a in mixed_augmented}
+    assert not with_context(sft, mixed_augmented)
+    assert 0 < len(with_context(ftcr, mixed_augmented)) < len(ftcr)
 
 
 def test_build_inputs_unknown_regime(mixed_augmented):
@@ -118,7 +128,48 @@ def test_ftcr_matches_admission_exactly(mixed_augmented):
         for a in mixed_augmented
         if ftcr_admit(a.context, a.instance.gold)
     }
-    assert {ci.id for ci in ftcr if ci.used_context} == expected
+    assert with_context(ftcr, mixed_augmented) == expected
+    admission = ftcr_admission(small_config(regime="FTCR"), mixed_augmented)
+    assert admission == {"admitted": len(expected), "total": len(mixed_augmented)}
+
+
+@st.composite
+def decided_instances(draw):
+    """Instances with non-empty contexts and random preliminary decisions."""
+    out = []
+    for i in range(draw(st.integers(1, 12))):
+        labels = LABELS[: draw(st.integers(2, 5))]
+        gold = draw(st.sampled_from(labels))
+        decision = draw(st.frozensets(st.sampled_from(labels)))
+        inst = QAInstance(
+            id=f"q{i}",
+            question=f"question {i}",
+            choices={lab: f"answer {lab}" for lab in labels},
+            gold=gold,
+        )
+        ctx = ParsedContext(
+            overall=f"overall {i}.",
+            specific={lab: SpecificContext(f"knows {lab}.", "It is related.") for lab in labels},
+            decision=decision,
+        )
+        out.append(AugmentedInstance(instance=inst, context=ctx, generation_id=f"g{i}"))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(augmented=decided_instances())
+def test_ftcr_admission_property(augmented):
+    # FTCR keeps the full context exactly where ftcr_admit holds and demotes
+    # the rest to context-free texts; the report's count is that set's size
+    items = build_inputs(augmented, "FTCR", ContextView.FULL)
+    admitted = {a.instance.id for a in augmented if ftcr_admit(a.context, a.instance.gold)}
+    for item, aug in zip(items, augmented):
+        view = ContextView.FULL if item.id in admitted else ContextView.NO_CONTEXT
+        assert item.texts == choice_texts(aug, view)
+    assert with_context(items, augmented) == admitted
+    admission = ftcr_admission(small_config(regime="FTCR"), augmented)
+    assert admission == {"admitted": len(admitted), "total": len(augmented)}
+    assert ftcr_admission(small_config(regime="FTC"), augmented) is None
 
 
 def test_context_free_ftc_equals_sft(mixed_augmented):
@@ -135,13 +186,15 @@ def test_eval_view():
     assert eval_view(small_config(regime="FTCR")) is ContextView.FULL
 
 
-def test_to_train_item():
-    ci = ChoiceInputs(
-        id="x", gold="c", labels=("a", "b", "c"), texts=("1", "2", "3"), used_context=True
-    )
-    item = to_train_item(ci)
-    assert item.gold_index == 2
-    assert item.texts == ("1", "2", "3")
+def test_build_inputs_gold_index():
+    aug = make_augmented(gold="c")
+    for regime in ("FTC", "SFT", "FTCR"):
+        (item,) = build_inputs([aug], regime, ContextView.FULL)
+        assert item.id == "i1"
+        assert item.gold_index == 2
+        assert len(item.texts) == 4
+    (item,) = build_inputs([aug], "FTC", ContextView.FULL)
+    assert item.texts == choice_texts(aug, ContextView.FULL)
 
 
 def test_accuracy():

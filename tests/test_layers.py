@@ -1,0 +1,48 @@
+"""Layering: the scorer only scores texts.
+
+How an augmented instance becomes per-choice texts, and how scores become a
+label, is decided in `privqa.harness`. The scorer must not reach back into
+the modules that know about instances, contexts or runs.
+"""
+
+import ast
+from pathlib import Path
+
+SCORER = Path(__file__).resolve().parents[1] / "src" / "privqa" / "scorer.py"
+FORBIDDEN = {"privqa.contexts", "privqa.corpus", "privqa.harness"}
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Every module an import statement names, relative ones resolved against privqa."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "privqa" + (f".{base}" if base else "")
+            names.add(base)
+            # `from privqa import contexts` imports a module by name
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_imported_modules_sees_every_form():
+    tree = ast.parse(
+        "import privqa.contexts\n"
+        "from privqa.corpus import X\n"
+        "from privqa import harness\n"
+        "from . import contexts\n"
+        "from .corpus import Y\n"
+        "def f():\n"
+        "    import privqa.harness as h\n"
+    )
+    assert FORBIDDEN <= imported_modules(tree)
+
+
+def test_scorer_imports_no_instance_modules():
+    tree = ast.parse(SCORER.read_text(encoding="utf-8"), filename=str(SCORER))
+    found = imported_modules(tree)
+    bad = {name for name in found if any(name == f or name.startswith(f + ".") for f in FORBIDDEN)}
+    assert not bad, f"privqa.scorer imports {sorted(bad)}"

@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 
 from privqa.contexts import ContextView, ParsedContext, SpecificContext
 from privqa.corpus import AugmentedInstance, QAInstance
-from privqa.scorer import (
+from privqa.harness import (
     SEPARATOR,
+    ExperimentConfig,
+    assemble_input,
+    build_inputs,
+    choice_texts,
+    predict_labels,
+)
+from privqa.scorer import (
     FeaturizerConfig,
     ScorerError,
     ScorerModel,
@@ -18,18 +25,13 @@ from privqa.scorer import (
     TrainingDiverged,
     TrainItem,
     _hash_token,
-    assemble_input,
-    choice_texts,
     featurize,
     load_model,
     loss_and_grad,
-    predict,
     save_model,
-    score_choices,
     score_texts,
     softmax,
     train,
-    train_item,
 )
 
 CFG = FeaturizerConfig(dim=4096, hash_seed=17)
@@ -58,6 +60,11 @@ def make_augmented(idx="i1", gold="b"):
         decision=frozenset(gold),
     )
     return AugmentedInstance(instance=inst, context=ctx, generation_id="g-" + idx)
+
+
+def full_items(batch):
+    """Scorer inputs of augmented instances, with their full context."""
+    return build_inputs(batch, "FTC", ContextView.FULL)
 
 
 def random_augmented(rng, idx):
@@ -156,14 +163,14 @@ def test_softmax_overflow_safe():
 def test_uniform_model_loss_is_log_n_choices():
     aug = make_augmented()
     model = ScorerModel.zeros(CFG)
-    loss = loss_and_grad(model, [aug], ContextView.FULL).loss
+    loss = loss_and_grad(model, full_items([aug])).loss
     assert abs(loss - math.log(4)) < 1e-12
 
 
 def test_zero_model_ties_break_to_lowest_label():
     aug = make_augmented()
     model = ScorerModel.zeros(CFG)
-    assert predict(model, aug, ContextView.FULL) == "a"
+    assert predict_labels(model, ExperimentConfig(), [aug]) == ({"i1": "a"}, {"i1": "b"})
 
 
 def test_confident_model_loss_near_zero():
@@ -172,9 +179,9 @@ def test_confident_model_loss_near_zero():
     gold_text = choice_texts(aug, ContextView.FULL)[1]
     fv = featurize(gold_text, model.featurizer)
     model.weights[fv.indices] = 100.0
-    sv = score_choices(model, aug, ContextView.FULL)
+    sv = score_texts(model, aug.instance.labels(), choice_texts(aug, ContextView.FULL))
     assert sv.probs[1] > 0.999
-    assert loss_and_grad(model, [aug], ContextView.FULL).loss < 1e-3
+    assert loss_and_grad(model, full_items([aug])).loss < 1e-3
 
 
 def test_choice_texts_respond_to_view():
@@ -197,13 +204,13 @@ def test_gradient_matches_finite_differences():
     eps = 1e-5
     worst = 0.0
     for pair in range(20):
-        batch = [random_augmented(rng, f"p{pair}-{i}") for i in range(3)]
+        batch = full_items([random_augmented(rng, f"p{pair}-{i}") for i in range(3)])
         model = ScorerModel.zeros(CFG)
         model.weights[:] = np.array(
             [rng.gauss(0, 0.5) for _ in range(CFG.dim)], dtype=np.float64
         )
         model.bias = rng.gauss(0, 0.5)
-        lg = loss_and_grad(model, batch, ContextView.FULL)
+        lg = loss_and_grad(model, batch)
         scale = max(max((abs(v) for v in lg.weight_grad.values()), default=0.0), 1e-8)
 
         touched = sorted(lg.weight_grad)
@@ -212,18 +219,18 @@ def test_gradient_matches_finite_differences():
         for idx in coords:
             keep = model.weights[idx]
             model.weights[idx] = keep + eps
-            up = loss_and_grad(model, batch, ContextView.FULL).loss
+            up = loss_and_grad(model, batch).loss
             model.weights[idx] = keep - eps
-            down = loss_and_grad(model, batch, ContextView.FULL).loss
+            down = loss_and_grad(model, batch).loss
             model.weights[idx] = keep
             fd = (up - down) / (2 * eps)
             worst = max(worst, abs(fd - lg.weight_grad.get(idx, 0.0)) / scale)
 
         keep = model.bias
         model.bias = keep + eps
-        up = loss_and_grad(model, batch, ContextView.FULL).loss
+        up = loss_and_grad(model, batch).loss
         model.bias = keep - eps
-        down = loss_and_grad(model, batch, ContextView.FULL).loss
+        down = loss_and_grad(model, batch).loss
         model.bias = keep
         fd_bias = (up - down) / (2 * eps)
         worst = max(worst, abs(fd_bias - lg.bias_grad))
@@ -250,16 +257,15 @@ def reference_loss_grad(weights, bias, featurized):
 def test_gradient_equals_dict_loop_exactly():
     rng = random.Random(14)
     for pair in range(30):
-        batch = [random_augmented(rng, f"e{pair}-{i}") for i in range(rng.randrange(1, 9))]
+        batch = full_items(
+            [random_augmented(rng, f"e{pair}-{i}") for i in range(rng.randrange(1, 9))]
+        )
         model = ScorerModel.zeros(CFG)
         model.weights[:] = np.array([rng.gauss(0, 0.5) for _ in range(CFG.dim)])
         model.bias = rng.gauss(0, 0.5)
-        featurized = [
-            ([featurize(t, CFG) for t in item.texts], item.gold_index)
-            for item in (train_item(aug, ContextView.FULL) for aug in batch)
-        ]
+        featurized = [([featurize(t, CFG) for t in item.texts], item.gold_index) for item in batch]
         loss, grad, bias_grad = reference_loss_grad(model.weights, model.bias, featurized)
-        lg = loss_and_grad(model, batch, ContextView.FULL)
+        lg = loss_and_grad(model, batch)
         touched = {int(i) for fvs, _ in featurized for fv in fvs for i in fv.indices}
         assert set(lg.weight_grad) == touched
         assert lg.weight_grad == grad
@@ -270,17 +276,17 @@ def test_gradient_equals_dict_loop_exactly():
 def test_bias_gradient_is_zero_for_shared_bias():
     # the bias shifts every choice equally, so softmax cancels it exactly
     rng = random.Random(4)
-    batch = [random_augmented(rng, f"b{i}") for i in range(4)]
+    batch = full_items([random_augmented(rng, f"b{i}") for i in range(4)])
     model = ScorerModel.zeros(CFG)
     model.weights[:] = np.array([rng.gauss(0, 0.5) for _ in range(CFG.dim)])
-    lg = loss_and_grad(model, batch, ContextView.FULL)
+    lg = loss_and_grad(model, batch)
     assert abs(lg.bias_grad) <= 1e-12
 
 
 def test_loss_and_grad_empty_batch():
     model = ScorerModel.zeros(CFG)
     with pytest.raises(ScorerError):
-        loss_and_grad(model, [], ContextView.FULL)
+        loss_and_grad(model, [])
 
 
 def make_separable_items(n, rng):
@@ -310,7 +316,7 @@ def test_train_learns_separable_data():
         assert int(np.argmax(sv.probs)) == item.gold_index
 
 
-def reference_train(config, train_items, dev_items, cfg):
+def reference_train(config, train_items, dev_items, cfg, beta1=0.9, beta2=0.999, eps=1e-8):
     """Dense AdamW over all `cfg.dim` weights: (weights, bias, history)."""
     train_fv = [([featurize(t, cfg) for t in it.texts], it.gold_index) for it in train_items]
     dev_fv = [([featurize(t, cfg) for t in it.texts], it.gold_index) for it in dev_items]
@@ -337,13 +343,13 @@ def reference_train(config, train_items, dev_items, cfg):
             g = np.zeros(cfg.dim)
             for idx, val in grad.items():
                 g[idx] = val
-            m *= config.beta1
-            m += (1 - config.beta1) * g
-            v *= config.beta2
-            v += (1 - config.beta2) * np.square(g)
-            mhat = m / (1 - config.beta1**step)
-            vhat = v / (1 - config.beta2**step)
-            w -= lr * (mhat / (np.sqrt(vhat) + config.eps))
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * np.square(g)
+            mhat = m / (1 - beta1**step)
+            vhat = v / (1 - beta2**step)
+            w -= lr * (mhat / (np.sqrt(vhat) + eps))
             w -= lr * config.weight_decay * w
             bias -= lr * bias_grad
         correct = 0
@@ -482,8 +488,10 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.featurizer == model.featurizer
     assert loaded.bias == model.bias
     assert np.array_equal(loaded.weights, model.weights)
-    aug = make_augmented()
-    assert predict(loaded, aug, ContextView.FULL) == predict(model, aug, ContextView.FULL)
+    aug = [make_augmented()]
+    assert predict_labels(loaded, ExperimentConfig(), aug) == predict_labels(
+        model, ExperimentConfig(), aug
+    )
 
 
 def test_checkpoint_missing(tmp_path):
@@ -509,9 +517,30 @@ def test_checkpoint_shape_mismatch(tmp_path):
         load_model(path)
 
 
-def test_train_item_gold_index():
-    aug = make_augmented(gold="c")
-    item = train_item(aug, ContextView.FULL)
-    assert item.gold_index == 2
-    assert item.id == "i1"
-    assert len(item.texts) == 4
+@pytest.mark.parametrize(
+    "key, value", [("ngram_orders", [1]), ("ngram_orders", [1, 2, 3]), ("lowercase", False)]
+)
+def test_checkpoint_other_featurization(tmp_path, key, value):
+    model = ScorerModel.zeros(CFG)
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        arrays = {name: data[name] for name in ("weights", "bias")}
+    meta[key] = value
+    np.savez(path, **arrays, meta=np.bytes_(json.dumps(meta).encode("utf-8")))
+    with pytest.raises(ScorerError, match=key):
+        load_model(path)
+
+
+def test_checkpoint_missing_meta_key(tmp_path):
+    path = tmp_path / "model.npz"
+    meta = {"dim": CFG.dim, "hash_seed": 17}
+    np.savez(
+        path,
+        weights=np.zeros(CFG.dim),
+        bias=np.float64(0.0),
+        meta=np.bytes_(json.dumps(meta).encode("utf-8")),
+    )
+    with pytest.raises(ScorerError, match="ngram_orders"):
+        load_model(path)
