@@ -186,7 +186,7 @@ def test_eval_view():
     assert eval_view(small_config(regime="FTCR")) is ContextView.FULL
 
 
-def test_build_inputs_gold_index():
+def test_to_train_item():
     aug = make_augmented(gold="c")
     for regime in ("FTC", "SFT", "FTCR"):
         (item,) = build_inputs([aug], regime, ContextView.FULL)

@@ -544,3 +544,14 @@ def test_checkpoint_missing_meta_key(tmp_path):
     )
     with pytest.raises(ScorerError, match="ngram_orders"):
         load_model(path)
+
+
+def test_train_item_gold_index():
+    # the item the scorer trains on carries the instance id, one text per
+    # choice and the gold label's position among the sorted labels
+    aug = make_augmented(gold="c")
+    (item,) = build_inputs([aug], "FTC", ContextView.FULL)
+    assert isinstance(item, TrainItem)
+    assert item.gold_index == 2
+    assert item.id == "i1"
+    assert len(item.texts) == 4
