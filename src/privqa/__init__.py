@@ -17,7 +17,7 @@ from privqa.contexts import (
     parse_generation,
     serialize_context,
 )
-from privqa.corpus import AugmentedInstance, Dataset, QAInstance, load_dataset, sample_fewshot
+from privqa.corpus import AugmentedInstance, Dataset, QAInstance, load_dataset
 from privqa.gateway import Gateway, GenerationRecord, GenerationRequest, cache_key
 from privqa.keywords import (
     Gazetteer,
@@ -59,7 +59,6 @@ __all__ = [
     "load_dataset",
     "load_demonstrations",
     "parse_generation",
-    "sample_fewshot",
     "serialize_context",
     "subsample_keywords",
     "train",

@@ -16,10 +16,10 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
-from privqa.contexts import ContextView, ParseError
+from privqa.contexts import ParseError
 from privqa.corpus import (
     INGEST_FORMATS,
     DatasetFormatError,
@@ -39,17 +39,14 @@ from privqa.gateway import (
 )
 from privqa.harness import (
     DEFAULT_SWEEP_RATIOS,
-    REGIMES,
     EvalReport,
     ExperimentConfig,
     HarnessError,
     PipelineProvider,
-    accuracy,
     augment_completion,
     build_keyword_map,
+    evaluate,
     ftcr_admission,
-    predict_labels,
-    provenance,
     render_report_table,
     run_budget_sweep,
     run_ood,
@@ -85,6 +82,8 @@ USER_ERRORS = (
     json.JSONDecodeError,
 )
 
+SPLITS = ("train", "dev", "test")
+
 # Experiment flags whose destination is not the ExperimentConfig field name.
 _FLAG_DEST = {
     "early_stop_patience": "patience",
@@ -115,6 +114,9 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise HarnessError(f"config file {path} must hold a JSON object")
     for key, value in cfg.items():
         dest = key.replace("-", "_")
+        if dest in _FLAG_DEST:
+            flag = _FLAG_DEST[dest]
+            raise HarnessError(f"config file {path}: key {key!r} is not a flag name; use {flag!r}")
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
 
@@ -263,21 +265,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _accuracy_line(metrics: dict) -> str:
+    return f"{metrics['accuracy'] * 100:.2f}% ({metrics['n_correct']}/{metrics['n']})"
+
+
 def _cmd_eval(args) -> int:
+    model = load_model(args.checkpoint)
+    saved = model.featurizer
+    # the featurizer is the checkpoint's; a flag may only repeat it
+    args.dim = saved.dim if args.dim is None else args.dim
+    args.hash_seed = saved.hash_seed if args.hash_seed is None else args.hash_seed
     cfg = _experiment_config(args)
-    preds, gold = predict_labels(load_model(args.checkpoint), cfg, load_augmented(args.data))
-    acc = accuracy(preds, gold)
-    print(f"accuracy: {acc * 100:.2f}% ({round(acc * len(gold))}/{len(gold)})")
-    if args.report:
-        report = EvalReport(
-            config=asdict(cfg),
-            dataset={"name": "eval", "split": "eval", "sizes": {"eval": len(gold)}},
-            metrics={"accuracy": acc, "n": len(gold), "n_correct": round(acc * len(gold))},
-            budget=None,
-            ftcr=None,
-            provenance=provenance(cfg),
-            predictions=preds,
+    if cfg.featurizer() != saved:
+        raise HarnessError(
+            f"--dim {cfg.featurizer_dim} and --hash-seed {cfg.hash_seed} differ from the"
+            f" checkpoint's dim {saved.dim} and hash seed {saved.hash_seed}"
         )
+    report = evaluate(model, cfg, load_augmented(args.data))
+    print(f"accuracy: {_accuracy_line(report.metrics)}")
+    if args.report:
         write_report(report, args.report)
         print(f"wrote report -> {args.report}")
     return 0
@@ -287,45 +293,44 @@ def _cmd_eval(args) -> int:
 # Experiment commands
 
 
-def _synthetic_spec(args, seed: int) -> SyntheticSpec:
+def _synthetic(args, seed: int):
+    """The synthetic corpus at `seed` and its oracle context provider."""
     sizes = {
         name: int(getattr(args, name))
         for name in ("train_size", "dev_size", "test_size")
         if getattr(args, name) is not None
     }
-    return SyntheticSpec(seed=seed, **sizes)
+    spec = SyntheticSpec(seed=seed, **sizes)
+    return build_corpus(spec), SyntheticContextProvider(spec)
 
 
 def _setup(args, cfg: ExperimentConfig):
     """Datasets and context provider: the synthetic oracle or the pipeline."""
     if args.synthetic:
-        spec = _synthetic_spec(args, cfg.seed)
-        return build_corpus(spec), SyntheticContextProvider(spec)
-    datasets = {
-        "train": load_dataset(args.data_train),
-        "dev": load_dataset(args.data_dev),
-        "test": load_dataset(args.data_test),
-    }
-    demos = _load_demos(cfg.demo_file) if cfg.demo_file else None
-    if demos is None:
-        raise HarnessError("pipeline runs need --demos")
+        return _synthetic(args, cfg.seed)
+    files = {f"--data-{split}": getattr(args, f"data_{split}") for split in SPLITS}
+    needed = {**files, "--demos": cfg.demo_file, "--cache": cfg.cache_path}
+    missing = [flag for flag, value in needed.items() if not value]
+    if missing:
+        raise HarnessError(f"pipeline runs need {' '.join(missing)} (or --synthetic)")
+    datasets = {split: load_dataset(path) for split, path in zip(SPLITS, files.values())}
+    demos = _load_demos(cfg.demo_file)
     gazetteer = load_gazetteer(cfg.gazetteer_file) if cfg.gazetteer_file else None
-    mock = _load_completions(args.completions)
-    if not cfg.cache_path:
-        raise HarnessError("pipeline runs need --cache")
-    gateway = Gateway(cfg.cache_path, mock_completions=mock)
+    gateway = Gateway(cfg.cache_path, mock_completions=_load_completions(args.completions))
     provider = PipelineProvider(
         gateway, demos, gazetteer=gazetteer, model_id=cfg.model_id, mode=cfg.mode
     )
     return datasets, provider
 
 
-def _write_reports(out: str | None, named: list[tuple[str, EvalReport]]) -> None:
+def _publish(out: str | None, named: dict[str, EvalReport]) -> None:
+    """Print the summary table; with `out`, also write one file per report."""
+    print(render_report_table(list(named.values())))
     if not out:
         return
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, report in named:
+    for name, report in named.items():
         write_report(report, outdir / f"{name}.json")
     print(f"wrote {len(named)} reports -> {outdir}")
 
@@ -335,11 +340,7 @@ def _cmd_sweep(args) -> int:
     datasets, provider = _setup(args, cfg)
     ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else DEFAULT_SWEEP_RATIOS
     reports = run_budget_sweep(cfg, datasets, provider, ratios)
-    print(render_report_table(reports))
-    _write_reports(
-        args.out,
-        [(f"sweep-ratio{r.config['ratio']:g}-seed{cfg.seed}", r) for r in reports],
-    )
+    _publish(args.out, {f"sweep-ratio{r.config['ratio']:g}-seed{cfg.seed}": r for r in reports})
     return 0
 
 
@@ -347,37 +348,27 @@ def _cmd_compare(args) -> int:
     cfg = _experiment_config(args)
     datasets, provider = _setup(args, cfg)
     results = run_representation_compare(cfg, datasets, provider)
-    print(render_report_table([results[m] for m in results]))
-    _write_reports(
-        args.out, [(f"compare-{m}-seed{cfg.seed}", r) for m, r in results.items()]
-    )
+    _publish(args.out, {f"compare-{m}-seed{cfg.seed}": r for m, r in results.items()})
     return 0
 
 
 def _cmd_ood(args) -> int:
     cfg = _experiment_config(args)
     if args.synthetic:
-        target_seed = 1 if args.target_seed is None else int(args.target_seed)
-        source_spec = _synthetic_spec(args, cfg.seed)
-        target_spec = _synthetic_spec(args, target_seed)
-        report = run_ood(
-            cfg,
-            build_corpus(source_spec),
-            build_corpus(target_spec),
-            provider=SyntheticContextProvider(source_spec),
-            target_provider=SyntheticContextProvider(target_spec),
+        source, provider = _synthetic(args, cfg.seed)
+        target, target_provider = _synthetic(
+            args, 1 if args.target_seed is None else int(args.target_seed)
         )
-        print(render_report_table([report]))
+        _publish(None, {"ood": run_ood(cfg, source, target, provider, target_provider)})
         return 0
     for name in ("train", "dev", "target"):
         if getattr(args, name) is None:
             raise HarnessError(f"ood needs --{name} (or --synthetic)")
     model, tlog = train_scorer(cfg, load_augmented(args.train), load_augmented(args.dev))
-    preds, gold = predict_labels(model, cfg, load_augmented(args.target))
-    acc = accuracy(preds, gold)
+    metrics = evaluate(model, cfg, load_augmented(args.target), tlog=tlog).metrics
     print(
-        f"transfer accuracy: {acc * 100:.2f}% ({round(acc * len(gold))}/{len(gold)});"
-        f" dev {tlog.best_dev_accuracy * 100:.2f}%"
+        f"transfer accuracy: {_accuracy_line(metrics)};"
+        f" dev {metrics['best_dev_accuracy'] * 100:.2f}%"
     )
     if args.checkpoint:
         save_model(model, args.checkpoint)
@@ -422,25 +413,27 @@ def _cmd_report(args) -> int:
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+    """--config, then one flag per ExperimentConfig field, typed as its default.
+
+    Values are checked by `ExperimentConfig.validate`, as config-file values are.
+    """
     p.add_argument("--config", help="JSON file of option defaults")
-    p.add_argument("--regime", choices=REGIMES)
-    p.add_argument("--view", choices=[v.value for v in ContextView])
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--warmup-steps", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--dim", type=int, help="featurizer dimension")
-    p.add_argument("--hash-seed", type=int)
-    p.add_argument("--model", help="upstream model id")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--cache", help="gateway response cache path")
-    p.add_argument("--demos", help="demonstration file or bundled name")
-    p.add_argument("--gazetteer", help="gazetteer file")
+    for f in fields(ExperimentConfig):
+        dest = _FLAG_DEST.get(f.name, f.name)
+        p.add_argument(f"--{dest.replace('_', '-')}", type=type(f.default), help=f"sets {f.name}")
+
+
+def _add_source_flags(p: argparse.ArgumentParser, data_files: bool) -> None:
+    """Where an experiment's splits come from: the synthetic corpus or files."""
+    p.add_argument("--synthetic", action="store_true")
+    p.add_argument("--train-size", type=int)
+    p.add_argument("--dev-size", type=int)
+    p.add_argument("--test-size", type=int)
+    if data_files:
+        p.add_argument("--data-train")
+        p.add_argument("--data-dev")
+        p.add_argument("--data-test")
+        p.add_argument("--completions", help="JSON id->completion map for mock mode")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,11 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ood", help="train on one domain, evaluate on another")
     _add_experiment_flags(p)
-    p.add_argument("--synthetic", action="store_true")
+    _add_source_flags(p, data_files=False)
     p.add_argument("--target-seed", type=int, help="synthetic target domain seed")
-    p.add_argument("--train-size", type=int)
-    p.add_argument("--dev-size", type=int)
-    p.add_argument("--test-size", type=int)
     p.add_argument("--train", dest="train")
     p.add_argument("--dev")
     p.add_argument("--target")
@@ -524,14 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep the keyword disclosure ratio")
     _add_experiment_flags(p)
-    p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--train-size", type=int)
-    p.add_argument("--dev-size", type=int)
-    p.add_argument("--test-size", type=int)
-    p.add_argument("--data-train")
-    p.add_argument("--data-dev")
-    p.add_argument("--data-test")
-    p.add_argument("--completions")
+    _add_source_flags(p, data_files=True)
     p.add_argument(
         "--ratios",
         help=f"comma-separated, default {','.join(map(str, DEFAULT_SWEEP_RATIOS))}",
@@ -541,14 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare disclosure representations at matched budget")
     _add_experiment_flags(p)
-    p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--train-size", type=int)
-    p.add_argument("--dev-size", type=int)
-    p.add_argument("--test-size", type=int)
-    p.add_argument("--data-train")
-    p.add_argument("--data-dev")
-    p.add_argument("--data-test")
-    p.add_argument("--completions")
+    _add_source_flags(p, data_files=True)
     p.add_argument("--out", help="directory for per-method reports")
     p.set_defaults(func=_cmd_compare)
 

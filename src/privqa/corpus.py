@@ -13,9 +13,8 @@ form. Augmented files carry the same instance plus its parsed context.
 from __future__ import annotations
 
 import json
-import random
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -97,7 +96,7 @@ class AugmentedInstance:
             )
 
 
-def _instance_from_record(rec: Any) -> QAInstance:
+def _instance_from_record(rec: Any, meta_override: dict[str, str] | None = None) -> QAInstance:
     if not isinstance(rec, dict):
         raise DatasetFormatError("instance must be an object")
     for key in ("id", "question", "choices", "gold"):
@@ -109,6 +108,7 @@ def _instance_from_record(rec: Any) -> QAInstance:
     meta = rec.get("meta", {})
     if not isinstance(meta, dict):
         raise DatasetFormatError("meta must be an object")
+    meta = {**meta, **(meta_override or {})}
     inst = QAInstance(
         id=str(rec["id"]),
         question=nfc(str(rec["question"])),
@@ -147,29 +147,42 @@ def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
             yield lineno, rec
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Load a canonical dataset file, validating every record.
-
-    Schema violations are reported with their line number; duplicate ids are
-    rejected. Source layouts go through `ingest_records` instead.
-    """
+def _read_instances(
+    path: str | Path, format: str, meta_override: dict[str, str] | None = None
+) -> tuple[QAInstance, ...]:
+    """Read, adapt and validate every record; errors name file:line, repeated ids fail."""
     p = Path(path)
+    adapter = _ADAPTERS[format]
     instances: list[QAInstance] = []
     seen: set[str] = set()
     for lineno, rec in _read_jsonl(p):
         try:
-            inst = _instance_from_record(rec)
+            canon = adapter(rec, lineno)
+        except (KeyError, ValueError, IndexError, TypeError) as exc:
+            raise DatasetFormatError(f"{p}:{lineno}: not a {format} record ({exc})") from exc
+        try:
+            inst = _instance_from_record(canon, meta_override)
         except DatasetFormatError as exc:
             raise DatasetFormatError(f"{p}:{lineno}: {exc}") from exc
         if inst.id in seen:
             raise DatasetFormatError(f"{p}:{lineno}: duplicate id {inst.id!r}")
         seen.add(inst.id)
         instances.append(inst)
+    return tuple(instances)
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Load a canonical dataset file, validating every record.
+
+    Name and split come from the first record's meta. Source layouts go
+    through `ingest_records` instead.
+    """
+    instances = _read_instances(path, "canonical-jsonl")
     meta = instances[0].meta if instances else {}
     return Dataset(
-        name=meta.get("dataset", p.stem),
+        name=meta.get("dataset", Path(path).stem),
         split=meta.get("split", "unknown"),
-        instances=tuple(instances),
+        instances=instances,
     )
 
 
@@ -177,16 +190,6 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for inst in dataset.instances:
             fh.write(json.dumps(_instance_to_record(inst), ensure_ascii=False) + "\n")
-
-
-def sample_fewshot(dataset: Dataset, size: int, seed: int) -> Dataset:
-    """Uniform subset without replacement, kept in original dataset order."""
-    n = len(dataset.instances)
-    if not 0 < size <= n:
-        raise DatasetFormatError(f"fewshot size {size} out of range for {n} instances")
-    rng = random.Random(seed)
-    picked = sorted(rng.sample(range(n), size))
-    return replace(dataset, instances=tuple(dataset.instances[i] for i in picked))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +277,6 @@ def plain_augmented(instance: QAInstance) -> AugmentedInstance:
 # ---------------------------------------------------------------------------
 # Source-format adapters
 
-INGEST_FORMATS = ("canonical-jsonl", "medqa", "medmcqa", "arc")
-
 
 def _adapt_medqa(rec: dict[str, Any], idx: int) -> dict[str, Any]:
     # {"question", "options": {"A": ..}, "answer_idx": "A"}
@@ -325,37 +326,21 @@ def _adapt_arc(rec: dict[str, Any], idx: int) -> dict[str, Any]:
     }
 
 
-_ADAPTERS = {"medqa": _adapt_medqa, "medmcqa": _adapt_medmcqa, "arc": _adapt_arc}
+_ADAPTERS = {
+    "canonical-jsonl": lambda rec, idx: rec,
+    "medqa": _adapt_medqa,
+    "medmcqa": _adapt_medmcqa,
+    "arc": _adapt_arc,
+}
+INGEST_FORMATS = tuple(_ADAPTERS)
 
 
-def ingest_records(
-    path: str | Path,
-    format: str,
-    dataset_name: str,
-    split: str,
-) -> Dataset:
-    """Convert a source-format file into a validated canonical Dataset."""
-    if format == "canonical-jsonl":
-        return load_dataset(path)
-    adapter = _ADAPTERS.get(format)
-    if adapter is None:
+def ingest_records(path: str | Path, format: str, dataset_name: str, split: str) -> Dataset:
+    """Convert a file in any ingest format into a validated canonical Dataset.
+
+    Every instance's meta records `dataset_name` and `split`.
+    """
+    if format not in _ADAPTERS:
         raise DatasetFormatError(f"unknown ingest format {format!r}; known: {INGEST_FORMATS}")
-    p = Path(path)
-    instances: list[QAInstance] = []
-    seen: set[str] = set()
-    for lineno, rec in _read_jsonl(p):
-        try:
-            canon = adapter(rec, lineno)
-        except (KeyError, ValueError, IndexError, TypeError) as exc:
-            raise DatasetFormatError(f"{p}:{lineno}: not a {format} record ({exc})") from exc
-        canon.setdefault("meta", {})
-        canon["meta"] = {**canon["meta"], "dataset": dataset_name, "split": split}
-        try:
-            inst = _instance_from_record(canon)
-        except DatasetFormatError as exc:
-            raise DatasetFormatError(f"{p}:{lineno}: {exc}") from exc
-        if inst.id in seen:
-            raise DatasetFormatError(f"{p}:{lineno}: duplicate id {inst.id!r}")
-        seen.add(inst.id)
-        instances.append(inst)
-    return Dataset(name=dataset_name, split=split, instances=tuple(instances))
+    instances = _read_instances(path, format, {"dataset": dataset_name, "split": split})
+    return Dataset(name=dataset_name, split=split, instances=instances)

@@ -467,13 +467,11 @@ def predict_labels(
     """
     inputs = build_inputs(augmented, "FTC", eval_view(config))
     preds = {}
-    gold = {}
     for aug, item in zip(augmented, inputs):
         labels = aug.instance.labels()
         sv = score_texts(model, labels, item.texts)
         preds[item.id] = labels[int(np.argmax(sv.probs))]
-        gold[item.id] = aug.instance.gold
-    return preds, gold
+    return preds, {aug.instance.id: aug.instance.gold for aug in augmented}
 
 
 def _budget_section(
@@ -491,6 +489,38 @@ def _budget_section(
     }
 
 
+def evaluate(
+    model: ScorerModel,
+    config: ExperimentConfig,
+    test_aug: Sequence[AugmentedInstance],
+    dataset: dict | None = None,
+    tlog: TrainLog | None = None,
+    budget: dict | None = None,
+    ftcr: dict | None = None,
+) -> EvalReport:
+    """Predict the test instances and build the report: the one report builder.
+
+    `dataset` describes what was evaluated (by default, one split named
+    "eval"); the training-curve metrics, the budget and the FTCR sections
+    are filled in when given.
+    """
+    preds, gold = predict_labels(model, config, test_aug)
+    acc = accuracy(preds, gold)
+    metrics = {"accuracy": acc, "n": len(gold), "n_correct": round(acc * len(gold))}
+    if tlog is not None:
+        for name in ("best_dev_accuracy", "best_epoch", "stopped_epoch"):
+            metrics[name] = getattr(tlog, name)
+    return EvalReport(
+        config=asdict(config),
+        dataset=dataset or {"name": "eval", "split": "eval", "sizes": {"eval": len(gold)}},
+        metrics=metrics,
+        budget=budget,
+        ftcr=ftcr,
+        provenance=provenance(config),
+        predictions=preds,
+    )
+
+
 def _run(
     config: ExperimentConfig,
     datasets: dict[str, Dataset],
@@ -502,33 +532,16 @@ def _run(
 ) -> EvalReport:
     """Train on datasets' train/dev splits, predict `test`, and build the report."""
     train_aug = _materialize(config, datasets["train"], provider)
-    model, tlog = train_scorer(
-        config, train_aug, _materialize(config, datasets["dev"], provider)
-    )
-    preds, gold = predict_labels(model, config, _materialize(config, test, test_provider))
-    acc = accuracy(preds, gold)
-    report = EvalReport(
-        config=asdict(config),
-        dataset={
-            "name": test.name,
-            "split": test.split,
-            "sizes": {split: len(ds) for split, ds in sorted(datasets.items())},
-        },
-        metrics={
-            "accuracy": acc,
-            "n": len(gold),
-            "n_correct": round(acc * len(gold)),
-            "best_dev_accuracy": tlog.best_dev_accuracy,
-            "best_epoch": tlog.best_epoch,
-            "stopped_epoch": tlog.stopped_epoch,
-        },
-        budget=_budget_section(config, datasets["train"], provider),
-        ftcr=ftcr_admission(config, train_aug),
-        provenance=provenance(config),
-        predictions=preds,
-    )
+    dev_aug = _materialize(config, datasets["dev"], provider)
+    model, tlog = train_scorer(config, train_aug, dev_aug)
+    test_aug = _materialize(config, test, test_provider)
+    sizes = {split: len(ds) for split, ds in sorted(datasets.items())}
+    dataset = {"name": test.name, "split": test.split, "sizes": sizes}
     if transfer is not None:
-        report.dataset["transfer"] = transfer
+        dataset["transfer"] = transfer
+    budget = _budget_section(config, datasets["train"], provider)
+    ftcr = ftcr_admission(config, train_aug)
+    report = evaluate(model, config, test_aug, dataset, tlog=tlog, budget=budget, ftcr=ftcr)
     if workdir is not None:
         wd = Path(workdir)
         wd.mkdir(parents=True, exist_ok=True)
@@ -578,10 +591,7 @@ def run_budget_sweep(
     Contexts are regenerated per ratio: a smaller disclosure changes the
     prompt, so cached generations from other ratios never leak in.
     """
-    reports = []
-    for ratio in ratios:
-        reports.append(run_experiment(replace(config, ratio=ratio), datasets, provider))
-    return reports
+    return [run_experiment(replace(config, ratio=ratio), datasets, provider) for ratio in ratios]
 
 
 def _keyword_coverage(dataset: Dataset, kmap: dict[str, KeywordSet]) -> Dataset:

@@ -52,13 +52,18 @@ class ExternalScorer:
             self._lines.put(line)
         self._lines.put(None)
 
+    def _fail(self, message: str) -> PluginError:
+        """A timeout or protocol fault leaves the child out of step: kill it now."""
+        self._proc.kill()
+        return PluginError(message)
+
     def _read_line(self, what: str) -> str:
         try:
             line = self._lines.get(timeout=self.timeout)
         except queue.Empty:
-            raise PluginError(f"external scorer timed out after {self.timeout}s on {what}")
+            raise self._fail(f"external scorer timed out after {self.timeout}s on {what}")
         if line is None:
-            raise PluginError(f"external scorer exited before answering {what}")
+            raise self._fail(f"external scorer exited before answering {what}")
         return line
 
     def start(self) -> None:
@@ -80,9 +85,9 @@ class ExternalScorer:
         try:
             hello = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise PluginError(f"handshake is not JSON: {line!r}") from exc
+            raise self._fail(f"handshake is not JSON: {line!r}") from exc
         if not isinstance(hello, dict) or hello.get("protocol") != PROTOCOL_VERSION:
-            raise PluginError(
+            raise self._fail(
                 f"unsupported handshake {hello!r}; expected protocol {PROTOCOL_VERSION}"
             )
 
@@ -95,38 +100,38 @@ class ExternalScorer:
             self._proc.stdin.write(request + "\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            raise PluginError(
+            raise self._fail(
                 f"external scorer pipe closed while sending instance {instance_id}"
             ) from exc
         line = self._read_line(f"instance {instance_id}")
         try:
             reply = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise PluginError(
+            raise self._fail(
                 f"response for instance {instance_id} is not JSON: {line!r}"
             ) from exc
         if not isinstance(reply, dict):
-            raise PluginError(f"response for instance {instance_id} is not an object: {line!r}")
+            raise self._fail(f"response for instance {instance_id} is not an object: {line!r}")
         if reply.get("id") != instance_id:
-            raise PluginError(
+            raise self._fail(
                 f"response id {reply.get('id')!r} does not match request id {instance_id!r}"
             )
         scores = reply.get("scores")
         if not isinstance(scores, list) or len(scores) != len(inputs):
-            raise PluginError(
+            raise self._fail(
                 f"response for instance {instance_id} has {0 if not isinstance(scores, list) else len(scores)}"
                 f" scores for {len(inputs)} inputs"
             )
         try:
             values = [float(s) for s in scores]
         except (TypeError, ValueError) as exc:
-            raise PluginError(
+            raise self._fail(
                 f"response for instance {instance_id} has non-numeric scores"
             ) from exc
         # json.loads accepts NaN and Infinity; softmax would turn them into NaN
         # probabilities and argmax would silently pick the first label
         if not all(math.isfinite(v) for v in values):
-            raise PluginError(f"response for instance {instance_id} has non-finite scores")
+            raise self._fail(f"response for instance {instance_id} has non-finite scores")
         return values
 
     def close(self) -> None:

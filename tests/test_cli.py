@@ -168,6 +168,52 @@ def test_full_pipeline(ws, capsys):
     assert out.startswith("regime")
 
 
+def test_eval_takes_featurizer_from_checkpoint(ws, tmp_path, capsys):
+    provider = ws["provider"]
+    for split in ("train", "dev", "test"):
+        write_augmented(
+            provider.provide(ws["corpus"][split], 1.0, seed=0), tmp_path / f"aug-{split}.jsonl"
+        )
+    fast = [a for a in FAST if a not in ("--dim", "16384")]
+    model = tmp_path / "model.npz"
+    assert (
+        run(
+            [
+                "train",
+                *fast,
+                "--dim", "4096",
+                "--train", tmp_path / "aug-train.jsonl",
+                "--dev", tmp_path / "aug-dev.jsonl",
+                "--checkpoint", model,
+            ]
+        )
+        == 0
+    )
+    report = tmp_path / "report.json"
+    test_data = ["--checkpoint", model, "--data", tmp_path / "aug-test.jsonl"]
+    assert run(["eval", *test_data, "--report", report]) == 0
+    config = json.loads(report.read_text(encoding="utf-8"))["config"]
+    assert (config["featurizer_dim"], config["hash_seed"]) == (4096, 17)
+    # a flag that repeats the checkpoint's value changes nothing
+    capsys.readouterr()
+    assert run(["eval", *test_data, "--dim", "4096", "--report", tmp_path / "same.json"]) == 0
+    assert (tmp_path / "same.json").read_bytes() == report.read_bytes()
+    for flag, value in (("--dim", "128"), ("--hash-seed", "3")):
+        capsys.readouterr()
+        assert run(["eval", *test_data, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} {value}" in err and "4096" in err and "17" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_pipeline_run_without_sources_is_user_error(ws, capsys, command):
+    root = ws["root"]
+    code = run([command, "--data-train", root / "data-train.jsonl", "--demos", root / "demos.txt"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--data-dev --data-test --cache" in err and "--synthetic" in err
+
+
 def test_parse_command(ws, capsys):
     root: Path = ws["root"]
     provider = ws["provider"]
@@ -408,6 +454,28 @@ def test_config_file_fills_unset_options(tmp_path):
     assert args.seed == 7
 
 
+@pytest.mark.parametrize(
+    "key, flag",
+    [
+        ("featurizer_dim", "dim"),
+        ("early_stop_patience", "patience"),
+        ("early-stop-patience", "patience"),
+        ("model_id", "model"),
+        ("cache_path", "cache"),
+        ("demo_file", "demos"),
+        ("gazetteer_file", "gazetteer"),
+    ],
+)
+def test_config_file_rejects_report_field_names(tmp_path, capsys, key, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}), encoding="utf-8")
+    args = argparse.Namespace(config=str(cfg), dim=None, patience=None)
+    with pytest.raises(cli.HarnessError, match=f"{key!r}.*use {flag!r}"):
+        cli._apply_config_file(args)
+    assert run(["sweep", "--synthetic", "--config", cfg]) == 1
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_config_file_must_be_object(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]", encoding="utf-8")
@@ -507,6 +575,13 @@ def test_bad_config_field_is_user_error(tmp_path, capsys, key, value, field):
     code = run(["sweep", "--synthetic", "--train-size", "8", "--config", cfg])
     assert code == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--regime", "--view", "--method", "--mode"])
+def test_bad_flag_value_is_user_error(capsys, flag):
+    # flags and config files go through the same ExperimentConfig check
+    assert run(["sweep", "--synthetic", "--train-size", "8", flag, "bogus"]) == 1
+    assert f"unknown {flag[2:]} 'bogus'" in capsys.readouterr().err
 
 
 def test_unmatched_question_discloses_nothing(ws, tmp_path, capsys):

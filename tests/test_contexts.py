@@ -1,7 +1,8 @@
-import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privqa.contexts import (
     ContextView,
@@ -212,7 +213,7 @@ def test_ftcr_admit():
     assert not ftcr_admit(ctx(()), "c")
 
 
-# Round-trip property over generated canonical contexts. The generator emits
+# Round-trip property over generated canonical contexts. The strategy emits
 # only layouts the serializer itself produces: single-line overall, sentences
 # with terminators, relations that are single sentences, and empty-knowledge
 # blocks only when the relation opens with a stance marker.
@@ -220,53 +221,52 @@ def test_ftcr_admit():
 WORDS = ["lorem", "ipsum", "dolor", "sit", "amet", "virens", "aqua", "petra"]
 RELATION_HEADS = ["It is", "It could", "No relationship", "This is"]
 
+_TEXT = st.lists(st.sampled_from(WORDS), min_size=2, max_size=4, unique=True).map(" ".join)
+PLAIN = _TEXT.map(lambda text: f"{text[0].upper()}{text[1:]}.")
+STANCE = st.builds(lambda head, text: f"{head} {text}.", st.sampled_from(RELATION_HEADS), _TEXT)
+BLOCKS = st.one_of(
+    # relation only, stance-marked
+    STANCE.map(lambda relation: SpecificContext("", relation)),
+    # knowledge only, one sentence
+    PLAIN.map(lambda knowledge: SpecificContext(knowledge, "")),
+    # one to three knowledge sentences and a relation, stance-marked or not
+    st.builds(
+        SpecificContext,
+        st.lists(PLAIN, min_size=1, max_size=3).map(" ".join),
+        st.one_of(PLAIN, STANCE),
+    ),
+)
 
-def _sentence(rng, head=None):
-    words = rng.sample(WORDS, rng.randint(2, 4))
-    text = " ".join(words)
-    if head:
-        return f"{head} {text}."
-    return f"{text[0].upper()}{text[1:]}."
 
-
-def _random_context(rng):
-    n = rng.randint(2, 5)
-    labels = tuple("abcde"[:n])
-    specific = {}
-    for label in labels:
-        shape = rng.randint(0, 3)
-        if shape == 0:
-            # relation only, stance-marked
-            specific[label] = SpecificContext("", _sentence(rng, rng.choice(RELATION_HEADS)))
-        elif shape == 1:
-            # knowledge only, one sentence
-            specific[label] = SpecificContext(_sentence(rng), "")
-        else:
-            knowledge = " ".join(_sentence(rng) for _ in range(rng.randint(1, 3)))
-            relation = _sentence(rng, rng.choice(RELATION_HEADS + [None]))
-            specific[label] = SpecificContext(knowledge, relation)
-    decision = frozenset(rng.sample(labels, rng.randint(0, 2)))
-    overall = " ".join(_sentence(rng) for _ in range(rng.randint(0, 2)))
+@st.composite
+def contexts(draw):
+    labels = tuple("abcde"[: draw(st.integers(2, 5))])
+    specific = {label: draw(BLOCKS) for label in labels}
+    decision = frozenset(draw(st.lists(st.sampled_from(labels), max_size=2, unique=True)))
+    overall = " ".join(draw(st.lists(PLAIN, max_size=2)))
     return ParsedContext(overall=overall, specific=specific, decision=decision), labels
 
 
-def test_round_trip_property():
-    rng = random.Random(20240817)
-    for _ in range(200):
-        ctx, labels = _random_context(rng)
-        text = serialize_context(ctx, labels)
-        parsed = parse_generation(text, labels)
-        assert parsed == ctx, text
-        # serializing the reparse is a fixed point
-        assert serialize_context(parsed, labels) == text
+@settings(max_examples=200, deadline=None)
+@given(contexts())
+def test_round_trip_property(drawn):
+    ctx, labels = drawn
+    text = serialize_context(ctx, labels)
+    parsed = parse_generation(text, labels)
+    assert parsed == ctx, text
+    # serializing the reparse is a fixed point
+    assert serialize_context(parsed, labels) == text
 
 
 def test_round_trip_generator_shapes():
-    # The generator must actually exercise every block shape.
-    rng = random.Random(20240817)
+    # The strategy must produce every block shape, and no empty block.
     seen = set()
-    for _ in range(200):
-        ctx, _ = _random_context(rng)
-        for sc in ctx.specific.values():
-            seen.add((bool(sc.knowledge), bool(sc.relation)))
+
+    @settings(max_examples=200, database=None)
+    @given(contexts())
+    def collect(drawn):
+        ctx, _ = drawn
+        seen.update((bool(sc.knowledge), bool(sc.relation)) for sc in ctx.specific.values())
+
+    collect()
     assert seen == {(False, True), (True, False), (True, True)}

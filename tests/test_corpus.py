@@ -13,7 +13,6 @@ from privqa.corpus import (
     load_augmented,
     load_dataset,
     plain_augmented,
-    sample_fewshot,
     write_augmented,
     write_dataset,
 )
@@ -93,21 +92,6 @@ def test_load_reference_scale(tmp_path):
                 + "\n"
             )
     assert len(load_dataset(path)) == 10178
-
-
-def test_sample_fewshot():
-    ds = make_dataset(20)
-    sub = sample_fewshot(ds, 5, seed=3)
-    assert len(sub) == 5
-    ids = [inst.id for inst in sub.instances]
-    all_ids = [inst.id for inst in ds.instances]
-    assert sorted(ids, key=all_ids.index) == ids  # original order kept
-    assert sample_fewshot(ds, 5, seed=3).instances == sub.instances
-    assert sample_fewshot(ds, 5, seed=4).instances != sub.instances
-    with pytest.raises(DatasetFormatError):
-        sample_fewshot(ds, 21, seed=0)
-    with pytest.raises(DatasetFormatError):
-        sample_fewshot(ds, 0, seed=0)
 
 
 def _context_for(inst, note="fact"):
@@ -212,6 +196,16 @@ def test_ingest_medqa(tmp_path):
     assert inst.meta["dataset"] == "medqa" and inst.meta["split"] == "dev"
 
 
+def test_ingest_canonical_records_dataset_and_split(tmp_path):
+    path = tmp_path / "canonical.jsonl"
+    write_dataset(make_dataset(3), path)
+    ds = ingest_records(path, "canonical-jsonl", "medqa", "dev")
+    assert (ds.name, ds.split) == ("medqa", "dev")
+    assert [inst.id for inst in ds.instances] == ["q0", "q1", "q2"]
+    for inst in ds.instances:
+        assert inst.meta == {"dataset": "medqa", "split": "dev"}
+
+
 def test_ingest_medmcqa(tmp_path):
     path = tmp_path / "src.jsonl"
     rec = {"question": "Pick.", "opa": "w", "opb": "x", "opc": "y", "opd": "z", "cop": 1}
@@ -245,6 +239,14 @@ def test_ingest_bad_record_names_line(tmp_path):
     path = tmp_path / "src.jsonl"
     path.write_text(json.dumps({"question": "no options"}) + "\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match=r":1:"):
+        ingest_records(path, "medqa", "medqa", "dev")
+
+
+def test_ingest_non_object_meta_names_line(tmp_path):
+    path = tmp_path / "src.jsonl"
+    rec = {"question": "Q?", "options": {"A": "x", "B": "y"}, "answer_idx": "A", "meta": ["x"]}
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=r":1: meta must be an object"):
         ingest_records(path, "medqa", "medqa", "dev")
 
 

@@ -117,6 +117,19 @@ def test_silent_scorer_times_out():
             s.score("inst-11", ["a"])
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["import time; time.sleep(30)", 'print("garbage", flush=True)'],
+    ids=["timeout", "protocol-error"],
+)
+def test_fault_kills_child_at_once(body):
+    with ExternalScorer(bad_responder(body), timeout=0.5) as s:
+        with pytest.raises(PluginError, match="inst-13"):
+            s.score("inst-13", ["a"])
+        # either child would otherwise keep running until stdin closes
+        assert s._proc.wait(timeout=2.0) != 0
+
+
 def test_scorer_that_exits_midway():
     body = "sys.exit(0)"
     with ExternalScorer(bad_responder(body), timeout=5.0) as s:
