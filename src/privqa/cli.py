@@ -215,11 +215,10 @@ def _cmd_generate(args) -> int:
         model_id=args.model,
         mode=args.mode,
     )
-    augmented = []
     for inst in dataset.instances:
         if inst.id not in kmap:
             raise ExtractionError(f"no keywords for instance {inst.id!r}")
-        augmented.append(provider.augment(inst, kmap[inst.id]))
+    augmented = provider.augment_all(dataset.instances, kmap)
     write_augmented(augmented, args.output)
     print(f"generated {len(augmented)} contexts -> {args.output}")
     return 0

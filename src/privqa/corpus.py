@@ -245,8 +245,13 @@ def write_augmented(augmented: Iterable[AugmentedInstance], path: str | Path) ->
 
 
 def load_augmented(path: str | Path) -> list[AugmentedInstance]:
-    """Load an augmented file; every record must cover each choice label."""
+    """Load an augmented file; every record must cover each choice label.
+
+    Repeated instance ids fail, as in `load_dataset`: predictions are keyed
+    by id, so a repeat would silently drop out of the metrics.
+    """
     out: list[AugmentedInstance] = []
+    seen: set[str] = set()
     p = Path(path)
     for lineno, rec in _read_jsonl(p):
         try:
@@ -259,6 +264,9 @@ def load_augmented(path: str | Path) -> list[AugmentedInstance]:
             aug.validate()
         except DatasetFormatError as exc:
             raise DatasetFormatError(f"{p}:{lineno}: {exc}") from exc
+        if inst.id in seen:
+            raise DatasetFormatError(f"{p}:{lineno}: duplicate id {inst.id!r}")
+        seen.add(inst.id)
         out.append(aug)
     return out
 

@@ -5,7 +5,9 @@ persisted to an append-only JSONL cache. Replay mode serves cached
 completions only and never touches the network, which is what makes
 experiment runs reproducible after the fact. Live calls are deduplicated
 in-flight per key, retried with exponential backoff on transient failures,
-and bounded by a concurrency limit.
+and bounded by a concurrency limit. A batch of requests fans its live misses
+out over that many threads and still writes its cache lines in request
+order, so the cache file never depends on which call finished first.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import requests
 
@@ -70,7 +73,6 @@ class GenerationRecord:
     cache_key: str
     completion: str
     source: str  # "live" | "replay" | "mock"
-    timestamp: float
     truncated: bool = False
     retries: int = 0
 
@@ -122,13 +124,15 @@ class HttpTransport:
         self.url = url
         self.credential_env = credential_env
         self.timeout = timeout
+        self._lock = threading.Lock()
         self.calls = 0
 
     def send(self, payload: dict) -> TransportReply:
         key = os.environ.get(self.credential_env)
         if not key:
             raise GatewayError(f"credential env var {self.credential_env} is not set")
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         try:
             resp = requests.post(
                 self.url,
@@ -148,21 +152,28 @@ class HttpTransport:
 
 
 class MockTransport:
-    """Scripted transport for tests: a list of replies/exceptions, or a callable."""
+    """Scripted transport for tests: a list of replies/exceptions, or a callable.
+
+    Safe to call from several threads; a callable script runs outside the
+    lock, so its latency overlaps.
+    """
 
     def __init__(self, script: list[TransportReply | Exception] | Callable[[dict], TransportReply]):
         self._script = script
+        self._lock = threading.Lock()
         self.calls = 0
         self.payloads: list[dict] = []
 
     def send(self, payload: dict) -> TransportReply:
-        self.calls += 1
-        self.payloads.append(payload)
+        with self._lock:
+            self.calls += 1
+            self.payloads.append(payload)
+            if not callable(self._script):
+                if not self._script:
+                    raise GatewayError("mock transport script exhausted")
+                item = self._script.pop(0)
         if callable(self._script):
             return self._script(payload)
-        if not self._script:
-            raise GatewayError("mock transport script exhausted")
-        item = self._script.pop(0)
         if isinstance(item, Exception):
             raise item
         return item
@@ -178,12 +189,32 @@ def _chat_payload(request: GenerationRequest) -> dict:
     }
 
 
+def _cache_line(record: GenerationRecord, request: GenerationRequest) -> str:
+    """One cache line; it carries no wall-clock time, so identical runs write identical files."""
+    return json.dumps(
+        {
+            "cache_key": record.cache_key,
+            "summary": _request_summary(request),
+            "completion": record.completion,
+            "source": record.source,
+            "truncated": record.truncated,
+            "retries": record.retries,
+        },
+        ensure_ascii=False,
+    ) + "\n"
+
+
 class Gateway:
     """Mode-switched completion service over one JSONL response cache.
 
     Thread-safe: cache reads/writes are locked, per-key in-flight requests
     are deduplicated so a key hits the upstream at most once per run, and a
-    semaphore bounds concurrent upstream calls.
+    semaphore bounds concurrent upstream calls at `max_in_flight`.
+
+    `complete_all` resolves a batch: its live misses fan out over up to
+    `max_in_flight` threads, and its cache lines land in request order.
+
+    `clock` is accepted and ignored: cache lines carry no timestamp.
     """
 
     def __init__(
@@ -195,15 +226,17 @@ class Gateway:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_start: float = DEFAULT_BACKOFF_START,
         sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.time,
+        clock: Callable[[], float] | None = None,
     ) -> None:
+        if max_in_flight < 1:
+            raise GatewayError(f"max_in_flight {max_in_flight} must be at least 1")
         self.cache_path = Path(cache_path)
         self.transport = transport
         self.mock_completions = mock_completions or {}
+        self.max_in_flight = max_in_flight
         self.max_attempts = max_attempts
         self.backoff_start = backoff_start
         self._sleep = sleep
-        self._clock = clock
         self._lock = threading.Lock()
         self._inflight: dict[str, threading.Event] = {}
         self._sem = threading.BoundedSemaphore(max_in_flight)
@@ -230,47 +263,39 @@ class Gateway:
                         cache_key=rec["cache_key"],
                         completion=rec["completion"],
                         source=rec.get("source", "live"),
-                        timestamp=float(rec.get("timestamp", 0.0)),
                         truncated=bool(rec.get("truncated", False)),
+                        retries=int(rec.get("retries", 0)),
                     )
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     log.warning("skipping corrupt cache line %s:%d", self.cache_path, lineno)
                     continue
                 self._cache[record.cache_key] = record
 
-    def _persist(self, record: GenerationRecord, request: GenerationRequest) -> None:
-        line = json.dumps(
-            {
-                "cache_key": record.cache_key,
-                "summary": _request_summary(request),
-                "completion": record.completion,
-                "source": record.source,
-                "timestamp": record.timestamp,
-                "truncated": record.truncated,
-            },
-            ensure_ascii=False,
-        )
+    def _append(self, fresh: list[tuple[GenerationRecord, GenerationRequest]]) -> None:
+        """Append the cache lines of fresh records, in the order given."""
+        if not fresh:
+            return
+        text = "".join(_cache_line(record, request) for record, request in fresh)
         with self._lock:
             self.cache_path.parent.mkdir(parents=True, exist_ok=True)
             with self.cache_path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write(text)
+
+    def _store(self, record: GenerationRecord, request: GenerationRequest, persist: bool) -> None:
+        with self._lock:
             self._cache[record.cache_key] = record
+        if persist:
+            self._append([(record, request)])
 
-    def _replay_record(self, key: str) -> GenerationRecord:
-        cached = self._cache[key]
-        return GenerationRecord(
-            cache_key=key,
-            completion=cached.completion,
-            source="replay",
-            timestamp=cached.timestamp,
-            truncated=cached.truncated,
-        )
-
-    def complete(self, request: GenerationRequest, mode: str) -> GenerationRecord:
+    def complete(
+        self, request: GenerationRequest, mode: str, *, persist: bool = True
+    ) -> GenerationRecord:
         """Resolve one request under the given mode.
 
         Cached keys are served from the cache in every mode, which gives
-        at-most-once upstream semantics per key.
+        at-most-once upstream semantics per key. A fresh record enters the
+        in-memory cache at once; with `persist=False` its cache line is left
+        to the caller (`complete_all` appends lines in request order).
         """
         if mode not in MODES:
             raise GatewayError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -278,9 +303,9 @@ class Gateway:
         key = cache_key(request)
 
         with self._lock:
-            hit = key in self._cache
-        if hit:
-            return self._replay_record(key)
+            cached = self._cache.get(key)
+        if cached is not None:
+            return replace(cached, source="replay")
 
         if mode == "replay":
             raise ReplayCacheMiss(f"no cached completion for key {key}")
@@ -289,12 +314,9 @@ class Gateway:
             if qid not in self.mock_completions:
                 raise GatewayError(f"no canned completion for query id {qid!r}")
             record = GenerationRecord(
-                cache_key=key,
-                completion=self.mock_completions[qid],
-                source="mock",
-                timestamp=self._clock(),
+                cache_key=key, completion=self.mock_completions[qid], source="mock"
             )
-            self._persist(record, request)
+            self._store(record, request, persist)
             return record
 
         # live
@@ -307,16 +329,82 @@ class Gateway:
         if waiter is not None:
             waiter.wait()
             with self._lock:
-                if key in self._cache:
-                    return self._replay_record(key)
+                cached = self._cache.get(key)
+            if cached is not None:
+                return replace(cached, source="replay")
             raise GatewayError(f"in-flight request for key {key} failed")
         try:
             record = self._call_upstream(request, key)
-            self._persist(record, request)
+            self._store(record, request, persist)
             return record
         finally:
             with self._lock:
                 self._inflight.pop(key).set()
+
+    def complete_all(
+        self, requests: Sequence[GenerationRequest], mode: str
+    ) -> list[GenerationRecord]:
+        """Resolve a batch of requests; the records come back in request order.
+
+        Every request is validated before any is sent, and each one passes
+        through `complete`. In live mode the first request of each uncached
+        key goes to a pool of at most `max_in_flight` threads; cache hits,
+        repeated keys and mock/replay requests resolve on the calling thread.
+        Cache lines are appended in request order as the prefix of resolved
+        requests grows, never in completion order. Every request is tried:
+        the records that did resolve are kept, and then the first failure in
+        request order is raised. No pool thread outlives the call.
+        """
+        for request in requests:
+            request.validate()
+        keys = [cache_key(request) for request in requests]
+        upstream: dict[str, int] = {}  # uncached key -> index of its first request
+        if mode == "live":
+            with self._lock:
+                for i, key in enumerate(keys):
+                    if key not in self._cache:
+                        upstream.setdefault(key, i)
+        futures: dict[str, Future] = {}
+        results: list[GenerationRecord | BaseException] = []
+
+        def settle() -> None:
+            # resolve requests in order up to the first whose upstream call is still running
+            fresh = []
+            while len(results) < len(requests):
+                i = len(results)
+                future = futures.get(keys[i])
+                if future is not None and not future.done():
+                    break
+                # the request that went upstream, or a repeat of a key whose call
+                # failed, takes the call's outcome; other requests go through complete
+                if future is not None and (upstream[keys[i]] == i or future.exception()):
+                    error = future.exception()
+                    outcome = future.result() if error is None else error
+                else:
+                    try:
+                        outcome = self.complete(requests[i], mode, persist=False)
+                    except Exception as exc:  # raised below, in request order
+                        outcome = exc
+                results.append(outcome)
+                if isinstance(outcome, GenerationRecord) and outcome.source != "replay":
+                    fresh.append((outcome, requests[i]))
+            self._append(fresh)
+
+        if upstream:
+            with ThreadPoolExecutor(min(self.max_in_flight, len(upstream))) as pool:
+                try:
+                    for key, i in upstream.items():
+                        futures[key] = pool.submit(self.complete, requests[i], mode, persist=False)
+                    for _ in as_completed(futures.values()):
+                        settle()
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        settle()
+        for outcome in results:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return results
 
     def _call_upstream(self, request: GenerationRequest, key: str) -> GenerationRecord:
         payload = _chat_payload(request)
@@ -350,7 +438,6 @@ class Gateway:
                 cache_key=key,
                 completion=completion,
                 source="live",
-                timestamp=self._clock(),
                 truncated=truncated,
                 retries=attempt,
             )

@@ -293,7 +293,8 @@ def augment_completion(
 class ContextProvider:
     """Materializes contexts: keyword map, one completion per instance, parse.
 
-    Subclasses differ only in where a completion comes from.
+    Subclasses differ only in where completions come from: one at a time
+    (`completion`), or a whole batch at once (`augment_all`).
     """
 
     gazetteer: Gazetteer | None = None
@@ -311,8 +312,13 @@ class ContextProvider:
     ) -> dict[str, KeywordSet]:
         return build_keyword_map(dataset, ratio, seed, method, self.gazetteer)
 
-    def augment(self, instance: QAInstance, keywords: KeywordSet) -> AugmentedInstance:
-        return augment_completion(instance, *self.completion(instance, keywords))
+    def augment_all(
+        self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
+    ) -> list[AugmentedInstance]:
+        """Augmented instances in input order; `kmap` covers every instance id."""
+        return [
+            augment_completion(inst, *self.completion(inst, kmap[inst.id])) for inst in instances
+        ]
 
     def provide(
         self,
@@ -322,7 +328,7 @@ class ContextProvider:
         method: str = METHOD_NER,
     ) -> list[AugmentedInstance]:
         kmap = self.keyword_map(dataset, ratio, seed, method)
-        return [self.augment(inst, kmap[inst.id]) for inst in dataset.instances]
+        return self.augment_all(dataset.instances, kmap)
 
 
 class PipelineProvider(ContextProvider):
@@ -347,14 +353,28 @@ class PipelineProvider(ContextProvider):
         self.model_id = model_id
         self.mode = mode
 
-    def completion(self, instance: QAInstance, keywords: KeywordSet) -> tuple[str, str]:
-        prompt = build_prompt(
-            self.demos, keywords.keywords, instance.choices, query_id=instance.id
-        )
-        record = self.gateway.complete(
-            GenerationRequest(model_id=self.model_id, prompt=prompt), self.mode
-        )
-        return record.completion, record.cache_key
+    def augment_all(
+        self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
+    ) -> list[AugmentedInstance]:
+        """Build every prompt, complete them in one gateway batch, parse in order.
+
+        The gateway fans live misses out up to its `max_in_flight`; the
+        records, and so the parses, come back in instance order.
+        """
+        requests = [
+            GenerationRequest(
+                model_id=self.model_id,
+                prompt=build_prompt(
+                    self.demos, kmap[inst.id].keywords, inst.choices, query_id=inst.id
+                ),
+            )
+            for inst in instances
+        ]
+        records = self.gateway.complete_all(requests, self.mode)
+        return [
+            augment_completion(inst, record.completion, record.cache_key)
+            for inst, record in zip(instances, records)
+        ]
 
 
 # ---------------------------------------------------------------------------

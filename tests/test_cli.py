@@ -299,6 +299,65 @@ def test_eval_malformed_augmented_is_user_error(ws, capsys, tmp_path):
     assert f"{aug}:1:" in capsys.readouterr().err
 
 
+def test_eval_duplicate_augmented_id_is_user_error(ws, capsys, tmp_path):
+    aug = tmp_path / "aug.jsonl"
+    augmented = ws["provider"].provide(ws["corpus"]["dev"], 1.0, seed=0)
+    write_augmented(augmented + augmented[:1], aug)
+    model = tmp_path / "model.npz"
+    save_model(ScorerModel.zeros(FeaturizerConfig(dim=16384)), model)
+    code = run(["eval", "--checkpoint", model, "--data", aug])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{aug}:{len(augmented) + 1}:" in err
+    assert repr(augmented[0].instance.id) in err
+
+
+def _generate_mock(root, split, cache, output, keywords=None):
+    return run(
+        [
+            "generate",
+            "--data", root / f"data-{split}.jsonl",
+            "--keywords", keywords or root / f"kw-{split}.jsonl",
+            "--demos", root / "demos.txt",
+            "--cache", cache,
+            "--mode", "mock",
+            "--completions", root / f"completions-{split}.json",
+            "--output", output,
+        ]
+    )
+
+
+def test_generate_mock_writes_reproducible_cache(ws, tmp_path, capsys):
+    root = ws["root"]
+    for run_dir in ("a", "b"):
+        (tmp_path / run_dir).mkdir()
+        out = tmp_path / run_dir
+        assert _generate_mock(root, "dev", out / "cache.jsonl", out / "aug.jsonl") == 0
+    capsys.readouterr()
+    first = (tmp_path / "a" / "cache.jsonl").read_bytes()
+    assert first == (tmp_path / "b" / "cache.jsonl").read_bytes()
+    assert (tmp_path / "a" / "aug.jsonl").read_bytes() == (tmp_path / "b" / "aug.jsonl").read_bytes()
+    lines = [json.loads(line) for line in first.decode("utf-8").splitlines()]
+    assert len(lines) == len(ws["corpus"]["dev"])
+    assert [line["summary"]["query_id"] for line in lines] == [
+        inst.id for inst in ws["corpus"]["dev"].instances
+    ]
+    assert all("timestamp" not in line for line in lines)
+
+
+def test_generate_missing_keywords_sends_nothing(ws, tmp_path, capsys):
+    root = ws["root"]
+    kmap = load_keyword_sets(root / "kw-dev.jsonl")
+    last = ws["corpus"]["dev"].instances[-1].id
+    del kmap[last]
+    save_keyword_sets(kmap, tmp_path / "kw.jsonl")
+    cache = tmp_path / "cache.jsonl"
+    code = _generate_mock(root, "dev", cache, tmp_path / "aug.jsonl", keywords=tmp_path / "kw.jsonl")
+    assert code == 1
+    assert f"no keywords for instance {last!r}" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -615,7 +674,10 @@ def test_unmatched_question_discloses_nothing(ws, tmp_path, capsys):
         def complete(self, request, mode):
             prompts.append(request.prompt.text)
             completion = oracle.completion_for(inst, KeywordSet((), "NER", 1.0, 0, (), 0))
-            return GenerationRecord("key", completion, mode, 0.0)
+            return GenerationRecord("key", completion, mode)
+
+        def complete_all(self, requests, mode):
+            return [self.complete(request, mode) for request in requests]
 
     pipe = PipelineProvider(
         RecordingGateway(),

@@ -122,6 +122,17 @@ def test_augmented_round_trip(tmp_path):
         assert back.context.raw == "raw text"
 
 
+def test_load_augmented_rejects_duplicate_ids(tmp_path):
+    items = []
+    for i in range(3):
+        inst = make_instance(i)
+        items.append(AugmentedInstance(inst, _context_for(inst), f"gen{i}"))
+    path = tmp_path / "aug.jsonl"
+    write_augmented(items + items[:1], path)
+    with pytest.raises(DatasetFormatError, match=f"{path}:4: duplicate id 'q0'"):
+        load_augmented(path)
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

@@ -276,3 +276,177 @@ def test_http_transport_missing_credential(monkeypatch):
     with pytest.raises(GatewayError, match="PRIVQA_API_KEY"):
         transport.send({})
     assert transport.calls == 0
+
+
+def test_retries_round_trip_through_cache(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    transport = MockTransport([TransportReply(429, {}), TransportReply(503, {}), ok("late")])
+    gw = Gateway(path, transport=transport, sleep=lambda s: None)
+    assert gw.complete(REQUEST, "live").retries == 2
+    line = json.loads(path.read_text(encoding="utf-8"))
+    assert line["retries"] == 2
+    assert "timestamp" not in line
+    rec = Gateway(path).complete(REQUEST, "replay")
+    assert (rec.completion, rec.source, rec.retries) == ("late", "replay", 2)
+
+
+def test_cache_line_without_retries_loads_as_zero(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    row = {"cache_key": cache_key(REQUEST), "completion": "old", "timestamp": 5.0}
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert Gateway(path).complete(REQUEST, "replay").retries == 0
+
+
+def test_max_in_flight_must_be_positive(tmp_path):
+    with pytest.raises(GatewayError, match="max_in_flight"):
+        Gateway(tmp_path / "cache.jsonl", max_in_flight=0)
+
+
+# ---------------------------------------------------------------------------
+# Batches: complete_all
+
+
+def numbered_requests(n):
+    return [
+        GenerationRequest(
+            model_id="m",
+            prompt=PromptText(text=f"p{i}\nContext:", demo_count=1, query_id=f"q{i}"),
+        )
+        for i in range(n)
+    ]
+
+
+class Upstream:
+    """Transport script whose latency varies per request, so calls finish out of order.
+
+    Request i waits `delays[i % len(delays)]` seconds; ids in `fail` get a
+    client error naming the id. Keeps the peak number of calls in flight and
+    the order in which calls finished.
+    """
+
+    def __init__(self, delays=(0.04, 0.01, 0.02), fail=()):
+        self.delays = delays
+        self.fail = set(fail)
+        self.lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.finished = []
+
+    def __call__(self, payload):
+        i = int(payload["messages"][0]["content"].split("\n")[0][1:])
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        time.sleep(self.delays[i % len(self.delays)])
+        with self.lock:
+            self.active -= 1
+            self.finished.append(i)
+        if i in self.fail:
+            return TransportReply(400, {"error": f"bad p{i}"})
+        return ok(f"answer {i}")
+
+
+def cache_keys_in(path):
+    return [json.loads(line)["cache_key"] for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_complete_all_fans_out_and_keeps_request_order(tmp_path):
+    requests = numbered_requests(9)
+    caches = {}
+    for width in (1, 3):
+        upstream = Upstream()
+        transport = MockTransport(upstream)
+        caches[width] = tmp_path / f"cache-{width}.jsonl"
+        gw = Gateway(caches[width], transport=transport, max_in_flight=width)
+        records = gw.complete_all(requests, "live")
+        assert [r.completion for r in records] == [f"answer {i}" for i in range(9)]
+        assert all(r.source == "live" for r in records)
+        assert transport.calls == 9
+        assert upstream.peak == width
+    assert upstream.finished != sorted(upstream.finished)  # the wide run finished out of order
+    assert caches[3].read_bytes() == caches[1].read_bytes()
+    assert cache_keys_in(caches[3]) == [cache_key(r) for r in requests]
+
+
+def test_complete_all_failure_keeps_the_rest_in_order(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    requests = numbered_requests(9)
+    # p4 fails after p6 has failed: the first failure in request order is raised
+    upstream = Upstream(delays=(0.01, 0.01, 0.01, 0.01, 0.05, 0.01, 0.01), fail={4, 6})
+    gw = Gateway(path, transport=MockTransport(upstream), max_in_flight=3)
+    threads = threading.active_count()
+    with pytest.raises(GatewayError, match="bad p4"):
+        gw.complete_all(requests, "live")
+    assert upstream.finished.index(6) < upstream.finished.index(4)
+    assert threading.active_count() == threads
+    kept = [i for i in range(9) if i not in (4, 6)]
+    assert cache_keys_in(path) == [cache_key(requests[i]) for i in kept]
+
+    # a rerun pays only for what is missing, and appends it in request order
+    transport = MockTransport(Upstream())
+    rerun = Gateway(path, transport=transport, max_in_flight=3)
+    records = rerun.complete_all(requests, "live")
+    assert [r.completion for r in records] == [f"answer {i}" for i in range(9)]
+    assert [p["messages"][0]["content"] for p in transport.payloads] == [
+        requests[4].prompt.text,
+        requests[6].prompt.text,
+    ]
+    assert [r.source for r in records] == ["live" if i in (4, 6) else "replay" for i in range(9)]
+    assert cache_keys_in(path) == [cache_key(requests[i]) for i in kept + [4, 6]]
+
+
+def test_complete_all_validates_before_sending(tmp_path):
+    transport = MockTransport(Upstream())
+    gw = Gateway(tmp_path / "cache.jsonl", transport=transport)
+    bad = GenerationRequest(model_id="m", prompt=PROMPT, temperature=0.5)
+    with pytest.raises(GatewayError, match="temperature"):
+        gw.complete_all([*numbered_requests(3), bad], "live")
+    assert transport.calls == 0
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
+def test_complete_all_repeated_key_goes_upstream_once(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first, second = numbered_requests(2)
+    # same prompt text, other query id: the same cache key
+    again = GenerationRequest(
+        model_id="m", prompt=PromptText(text=first.prompt.text, demo_count=1, query_id="other")
+    )
+    transport = MockTransport(Upstream())
+    gw = Gateway(path, transport=transport, max_in_flight=2)
+    records = gw.complete_all([first, second, again], "live")
+    assert transport.calls == 2
+    assert [r.source for r in records] == ["live", "live", "replay"]
+    assert records[2].completion == records[0].completion
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [line["summary"]["query_id"] for line in lines] == ["q0", "q1"]
+
+
+def test_complete_all_inline_without_live_misses(tmp_path, monkeypatch):
+    import privqa.gateway
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no thread pool without live misses")
+
+    monkeypatch.setattr(privqa.gateway, "ThreadPoolExecutor", no_pool)
+    path = tmp_path / "cache.jsonl"
+    requests = numbered_requests(4)
+    mocks = {f"q{i}": f"canned {i}" for i in range(4)}
+    records = Gateway(path, mock_completions=mocks).complete_all(requests, "mock")
+    assert [r.source for r in records] == ["mock"] * 4
+    assert cache_keys_in(path) == [cache_key(r) for r in requests]
+    transport = MockTransport([TransportError("must not be called")])
+    live = Gateway(path, transport=transport).complete_all(requests, "live")
+    assert [r.completion for r in live] == [f"canned {i}" for i in range(4)]
+    assert transport.calls == 0
+    with pytest.raises(ReplayCacheMiss):
+        Gateway(path).complete_all([*requests, REQUEST], "replay")
+
+
+def test_complete_all_empty_batch(tmp_path):
+    assert Gateway(tmp_path / "cache.jsonl").complete_all([], "live") == []
+
+
+def test_complete_all_unknown_mode(tmp_path):
+    with pytest.raises(GatewayError, match="mode"):
+        Gateway(tmp_path / "cache.jsonl").complete_all(numbered_requests(2), "yolo")

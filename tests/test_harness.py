@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from privqa.contexts import ContextView, ParsedContext, SpecificContext, ftcr_admit
 from privqa.corpus import LABELS, AugmentedInstance, QAInstance
-from privqa.gateway import Gateway
+from privqa.gateway import Gateway, MockTransport, TransportReply
 from privqa.harness import (
     ExperimentConfig,
     HarnessError,
@@ -28,6 +29,7 @@ from privqa.harness import (
     write_report,
 )
 from privqa.keywords import METHOD_NER, METHOD_RANDOM_SPAN, METHOD_RANDOM_WORDS, Gazetteer
+from privqa.promptkit import render_block
 from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus, gazetteer_tokens
 from tests.test_scorer import make_augmented
 
@@ -227,6 +229,41 @@ def test_pipeline_provider_equals_oracle(tmp_path, corpus, provider):
     want = provider.provide(data, 0.5, seed=SPEC.seed)
     assert [a.context for a in got] == [a.context for a in want]
     assert gw.transport_calls == 0
+
+
+def test_pipeline_provider_live_fan_out_is_ordered(tmp_path, corpus, provider):
+    # live completions finish out of order over three threads; contexts and
+    # cache bytes equal those of a one-at-a-time run
+    data = corpus["dev"]
+    mocks = provider.mock_completions(data, 0.5, seed=SPEC.seed)
+    # the query block's second line, 'Candidate Answers: ...', names the instance
+    position = {
+        render_block((), inst.choices).split("\n")[1]: i for i, inst in enumerate(data.instances)
+    }
+
+    def upstream(payload):
+        query = payload["messages"][0]["content"].rsplit("\n\n", 1)[-1]
+        i = position[query.split("\n")[1]]
+        time.sleep(0.006 if i % 3 == 0 else 0.001)
+        completion = mocks[data.instances[i].id]
+        return TransportReply(200, {"choices": [{"message": {"content": completion}}]})
+
+    want = provider.provide(data, 0.5, seed=SPEC.seed)
+    caches = {}
+    for width in (1, 3):
+        caches[width] = tmp_path / f"cache-{width}.jsonl"
+        transport = MockTransport(upstream)
+        pipe = PipelineProvider(
+            gateway=Gateway(caches[width], transport=transport, max_in_flight=width),
+            demos=provider.demonstrations(corpus["train"]),
+            gazetteer=gazetteer_tokens(SPEC),
+            mode="live",
+        )
+        got = pipe.provide(data, 0.5, seed=SPEC.seed)
+        assert [a.context for a in got] == [a.context for a in want]
+        assert [a.instance for a in got] == list(data.instances)
+        assert transport.calls == len(data)
+    assert caches[3].read_bytes() == caches[1].read_bytes()
 
 
 def test_pipeline_provider_parse_error_names_instance(tmp_path, corpus, provider):

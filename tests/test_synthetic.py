@@ -146,7 +146,7 @@ def test_augment_matches_oracle():
     provider = SyntheticContextProvider(SPEC)
     inst = build_corpus(SPEC)["dev"].instances[1]
     ks = provider.keywords_for(inst)
-    aug = provider.augment(inst, ks)
+    [aug] = provider.augment_all([inst], {inst.id: ks})
     assert aug.context == provider.oracle_context(inst, ks)
     assert aug.generation_id == f"synthetic:{inst.id}"
     assert aug.instance is inst
