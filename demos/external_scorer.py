@@ -16,7 +16,7 @@ from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corp
 spec = SyntheticSpec(seed=2, train_size=5, dev_size=1, test_size=1)
 corpus = build_corpus(spec)
 oracle = SyntheticContextProvider(spec)
-augmented = oracle.provide(corpus["train"], 1.0, seed=0)
+augmented, _ = oracle.provide(corpus["train"], 1.0, seed=0)
 
 # the bundled stub scores each input by its character count
 with ExternalScorer([sys.executable, "-m", "privqa.plugin_stub"]) as scorer:

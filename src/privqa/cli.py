@@ -307,6 +307,11 @@ def _setup(args, cfg: ExperimentConfig):
     """Datasets and context provider: the synthetic oracle or the pipeline."""
     if args.synthetic:
         return _synthetic(args, cfg.seed)
+    if cfg.mode == "live":
+        raise HarnessError(
+            "experiment commands cannot call upstream: prime the cache with `privqa generate"
+            " --mode live --api-url URL`, then run with --mode replay"
+        )
     files = {f"--data-{split}": getattr(args, f"data_{split}") for split in SPLITS}
     needed = {**files, "--demos": cfg.demo_file, "--cache": cfg.cache_path}
     missing = [flag for flag, value in needed.items() if not value]

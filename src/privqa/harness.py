@@ -279,8 +279,8 @@ def augment_completion(
 ) -> AugmentedInstance:
     """Parse one completion into the instance's context.
 
-    A completion that continues the prompt's bare cue gets the
-    "Context:" head back before parsing.
+    A completion that continues the prompt's bare cue gets `CONTEXT_HEAD`
+    back before parsing.
     """
     text = completion if CONTEXT_HEAD in completion else CONTEXT_HEAD + completion
     try:
@@ -293,14 +293,15 @@ def augment_completion(
 class ContextProvider:
     """Materializes contexts: keyword map, one completion per instance, parse.
 
-    Subclasses differ only in where completions come from: one at a time
-    (`completion`), or a whole batch at once (`augment_all`).
+    Subclasses differ only in where the completions come from (`completions`).
     """
 
     gazetteer: Gazetteer | None = None
 
-    def completion(self, instance: QAInstance, keywords: KeywordSet) -> tuple[str, str]:
-        """(completion text, generation id) for one instance's disclosure."""
+    def completions(
+        self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
+    ) -> list[tuple[str, str]]:
+        """(completion text, generation id) per instance, in input order."""
         raise NotImplementedError
 
     def keyword_map(
@@ -316,9 +317,8 @@ class ContextProvider:
         self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
     ) -> list[AugmentedInstance]:
         """Augmented instances in input order; `kmap` covers every instance id."""
-        return [
-            augment_completion(inst, *self.completion(inst, kmap[inst.id])) for inst in instances
-        ]
+        pairs = self.completions(instances, kmap)
+        return [augment_completion(inst, *pair) for inst, pair in zip(instances, pairs)]
 
     def provide(
         self,
@@ -326,9 +326,10 @@ class ContextProvider:
         ratio: float,
         seed: int,
         method: str = METHOD_NER,
-    ) -> list[AugmentedInstance]:
+    ) -> tuple[list[AugmentedInstance], dict[str, KeywordSet]]:
+        """The augmented instances and the keyword map their prompts disclosed."""
         kmap = self.keyword_map(dataset, ratio, seed, method)
-        return self.augment_all(dataset.instances, kmap)
+        return self.augment_all(dataset.instances, kmap), kmap
 
 
 class PipelineProvider(ContextProvider):
@@ -353,14 +354,10 @@ class PipelineProvider(ContextProvider):
         self.model_id = model_id
         self.mode = mode
 
-    def augment_all(
+    def completions(
         self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
-    ) -> list[AugmentedInstance]:
-        """Build every prompt, complete them in one gateway batch, parse in order.
-
-        The gateway fans live misses out up to its `max_in_flight`; the
-        records, and so the parses, come back in instance order.
-        """
+    ) -> list[tuple[str, str]]:
+        """Build every prompt, then complete all of them in one gateway batch."""
         requests = [
             GenerationRequest(
                 model_id=self.model_id,
@@ -371,10 +368,7 @@ class PipelineProvider(ContextProvider):
             for inst in instances
         ]
         records = self.gateway.complete_all(requests, self.mode)
-        return [
-            augment_completion(inst, record.completion, record.cache_key)
-            for inst, record in zip(instances, records)
-        ]
+        return [(record.completion, record.cache_key) for record in records]
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +449,9 @@ def _require_splits(datasets: dict[str, Dataset], *names: str) -> None:
 
 def _materialize(
     config: ExperimentConfig, dataset: Dataset, provider
-) -> list[AugmentedInstance]:
+) -> tuple[list[AugmentedInstance], dict[str, KeywordSet] | None]:
     if config.regime == "SFT":
-        return [plain_augmented(inst) for inst in dataset.instances]
+        return [plain_augmented(inst) for inst in dataset.instances], None
     if provider is None:
         raise HarnessError(f"regime {config.regime} needs a context provider")
     return provider.provide(dataset, config.ratio, config.seed, config.method)
@@ -494,13 +488,11 @@ def predict_labels(
     return preds, {aug.instance.id: aug.instance.gold for aug in augmented}
 
 
-def _budget_section(
-    config: ExperimentConfig, dataset: Dataset, provider
-) -> dict | None:
-    if config.regime == "SFT" or provider is None:
+def _budget_section(dataset: Dataset, kmap: dict[str, KeywordSet] | None) -> dict | None:
+    """The report's budget: the share of each question the prompts disclosed."""
+    if kmap is None:
         return None
-    bmap = provider.keyword_map(dataset, config.ratio, config.seed, config.method)
-    rep = corpus_budget_report(dataset, bmap)
+    rep = corpus_budget_report(dataset, kmap)
     return {
         "budget": rep.budget,
         "formatted": format_budget(rep.budget),
@@ -551,15 +543,15 @@ def _run(
     transfer: dict | None = None,
 ) -> EvalReport:
     """Train on datasets' train/dev splits, predict `test`, and build the report."""
-    train_aug = _materialize(config, datasets["train"], provider)
-    dev_aug = _materialize(config, datasets["dev"], provider)
+    train_aug, train_kmap = _materialize(config, datasets["train"], provider)
+    dev_aug, _ = _materialize(config, datasets["dev"], provider)
     model, tlog = train_scorer(config, train_aug, dev_aug)
-    test_aug = _materialize(config, test, test_provider)
+    test_aug, _ = _materialize(config, test, test_provider)
     sizes = {split: len(ds) for split, ds in sorted(datasets.items())}
     dataset = {"name": test.name, "split": test.split, "sizes": sizes}
     if transfer is not None:
         dataset["transfer"] = transfer
-    budget = _budget_section(config, datasets["train"], provider)
+    budget = _budget_section(datasets["train"], train_kmap)
     ftcr = ftcr_admission(config, train_aug)
     report = evaluate(model, config, test_aug, dataset, tlog=tlog, budget=budget, ftcr=ftcr)
     if workdir is not None:
@@ -634,6 +626,9 @@ def run_representation_compare(
     more than `budget_tolerance` from the target is an error.
     """
     config.validate()
+    if provider is None or config.regime == "SFT":
+        need = "a context provider" if provider is None else "a context regime, not SFT"
+        raise HarnessError(f"representation compare needs {need}")
     _require_splits(datasets, "train", "dev", "test")
     ner_maps = {
         split: provider.keyword_map(ds, config.ratio, config.seed, METHOD_NER)

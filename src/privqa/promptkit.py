@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from privqa.contexts import ParsedContext, ParseError, parse_generation, serialize_context
+from privqa.contexts import CONTEXT_HEAD, ParsedContext, ParseError
+from privqa.contexts import parse_generation, serialize_context
 
 KEYWORDS_MARKER = "Question Keywords:"
 ANSWERS_MARKER = "Candidate Answers:"
-CUE = "Context:"
 STOP_SEQUENCE = "\n\n" + KEYWORDS_MARKER
 
 _CHOICE_SPLIT = re.compile(r"\(([a-z])\)\s*")
@@ -60,7 +60,7 @@ def render_block(
     keyword_line = f"{KEYWORDS_MARKER} {', '.join(keywords)}"
     lines = [keyword_line, f"{ANSWERS_MARKER} {answers}"]
     if context is None:
-        lines.append(CUE)
+        lines.append(CONTEXT_HEAD)
     else:
         lines.append(serialize_context(context, tuple(choices)))
     return "\n".join(lines)

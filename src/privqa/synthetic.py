@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 # parse_generation and subsample_keywords are not called here: the oracle's
 # keyword map and parse run through privqa.harness. They stay importable from
 # this module because perfbench/tracer.py patches them by name.
 from privqa.contexts import (  # noqa: F401
+    CONTEXT_HEAD,
     ParsedContext,
     SpecificContext,
     parse_generation,
@@ -165,16 +167,15 @@ class SyntheticContextProvider(ContextProvider):
         overall = f"The question mentions {', '.join(sorted(disclosed))}."
         return ParsedContext(overall=overall, specific=specific, decision=decision)
 
-    def generation_text(self, instance: QAInstance, keywords: KeywordSet) -> str:
-        return serialize_context(self.oracle_context(instance, keywords), instance.labels())
-
-    def completion(self, instance: QAInstance, keywords: KeywordSet) -> tuple[str, str]:
-        return self.generation_text(instance, keywords), f"synthetic:{instance.id}"
-
     def completion_for(self, instance: QAInstance, keywords: KeywordSet) -> str:
         """The oracle text as an LLM continuation: everything after the cue."""
-        text = self.generation_text(instance, keywords)
-        return text[len("Context:") :]
+        text = serialize_context(self.oracle_context(instance, keywords), instance.labels())
+        return text[len(CONTEXT_HEAD) :]
+
+    def completions(
+        self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
+    ) -> list[tuple[str, str]]:
+        return [(self.completion_for(i, kmap[i.id]), f"synthetic:{i.id}") for i in instances]
 
     def mock_completions(
         self,

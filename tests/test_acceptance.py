@@ -286,7 +286,7 @@ def test_criterion_5_regime_and_view_separations(full_synthetic):
 
 def test_criterion_6_regime_laws(full_synthetic):
     corpus, provider = full_synthetic
-    train_aug = provider.provide(corpus["train"], 0.5, seed=0)
+    train_aug, _ = provider.provide(corpus["train"], 0.5, seed=0)
     ftc_nc = build_inputs(train_aug, "FTC", ContextView.NO_CONTEXT)
     sft = build_inputs(
         [plain_augmented(a.instance) for a in train_aug], "SFT", ContextView.FULL
@@ -297,7 +297,7 @@ def test_criterion_6_regime_laws(full_synthetic):
         c.id for c in sft
     ]
 
-    dev_aug = provider.provide(corpus["dev"], 0.5, seed=0)
+    dev_aug, _ = provider.provide(corpus["dev"], 0.5, seed=0)
     inputs = build_inputs(dev_aug, "FTCR", ContextView.FULL)
     with_context = {
         item.id
@@ -412,7 +412,7 @@ def test_criterion_9_plugin_conformance():
     spec = SyntheticSpec(seed=9, train_size=100, dev_size=1, test_size=1)
     corpus = build_corpus(spec)
     oracle = SyntheticContextProvider(spec)
-    augmented = oracle.provide(corpus["train"], 1.0, seed=0)
+    augmented, _ = oracle.provide(corpus["train"], 1.0, seed=0)
 
     scored = 0
     counts_ok = True

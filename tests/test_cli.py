@@ -172,7 +172,7 @@ def test_eval_takes_featurizer_from_checkpoint(ws, tmp_path, capsys):
     provider = ws["provider"]
     for split in ("train", "dev", "test"):
         write_augmented(
-            provider.provide(ws["corpus"][split], 1.0, seed=0), tmp_path / f"aug-{split}.jsonl"
+            provider.provide(ws["corpus"][split], 1.0, seed=0)[0], tmp_path / f"aug-{split}.jsonl"
         )
     fast = [a for a in FAST if a not in ("--dim", "16384")]
     model = tmp_path / "model.npz"
@@ -214,6 +214,25 @@ def test_pipeline_run_without_sources_is_user_error(ws, capsys, command):
     assert "--data-dev --data-test --cache" in err and "--synthetic" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_pipeline_run_rejects_live_mode_first(tmp_path, capsys, command):
+    # none of the named files exists: the mode is refused before anything is read
+    missing = tmp_path / "missing.jsonl"
+    argv = [command, "--mode", "live", "--demos", tmp_path / "missing.txt", "--cache", missing]
+    for split in ("train", "dev", "test"):
+        argv += [f"--data-{split}", missing]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "privqa generate --mode live --api-url URL" in err and "--mode replay" in err
+    assert not missing.exists()
+
+
+def test_compare_sft_is_user_error(capsys):
+    argv = ["compare", "--synthetic", "--regime", "SFT", "--train-size", "8"]
+    assert run(argv + ["--dev-size", "4", "--test-size", "4"]) == 1
+    assert "needs a context regime" in capsys.readouterr().err
+
+
 def test_parse_command(ws, capsys):
     root: Path = ws["root"]
     provider = ws["provider"]
@@ -242,7 +261,7 @@ def test_parse_command(ws, capsys):
     capsys.readouterr()
     parsed = load_augmented(root / "aug-parsed.jsonl")
     assert len(parsed) == 24
-    want = provider.provide(data, 1.0, seed=0)
+    want, _ = provider.provide(data, 1.0, seed=0)
     assert [a.context for a in parsed] == [a.context for a in want]
 
 
@@ -286,7 +305,8 @@ def test_parse_malformed_line_is_user_error(ws, capsys, tmp_path, line, message)
 def test_eval_malformed_augmented_is_user_error(ws, capsys, tmp_path):
     aug = tmp_path / "aug.jsonl"
     provider = ws["provider"]
-    write_augmented(provider.provide(ws["corpus"]["dev"], 1.0, seed=0)[:2], aug)
+    augmented, _ = provider.provide(ws["corpus"]["dev"], 1.0, seed=0)
+    write_augmented(augmented[:2], aug)
     lines = aug.read_text(encoding="utf-8").splitlines()
     rec = json.loads(lines[0])
     rec["context"] = "flat text"
@@ -301,7 +321,7 @@ def test_eval_malformed_augmented_is_user_error(ws, capsys, tmp_path):
 
 def test_eval_duplicate_augmented_id_is_user_error(ws, capsys, tmp_path):
     aug = tmp_path / "aug.jsonl"
-    augmented = ws["provider"].provide(ws["corpus"]["dev"], 1.0, seed=0)
+    augmented, _ = ws["provider"].provide(ws["corpus"]["dev"], 1.0, seed=0)
     write_augmented(augmented + augmented[:1], aug)
     model = tmp_path / "model.npz"
     save_model(ScorerModel.zeros(FeaturizerConfig(dim=16384)), model)
@@ -690,7 +710,8 @@ def test_unmatched_question_discloses_nothing(ws, tmp_path, capsys):
         assert ks == from_cli
         assert ks.keywords == () and ks.word_count == 0
         assert corpus_budget_report(data, {"nomatch": ks}).budget == 0.0
-        [aug] = provider.provide(data, 0.5, seed=0)
+        [aug], kmap = provider.provide(data, 0.5, seed=0)
+        assert kmap == {"nomatch": ks}
         assert aug.instance == inst
     # the prompt's query block carries only the answers
     assert prompts == [prompts[0]]
@@ -702,7 +723,7 @@ def test_ood_files_match_harness_steps(ws, tmp_path, capsys):
     paths = {}
     for split, ratio in (("train", 1.0), ("dev", 1.0), ("test", 0.5)):
         paths[split] = tmp_path / f"aug-{split}.jsonl"
-        write_augmented(provider.provide(corpus[split], ratio, seed=0), paths[split])
+        write_augmented(provider.provide(corpus[split], ratio, seed=0)[0], paths[split])
     code = run(
         [
             "ood",

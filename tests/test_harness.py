@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import privqa.harness as harness
 from privqa.contexts import ContextView, ParsedContext, SpecificContext, ftcr_admit
 from privqa.corpus import LABELS, AugmentedInstance, QAInstance
 from privqa.gateway import Gateway, MockTransport, TransportReply
@@ -28,7 +29,13 @@ from privqa.harness import (
     run_representation_compare,
     write_report,
 )
-from privqa.keywords import METHOD_NER, METHOD_RANDOM_SPAN, METHOD_RANDOM_WORDS, Gazetteer
+from privqa.keywords import (
+    METHOD_NER,
+    METHOD_RANDOM_SPAN,
+    METHOD_RANDOM_WORDS,
+    Gazetteer,
+    corpus_budget_report,
+)
 from privqa.promptkit import render_block
 from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus, gazetteer_tokens
 from tests.test_scorer import make_augmented
@@ -49,7 +56,7 @@ def provider():
 @pytest.fixture(scope="module")
 def mixed_augmented(corpus, provider):
     # ratio 0.5 leaves some instances informed and some not
-    return provider.provide(corpus["train"], 0.5, seed=SPEC.seed)
+    return provider.provide(corpus["train"], 0.5, seed=SPEC.seed)[0]
 
 
 def small_config(**over):
@@ -225,8 +232,9 @@ def test_pipeline_provider_equals_oracle(tmp_path, corpus, provider):
         gazetteer=gazetteer_tokens(SPEC),
         mode="mock",
     )
-    got = pipe.provide(data, 0.5, seed=SPEC.seed)
-    want = provider.provide(data, 0.5, seed=SPEC.seed)
+    got, got_kmap = pipe.provide(data, 0.5, seed=SPEC.seed)
+    want, want_kmap = provider.provide(data, 0.5, seed=SPEC.seed)
+    assert got_kmap == want_kmap
     assert [a.context for a in got] == [a.context for a in want]
     assert gw.transport_calls == 0
 
@@ -248,7 +256,7 @@ def test_pipeline_provider_live_fan_out_is_ordered(tmp_path, corpus, provider):
         completion = mocks[data.instances[i].id]
         return TransportReply(200, {"choices": [{"message": {"content": completion}}]})
 
-    want = provider.provide(data, 0.5, seed=SPEC.seed)
+    want, _ = provider.provide(data, 0.5, seed=SPEC.seed)
     caches = {}
     for width in (1, 3):
         caches[width] = tmp_path / f"cache-{width}.jsonl"
@@ -259,7 +267,7 @@ def test_pipeline_provider_live_fan_out_is_ordered(tmp_path, corpus, provider):
             gazetteer=gazetteer_tokens(SPEC),
             mode="live",
         )
-        got = pipe.provide(data, 0.5, seed=SPEC.seed)
+        got, _ = pipe.provide(data, 0.5, seed=SPEC.seed)
         assert [a.context for a in got] == [a.context for a in want]
         assert [a.instance for a in got] == list(data.instances)
         assert transport.calls == len(data)
@@ -309,6 +317,46 @@ def test_run_experiment_ftc(corpus, provider, tmp_path):
     assert (tmp_path / "report-seed0.json").exists()
     on_disk = json.loads((tmp_path / "report-seed0.json").read_text())
     assert on_disk["metrics"]["accuracy"] == report.metrics["accuracy"]
+
+
+class CountingProvider(SyntheticContextProvider):
+    """The oracle, recording each keyword map it builds and each one `provide` returns."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.mapped = []
+        self.provided = {}
+
+    def keyword_map(self, dataset, *args, **kwargs):
+        self.mapped.append(dataset.split)
+        return super().keyword_map(dataset, *args, **kwargs)
+
+    def provide(self, dataset, *args, **kwargs):
+        augmented, kmap = super().provide(dataset, *args, **kwargs)
+        self.provided[dataset.split] = kmap
+        return augmented, kmap
+
+
+def test_run_budget_reuses_provided_keyword_map(corpus, monkeypatch):
+    counting = CountingProvider(SPEC)
+    budget_maps = []
+
+    def recording_budget(dataset, kmap):
+        budget_maps.append(kmap)
+        return corpus_budget_report(dataset, kmap)
+
+    monkeypatch.setattr(harness, "corpus_budget_report", recording_budget)
+    report = run_experiment(small_config(ratio=0.5, max_epochs=2), corpus, counting)
+    assert sorted(counting.mapped) == ["dev", "test", "train"]
+    train_kmap = counting.provided["train"]
+    assert len(budget_maps) == 1 and budget_maps[0] is train_kmap
+    want = corpus_budget_report(corpus["train"], train_kmap)
+    assert report.budget["budget"] == want.budget
+    assert report.budget["avg_keyword_words"] == want.avg_keyword_words
+
+    counting = CountingProvider(SPEC)
+    report = run_experiment(small_config(regime="SFT", max_epochs=2), corpus, counting)
+    assert counting.mapped == [] and report.budget is None
 
 
 def test_run_experiment_sft_needs_no_provider(corpus):
@@ -406,6 +454,16 @@ def test_run_representation_compare(corpus, provider):
     for report in out.values():
         assert abs(report.budget["budget"] - 0.5) < 1e-9
     assert out[METHOD_RANDOM_SPAN].config["method"] == METHOD_RANDOM_SPAN
+
+
+@pytest.mark.parametrize(
+    "regime, with_provider, need",
+    [("SFT", True, "context regime"), ("FTC", False, "context provider")],
+)
+def test_representation_compare_needs_disclosure(corpus, provider, regime, with_provider, need):
+    config = small_config(regime=regime, max_epochs=2)
+    with pytest.raises(HarnessError, match=need):
+        run_representation_compare(config, corpus, provider if with_provider else None)
 
 
 def test_render_report_table(corpus, provider):

@@ -4,7 +4,9 @@ How an augmented instance becomes per-choice texts, and how scores become a
 label, is decided in `privqa.harness`. The scorer must not reach back into
 the modules that know about instances, contexts or runs. Run reports are
 built by `harness.evaluate`; the CLI asks for one and only rebuilds saved
-reports it reads back.
+reports it reads back. Every context provider materializes through the one
+`ContextProvider.augment_all`, and the context cue is spelled once, in
+`privqa.contexts`.
 """
 
 import ast
@@ -15,6 +17,8 @@ SCORER = SRC / "scorer.py"
 CLI = SRC / "cli.py"
 FORBIDDEN = {"privqa.contexts", "privqa.corpus", "privqa.harness"}
 REPORT_STEPS = {"accuracy", "predict_labels", "provenance", "asdict"}
+PROVIDER_MODULES = (SRC / "harness.py", SRC / "synthetic.py")
+CUE = "Context:"
 
 
 def parse(path: Path) -> ast.AST:
@@ -73,3 +77,75 @@ def test_cli_builds_no_run_report():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "EvalReport"
     }
     assert builders == {"_load_report"}
+
+
+def provider_classes(tree: ast.AST) -> dict[str, ast.ClassDef]:
+    """Classes that derive, directly or through one another, from ContextProvider."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found: dict[str, ast.ClassDef] = {}
+    grew = True
+    while grew:
+        grew = False
+        for cls in classes:
+            bases = {getattr(base, "id", getattr(base, "attr", None)) for base in cls.bases}
+            if cls.name not in found and bases & ({"ContextProvider"} | set(found)):
+                found[cls.name] = cls
+                grew = True
+    return found
+
+
+def test_provider_classes_sees_indirect_subclasses():
+    tree = ast.parse(
+        "class A(ContextProvider): pass\n"
+        "class B(A): pass\n"
+        "class C(harness.ContextProvider): pass\n"
+        "class D: pass\n"
+    )
+    assert set(provider_classes(tree)) == {"A", "B", "C"}
+
+
+def test_providers_only_supply_completions():
+    overriders = {
+        f"{path.stem}.{name}"
+        for path in PROVIDER_MODULES
+        for name, cls in provider_classes(parse(path)).items()
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "augment_all"
+    }
+    assert not overriders, f"{sorted(overriders)} override ContextProvider.augment_all"
+
+
+def cue_literals(tree: ast.AST) -> list[int]:
+    """Line numbers of string constants, docstrings aside, that spell the cue."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and CUE in node.value
+        and id(node) not in docstrings
+    ]
+
+
+def test_cue_literals_skip_docstrings():
+    source = '"""Context: doc."""\ndef f():\n    """Context:"""\n    return f"{1}Context:"\n'
+    tree = ast.parse(source)
+    assert cue_literals(tree) == [4]
+
+
+def test_cue_is_spelled_only_in_contexts():
+    spelled = {
+        f"{path.stem}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "contexts"
+        for line in cue_literals(parse(path))
+    }
+    assert not spelled, f"{CUE!r} is spelled outside privqa.contexts at {sorted(spelled)}"

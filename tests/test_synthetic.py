@@ -1,6 +1,13 @@
 import random
 
-from privqa.contexts import ContextView, apply_view, ftcr_admit, parse_generation
+from privqa.contexts import (
+    CONTEXT_HEAD,
+    ContextView,
+    apply_view,
+    ftcr_admit,
+    parse_generation,
+    serialize_context,
+)
 from privqa.keywords import (
     METHOD_RANDOM_SPAN,
     METHOD_RANDOM_WORDS,
@@ -130,7 +137,7 @@ def test_oracle_round_trips_through_parser():
     kmap = provider.keyword_map(data, 0.5, seed=SPEC.seed)
     for inst in data.instances:
         ks = kmap[inst.id]
-        text = provider.generation_text(inst, ks)
+        text = serialize_context(provider.oracle_context(inst, ks), inst.labels())
         assert parse_generation(text, inst.labels()) == provider.oracle_context(inst, ks)
 
 
@@ -139,7 +146,9 @@ def test_completion_reconstructs_generation():
     inst = build_corpus(SPEC)["dev"].instances[0]
     ks = provider.keywords_for(inst)
     completion = provider.completion_for(inst, ks)
-    assert "Context:" + completion == provider.generation_text(inst, ks)
+    full = serialize_context(provider.oracle_context(inst, ks), inst.labels())
+    assert CONTEXT_HEAD + completion == full
+    assert provider.completions([inst], {inst.id: ks}) == [(completion, f"synthetic:{inst.id}")]
 
 
 def test_augment_matches_oracle():
