@@ -3,11 +3,12 @@
 Every request is keyed by a digest of its semantic fields; completions are
 persisted to an append-only JSONL cache. Replay mode serves cached
 completions only and never touches the network, which is what makes
-experiment runs reproducible after the fact. Live calls are deduplicated
-in-flight per key, retried with exponential backoff on transient failures,
-and bounded by a concurrency limit. A batch of requests fans its live misses
-out over that many threads and still writes its cache lines in request
-order, so the cache file never depends on which call finished first.
+experiment runs reproducible after the fact. A live key goes upstream once
+while its call is in flight; calls are retried with exponential backoff on
+transient failures and bounded by a concurrency limit. A batch of requests
+is an ordered map over `Gateway.complete` on up to that many threads, and
+writes its cache lines in request order, so the cache file never depends on
+which call finished first.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -207,12 +208,14 @@ def _cache_line(record: GenerationRecord, request: GenerationRequest) -> str:
 class Gateway:
     """Mode-switched completion service over one JSONL response cache.
 
-    Thread-safe: cache reads/writes are locked, per-key in-flight requests
-    are deduplicated so a key hits the upstream at most once per run, and a
-    semaphore bounds concurrent upstream calls at `max_in_flight`.
+    Thread-safe: cache reads/writes are locked, and a semaphore bounds
+    concurrent upstream calls at `max_in_flight`. A live key goes upstream
+    once while its call is in flight: concurrent requests for it wait and
+    share the result, or the failure. A request that starts after that call
+    failed goes upstream again.
 
-    `complete_all` resolves a batch: its live misses fan out over up to
-    `max_in_flight` threads, and its cache lines land in request order.
+    `complete_all` resolves a batch: an ordered map over `complete` on up to
+    `max_in_flight` threads, whose cache lines land in request order.
 
     `clock` is accepted and ignored: cache lines carry no timestamp.
     """
@@ -259,9 +262,12 @@ class Gateway:
                     continue
                 try:
                     rec = json.loads(line)
+                    key, completion = rec["cache_key"], rec["completion"]
+                    if not (isinstance(key, str) and isinstance(completion, str)):
+                        raise TypeError("cache_key and completion must be strings")
                     record = GenerationRecord(
-                        cache_key=rec["cache_key"],
-                        completion=rec["completion"],
+                        cache_key=key,
+                        completion=completion,
                         source=rec.get("source", "live"),
                         truncated=bool(rec.get("truncated", False)),
                         retries=int(rec.get("retries", 0)),
@@ -271,31 +277,28 @@ class Gateway:
                     continue
                 self._cache[record.cache_key] = record
 
-    def _append(self, fresh: list[tuple[GenerationRecord, GenerationRequest]]) -> None:
-        """Append the cache lines of fresh records, in the order given."""
-        if not fresh:
-            return
-        text = "".join(_cache_line(record, request) for record, request in fresh)
+    def _append(self, record: GenerationRecord, request: GenerationRequest) -> None:
+        line = _cache_line(record, request)
         with self._lock:
             self.cache_path.parent.mkdir(parents=True, exist_ok=True)
             with self.cache_path.open("a", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(line)
 
     def _store(self, record: GenerationRecord, request: GenerationRequest, persist: bool) -> None:
         with self._lock:
             self._cache[record.cache_key] = record
         if persist:
-            self._append([(record, request)])
+            self._append(record, request)
 
     def complete(
         self, request: GenerationRequest, mode: str, *, persist: bool = True
     ) -> GenerationRecord:
         """Resolve one request under the given mode.
 
-        Cached keys are served from the cache in every mode, which gives
-        at-most-once upstream semantics per key. A fresh record enters the
-        in-memory cache at once; with `persist=False` its cache line is left
-        to the caller (`complete_all` appends lines in request order).
+        Cached keys are served from the cache in every mode. In live mode one
+        lock section decides: a cache hit, a wait on the key's in-flight call,
+        or owning that call. A fresh record enters the in-memory cache at
+        once; with `persist=False` its cache line is left to the caller.
         """
         if mode not in MODES:
             raise GatewayError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -304,6 +307,17 @@ class Gateway:
 
         with self._lock:
             cached = self._cache.get(key)
+            waiter = None
+            if cached is None and mode == "live":
+                waiter = self._inflight.get(key)
+                if waiter is None:
+                    self._inflight[key] = threading.Event()
+        if waiter is not None:
+            waiter.wait()
+            with self._lock:
+                cached = self._cache.get(key)
+            if cached is None:
+                raise GatewayError(f"in-flight request for key {key} failed")
         if cached is not None:
             return replace(cached, source="replay")
 
@@ -319,21 +333,10 @@ class Gateway:
             self._store(record, request, persist)
             return record
 
-        # live
-        if self.transport is None:
-            raise GatewayError("live mode requires a transport")
-        with self._lock:
-            waiter = self._inflight.get(key)
-            if waiter is None:
-                self._inflight[key] = threading.Event()
-        if waiter is not None:
-            waiter.wait()
-            with self._lock:
-                cached = self._cache.get(key)
-            if cached is not None:
-                return replace(cached, source="replay")
-            raise GatewayError(f"in-flight request for key {key} failed")
+        # live, and this call owns the key's in-flight Event
         try:
+            if self.transport is None:
+                raise GatewayError("live mode requires a transport")
             record = self._call_upstream(request, key)
             self._store(record, request, persist)
             return record
@@ -346,63 +349,45 @@ class Gateway:
     ) -> list[GenerationRecord]:
         """Resolve a batch of requests; the records come back in request order.
 
-        Every request is validated before any is sent, and each one passes
-        through `complete`. In live mode the first request of each uncached
-        key goes to a pool of at most `max_in_flight` threads; cache hits,
-        repeated keys and mock/replay requests resolve on the calling thread.
-        Cache lines are appended in request order as the prefix of resolved
-        requests grows, never in completion order. Every request is tried:
-        the records that did resolve are kept, and then the first failure in
-        request order is raised. No pool thread outlives the call.
+        Every request is validated before any is sent, then passes once
+        through `complete`: a live batch with a cache miss maps over a pool of
+        at most `max_in_flight` threads, any other batch runs on the calling
+        thread. A key goes upstream once while its call is in flight; a repeat
+        that starts after that call failed tries again. As in a serial run,
+        the first request of a missing key gets the fresh record, and its
+        cache line is appended in request order. Every request is tried: the
+        records that did resolve are kept, then the first failure in request
+        order is raised. No pool thread outlives the call.
         """
         for request in requests:
             request.validate()
-        keys = [cache_key(request) for request in requests]
-        upstream: dict[str, int] = {}  # uncached key -> index of its first request
-        if mode == "live":
-            with self._lock:
-                for i, key in enumerate(keys):
-                    if key not in self._cache:
-                        upstream.setdefault(key, i)
-        futures: dict[str, Future] = {}
-        results: list[GenerationRecord | BaseException] = []
 
-        def settle() -> None:
-            # resolve requests in order up to the first whose upstream call is still running
-            fresh = []
-            while len(results) < len(requests):
-                i = len(results)
-                future = futures.get(keys[i])
-                if future is not None and not future.done():
-                    break
-                # the request that went upstream, or a repeat of a key whose call
-                # failed, takes the call's outcome; other requests go through complete
-                if future is not None and (upstream[keys[i]] == i or future.exception()):
-                    error = future.exception()
-                    outcome = future.result() if error is None else error
-                else:
-                    try:
-                        outcome = self.complete(requests[i], mode, persist=False)
-                    except Exception as exc:  # raised below, in request order
-                        outcome = exc
+        def resolve(request: GenerationRequest) -> GenerationRecord | Exception:
+            try:
+                return self.complete(request, mode, persist=False)
+            except Exception as exc:  # raised below, in request order
+                return exc
+
+        with self._lock:
+            missing = {cache_key(request) for request in requests} - self._cache.keys()
+        live = mode == "live" and missing
+        pool = ThreadPoolExecutor(min(self.max_in_flight, len(requests))) if live else None
+        results: list[GenerationRecord | Exception] = []
+        try:
+            for request, outcome in zip(requests, (pool.map if pool else map)(resolve, requests)):
+                if isinstance(outcome, GenerationRecord):
+                    # a repeat may reach `complete` before its first request does
+                    fresh = outcome.cache_key in missing
+                    missing.discard(outcome.cache_key)
+                    outcome = replace(outcome, source=mode if fresh else "replay")
+                    if fresh:
+                        self._append(outcome, request)
                 results.append(outcome)
-                if isinstance(outcome, GenerationRecord) and outcome.source != "replay":
-                    fresh.append((outcome, requests[i]))
-            self._append(fresh)
-
-        if upstream:
-            with ThreadPoolExecutor(min(self.max_in_flight, len(upstream))) as pool:
-                try:
-                    for key, i in upstream.items():
-                        futures[key] = pool.submit(self.complete, requests[i], mode, persist=False)
-                    for _ in as_completed(futures.values()):
-                        settle()
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
-        settle()
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
         for outcome in results:
-            if isinstance(outcome, BaseException):
+            if isinstance(outcome, Exception):
                 raise outcome
         return results
 

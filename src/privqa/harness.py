@@ -279,10 +279,10 @@ def augment_completion(
 ) -> AugmentedInstance:
     """Parse one completion into the instance's context.
 
-    A completion that continues the prompt's bare cue gets `CONTEXT_HEAD`
-    back before parsing.
+    A completion that continues the prompt's bare cue, i.e. one that does
+    not itself start with `CONTEXT_HEAD`, gets the head back before parsing.
     """
-    text = completion if CONTEXT_HEAD in completion else CONTEXT_HEAD + completion
+    text = completion if completion.lstrip().startswith(CONTEXT_HEAD) else CONTEXT_HEAD + completion
     try:
         parsed = parse_generation(text, instance.labels())
     except ParseError as exc:

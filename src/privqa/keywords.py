@@ -312,6 +312,7 @@ def load_keyword_sets(path: str | Path) -> dict[str, KeywordSet]:
                 continue
             try:
                 rec = json.loads(line)
+                inst_id = str(rec["id"])
                 ks = KeywordSet(
                     keywords=tuple(str(k) for k in rec["keywords"]),
                     method=str(rec["method"]),
@@ -320,7 +321,14 @@ def load_keyword_sets(path: str | Path) -> dict[str, KeywordSet]:
                     starts=tuple(int(s) for s in rec.get("starts", [])),
                     word_count=int(rec["word_count"]),
                 )
-                out[str(rec["id"])] = ks
             except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
                 raise ExtractionError(f"{p}:{lineno}: bad keyword record ({exc})") from exc
+            if inst_id in out:
+                raise ExtractionError(f"{p}:{lineno}: repeated id {inst_id!r}")
+            words = _count_words(ks.keywords)
+            if ks.word_count != words:
+                raise ExtractionError(
+                    f"{p}:{lineno}: word_count {ks.word_count} but the keywords have {words} words"
+                )
+            out[inst_id] = ks
     return out

@@ -426,6 +426,21 @@ def test_missing_file_is_user_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_budget_rejects_a_keyword_file_with_a_wrong_word_count(ws, tmp_path, capsys):
+    root = ws["root"]
+    kmap = ws["provider"].keyword_map(ws["corpus"]["train"], 1.0, seed=0)
+    save_keyword_sets(kmap, tmp_path / "kw.jsonl")
+    lines = (tmp_path / "kw.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    rec["word_count"] += 5  # would inflate the printed budget
+    lines[1] = json.dumps(rec)
+    (tmp_path / "kw.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = run(["budget", "--data", root / "data-train.jsonl", "--keywords", tmp_path / "kw.jsonl"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "kw.jsonl:2: word_count" in err
+
+
 def test_internal_error_exit_code(ws, capsys, monkeypatch):
     def boom(path):
         raise RuntimeError("wires crossed")

@@ -1,8 +1,11 @@
 import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privqa.gateway import (
     DEFAULT_MAX_TOKENS,
@@ -450,3 +453,144 @@ def test_complete_all_empty_batch(tmp_path):
 def test_complete_all_unknown_mode(tmp_path):
     with pytest.raises(GatewayError, match="mode"):
         Gateway(tmp_path / "cache.jsonl").complete_all(numbered_requests(2), "yolo")
+
+
+def test_corrupt_cache_fields_skipped(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    key = cache_key(REQUEST)
+    rows = [
+        {"cache_key": key, "completion": None},
+        {"cache_key": 7, "completion": "seven"},
+        {"cache_key": key, "completion": ["not", "text"]},
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    gw = Gateway(path)
+    assert len(gw) == 0
+    assert caplog.text.count("skipping corrupt cache line") == 3
+    with pytest.raises(ReplayCacheMiss):
+        gw.complete(REQUEST, "replay")
+
+
+class PausingLock:
+    """A lock that runs `pause` once, after its first release on the creating thread."""
+
+    def __init__(self, pause):
+        self._lock = threading.Lock()
+        self._pause = pause
+        self._thread = threading.get_ident()
+
+    def __enter__(self):
+        self._lock.acquire()
+
+    def __exit__(self, *exc):
+        self._lock.release()
+        if self._pause is not None and threading.get_ident() == self._thread:
+            pause, self._pause = self._pause, None
+            pause()
+
+
+def test_complete_decides_in_one_lock_section(tmp_path):
+    # Call A stops right after its first lock section while call B for the same
+    # key runs. Had A only seen a cache miss there, B would finish and A would
+    # call upstream a second time; owning the key makes B wait for A instead.
+    path = tmp_path / "cache.jsonl"
+    transport = MockTransport(lambda payload: ok("once"))
+    gw = Gateway(path, transport=transport)
+    other = []
+    b = threading.Thread(target=lambda: other.append(gw.complete(REQUEST, "live")))
+
+    def run_b():
+        b.start()
+        b.join(timeout=0.5)  # B blocks on A's in-flight call, so this times out
+
+    gw._lock = PausingLock(run_b)
+    rec = gw.complete(REQUEST, "live")
+    b.join(timeout=10)
+    assert not b.is_alive()
+    assert transport.calls == 1
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+    assert (rec.source, other[0].source) == ("live", "replay")
+    assert other[0].completion == "once"
+
+
+def test_complete_all_retries_a_key_after_its_call_failed(tmp_path):
+    transport = MockTransport([TransportReply(400, {"error": "bad"}), ok("second try")])
+    gw = Gateway(tmp_path / "cache.jsonl", transport=transport, max_in_flight=1)
+    with pytest.raises(GatewayError, match="400"):
+        gw.complete_all([REQUEST, REQUEST], "live")
+    assert transport.calls == 2
+    assert gw.complete(REQUEST, "replay").completion == "second try"
+
+
+def test_complete_all_calls_the_instance_complete_once_per_request(tmp_path):
+    # perfbench's tracer wraps `gw.complete` on the instance and times every call
+    path = tmp_path / "cache.jsonl"
+    first, second, third = numbered_requests(3)
+    Gateway(path, mock_completions={"q0": "primed"}).complete(first, "mock")
+    gw = Gateway(path, transport=MockTransport(Upstream()), max_in_flight=2)
+    seen = []
+    original = gw.complete
+
+    def traced(request, mode, **kwargs):
+        out = original(request, mode, **kwargs)
+        seen.append((request.prompt.query_id, out.source))
+        return out
+
+    gw.complete = traced
+    batch = [first, second, third, second, first]  # a hit, two misses, two repeats
+    records = gw.complete_all(batch, "live")
+    assert sorted(seen) == sorted(
+        [("q0", "replay"), ("q1", "live"), ("q2", "live"), ("q1", "replay"), ("q0", "replay")]
+    )
+    assert [r.source for r in records] == ["replay", "live", "live", "replay", "replay"]
+
+
+class LateRequest(GenerationRequest):
+    """A request whose pool thread stalls before `complete` takes its lock."""
+
+    def validate(self):
+        super().validate()
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+
+
+def test_complete_all_first_request_of_a_key_owns_it(tmp_path):
+    # The repeat reaches `complete` first and calls upstream, but as in a serial
+    # run the first request gets the fresh record and the cache line.
+    first = LateRequest(model_id=REQUEST.model_id, prompt=PROMPT)
+    repeat = replace(REQUEST, prompt=replace(PROMPT, query_id="q-repeat"))
+    transport = MockTransport(lambda payload: ok("shared"))
+    gw = Gateway(tmp_path / "cache.jsonl", transport=transport, max_in_flight=2)
+    records = gw.complete_all([first, repeat], "live")
+    assert transport.calls == 1
+    assert [r.source for r in records] == ["live", "replay"]
+    lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["summary"]["query_id"] for line in lines] == ["q1"]
+
+
+def run_batch(path, requests, delays, width):
+    transport = MockTransport(Upstream(delays=delays))
+    records = Gateway(path, transport=transport, max_in_flight=width).complete_all(requests, "live")
+    return records, path.read_bytes(), transport.calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    delays=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+    width=st.integers(1, 4),
+)
+def test_complete_all_wide_batch_equals_serial(tmp_path_factory, picks, delays, width):
+    prompts = numbered_requests(6)
+    # a repeat carries another query id, so its cache line would differ from the first's
+    requests = [
+        replace(prompts[i], prompt=replace(prompts[i].prompt, query_id=f"q{i}-{n}"))
+        for n, i in enumerate(picks)
+    ]
+    seconds = tuple(d / 1000 for d in delays)
+    tmp = tmp_path_factory.mktemp("batch")
+    serial = run_batch(tmp / "serial.jsonl", requests, seconds, 1)
+    wide = run_batch(tmp / "wide.jsonl", requests, seconds, width)
+    assert wide == serial
+    assert wide[2] == len(set(picks))
+

@@ -14,6 +14,7 @@ from privqa.harness import (
     HarnessError,
     PipelineProvider,
     accuracy,
+    augment_completion,
     build_inputs,
     build_keyword_map,
     choice_texts,
@@ -477,3 +478,25 @@ def test_render_report_table(corpus, provider):
     assert lines[0].startswith("regime")
     assert "FTC" in lines[1] and "50.0%" in lines[1]
     assert "SFT" in lines[2] and "-" in lines[2]
+
+
+AB = QAInstance(id="q1", question="Which?", choices={"a": "x", "b": "y"}, gold="a")
+
+
+def test_augment_completion_keeps_a_quoted_head_in_the_continuation():
+    completion = (
+        " The label reads Context: none. It is fine.\n"
+        "(a): x is listed. It fits.\n(b): y is not. It does not fit.\nThe answer is (a)."
+    )
+    ctx = augment_completion(AB, completion, "g1").context
+    assert ctx.overall == "The label reads Context: none. It is fine."
+    assert ctx.specific["a"].knowledge == "x is listed."
+    assert ctx.warnings == ()
+
+
+def test_augment_completion_with_its_own_head_parses_as_given():
+    completion = "\n Context: Shared facts.\n(a): x is listed. It fits.\n(b): y.\nThe answer is (a)."
+    aug = augment_completion(AB, completion, "g1")
+    assert aug.context.overall == "Shared facts."
+    assert aug.context.raw == completion
+    assert aug.context.decision == frozenset({"a"})

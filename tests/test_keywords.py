@@ -316,6 +316,24 @@ def test_keyword_sets_round_trip(tmp_path):
     assert load_keyword_sets(path) == kmap
 
 
+def test_keyword_sets_reject_repeated_ids(tmp_path):
+    path = tmp_path / "kw.jsonl"
+    save_keyword_sets({"q1": extract_ner("he took aspirin", GAZETTEER)}, path)
+    path.write_text(path.read_text(encoding="utf-8") * 2, encoding="utf-8")
+    with pytest.raises(ExtractionError, match=r"kw\.jsonl:2: repeated id 'q1'"):
+        load_keyword_sets(path)
+
+
+def test_keyword_sets_reject_a_wrong_word_count(tmp_path):
+    path = tmp_path / "kw.jsonl"
+    save_keyword_sets({"q1": extract_random_span("one two three four", 0.5, seed=2)}, path)
+    rec = json.loads(path.read_text(encoding="utf-8"))
+    rec["word_count"] = 3
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(ExtractionError, match=r"kw\.jsonl:1: word_count 3 but the keywords have 2"):
+        load_keyword_sets(path)
+
+
 def test_keyword_sets_corrupt_line(tmp_path):
     path = tmp_path / "kw.jsonl"
     path.write_text('{"id": "q1"}\n', encoding="utf-8")
