@@ -24,7 +24,7 @@ LABELS = ("a", "b", "c", "d", "e")
 MIN_CHOICES = 2
 MAX_CHOICES = 5
 
-# Published split sizes, kept for documentation and ingest sanity checks only.
+# Published split sizes, for reference only: no loader checks a split against them.
 REFERENCE_SPLIT_SIZES = {
     "medqa": {"train": 10178, "dev": 1272, "test": 1273},
 }

@@ -5,10 +5,11 @@ persisted to an append-only JSONL cache. Replay mode serves cached
 completions only and never touches the network, which is what makes
 experiment runs reproducible after the fact. A live key goes upstream once
 while its call is in flight; calls are retried with exponential backoff on
-transient failures and bounded by a concurrency limit. A batch of requests
-is an ordered map over `Gateway.complete` on up to that many threads, and
-writes its cache lines in request order, so the cache file never depends on
-which call finished first.
+transient failures and bounded by a concurrency limit. Decoding is fixed:
+greedy, at most `DEFAULT_MAX_TOKENS`, stopped at the prompt's block
+separator. A batch sends each key once, as an ordered map over
+`Gateway.complete` on up to that many threads, and writes its cache lines in
+request order, so the cache file never depends on which call finished first.
 """
 
 from __future__ import annotations
@@ -31,11 +32,14 @@ from privqa.promptkit import STOP_SEQUENCE, PromptText
 log = logging.getLogger(__name__)
 
 PROMPT_STYLE = "single-user-message"
+TEMPERATURE = 0.0
 DEFAULT_MAX_TOKENS = 1024
+STOP = (STOP_SEQUENCE,)
 DEFAULT_MAX_IN_FLIGHT = 4
 DEFAULT_MAX_ATTEMPTS = 5
 DEFAULT_BACKOFF_START = 1.0
 DEFAULT_CREDENTIAL_ENV = "PRIVQA_API_KEY"
+HTTP_TIMEOUT_S = 60.0
 
 MODES = ("live", "replay", "mock")
 
@@ -54,19 +58,10 @@ class TransportError(GatewayError):
 
 @dataclass(frozen=True)
 class GenerationRequest:
+    """One completion request; its decoding settings are the module constants."""
+
     model_id: str
     prompt: PromptText
-    temperature: float = 0.0
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    stop: tuple[str, ...] = (STOP_SEQUENCE,)
-
-    def validate(self) -> None:
-        if self.temperature != 0.0:
-            raise GatewayError("generation is greedy; temperature must be 0.0")
-        if self.max_tokens <= 0:
-            raise GatewayError("max_tokens must be positive")
-        if STOP_SEQUENCE not in self.stop:
-            raise GatewayError("stop sequences must include the prompt block separator")
 
 
 @dataclass(frozen=True)
@@ -78,14 +73,17 @@ class GenerationRecord:
     retries: int = 0
 
 
+def _decoding() -> dict:
+    """The fixed decoding settings, as every request is keyed, summarized and sent."""
+    return {"temperature": TEMPERATURE, "max_tokens": DEFAULT_MAX_TOKENS, "stop": list(STOP)}
+
+
 def cache_key(request: GenerationRequest) -> str:
     """Collision-resistant digest over the request's semantic fields."""
     payload = json.dumps(
         {
             "model_id": request.model_id,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-            "stop": list(request.stop),
+            **_decoding(),
             "prompt": request.prompt.text,
         },
         sort_keys=True,
@@ -97,9 +95,7 @@ def cache_key(request: GenerationRequest) -> str:
 def _request_summary(request: GenerationRequest) -> dict:
     return {
         "model_id": request.model_id,
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
-        "stop": list(request.stop),
+        **_decoding(),
         "prompt_chars": len(request.prompt.text),
         "demo_count": request.prompt.demo_count,
         "query_id": request.prompt.query_id,
@@ -116,15 +112,9 @@ class TransportReply:
 class HttpTransport:
     """POSTs chat-completion payloads; credential comes from an env var."""
 
-    def __init__(
-        self,
-        url: str,
-        credential_env: str = DEFAULT_CREDENTIAL_ENV,
-        timeout: float = 60.0,
-    ) -> None:
+    def __init__(self, url: str, credential_env: str = DEFAULT_CREDENTIAL_ENV) -> None:
         self.url = url
         self.credential_env = credential_env
-        self.timeout = timeout
         self._lock = threading.Lock()
         self.calls = 0
 
@@ -139,7 +129,7 @@ class HttpTransport:
                 self.url,
                 json=payload,
                 headers={"Authorization": f"Bearer {key}"},
-                timeout=self.timeout,
+                timeout=HTTP_TIMEOUT_S,
             )
         except requests.Timeout as exc:
             raise TransportError("request timed out") from exc
@@ -184,9 +174,7 @@ def _chat_payload(request: GenerationRequest) -> dict:
     return {
         "model": request.model_id,
         "messages": [{"role": "user", "content": request.prompt.text}],
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
-        "stop": list(request.stop),
+        **_decoding(),
     }
 
 
@@ -214,8 +202,9 @@ class Gateway:
     share the result, or the failure. A request that starts after that call
     failed goes upstream again.
 
-    `complete_all` resolves a batch: an ordered map over `complete` on up to
-    `max_in_flight` threads, whose cache lines land in request order.
+    `complete_all` resolves a batch: each key's first request goes through
+    `complete` on up to `max_in_flight` threads, repeats follow in order on
+    the calling thread, and the cache lines land in request order.
 
     `clock` is accepted and ignored: cache lines carry no timestamp.
     """
@@ -226,7 +215,6 @@ class Gateway:
         transport: HttpTransport | MockTransport | None = None,
         mock_completions: dict[str, str] | None = None,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_start: float = DEFAULT_BACKOFF_START,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] | None = None,
@@ -237,7 +225,6 @@ class Gateway:
         self.transport = transport
         self.mock_completions = mock_completions or {}
         self.max_in_flight = max_in_flight
-        self.max_attempts = max_attempts
         self.backoff_start = backoff_start
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -302,7 +289,6 @@ class Gateway:
         """
         if mode not in MODES:
             raise GatewayError(f"unknown mode {mode!r}; expected one of {MODES}")
-        request.validate()
         key = cache_key(request)
 
         with self._lock:
@@ -349,18 +335,16 @@ class Gateway:
     ) -> list[GenerationRecord]:
         """Resolve a batch of requests; the records come back in request order.
 
-        Every request is validated before any is sent, then passes once
-        through `complete`: a live batch with a cache miss maps over a pool of
-        at most `max_in_flight` threads, any other batch runs on the calling
-        thread. A key goes upstream once while its call is in flight; a repeat
-        that starts after that call failed tries again. As in a serial run,
-        the first request of a missing key gets the fresh record, and its
-        cache line is appended in request order. Every request is tried: the
+        Each key is sent once: the first request of every key passes through
+        `complete`, on a pool of at most `max_in_flight` threads when a live
+        batch has a cache miss, else on the calling thread. The requests are
+        then walked in order, and a repeat calls `complete` only after its
+        first request has resolved, so it gets a cache hit, or tries again if
+        that request failed. Every record that did not come from the cache
+        gets its cache line, in request order. Every request is tried: the
         records that did resolve are kept, then the first failure in request
         order is raised. No pool thread outlives the call.
         """
-        for request in requests:
-            request.validate()
 
         def resolve(request: GenerationRequest) -> GenerationRecord | Exception:
             try:
@@ -368,20 +352,20 @@ class Gateway:
             except Exception as exc:  # raised below, in request order
                 return exc
 
+        keys = [cache_key(request) for request in requests]
+        first: dict[str, int] = {}  # key -> position of its first request
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
         with self._lock:
-            missing = {cache_key(request) for request in requests} - self._cache.keys()
-        live = mode == "live" and missing
-        pool = ThreadPoolExecutor(min(self.max_in_flight, len(requests))) if live else None
+            live = mode == "live" and not first.keys() <= self._cache.keys()
+        pool = ThreadPoolExecutor(min(self.max_in_flight, len(first))) if live else None
         results: list[GenerationRecord | Exception] = []
         try:
-            for request, outcome in zip(requests, (pool.map if pool else map)(resolve, requests)):
-                if isinstance(outcome, GenerationRecord):
-                    # a repeat may reach `complete` before its first request does
-                    fresh = outcome.cache_key in missing
-                    missing.discard(outcome.cache_key)
-                    outcome = replace(outcome, source=mode if fresh else "replay")
-                    if fresh:
-                        self._append(outcome, request)
+            firsts = (pool.map if pool else map)(resolve, [requests[i] for i in first.values()])
+            for i, (key, request) in enumerate(zip(keys, requests)):
+                outcome = next(firsts) if first[key] == i else resolve(request)
+                if isinstance(outcome, GenerationRecord) and outcome.source != "replay":
+                    self._append(outcome, request)
                 results.append(outcome)
         finally:
             if pool is not None:
@@ -395,7 +379,7 @@ class Gateway:
         payload = _chat_payload(request)
         backoff = self.backoff_start
         last_error = "no attempts made"
-        for attempt in range(self.max_attempts):
+        for attempt in range(DEFAULT_MAX_ATTEMPTS):
             if attempt:
                 self._sleep(backoff)
                 backoff *= 2
@@ -427,5 +411,5 @@ class Gateway:
                 retries=attempt,
             )
         raise GatewayError(
-            f"giving up after {self.max_attempts} attempts for key {key}: {last_error}"
+            f"giving up after {DEFAULT_MAX_ATTEMPTS} attempts for key {key}: {last_error}"
         )

@@ -60,7 +60,6 @@ from privqa.scorer import (
     TrainConfig,
     TrainItem,
     TrainLog,
-    save_model,
     score_texts,
     train,
 )
@@ -68,6 +67,8 @@ from privqa.scorer import (
 REGIMES = ("FTC", "SFT", "FTCR")
 
 DEFAULT_SWEEP_RATIOS = (0.25, 0.5, 0.75, 1.0)
+
+BUDGET_TOLERANCE = 0.01  # how far a random baseline's corpus budget may miss the target
 
 
 class HarnessError(Exception):
@@ -149,7 +150,10 @@ def config_digest(config: ExperimentConfig) -> str:
 # Input assembly
 
 # Segment separator: a control character that never occurs in natural text,
-# so distinct (question, answer, contexts) tuples assemble to distinct inputs.
+# so distinct (question, answer, contexts) tuples assemble to distinct strings
+# for an external scorer. `str.split()` treats it as whitespace, so the
+# built-in featurizer has no boundary token: it sees the segments' tokens in
+# order, and a bigram may span two segments.
 SEPARATOR = "\x1e"
 
 
@@ -316,7 +320,10 @@ class ContextProvider:
     def augment_all(
         self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
     ) -> list[AugmentedInstance]:
-        """Augmented instances in input order; `kmap` covers every instance id."""
+        """Augmented instances in input order; an id `kmap` lacks fails before any completion."""
+        for inst in instances:
+            if inst.id not in kmap:
+                raise HarnessError(f"no keywords for instance {inst.id!r}")
         pairs = self.completions(instances, kmap)
         return [augment_completion(inst, *pair) for inst, pair in zip(instances, pairs)]
 
@@ -539,7 +546,6 @@ def _run(
     test: Dataset,
     provider,
     test_provider,
-    workdir: str | Path | None,
     transfer: dict | None = None,
 ) -> EvalReport:
     """Train on datasets' train/dev splits, predict `test`, and build the report."""
@@ -553,25 +559,18 @@ def _run(
         dataset["transfer"] = transfer
     budget = _budget_section(datasets["train"], train_kmap)
     ftcr = ftcr_admission(config, train_aug)
-    report = evaluate(model, config, test_aug, dataset, tlog=tlog, budget=budget, ftcr=ftcr)
-    if workdir is not None:
-        wd = Path(workdir)
-        wd.mkdir(parents=True, exist_ok=True)
-        save_model(model, wd / f"model-seed{config.seed}.npz")
-        write_report(report, wd / f"report-seed{config.seed}.json")
-    return report
+    return evaluate(model, config, test_aug, dataset, tlog=tlog, budget=budget, ftcr=ftcr)
 
 
 def run_experiment(
     config: ExperimentConfig,
     datasets: dict[str, Dataset],
     provider=None,
-    workdir: str | Path | None = None,
 ) -> EvalReport:
     """Train under the configured regime and evaluate on the test split."""
     config.validate()
     _require_splits(datasets, "train", "dev", "test")
-    return _run(config, datasets, datasets["test"], provider, provider, workdir)
+    return _run(config, datasets, datasets["test"], provider, provider)
 
 
 def run_ood(
@@ -580,16 +579,13 @@ def run_ood(
     target: dict[str, Dataset],
     provider=None,
     target_provider=None,
-    workdir: str | Path | None = None,
 ) -> EvalReport:
     """Train on the source domain, evaluate on the target domain's test split."""
     config.validate()
     _require_splits(source, "train", "dev")
     _require_splits(target, "test")
     transfer = {"source": source["train"].name, "target": target["test"].name}
-    return _run(
-        config, source, target["test"], provider, target_provider or provider, workdir, transfer
-    )
+    return _run(config, source, target["test"], provider, target_provider or provider, transfer)
 
 
 def run_budget_sweep(
@@ -603,7 +599,17 @@ def run_budget_sweep(
     Contexts are regenerated per ratio: a smaller disclosure changes the
     prompt, so cached generations from other ratios never leak in.
     """
+    _require_disclosure("budget sweep", config, provider)
     return [run_experiment(replace(config, ratio=ratio), datasets, provider) for ratio in ratios]
+
+
+def _require_disclosure(what: str, config: ExperimentConfig, provider) -> None:
+    """A run that varies the disclosed keywords needs contexts to disclose them to."""
+    config.validate()
+    if provider is None:
+        raise HarnessError(f"{what} needs a context provider")
+    if config.regime == "SFT":
+        raise HarnessError(f"{what} needs a context regime, not SFT")
 
 
 def _keyword_coverage(dataset: Dataset, kmap: dict[str, KeywordSet]) -> Dataset:
@@ -615,20 +621,15 @@ def run_representation_compare(
     config: ExperimentConfig,
     datasets: dict[str, Dataset],
     provider,
-    methods: Sequence[str] = (METHOD_NER, METHOD_RANDOM_SPAN, METHOD_RANDOM_WORDS),
-    budget_tolerance: float = 0.01,
 ) -> dict[str, EvalReport]:
     """Compare disclosure representations at a matched privacy budget.
 
     The entity-keyword budget on the shared subset (instances with at least
     one gazetteer match) sets the target; the random baselines disclose that
     fraction of each question. A baseline whose realized corpus budget lands
-    more than `budget_tolerance` from the target is an error.
+    more than `BUDGET_TOLERANCE` from the target is an error.
     """
-    config.validate()
-    if provider is None or config.regime == "SFT":
-        need = "a context provider" if provider is None else "a context regime, not SFT"
-        raise HarnessError(f"representation compare needs {need}")
+    _require_disclosure("representation compare", config, provider)
     _require_splits(datasets, "train", "dev", "test")
     ner_maps = {
         split: provider.keyword_map(ds, config.ratio, config.seed, METHOD_NER)
@@ -640,21 +641,19 @@ def run_representation_compare(
     for split, ds in shared.items():
         if not len(ds):
             raise HarnessError(f"no instances with keywords in split {split!r}")
-    target = corpus_budget_report(
-        shared["train"], ner_maps["train"]
-    ).budget
+    target = corpus_budget_report(shared["train"], ner_maps["train"]).budget
 
     out: dict[str, EvalReport] = {}
-    for method in methods:
+    for method in METHODS:
         ratio = config.ratio if method == METHOD_NER else target
         cfg = replace(config, method=method, ratio=ratio)
         if method != METHOD_NER:
             bmap = provider.keyword_map(shared["train"], ratio, cfg.seed, method)
             realized = corpus_budget_report(shared["train"], bmap).budget
-            if abs(realized - target) > budget_tolerance:
+            if abs(realized - target) > BUDGET_TOLERANCE:
                 raise HarnessError(
                     f"{method} budget {format_budget(realized)} misses target "
-                    f"{format_budget(target)} by more than {budget_tolerance:.0%}"
+                    f"{format_budget(target)} by more than {BUDGET_TOLERANCE:.0%}"
                 )
         out[method] = run_experiment(cfg, shared, provider)
     return out

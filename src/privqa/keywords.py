@@ -227,7 +227,6 @@ class BudgetReport:
     avg_keyword_words: float
     avg_question_words: float
     budget: float
-    per_instance: dict[str, float]
 
 
 def corpus_budget_report(dataset: Dataset, keyword_map: dict[str, KeywordSet]) -> BudgetReport:
@@ -240,7 +239,6 @@ def corpus_budget_report(dataset: Dataset, keyword_map: dict[str, KeywordSet]) -
         raise ExtractionError("empty dataset")
     total_k = 0
     total_q = 0
-    per_instance: dict[str, float] = {}
     for inst in dataset.instances:
         ks = keyword_map.get(inst.id)
         if ks is None:
@@ -250,7 +248,6 @@ def corpus_budget_report(dataset: Dataset, keyword_map: dict[str, KeywordSet]) -
             raise ExtractionError(f"instance {inst.id!r} has an empty question")
         total_k += ks.word_count
         total_q += qw
-        per_instance[inst.id] = ks.word_count / qw
     n = len(dataset.instances)
     avg_k = total_k / n
     avg_q = total_q / n
@@ -258,7 +255,6 @@ def corpus_budget_report(dataset: Dataset, keyword_map: dict[str, KeywordSet]) -
         avg_keyword_words=avg_k,
         avg_question_words=avg_q,
         budget=avg_k / avg_q,
-        per_instance=per_instance,
     )
 
 

@@ -64,11 +64,10 @@ class FeaturizerConfig:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Sparse counts: parallel index/value arrays, indices strictly below dim."""
+    """Sparse counts: parallel index/value arrays, indices below the featurizer's dim."""
 
     indices: np.ndarray
     values: np.ndarray
-    dim: int
 
 
 def _hash_token(token: str, seed: int, dim: int) -> int:
@@ -91,7 +90,7 @@ def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
             counts[idx] = counts.get(idx, 0.0) + 1.0
     idxs = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     vals = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    return FeatureVector(indices=idxs, values=vals, dim=config.dim)
+    return FeatureVector(indices=idxs, values=vals)
 
 
 @dataclass

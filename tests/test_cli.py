@@ -233,6 +233,14 @@ def test_compare_sft_is_user_error(capsys):
     assert "needs a context regime" in capsys.readouterr().err
 
 
+def test_sweep_sft_is_user_error(capsys, tmp_path):
+    # every ratio would train the same context-free model
+    argv = ["sweep", "--synthetic", "--regime", "SFT", "--train-size", "8", "--out", tmp_path / "out"]
+    assert run(argv + ["--dev-size", "4", "--test-size", "4"]) == 1
+    assert "budget sweep needs a context regime, not SFT" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_command(ws, capsys):
     root: Path = ws["root"]
     provider = ws["provider"]

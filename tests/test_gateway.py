@@ -58,24 +58,6 @@ def test_cache_key_covers_semantic_fields_only():
     assert cache_key(other_qid) == base
 
 
-def test_validate_rejects_sampling():
-    req = GenerationRequest(model_id="m", prompt=PROMPT, temperature=0.5)
-    with pytest.raises(GatewayError, match="temperature"):
-        req.validate()
-
-
-def test_validate_requires_stop_separator():
-    req = GenerationRequest(model_id="m", prompt=PROMPT, stop=("###",))
-    with pytest.raises(GatewayError, match="stop"):
-        req.validate()
-
-
-def test_validate_rejects_nonpositive_max_tokens():
-    req = GenerationRequest(model_id="m", prompt=PROMPT, max_tokens=0)
-    with pytest.raises(GatewayError, match="max_tokens"):
-        req.validate()
-
-
 def test_unknown_mode(tmp_path):
     gw = Gateway(tmp_path / "cache.jsonl")
     with pytest.raises(GatewayError, match="mode"):
@@ -398,16 +380,6 @@ def test_complete_all_failure_keeps_the_rest_in_order(tmp_path):
     assert cache_keys_in(path) == [cache_key(requests[i]) for i in kept + [4, 6]]
 
 
-def test_complete_all_validates_before_sending(tmp_path):
-    transport = MockTransport(Upstream())
-    gw = Gateway(tmp_path / "cache.jsonl", transport=transport)
-    bad = GenerationRequest(model_id="m", prompt=PROMPT, temperature=0.5)
-    with pytest.raises(GatewayError, match="temperature"):
-        gw.complete_all([*numbered_requests(3), bad], "live")
-    assert transport.calls == 0
-    assert not (tmp_path / "cache.jsonl").exists()
-
-
 def test_complete_all_repeated_key_goes_upstream_once(tmp_path):
     path = tmp_path / "cache.jsonl"
     first, second = numbered_requests(2)
@@ -545,27 +517,61 @@ def test_complete_all_calls_the_instance_complete_once_per_request(tmp_path):
     assert [r.source for r in records] == ["replay", "live", "live", "replay", "replay"]
 
 
-class LateRequest(GenerationRequest):
-    """A request whose pool thread stalls before `complete` takes its lock."""
-
-    def validate(self):
-        super().validate()
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.05)
-
-
 def test_complete_all_first_request_of_a_key_owns_it(tmp_path):
-    # The repeat reaches `complete` first and calls upstream, but as in a serial
-    # run the first request gets the fresh record and the cache line.
-    first = LateRequest(model_id=REQUEST.model_id, prompt=PROMPT)
+    # As in a serial run, the first request gets the fresh record and the cache
+    # line; the repeat is resolved after it, from the cache.
     repeat = replace(REQUEST, prompt=replace(PROMPT, query_id="q-repeat"))
     transport = MockTransport(lambda payload: ok("shared"))
     gw = Gateway(tmp_path / "cache.jsonl", transport=transport, max_in_flight=2)
-    records = gw.complete_all([first, repeat], "live")
+    records = gw.complete_all([REQUEST, repeat], "live")
     assert transport.calls == 1
     assert [r.source for r in records] == ["live", "replay"]
     lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["summary"]["query_id"] for line in lines] == ["q1"]
+
+
+class WatchedEvent(threading.Event):
+    """An in-flight Event that says when someone starts waiting on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.waited = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waited.set()
+        return super().wait(timeout)
+
+
+def test_complete_all_writes_no_line_for_a_key_fetched_outside_it(tmp_path):
+    # A caller outside the batch owns the key's upstream call and writes its
+    # line; the batch waits for that call and gets a cache hit, not a second line.
+    path = tmp_path / "cache.jsonl"
+    entered, release = threading.Event(), threading.Event()
+
+    def upstream(payload):
+        entered.set()
+        release.wait(10)
+        return ok("outside")
+
+    transport = MockTransport(upstream)
+    gw = Gateway(path, transport=transport, max_in_flight=2)
+    outside = threading.Thread(target=gw.complete, args=(REQUEST, "live"))
+    outside.start()
+    assert entered.wait(10)
+    watched = WatchedEvent()
+    with gw._lock:
+        gw._inflight[cache_key(REQUEST)] = watched
+    batch = []
+    inside = threading.Thread(target=lambda: batch.extend(gw.complete_all([REQUEST], "live")))
+    inside.start()
+    assert watched.waited.wait(10)
+    release.set()
+    outside.join(10)
+    inside.join(10)
+    assert not outside.is_alive() and not inside.is_alive()
+    assert transport.calls == 1
+    assert [(r.source, r.completion) for r in batch] == [("replay", "outside")]
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
 
 
 def run_batch(path, requests, delays, width):

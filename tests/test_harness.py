@@ -1,4 +1,3 @@
-import json
 import time
 
 import pytest
@@ -300,13 +299,30 @@ def test_pipeline_provider_requires_gazetteer(tmp_path, corpus, provider):
         pipe.keyword_map(corpus["dev"], 0.5, seed=0)
 
 
+def test_pipeline_augment_all_needs_every_keyword_set(tmp_path, corpus, provider):
+    data = corpus["dev"]
+    kmap = provider.keyword_map(data, 0.5, seed=SPEC.seed)
+    last = data.instances[-1].id
+    del kmap[last]
+    transport = MockTransport([TransportReply(500, {})])
+    pipe = PipelineProvider(
+        gateway=Gateway(tmp_path / "cache.jsonl", transport=transport),
+        demos=provider.demonstrations(corpus["train"]),
+        mode="live",
+    )
+    with pytest.raises(HarnessError, match=f"no keywords for instance {last!r}"):
+        pipe.augment_all(data.instances, kmap)
+    assert transport.calls == 0
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
 def test_pipeline_provider_requires_demos(tmp_path):
     with pytest.raises(HarnessError, match="demonstration"):
         PipelineProvider(gateway=Gateway(tmp_path / "c.jsonl"), demos=[])
 
 
-def test_run_experiment_ftc(corpus, provider, tmp_path):
-    report = run_experiment(small_config(), corpus, provider, workdir=tmp_path)
+def test_run_experiment_ftc(corpus, provider):
+    report = run_experiment(small_config(), corpus, provider)
     assert report.metrics["accuracy"] >= 0.9
     assert report.metrics["n"] == 24
     assert report.budget is not None
@@ -314,10 +330,6 @@ def test_run_experiment_ftc(corpus, provider, tmp_path):
     assert report.budget["formatted"] == "50.0%"
     assert report.ftcr is None
     assert report.provenance["config_digest"] == config_digest(small_config())
-    assert (tmp_path / "model-seed0.npz").exists()
-    assert (tmp_path / "report-seed0.json").exists()
-    on_disk = json.loads((tmp_path / "report-seed0.json").read_text())
-    assert on_disk["metrics"]["accuracy"] == report.metrics["accuracy"]
 
 
 class CountingProvider(SyntheticContextProvider):
@@ -465,6 +477,19 @@ def test_representation_compare_needs_disclosure(corpus, provider, regime, with_
     config = small_config(regime=regime, max_epochs=2)
     with pytest.raises(HarnessError, match=need):
         run_representation_compare(config, corpus, provider if with_provider else None)
+
+
+@pytest.mark.parametrize(
+    "regime, with_provider, need",
+    [("SFT", True, "context regime"), ("FTC", False, "context provider")],
+)
+def test_budget_sweep_needs_disclosure(corpus, provider, regime, with_provider, need, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("no run before the check")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    with pytest.raises(HarnessError, match=f"budget sweep needs a {need}"):
+        run_budget_sweep(small_config(regime=regime), corpus, provider if with_provider else None)
 
 
 def test_render_report_table(corpus, provider):

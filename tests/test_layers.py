@@ -6,7 +6,7 @@ the modules that know about instances, contexts or runs. Run reports are
 built by `harness.evaluate`; the CLI asks for one and only rebuilds saved
 reports it reads back. Every context provider materializes through the one
 `ContextProvider.augment_all`, and the context cue is spelled once, in
-`privqa.contexts`.
+`privqa.contexts`. No module keeps an import it does not use.
 """
 
 import ast
@@ -19,6 +19,8 @@ FORBIDDEN = {"privqa.contexts", "privqa.corpus", "privqa.harness"}
 REPORT_STEPS = {"accuracy", "predict_labels", "provenance", "asdict"}
 PROVIDER_MODULES = (SRC / "harness.py", SRC / "synthetic.py")
 CUE = "Context:"
+# not used in privqa.synthetic, but perfbench/tracer.py patches them there by name
+REEXPORTS = {"synthetic.parse_generation", "synthetic.subsample_keywords"}
 
 
 def parse(path: Path) -> ast.AST:
@@ -149,3 +151,42 @@ def test_cue_is_spelled_only_in_contexts():
         for line in cue_literals(parse(path))
     }
     assert not spelled, f"{CUE!r} is spelled outside privqa.contexts at {sorted(spelled)}"
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by module-level imports that the module never reads or exports."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = getattr(node, "targets", [])
+        if any(getattr(target, "id", None) == "__all__" for target in targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(bound - used)
+
+
+def test_unused_imports_sees_every_binding():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from a import b, c\n"
+        "from d import e as f, g\n"
+        "__all__ = ['g']\n"
+        "def h(x: c) -> None:\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(tree) == ["b", "f", "j"]
+
+
+def test_no_unused_imports():
+    unused = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in unused_imports(parse(path))
+    }
+    assert not unused - REEXPORTS, f"unused imports: {sorted(unused - REEXPORTS)}"

@@ -99,6 +99,15 @@ def test_assemble_input_scrubs_separator_from_segments():
     assert text.count(SEPARATOR) == 3
 
 
+def test_featurizer_sees_no_segment_boundary():
+    # str.split() treats the separator as whitespace: moving a word across a
+    # boundary leaves the features unchanged, and only external scorers see it
+    left = featurize(assemble_input("a b", "c", "", ""), CFG)
+    right = featurize(assemble_input("a", "b c", "", ""), CFG)
+    assert left.indices.tobytes() == right.indices.tobytes()
+    assert left.values.tobytes() == right.values.tobytes()
+
+
 def test_featurize_frozen_indices():
     fv = featurize("alpha beta", CFG)
     assert dict(zip(fv.indices, fv.values)) == {841: 1.0, 2440: 1.0, 3446: 1.0}
