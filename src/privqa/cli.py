@@ -104,12 +104,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _read_json(path: str) -> object:
+    """A JSON file's value; text that is not UTF-8 JSON fails naming the file and line."""
+    raw = Path(path).read_bytes()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise HarnessError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise HarnessError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
     path = getattr(args, "config", None)
     if not path:
         return
-    raw = Path(path).read_text(encoding="utf-8")
-    cfg = json.loads(raw)
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise HarnessError(f"config file {path} must hold a JSON object")
     for key, value in cfg.items():
@@ -121,6 +132,19 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             setattr(args, dest, value)
 
 
+def _exact(name: str, kind: type, value):
+    """`value` as a field of type `kind`; a bool is no number, and an int field
+    takes a float only when it is whole."""
+    if not isinstance(value, bool):
+        if isinstance(value, kind):
+            return value
+        if kind is float and isinstance(value, int):
+            return float(value)
+        if kind is int and isinstance(value, float) and value.is_integer():
+            return int(value)
+    raise HarnessError(f"{name}: {value!r} is not of type {kind.__name__}")
+
+
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """A validated config from the set flags; unset ones keep its defaults."""
     values = {}
@@ -128,11 +152,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, _FLAG_DEST.get(f.name, f.name), None)
         if value is None:
             continue
-        kind = type(f.default)
-        try:
-            values[f.name] = kind(value)
-        except (TypeError, ValueError):
-            raise HarnessError(f"{f.name}: {value!r} is not of type {kind.__name__}") from None
+        values[f.name] = _exact(f.name, type(f.default), value)
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
@@ -142,7 +162,7 @@ def _load_completions(path: str | None) -> dict[str, str] | None:
     """Canned completions for mock mode: a JSON object of instance id -> text."""
     if not path:
         return None
-    mock = json.loads(Path(path).read_text(encoding="utf-8"))
+    mock = _read_json(path)
     if not (isinstance(mock, dict) and all(isinstance(v, str) for v in mock.values())):
         raise HarnessError(f"completions file {path} must hold a JSON object of strings")
     return mock
@@ -379,7 +399,7 @@ def _cmd_ood(args) -> int:
 
 def _load_report(path: str) -> EvalReport:
     """A saved report, checked for the fields the summary table reads."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise HarnessError(f"report {path} must hold a JSON object")
     metrics, config, budget = data.get("metrics"), data.get("config", {}), data.get("budget")

@@ -134,8 +134,12 @@ def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
     p = Path(path)
     if not p.exists():
         raise DatasetFormatError(f"dataset file not found: {p}")
-    with p.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with p.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(f"{p}:{lineno}: not UTF-8 text ({exc.reason})") from exc
             if not line.strip():
                 continue
             try:

@@ -468,13 +468,17 @@ def train_scorer(
     config: ExperimentConfig,
     train_aug: Sequence[AugmentedInstance],
     dev_aug: Sequence[AugmentedInstance],
+    featurizer: FeaturizerConfig | None = None,
 ) -> tuple[ScorerModel, TrainLog]:
-    """Train under the configured regime, early-stopping on the dev instances."""
+    """Train under the configured regime, early-stopping on the dev instances.
+
+    `featurizer` must equal the config's; by default a fresh one is built.
+    """
     return train(
         config.train_config(),
         build_inputs(train_aug, config.regime, config.context_view()),
         build_inputs(dev_aug, "FTC", eval_view(config)),
-        config.featurizer(),
+        featurizer or config.featurizer(),
     )
 
 
@@ -547,11 +551,12 @@ def _run(
     provider,
     test_provider,
     transfer: dict | None = None,
+    featurizer: FeaturizerConfig | None = None,
 ) -> EvalReport:
     """Train on datasets' train/dev splits, predict `test`, and build the report."""
     train_aug, train_kmap = _materialize(config, datasets["train"], provider)
     dev_aug, _ = _materialize(config, datasets["dev"], provider)
-    model, tlog = train_scorer(config, train_aug, dev_aug)
+    model, tlog = train_scorer(config, train_aug, dev_aug, featurizer)
     test_aug, _ = _materialize(config, test, test_provider)
     sizes = {split: len(ds) for split, ds in sorted(datasets.items())}
     dataset = {"name": test.name, "split": test.split, "sizes": sizes}
@@ -566,11 +571,19 @@ def run_experiment(
     config: ExperimentConfig,
     datasets: dict[str, Dataset],
     provider=None,
+    featurizer: FeaturizerConfig | None = None,
 ) -> EvalReport:
-    """Train under the configured regime and evaluate on the test split."""
+    """Train under the configured regime and evaluate on the test split.
+
+    Runs handed one `featurizer` share its n-gram memo, so each n-gram is
+    hashed once across them; by default the run builds its own, which lives
+    as long as the run. A given featurizer must equal the config's.
+    """
     config.validate()
     _require_splits(datasets, "train", "dev", "test")
-    return _run(config, datasets, datasets["test"], provider, provider)
+    if featurizer is not None and featurizer != config.featurizer():
+        raise HarnessError(f"featurizer {featurizer} differs from the config's")
+    return _run(config, datasets, datasets["test"], provider, provider, featurizer=featurizer)
 
 
 def run_ood(
@@ -597,10 +610,15 @@ def run_budget_sweep(
     """Re-run the full pipeline at each keyword ratio.
 
     Contexts are regenerated per ratio: a smaller disclosure changes the
-    prompt, so cached generations from other ratios never leak in.
+    prompt, so cached generations from other ratios never leak in. The
+    ratios' runs share one featurizer, built for this sweep.
     """
     _require_disclosure("budget sweep", config, provider)
-    return [run_experiment(replace(config, ratio=ratio), datasets, provider) for ratio in ratios]
+    featurizer = config.featurizer()
+    return [
+        run_experiment(replace(config, ratio=ratio), datasets, provider, featurizer)
+        for ratio in ratios
+    ]
 
 
 def _require_disclosure(what: str, config: ExperimentConfig, provider) -> None:
@@ -627,7 +645,8 @@ def run_representation_compare(
     The entity-keyword budget on the shared subset (instances with at least
     one gazetteer match) sets the target; the random baselines disclose that
     fraction of each question. A baseline whose realized corpus budget lands
-    more than `BUDGET_TOLERANCE` from the target is an error.
+    more than `BUDGET_TOLERANCE` from the target is an error. The methods'
+    runs share one featurizer, built for this comparison.
     """
     _require_disclosure("representation compare", config, provider)
     _require_splits(datasets, "train", "dev", "test")
@@ -643,6 +662,7 @@ def run_representation_compare(
             raise HarnessError(f"no instances with keywords in split {split!r}")
     target = corpus_budget_report(shared["train"], ner_maps["train"]).budget
 
+    featurizer = config.featurizer()
     out: dict[str, EvalReport] = {}
     for method in METHODS:
         ratio = config.ratio if method == METHOD_NER else target
@@ -655,5 +675,5 @@ def run_representation_compare(
                     f"{method} budget {format_budget(realized)} misses target "
                     f"{format_budget(target)} by more than {BUDGET_TOLERANCE:.0%}"
                 )
-        out[method] = run_experiment(cfg, shared, provider)
+        out[method] = run_experiment(cfg, shared, provider, featurizer)
     return out

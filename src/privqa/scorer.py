@@ -24,7 +24,10 @@ import hashlib
 import json
 import math
 import random
+import zipfile
+import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -56,10 +59,12 @@ class FeaturizerConfig:
     hash_seed: int = 17
 
     def __post_init__(self) -> None:
-        # n-gram -> index memo filled by `featurize`. It lives on this object,
-        # which a run builds once, so every run starts cold; it is not a field,
-        # so equality, hashing and checkpoint metadata ignore it.
-        object.__setattr__(self, "_index", {})
+        # n-gram -> index memo filled by `featurize_texts`. It lives on this
+        # object, which a run, or one sweep or compare command, builds once, so
+        # each starts cold; it is not a field, so equality, hashing and
+        # checkpoint metadata ignore it.
+        object.__setattr__(self, "_tokens", _Tokens(self.dim, self.hash_seed))
+        object.__setattr__(self, "_bigrams", _Bigrams(self._tokens))
 
 
 @dataclass(frozen=True)
@@ -70,27 +75,148 @@ class FeatureVector:
     values: np.ndarray
 
 
-def _hash_token(token: str, seed: int, dim: int) -> int:
-    h = hashlib.blake2b(
-        token.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
-    ).digest()
-    return int.from_bytes(h, "little") % dim
+# Texts deduplicated per sort in `featurize_texts`. Chunks of 64 to 256 texts
+# featurize a split equally fast; larger ones raise peak memory (on the
+# default sweep, max RSS was ≈1 MB over the per-text featurizer's at 64 and
+# ≈3-4 MB at 256).
+CHUNK_TEXTS = 64
+
+# A bigram's memo key packs its two token ids into one int64.
+_ID_BITS = 32
+_LOW_ID = (1 << _ID_BITS) - 1
+
+
+class _Tokens(dict):
+    """Token -> token id, plus the memo's hashed indices.
+
+    An n-gram's index is the keyed 8-byte blake2b digest of its UTF-8 bytes
+    (a bigram's two tokens joined by U+001F), little-endian, modulo `dim`,
+    computed the first time the n-gram is seen. Each distinct index gets a
+    slot, numbered from 0 as first seen, and `indices[slot]` is that index:
+    n-grams that hash alike share a slot.
+    """
+
+    def __init__(self, dim: int, hash_seed: int) -> None:
+        super().__init__()
+        self.dim = dim
+        self.keyed = hashlib.blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
+        self.words: list[str] = []  # token id -> token
+        self.unigram_slots = np.empty(0, dtype=np.int64)  # token id -> slot
+        self.slots: dict[int, int] = {}  # index -> slot
+        self.indices = np.empty(0, dtype=np.int64)  # slot -> index
+
+    def slot(self, gram: str) -> int:
+        h = self.keyed.copy()
+        h.update(gram.encode("utf-8"))
+        index = int.from_bytes(h.digest(), "little") % self.dim
+        slot = self.slots.get(index)
+        if slot is None:
+            slot = self.slots[index] = len(self.slots)
+            self.indices = _grown(self.indices, slot + 1)
+            self.indices[slot] = index
+        return slot
+
+    def __missing__(self, word: str) -> int:
+        tid = self[word] = len(self.words)
+        self.words.append(word)
+        self.unigram_slots = _grown(self.unigram_slots, tid + 1)
+        self.unigram_slots[tid] = self.slot(word)
+        return tid
+
+
+class _Bigrams(dict):
+    """Two token ids packed in one int -> the bigram's slot in `tokens`.
+
+    It refers to `tokens` and not the other way round: with no reference
+    cycle, a dropped config frees its memo at once, not at the next full
+    garbage collection.
+    """
+
+    def __init__(self, tokens: _Tokens) -> None:
+        super().__init__()
+        self.tokens = tokens
+
+    def __missing__(self, key: int) -> int:
+        words = self.tokens.words
+        gram = words[key >> _ID_BITS] + "\x1f" + words[key & _LOW_ID]
+        slot = self[key] = self.tokens.slot(gram)
+        return slot
+
+
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """`array` if it has room for `size` entries, else a copy with room for twice that."""
+    if size <= array.size:
+        return array
+    out = np.empty(2 * size, dtype=array.dtype)
+    out[: array.size] = array
+    return out
+
+
+def featurize_texts(
+    texts: Sequence[str], config: FeaturizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hash word n-grams of each text into sparse counts, as flat arrays.
+
+    Returns (indices, values, sizes): text k's features are the `sizes[k]`
+    entries after the first `sizes[:k].sum()`. A text's distinct indices come
+    in first-occurrence order over its unigrams, then its bigrams, and each
+    value counts the text's n-grams that hash to that index.
+    """
+    parts = [
+        _featurize_chunk(texts[lo : lo + CHUNK_TEXTS], config._tokens, config._bigrams)
+        for lo in range(0, max(len(texts), 1), CHUNK_TEXTS)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _featurize_chunk(
+    texts: Sequence[str], tokens: _Tokens, bigrams: _Bigrams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    split = [text.lower().split() for text in texts]
+    lens = np.fromiter(map(len, split), np.int64, len(split))
+    words = list(chain.from_iterable(split))
+    ids = np.fromiter(map(tokens.__getitem__, words), np.int64, len(words))
+    # adjacent tokens form a bigram unless the second one starts a text
+    ends = np.cumsum(lens)
+    pairs = np.ones(ids.size, dtype=bool)
+    pairs[(ends - lens)[lens > 0]] = False
+    keys = ((ids[:-1] << _ID_BITS) | ids[1:])[pairs[1:]]
+
+    # lay each text out as its unigrams' slots, then its bigrams'
+    blens = np.maximum(lens - 1, 0)
+    seq = np.empty(ids.size + keys.size, dtype=np.int64)
+    unigram_at = np.arange(ids.size) + np.repeat(np.cumsum(blens) - blens, lens)
+    seq[unigram_at] = tokens.unigram_slots[ids]
+    seq[np.arange(keys.size) + np.repeat(ends, blens)] = np.fromiter(
+        map(bigrams.__getitem__, keys.tolist()), np.int64, keys.size
+    )
+    rows = np.repeat(np.arange(len(texts)), lens + blens)
+
+    # Sorted (slot, position) keys put each text's repeats of a slot next to
+    # each other, earliest first; the count goes to the earliest position.
+    # Slots and positions each stay far below 2**31, so the keys fit int64.
+    n = seq.size
+    bits = n.bit_length()
+    key = (seq << bits) | np.arange(n)
+    key.sort()
+    pos = key & ((1 << bits) - 1)
+    key >>= bits
+    row = rows[pos]
+    head = np.ones(n + 1, dtype=bool)
+    head[1:n] = (key[1:] != key[:-1]) | (row[1:] != row[:-1])
+    starts = np.flatnonzero(head)
+    counts = np.zeros(n)
+    counts[pos[starts[:-1]]] = starts[1:] - starts[:-1]
+    keep = counts > 0
+    return tokens.indices[seq[keep]], counts[keep], np.bincount(rows[keep], minlength=len(texts))
 
 
 def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
-    """Hash word n-grams of the text into a sparse count vector."""
-    tokens = text.lower().split()
-    index: dict[str, int] = config._index
-    counts: dict[int, float] = {}
-    for order in NGRAM_ORDERS:
-        for gram in map("\x1f".join, zip(*[tokens[k:] for k in range(order)])):
-            idx = index.get(gram)
-            if idx is None:
-                idx = index[gram] = _hash_token(gram, config.hash_seed, config.dim)
-            counts[idx] = counts.get(idx, 0.0) + 1.0
-    idxs = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    vals = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    return FeatureVector(indices=idxs, values=vals)
+    """Hash word n-grams of the text into a sparse count vector: one row of `featurize_texts`."""
+    indices, values, _ = featurize_texts([text], config)
+    return FeatureVector(indices=indices, values=values)
 
 
 @dataclass
@@ -126,11 +252,15 @@ def _scores(
     return [float(weights[i] @ v) + bias for i, v in zip(indices, values)]
 
 
+def _split(array: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """Consecutive slices of `array` with the given lengths."""
+    ends = np.cumsum(sizes).tolist()
+    return [array[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
 def score_texts(model: ScorerModel, labels: Sequence[str], texts: Sequence[str]) -> ScoreVector:
-    fvs = [featurize(t, model.featurizer) for t in texts]
-    raw = _scores(
-        model.weights, model.bias, [fv.indices for fv in fvs], [fv.values for fv in fvs]
-    )
+    indices, values, sizes = featurize_texts(texts, model.featurizer)
+    raw = _scores(model.weights, model.bias, _split(indices, sizes), _split(values, sizes))
     probs = softmax(raw)
     return ScoreVector(labels=tuple(labels), scores=tuple(raw), probs=tuple(float(p) for p in probs))
 
@@ -155,10 +285,6 @@ class LossGrad:
     bias_grad: float
 
 
-def _featurize_item(item: TrainItem, cfg: FeaturizerConfig) -> list[FeatureVector]:
-    return [featurize(t, cfg) for t in item.texts]
-
-
 @dataclass(frozen=True)
 class _Encoded:
     """One item's choices with indices remapped into a support's positions."""
@@ -171,32 +297,46 @@ class _Encoded:
     sizes: np.ndarray
 
 
-def _support(featurized: Sequence[tuple[list[FeatureVector], int]]) -> np.ndarray:
-    """Sorted distinct feature indices of the featurized items."""
-    return np.unique(np.concatenate([fv.indices for fvs, _ in featurized for fv in fvs]))
+def _featurize_items(
+    items: Sequence[TrainItem], cfg: FeaturizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every choice text of the items, featurized in one call."""
+    return featurize_texts([text for item in items for text in item.texts], cfg)
 
 
-def _encode(fvs: list[FeatureVector], gold: int, support: np.ndarray) -> _Encoded:
+def _encode(
+    items: Sequence[TrainItem],
+    featurized: tuple[np.ndarray, np.ndarray, np.ndarray],
+    support: np.ndarray,
+) -> list[_Encoded]:
     """Remap to positions in `support`; an index outside it maps to `support.size`.
 
     Outside n-grams are kept, not dropped, so each choice's dot product sums
     the same number of terms in the same order as over full-dim weights.
+    Every array of an item is a slice of the featurized arrays.
     """
-    flat = np.concatenate([fv.indices for fv in fvs])
-    pos = np.searchsorted(support, flat)
+    indices, values, sizes = featurized
+    pos = np.searchsorted(support, indices)
     found = pos < support.size
-    found[found] = support[pos[found]] == flat[found]
+    found[found] = support[pos[found]] == indices[found]
     pos[~found] = support.size
-    sizes = np.array([fv.indices.size for fv in fvs], dtype=np.int64)
-    values = tuple(fv.values for fv in fvs)
-    return _Encoded(
-        indices=tuple(np.split(pos, np.cumsum(sizes)[:-1])),
-        values=values,
-        gold=gold,
-        flat_indices=pos,
-        flat_values=np.concatenate(values),
-        sizes=sizes,
-    )
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    out = []
+    text = 0
+    for item in items:
+        edges = bounds[text : text + len(item.texts) + 1]
+        out.append(
+            _Encoded(
+                indices=tuple(pos[lo:hi] for lo, hi in zip(edges, edges[1:])),
+                values=tuple(values[lo:hi] for lo, hi in zip(edges, edges[1:])),
+                gold=item.gold_index,
+                flat_indices=pos[edges[0] : edges[-1]],
+                flat_values=values[edges[0] : edges[-1]],
+                sizes=sizes[text : text + len(item.texts)],
+            )
+        )
+        text += len(item.texts)
+    return out
 
 
 def _loss_grad(
@@ -235,9 +375,9 @@ def loss_and_grad(model: ScorerModel, batch: Sequence[TrainItem]) -> LossGrad:
     """
     if not batch:
         raise ScorerError("empty batch")
-    featurized = [(_featurize_item(item, model.featurizer), item.gold_index) for item in batch]
-    support = _support(featurized)
-    encoded = [_encode(fvs, gold, support) for fvs, gold in featurized]
+    featurized = _featurize_items(batch, model.featurizer)
+    support = np.unique(featurized[0])
+    encoded = _encode(batch, featurized, support)
     loss, grad, bias_grad = _loss_grad(model.weights[support], model.bias, encoded)
     return LossGrad(
         loss=loss, weight_grad=dict(zip(support.tolist(), grad.tolist())), bias_grad=bias_grad
@@ -284,13 +424,12 @@ def train(
         raise ScorerError("no dev items for early stopping")
     cfg = featurizer or FeaturizerConfig()
 
-    train_fv = [(_featurize_item(it, cfg), it.gold_index) for it in train_items]
-    dev_fv = [(_featurize_item(it, cfg), it.gold_index) for it in dev_items]
+    train_fv = _featurize_items(train_items, cfg)
     # Weights live at support positions 0..K-1. Slot K holds the dev n-grams
     # that never occur in training: its gradient is always 0, so it stays 0.0.
-    support = _support(train_fv)
-    train_enc = [_encode(fvs, gold, support) for fvs, gold in train_fv]
-    dev_enc = [_encode(fvs, gold, support) for fvs, gold in dev_fv]
+    support = np.unique(train_fv[0])
+    train_enc = _encode(train_items, train_fv, support)
+    dev_enc = _encode(dev_items, _featurize_items(dev_items, cfg), support)
 
     w = np.zeros(support.size + 1, dtype=np.float64)
     m = np.zeros_like(w)
@@ -381,15 +520,19 @@ def load_model(path: str | Path) -> ScorerModel:
     p = Path(path)
     if not p.exists():
         raise ScorerError(f"checkpoint not found: {p}")
-    with np.load(p, allow_pickle=False) as data:
-        try:
+    try:
+        with np.load(p, allow_pickle=False) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             weights = np.asarray(data["weights"], dtype=np.float64)
             bias = float(data["bias"])
             cfg = FeaturizerConfig(dim=int(meta["dim"]), hash_seed=int(meta["hash_seed"]))
             featurization = (meta["ngram_orders"], meta["lowercase"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScorerError(f"corrupt checkpoint {p}: {exc}") from exc
+    # a damaged archive surfaces as any of these, from zipfile, zlib or numpy
+    except (
+        OSError, EOFError, KeyError, TypeError, ValueError, RuntimeError,
+        zipfile.BadZipFile, zlib.error,
+    ) as exc:
+        raise ScorerError(f"corrupt checkpoint {p}: {exc}") from exc
     if featurization != (list(NGRAM_ORDERS), LOWERCASE):
         raise ScorerError(
             f"checkpoint {p}: ngram_orders {featurization[0]} and lowercase {featurization[1]}"

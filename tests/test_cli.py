@@ -404,6 +404,35 @@ def test_report_malformed_file_is_user_error(capsys, tmp_path, content):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, line",
+    [(b'{\n  metrics: 1}\n', 2), (b'{"metrics":\n {"n": "\xff"}}\n', 2)],
+    ids=["not-json", "not-utf8"],
+)
+def test_report_unreadable_file_names_file_and_line(capsys, tmp_path, raw, line):
+    path = tmp_path / "report.json"
+    path.write_bytes(raw)
+    assert run(["report", path]) == 1
+    assert f"error: {path}:{line}: " in capsys.readouterr().err
+
+
+def test_dataset_not_utf8_names_file_and_line(ws, capsys, tmp_path):
+    good = (ws["root"] / "data-dev.jsonl").read_bytes().splitlines(keepends=True)
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(good[0] + b'{"id": "caf\xe9"}\n')
+    keywords = ws["root"] / "kw-dev.jsonl"
+    assert run(["budget", "--data", path, "--keywords", keywords]) == 1
+    assert f"error: {path}:2: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_corrupt_checkpoint_is_user_error(ws, capsys, tmp_path):
+    checkpoint = tmp_path / "model.npz"
+    checkpoint.write_bytes(bytes(range(100)))
+    data = ws["root"] / "data-test.jsonl"
+    assert run(["eval", "--checkpoint", checkpoint, "--data", data]) == 1
+    assert f"corrupt checkpoint {checkpoint}" in capsys.readouterr().err
+
+
 def test_ingest_command(tmp_path, capsys):
     src = tmp_path / "src.jsonl"
     rows = [
@@ -669,6 +698,12 @@ def test_malformed_completions_is_user_error(ws, tmp_path, capsys, command, cont
         ("learning-rate", 0, "learning_rate"),
         ("learning-rate", "nan", "learning_rate"),
         ("batch-size", "eight", "batch_size"),
+        # a value must have its field's type exactly
+        ("dim", 3.5, "featurizer_dim"),
+        ("dim", True, "featurizer_dim"),
+        ("learning-rate", True, "learning_rate"),
+        ("seed", False, "seed"),
+        ("model", 5, "model_id"),
     ],
 )
 def test_bad_config_field_is_user_error(tmp_path, capsys, key, value, field):
@@ -677,6 +712,13 @@ def test_bad_config_field_is_user_error(tmp_path, capsys, key, value, field):
     code = run(["sweep", "--synthetic", "--train-size", "8", "--config", cfg])
     assert code == 1
     assert field in capsys.readouterr().err
+
+
+def test_config_whole_numbers_convert_exactly():
+    args = argparse.Namespace(dim=4096.0, learning_rate=1, seed=3)
+    cfg = cli._experiment_config(args)
+    assert (cfg.featurizer_dim, cfg.learning_rate, cfg.seed) == (4096, 1.0, 3)
+    assert (type(cfg.featurizer_dim), type(cfg.learning_rate)) == (int, float)
 
 
 @pytest.mark.parametrize("flag", ["--regime", "--view", "--method", "--mode"])

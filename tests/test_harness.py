@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -439,6 +440,67 @@ def test_run_budget_sweep(corpus, provider):
     assert abs(reports[1].budget["budget"] - 0.5) < 1e-12
     assert reports[0].config["ratio"] == 0.5
     assert reports[1].config["ratio"] == 1.0
+
+
+@pytest.fixture
+def featurizers(monkeypatch):
+    """Each `train` call's featurizer, with the number of tokens its memo held then."""
+    seen = []
+    real = harness.train
+
+    def spy(config, train_items, dev_items, featurizer):
+        seen.append((featurizer, len(featurizer._tokens)))
+        return real(config, train_items, dev_items, featurizer)
+
+    monkeypatch.setattr(harness, "train", spy)
+    return seen
+
+
+def assert_one_fresh_memo(runs):
+    first, known = runs[0]
+    assert known == 0  # the command starts from an empty memo
+    assert all(featurizer is first and known > 0 for featurizer, known in runs[1:])
+
+
+def test_sweep_runs_share_one_memo_per_call(corpus, provider, featurizers):
+    config = small_config(max_epochs=4)
+    ratios = (0.25, 0.5, 1.0)
+    firsts = []
+    for _ in range(2):
+        featurizers.clear()
+        reports = run_budget_sweep(config, corpus, provider, ratios=ratios)
+        assert_one_fresh_memo(featurizers)
+        firsts.append(featurizers[0][0])
+        for ratio, report in zip(ratios, reports):
+            alone = run_experiment(replace(config, ratio=ratio), corpus, provider)
+            assert render_report(report) == render_report(alone)
+    assert firsts[0] is not firsts[1]
+
+
+def test_compare_runs_share_one_memo_per_call(corpus, provider, featurizers):
+    config = small_config(max_epochs=4)
+    shared = {
+        split: harness._keyword_coverage(
+            ds, provider.keyword_map(ds, config.ratio, config.seed, METHOD_NER)
+        )
+        for split, ds in corpus.items()
+    }
+    firsts = []
+    for _ in range(2):
+        featurizers.clear()
+        out = run_representation_compare(config, corpus, provider)
+        assert_one_fresh_memo(featurizers)
+        firsts.append(featurizers[0][0])
+        for method, report in out.items():
+            cfg = replace(config, method=method, ratio=report.config["ratio"])
+            assert render_report(report) == render_report(run_experiment(cfg, shared, provider))
+    assert firsts[0] is not firsts[1]
+
+
+def test_run_experiment_rejects_another_featurizer(corpus, provider):
+    other = replace(small_config(), featurizer_dim=2**12).featurizer()
+    with pytest.raises(HarnessError, match="featurizer"):
+        run_experiment(small_config(), corpus, provider, other)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,9 @@
+import gc
+import hashlib
 import json
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -18,14 +21,16 @@ from privqa.harness import (
     predict_labels,
 )
 from privqa.scorer import (
+    CHUNK_TEXTS,
+    NGRAM_ORDERS,
     FeaturizerConfig,
     ScorerError,
     ScorerModel,
     TrainConfig,
     TrainingDiverged,
     TrainItem,
-    _hash_token,
     featurize,
+    featurize_texts,
     load_model,
     loss_and_grad,
     save_model,
@@ -108,6 +113,76 @@ def test_featurizer_sees_no_segment_boundary():
     assert left.values.tobytes() == right.values.tobytes()
 
 
+def _hash_token(token, seed, dim):
+    h = hashlib.blake2b(
+        token.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
+    ).digest()
+    return int.from_bytes(h, "little") % dim
+
+
+def reference_featurize(text, config):
+    """The featurizer as a per-text dict loop: (indices, values) in first-occurrence order."""
+    tokens = text.lower().split()
+    counts = {}
+    for order in NGRAM_ORDERS:
+        for gram in map("\x1f".join, zip(*[tokens[k:] for k in range(order)])):
+            idx = _hash_token(gram, config.hash_seed, config.dim)
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+    return (
+        np.fromiter(counts.keys(), dtype=np.int64, count=len(counts)),
+        np.fromiter(counts.values(), dtype=np.float64, count=len(counts)),
+    )
+
+
+def feature_rows(featurized):
+    """Per-text (indices bytes, values bytes) of `featurize_texts` output."""
+    indices, values, sizes = featurized
+    assert (indices.dtype, values.dtype, sizes.dtype) == (np.int64, np.float64, np.int64)
+    ends = np.cumsum(sizes).tolist()
+    return [
+        (indices[lo:hi].tobytes(), values[lo:hi].tobytes()) for lo, hi in zip([0, *ends], ends)
+    ]
+
+
+# mixed case, non-ASCII (with case maps that change length or depend on
+# context), the separator alone and inside a word, and bare whitespace
+TOKENS = st.sampled_from(
+    ["a", "A", "b", "ab", "Straße", "ΣΑΣ", "é", "İ", "日本", "tok1", "TOK1",
+     SEPARATOR, f"x{SEPARATOR}y", "\u00a0", "\t\n"]
+)
+TEXTS = st.one_of(st.lists(TOKENS, max_size=12).map(" ".join), st.text(max_size=12))
+# dims 1-7 make unigrams and bigrams collide; 2**62 overflows a sort key that
+# packs a text number with an index
+DIMS = st.one_of(st.integers(1, 7), st.just(2**62), st.just(4096))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.lists(TEXTS, max_size=8),
+    copies=st.sampled_from([1, 1, 2, CHUNK_TEXTS // 4 + 3]),
+    skip=st.integers(0, 5),
+    warmup=st.lists(TEXTS, max_size=8),
+    dim=DIMS,
+    hash_seed=st.integers(0, 2**16),
+)
+@example(
+    base=["a a b", "", " ", "A b a"], copies=CHUNK_TEXTS // 4 + 3, skip=1, warmup=["b a"],
+    dim=2**62, hash_seed=17,
+)
+def test_featurize_texts_equals_reference(base, copies, skip, warmup, dim, hash_seed):
+    texts = (base * copies)[skip:]
+    expected = [
+        (i.tobytes(), v.tobytes())
+        for i, v in (reference_featurize(t, FeaturizerConfig(dim, hash_seed)) for t in texts)
+    ]
+    assert feature_rows(featurize_texts(texts, FeaturizerConfig(dim, hash_seed))) == expected
+    # a memo warmed by earlier calls gives the rows a fresh one does
+    warm = FeaturizerConfig(dim, hash_seed)
+    featurize_texts(warmup, warm)
+    featurize_texts(texts[: len(texts) // 2], warm)
+    assert feature_rows(featurize_texts(texts, warm)) == expected
+
+
 def test_featurize_frozen_indices():
     fv = featurize("alpha beta", CFG)
     assert dict(zip(fv.indices, fv.values)) == {841: 1.0, 2440: 1.0, 3446: 1.0}
@@ -147,6 +222,19 @@ def test_featurize_memo_is_per_config(tmp_path):
     with np.load(tmp_path / "m.npz") as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
     assert meta == {"dim": 4096, "hash_seed": 17, "ngram_orders": [1, 2], "lowercase": True}
+
+
+def test_dropped_config_frees_its_memo_at_once():
+    # a reference cycle would keep the memo alive until a full collection
+    cfg = FeaturizerConfig(dim=4096)
+    featurize_texts(["alpha beta", "beta gamma"], cfg)
+    memo = [weakref.ref(cfg._tokens), weakref.ref(cfg._bigrams)]
+    gc.disable()
+    try:
+        del cfg
+        assert [ref() for ref in memo] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_featurize_empty():
