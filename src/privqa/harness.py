@@ -70,6 +70,11 @@ DEFAULT_SWEEP_RATIOS = (0.25, 0.5, 0.75, 1.0)
 
 BUDGET_TOLERANCE = 0.01  # how far a random baseline's corpus budget may miss the target
 
+# `extract_ner` results by (gazetteer, question). A run, or one sweep or
+# compare command, builds one and hands it to every keyword map it makes, so
+# each question is extracted once per command; it never outlives the command.
+Extractions = dict[tuple[Gazetteer, str], KeywordSet]
+
 
 class HarnessError(Exception):
     """An experiment was misconfigured or a pipeline step failed."""
@@ -251,6 +256,7 @@ def build_keyword_map(
     seed: int,
     method: str,
     gazetteer: Gazetteer | None,
+    extractions: Extractions | None = None,
 ) -> dict[str, KeywordSet]:
     """Per-instance disclosed keywords.
 
@@ -259,15 +265,21 @@ def build_keyword_map(
     ones. A question with no gazetteer match discloses nothing: it keeps the
     empty set, so its budget counts 0 words and its prompt carries only the
     answers. For the random baselines `ratio` is the disclosed fraction of
-    question words directly.
+    question words directly. Entity extraction reads and fills
+    `extractions`, by default a memo of this call alone.
     """
     if method == METHOD_NER and gazetteer is None:
         raise HarnessError("entity extraction needs a gazetteer")
+    if extractions is None:
+        extractions = {}
     out: dict[str, KeywordSet] = {}
     for inst in dataset.instances:
         inst_seed = stable_seed(seed, inst.id)
         if method == METHOD_NER:
-            ks = extract_ner(inst.question, gazetteer)
+            key = (gazetteer, inst.question)
+            ks = extractions.get(key)
+            if ks is None:
+                ks = extractions[key] = extract_ner(inst.question, gazetteer)
             out[inst.id] = subsample_keywords(ks, ratio, inst_seed) if ks.keywords else ks
         elif method == METHOD_RANDOM_SPAN:
             out[inst.id] = extract_random_span(inst.question, ratio, inst_seed)
@@ -314,8 +326,9 @@ class ContextProvider:
         ratio: float,
         seed: int,
         method: str = METHOD_NER,
+        extractions: Extractions | None = None,
     ) -> dict[str, KeywordSet]:
-        return build_keyword_map(dataset, ratio, seed, method, self.gazetteer)
+        return build_keyword_map(dataset, ratio, seed, method, self.gazetteer, extractions)
 
     def augment_all(
         self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
@@ -333,9 +346,10 @@ class ContextProvider:
         ratio: float,
         seed: int,
         method: str = METHOD_NER,
+        extractions: Extractions | None = None,
     ) -> tuple[list[AugmentedInstance], dict[str, KeywordSet]]:
         """The augmented instances and the keyword map their prompts disclosed."""
-        kmap = self.keyword_map(dataset, ratio, seed, method)
+        kmap = self.keyword_map(dataset, ratio, seed, method, extractions)
         return self.augment_all(dataset.instances, kmap), kmap
 
 
@@ -455,13 +469,13 @@ def _require_splits(datasets: dict[str, Dataset], *names: str) -> None:
 
 
 def _materialize(
-    config: ExperimentConfig, dataset: Dataset, provider
+    config: ExperimentConfig, dataset: Dataset, provider, extractions: Extractions
 ) -> tuple[list[AugmentedInstance], dict[str, KeywordSet] | None]:
     if config.regime == "SFT":
         return [plain_augmented(inst) for inst in dataset.instances], None
     if provider is None:
         raise HarnessError(f"regime {config.regime} needs a context provider")
-    return provider.provide(dataset, config.ratio, config.seed, config.method)
+    return provider.provide(dataset, config.ratio, config.seed, config.method, extractions)
 
 
 def train_scorer(
@@ -552,12 +566,19 @@ def _run(
     test_provider,
     transfer: dict | None = None,
     featurizer: FeaturizerConfig | None = None,
+    extractions: Extractions | None = None,
 ) -> EvalReport:
-    """Train on datasets' train/dev splits, predict `test`, and build the report."""
-    train_aug, train_kmap = _materialize(config, datasets["train"], provider)
-    dev_aug, _ = _materialize(config, datasets["dev"], provider)
+    """Train on datasets' train/dev splits, predict `test`, and build the report.
+
+    Both providers' keyword maps share `extractions`, by default a memo of
+    this run alone.
+    """
+    if extractions is None:
+        extractions = {}
+    train_aug, train_kmap = _materialize(config, datasets["train"], provider, extractions)
+    dev_aug, _ = _materialize(config, datasets["dev"], provider, extractions)
     model, tlog = train_scorer(config, train_aug, dev_aug, featurizer)
-    test_aug, _ = _materialize(config, test, test_provider)
+    test_aug, _ = _materialize(config, test, test_provider, extractions)
     sizes = {split: len(ds) for split, ds in sorted(datasets.items())}
     dataset = {"name": test.name, "split": test.split, "sizes": sizes}
     if transfer is not None:
@@ -572,18 +593,24 @@ def run_experiment(
     datasets: dict[str, Dataset],
     provider=None,
     featurizer: FeaturizerConfig | None = None,
+    extractions: Extractions | None = None,
 ) -> EvalReport:
     """Train under the configured regime and evaluate on the test split.
 
     Runs handed one `featurizer` share its n-gram memo, so each n-gram is
-    hashed once across them; by default the run builds its own, which lives
-    as long as the run. A given featurizer must equal the config's.
+    hashed once across them, and runs handed one `extractions` memo extract
+    each question once across them; by default the run builds its own of
+    each, which lives as long as the run. A given featurizer must equal the
+    config's.
     """
     config.validate()
     _require_splits(datasets, "train", "dev", "test")
     if featurizer is not None and featurizer != config.featurizer():
         raise HarnessError(f"featurizer {featurizer} differs from the config's")
-    return _run(config, datasets, datasets["test"], provider, provider, featurizer=featurizer)
+    return _run(
+        config, datasets, datasets["test"], provider, provider,
+        featurizer=featurizer, extractions=extractions,
+    )
 
 
 def run_ood(
@@ -611,12 +638,14 @@ def run_budget_sweep(
 
     Contexts are regenerated per ratio: a smaller disclosure changes the
     prompt, so cached generations from other ratios never leak in. The
-    ratios' runs share one featurizer, built for this sweep.
+    ratios' runs share one featurizer and one extraction memo, built for
+    this sweep: extraction does not depend on the ratio.
     """
     _require_disclosure("budget sweep", config, provider)
     featurizer = config.featurizer()
+    extractions: Extractions = {}
     return [
-        run_experiment(replace(config, ratio=ratio), datasets, provider, featurizer)
+        run_experiment(replace(config, ratio=ratio), datasets, provider, featurizer, extractions)
         for ratio in ratios
     ]
 
@@ -646,12 +675,14 @@ def run_representation_compare(
     one gazetteer match) sets the target; the random baselines disclose that
     fraction of each question. A baseline whose realized corpus budget lands
     more than `BUDGET_TOLERANCE` from the target is an error. The methods'
-    runs share one featurizer, built for this comparison.
+    runs share one featurizer and one extraction memo, built for this
+    comparison, so the entity run re-extracts nothing.
     """
     _require_disclosure("representation compare", config, provider)
     _require_splits(datasets, "train", "dev", "test")
+    extractions: Extractions = {}
     ner_maps = {
-        split: provider.keyword_map(ds, config.ratio, config.seed, METHOD_NER)
+        split: provider.keyword_map(ds, config.ratio, config.seed, METHOD_NER, extractions)
         for split, ds in datasets.items()
     }
     shared = {
@@ -675,5 +706,5 @@ def run_representation_compare(
                     f"{method} budget {format_budget(realized)} misses target "
                     f"{format_budget(target)} by more than {BUDGET_TOLERANCE:.0%}"
                 )
-        out[method] = run_experiment(cfg, shared, provider, featurizer)
+        out[method] = run_experiment(cfg, shared, provider, featurizer, extractions)
     return out

@@ -302,8 +302,12 @@ def load_keyword_sets(path: str | Path) -> dict[str, KeywordSet]:
     if not p.exists():
         raise ExtractionError(f"keyword file not found: {p}")
     out: dict[str, KeywordSet] = {}
-    with p.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with p.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ExtractionError(f"{p}:{lineno}: not UTF-8 text ({exc.reason})") from exc
             if not line.strip():
                 continue
             try:

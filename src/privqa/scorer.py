@@ -9,7 +9,8 @@ position with AdamW-style decoupled weight decay, linear warmup, and early
 stopping on development accuracy.
 
 Training runs over the feature support: the hashed indices that occur in
-the training texts, remapped to a compact range. A feature outside the
+the training texts, remapped to a compact range through the featurizer
+memo's slots (in the order the memo first saw them). A feature outside the
 support gets zero gradient at every step, so under decoupled decay its
 Adam moments and its weight stay exactly 0; every optimizer operation is
 elementwise, and the gradient is summed in the same order as a per-item
@@ -59,6 +60,11 @@ class FeaturizerConfig:
     hash_seed: int = 17
 
     def __post_init__(self) -> None:
+        # indices are int64 and the hash key is 8 little-endian bytes
+        if not 1 <= self.dim <= 2**63:
+            raise ScorerError(f"featurizer dim {self.dim} outside [1, 2**63]")
+        if not 0 <= self.hash_seed < 2**64:
+            raise ScorerError(f"featurizer hash_seed {self.hash_seed} outside [0, 2**64)")
         # n-gram -> index memo filled by `featurize_texts`. It lives on this
         # object, which a run, or one sweep or compare command, builds once, so
         # each starts cold; it is not a field, so equality, hashing and
@@ -162,6 +168,14 @@ def featurize_texts(
     in first-occurrence order over its unigrams, then its bigrams, and each
     value counts the text's n-grams that hash to that index.
     """
+    slots, values, sizes = _featurize_slots(texts, config)
+    return config._tokens.indices[slots], values, sizes
+
+
+def _featurize_slots(
+    texts: Sequence[str], config: FeaturizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`featurize_texts` with each index given as its slot in the config's memo."""
     parts = [
         _featurize_chunk(texts[lo : lo + CHUNK_TEXTS], config._tokens, config._bigrams)
         for lo in range(0, max(len(texts), 1), CHUNK_TEXTS)
@@ -210,7 +224,7 @@ def _featurize_chunk(
     counts = np.zeros(n)
     counts[pos[starts[:-1]]] = starts[1:] - starts[:-1]
     keep = counts > 0
-    return tokens.indices[seq[keep]], counts[keep], np.bincount(rows[keep], minlength=len(texts))
+    return seq[keep], counts[keep], np.bincount(rows[keep], minlength=len(texts))
 
 
 def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
@@ -300,26 +314,30 @@ class _Encoded:
 def _featurize_items(
     items: Sequence[TrainItem], cfg: FeaturizerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every choice text of the items, featurized in one call."""
-    return featurize_texts([text for item in items for text in item.texts], cfg)
+    """Every choice text of the items, featurized to memo slots in one call."""
+    return _featurize_slots([text for item in items for text in item.texts], cfg)
+
+
+def _positions(cfg: FeaturizerConfig, support: np.ndarray) -> np.ndarray:
+    """Slot -> position in `support`, an array of slots; other slots map to `support.size`.
+
+    It has one entry per slot of the config's memo, not per index of `dim`.
+    """
+    position = np.full(len(cfg._tokens.slots), support.size, dtype=np.int64)
+    position[support] = np.arange(support.size)
+    return position
 
 
 def _encode(
-    items: Sequence[TrainItem],
-    featurized: tuple[np.ndarray, np.ndarray, np.ndarray],
-    support: np.ndarray,
+    items: Sequence[TrainItem], positions: np.ndarray, values: np.ndarray, sizes: np.ndarray
 ) -> list[_Encoded]:
-    """Remap to positions in `support`; an index outside it maps to `support.size`.
+    """Split the items' featurized choices, with indices already remapped to positions.
 
-    Outside n-grams are kept, not dropped, so each choice's dot product sums
-    the same number of terms in the same order as over full-dim weights.
-    Every array of an item is a slice of the featurized arrays.
+    An n-gram outside the support is kept at position K, not dropped, so
+    each choice's dot product sums the same number of terms in the same
+    order as over full-dim weights. Every array of an item is a slice of the
+    given arrays.
     """
-    indices, values, sizes = featurized
-    pos = np.searchsorted(support, indices)
-    found = pos < support.size
-    found[found] = support[pos[found]] == indices[found]
-    pos[~found] = support.size
     bounds = [0, *np.cumsum(sizes).tolist()]
     out = []
     text = 0
@@ -327,10 +345,10 @@ def _encode(
         edges = bounds[text : text + len(item.texts) + 1]
         out.append(
             _Encoded(
-                indices=tuple(pos[lo:hi] for lo, hi in zip(edges, edges[1:])),
+                indices=tuple(positions[lo:hi] for lo, hi in zip(edges, edges[1:])),
                 values=tuple(values[lo:hi] for lo, hi in zip(edges, edges[1:])),
                 gold=item.gold_index,
-                flat_indices=pos[edges[0] : edges[-1]],
+                flat_indices=positions[edges[0] : edges[-1]],
                 flat_values=values[edges[0] : edges[-1]],
                 sizes=sizes[text : text + len(item.texts)],
             )
@@ -375,13 +393,15 @@ def loss_and_grad(model: ScorerModel, batch: Sequence[TrainItem]) -> LossGrad:
     """
     if not batch:
         raise ScorerError("empty batch")
-    featurized = _featurize_items(batch, model.featurizer)
-    support = np.unique(featurized[0])
-    encoded = _encode(batch, featurized, support)
-    loss, grad, bias_grad = _loss_grad(model.weights[support], model.bias, encoded)
-    return LossGrad(
-        loss=loss, weight_grad=dict(zip(support.tolist(), grad.tolist())), bias_grad=bias_grad
-    )
+    cfg = model.featurizer
+    slots, values, sizes = _featurize_items(batch, cfg)
+    support = np.flatnonzero(np.bincount(slots))
+    encoded = _encode(batch, _positions(cfg, support)[slots], values, sizes)
+    indices = cfg._tokens.indices[support]
+    loss, grad, bias_grad = _loss_grad(model.weights[indices], model.bias, encoded)
+    # in index order, so the memo's slot order never shows
+    weight_grad = dict(sorted(zip(indices.tolist(), grad.tolist())))
+    return LossGrad(loss=loss, weight_grad=weight_grad, bias_grad=bias_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +444,15 @@ def train(
         raise ScorerError("no dev items for early stopping")
     cfg = featurizer or FeaturizerConfig()
 
-    train_fv = _featurize_items(train_items, cfg)
-    # Weights live at support positions 0..K-1. Slot K holds the dev n-grams
-    # that never occur in training: its gradient is always 0, so it stays 0.0.
-    support = np.unique(train_fv[0])
-    train_enc = _encode(train_items, train_fv, support)
-    dev_enc = _encode(dev_items, _featurize_items(dev_items, cfg), support)
+    train_slots, train_values, train_sizes = _featurize_items(train_items, cfg)
+    dev_slots, dev_values, dev_sizes = _featurize_items(dev_items, cfg)
+    # Weights live at support positions 0..K-1, one per slot the training
+    # texts use. Position K holds the dev n-grams that never occur in
+    # training: its gradient is always 0, so it stays 0.0.
+    support = np.flatnonzero(np.bincount(train_slots))
+    position = _positions(cfg, support)
+    train_enc = _encode(train_items, position[train_slots], train_values, train_sizes)
+    dev_enc = _encode(dev_items, position[dev_slots], dev_values, dev_sizes)
 
     w = np.zeros(support.size + 1, dtype=np.float64)
     m = np.zeros_like(w)
@@ -493,7 +516,7 @@ def train(
     if log.stopped_epoch < 0:
         log.stopped_epoch = len(log.history) - 1
     weights = np.zeros(cfg.dim, dtype=np.float64)
-    weights[support] = best_w[:-1]
+    weights[cfg._tokens.indices[support]] = best_w[:-1]
     return ScorerModel(weights=weights, bias=best_bias, featurizer=cfg), log
 
 
@@ -527,10 +550,11 @@ def load_model(path: str | Path) -> ScorerModel:
             bias = float(data["bias"])
             cfg = FeaturizerConfig(dim=int(meta["dim"]), hash_seed=int(meta["hash_seed"]))
             featurization = (meta["ngram_orders"], meta["lowercase"])
-    # a damaged archive surfaces as any of these, from zipfile, zlib or numpy
+    # a damaged archive surfaces as any of these, from zipfile, zlib or numpy,
+    # and meta outside the featurizer's range as a ScorerError
     except (
         OSError, EOFError, KeyError, TypeError, ValueError, RuntimeError,
-        zipfile.BadZipFile, zlib.error,
+        zipfile.BadZipFile, zlib.error, ScorerError,
     ) as exc:
         raise ScorerError(f"corrupt checkpoint {p}: {exc}") from exc
     if featurization != (list(NGRAM_ORDERS), LOWERCASE):

@@ -2,6 +2,7 @@ import argparse
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from privqa import cli
@@ -431,6 +432,43 @@ def test_corrupt_checkpoint_is_user_error(ws, capsys, tmp_path):
     data = ws["root"] / "data-test.jsonl"
     assert run(["eval", "--checkpoint", checkpoint, "--data", data]) == 1
     assert f"corrupt checkpoint {checkpoint}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--hash-seed", "-1", "hash_seed -1 outside [0, 2**64)"),
+        ("--hash-seed", str(2**64), f"hash_seed {2**64} outside [0, 2**64)"),
+        ("--dim", str(2**64), f"dim {2**64} outside [1, 2**63]"),
+    ],
+)
+def test_featurizer_setting_out_of_range_is_user_error(capsys, flag, value, message):
+    # the featurizer keys its hash with 8 bytes and keeps int64 indices
+    assert run(["sweep", "--synthetic", "--train-size", "8", flag, value]) == 1
+    assert f"error: featurizer {message}" in capsys.readouterr().err
+
+
+def test_checkpoint_with_out_of_range_hash_seed_is_user_error(ws, capsys, tmp_path):
+    checkpoint = tmp_path / "model.npz"
+    meta = {"dim": 16, "hash_seed": -1, "ngram_orders": [1, 2], "lowercase": True}
+    np.savez(
+        checkpoint,
+        weights=np.zeros(16),
+        bias=np.float64(0.0),
+        meta=np.bytes_(json.dumps(meta).encode("utf-8")),
+    )
+    data = ws["root"] / "data-test.jsonl"
+    assert run(["eval", "--checkpoint", checkpoint, "--data", data]) == 1
+    err = capsys.readouterr().err
+    assert f"corrupt checkpoint {checkpoint}: featurizer hash_seed -1 outside" in err
+
+
+def test_keyword_file_not_utf8_names_file_and_line(ws, capsys, tmp_path):
+    keywords = tmp_path / "kw.jsonl"
+    keywords.write_bytes(b"\xff")
+    data = ws["root"] / "data-train.jsonl"
+    assert run(["budget", "--data", data, "--keywords", keywords]) == 1
+    assert f"error: {keywords}:1: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_ingest_command(tmp_path, capsys):

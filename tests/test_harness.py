@@ -443,6 +443,50 @@ def test_run_budget_sweep(corpus, provider):
 
 
 @pytest.fixture
+def extracted(monkeypatch):
+    """The question of each `harness.extract_ner` call, in call order."""
+    seen = []
+    real = harness.extract_ner
+
+    def spy(question, gazetteer):
+        seen.append(question)
+        return real(question, gazetteer)
+
+    monkeypatch.setattr(harness, "extract_ner", spy)
+    return seen
+
+
+def questions(datasets):
+    return {inst.question for ds in datasets.values() for inst in ds.instances}
+
+
+def test_sweep_extracts_each_question_once_per_call(corpus, provider, extracted):
+    for _ in range(2):  # a second sweep starts from an empty memo again
+        extracted.clear()
+        run_budget_sweep(small_config(max_epochs=1), corpus, provider, ratios=(0.25, 0.5, 1.0))
+        assert sorted(extracted) == sorted(questions(corpus))
+
+
+def test_compare_entity_run_extracts_nothing_again(corpus, provider, extracted):
+    # the matched-budget maps extract every question; the entity run reuses them
+    run_representation_compare(small_config(max_epochs=1), corpus, provider)
+    assert sorted(extracted) == sorted(questions(corpus))
+
+
+def test_ood_memo_keeps_each_providers_gazetteer(corpus):
+    # the target domain asks the source's training questions, but its
+    # gazetteer knows only half of the source's terms
+    source = CountingProvider(SPEC)
+    target = CountingProvider(SPEC)
+    target.gazetteer = Gazetteer(gazetteer_tokens(SPEC)[::2])
+    shared = replace(corpus["train"], name="target", split="test")
+    run_ood(small_config(max_epochs=1), corpus, {"test": shared}, source, target)
+    want = build_keyword_map(shared, 1.0, 0, METHOD_NER, target.gazetteer)
+    assert target.provided["test"] == want
+    assert want != build_keyword_map(shared, 1.0, 0, METHOD_NER, source.gazetteer)
+
+
+@pytest.fixture
 def featurizers(monkeypatch):
     """Each `train` call's featurizer, with the number of tokens its memo held then."""
     seen = []

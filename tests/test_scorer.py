@@ -533,6 +533,34 @@ def test_train_is_deterministic():
     assert log1.history == log2.history
 
 
+def test_slot_order_does_not_leak_into_results():
+    # the memo numbers slots in first-seen order, and training lays its
+    # support out in slot order; a memo warmed on other texts, in another
+    # order, numbers the same n-grams differently and must change nothing
+    rng = random.Random(9)
+    train_items = make_separable_items(40, rng)
+    dev_items = make_separable_items(15, rng)
+    texts = [text for item in dev_items + train_items for text in item.texts]
+    warm = FeaturizerConfig(dim=4096, hash_seed=17)
+    featurize_texts(["a warm up text"] + [" ".join(t.split()[::-1]) for t in texts[::-1]], warm)
+    cold = FeaturizerConfig(dim=4096, hash_seed=17)
+    config = TrainConfig(max_epochs=5, seed=7)
+    cold_model, cold_log = train(config, train_items, dev_items, featurizer=cold)
+    warm_model, warm_log = train(config, train_items, dev_items, featurizer=warm)
+    assert any(warm._tokens.slots[i] != slot for i, slot in cold._tokens.slots.items())
+    assert warm_model.weights.tobytes() == cold_model.weights.tobytes()
+    assert warm_model.bias == cold_model.bias
+    assert warm_log.history == cold_log.history
+
+    weights = np.array([rng.gauss(0, 0.5) for _ in range(4096)])
+    cold_grad, warm_grad = (
+        loss_and_grad(ScorerModel(weights, 0.3, cfg), train_items[:8])
+        for cfg in (FeaturizerConfig(dim=4096, hash_seed=17), warm)
+    )
+    assert warm_grad == cold_grad
+    assert list(warm_grad.weight_grad) == list(cold_grad.weight_grad)
+
+
 def test_train_seed_changes_trajectory():
     rng = random.Random(9)
     train_items = make_separable_items(40, rng)
