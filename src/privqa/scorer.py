@@ -8,14 +8,21 @@ across an item's choices; training minimizes mean cross-entropy of the gold
 position with AdamW-style decoupled weight decay, linear warmup, and early
 stopping on development accuracy.
 
+Every score goes through one kernel, `_raw_scores`: a text's score is its
+terms `w[i] * v` summed left to right in featurizer order, plus the bias. It
+is one `np.bincount` call, which adds in input order on every CPU, and the
+softmax exponent is `math.exp` per element; no BLAS or SIMD-dispatched
+reduction decides a result, so identical inputs give identical bits under
+any OpenBLAS kernel or numpy CPU-feature set.
+
 Training runs over the feature support: the hashed indices that occur in
 the training texts, remapped to a compact range through the featurizer
 memo's slots (in the order the memo first saw them). A feature outside the
 support gets zero gradient at every step, so under decoupled decay its
 Adam moments and its weight stay exactly 0; every optimizer operation is
-elementwise, and the gradient is summed in the same order as a per-item
-loop. The trained weights, bias and log therefore equal those of dense
-Adam over all `dim` weights bit for bit, and the returned model is
+elementwise, and scores and gradients are summed in the same order as over
+full-dim weights. The trained weights, bias and log therefore equal those
+of dense Adam over all `dim` weights bit for bit, and the returned model is
 full-dim.
 """
 
@@ -252,31 +259,61 @@ class ScoreVector:
     probs: tuple[float, ...]
 
 
+def _raw_scores(
+    weights: np.ndarray,
+    bias: float,
+    indices: np.ndarray,
+    values: np.ndarray,
+    rows: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """Raw score of each of `n` texts.
+
+    Term j is `weights[indices[j]] * values[j]` and belongs to text `rows[j]`.
+    bincount adds its weights in input order, so each text's terms are summed
+    left to right and the bias is added after. With no terms it returns
+    int64 zeros, which `+ bias` turns into floats.
+    """
+    return np.bincount(rows, weights=weights[indices] * values, minlength=n) + bias
+
+
+def _softmax_groups(scores: np.ndarray, group: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Softmax within each group of consecutive scores; group g starts at `starts[g]`.
+
+    numpy's `exp` picks its kernel by CPU feature, so the exponent is
+    `math.exp` per element; bincount sums each group left to right.
+    """
+    shifted = scores - np.maximum.reduceat(scores, starts)[group]
+    e = np.fromiter(map(math.exp, shifted.tolist()), np.float64, shifted.size)
+    return e / np.bincount(group, weights=e)[group]
+
+
 def softmax(scores: Sequence[float]) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
-    s = s - s.max()
-    e = np.exp(s)
-    return e / e.sum()
+    return _softmax_groups(s, np.zeros(s.size, dtype=np.int64), np.zeros(1, dtype=np.int64))
 
 
-def _scores(
-    weights: np.ndarray, bias: float, indices: Sequence[np.ndarray], values: Sequence[np.ndarray]
-) -> list[float]:
-    """Raw score per choice: one dot product over the choice's own n-grams."""
-    return [float(weights[i] @ v) + bias for i, v in zip(indices, values)]
+def best_choices(scores: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """Each group's `np.argmax` over its `counts[g]` consecutive scores.
+
+    Exact ties go to the lowest position, and a NaN counts as the maximum.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if not counts.size:
+        return counts
+    starts = np.cumsum(counts) - counts
+    group = np.repeat(np.arange(counts.size), counts)
+    top = np.maximum.reduceat(scores, starts)[group]
+    local = np.arange(scores.size) - starts[group]
+    hit = (scores == top) | np.isnan(scores)
+    return np.minimum.reduceat(np.where(hit, local, scores.size), starts)
 
 
-def _split(array: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
-    """Consecutive slices of `array` with the given lengths."""
-    ends = np.cumsum(sizes).tolist()
-    return [array[lo:hi] for lo, hi in zip([0, *ends], ends)]
-
-
-def score_texts(model: ScorerModel, labels: Sequence[str], texts: Sequence[str]) -> ScoreVector:
+def score_texts(model: ScorerModel, texts: Sequence[str]) -> np.ndarray:
+    """Raw score of each text: one featurizing pass and one kernel call."""
     indices, values, sizes = featurize_texts(texts, model.featurizer)
-    raw = _scores(model.weights, model.bias, _split(indices, sizes), _split(values, sizes))
-    probs = softmax(raw)
-    return ScoreVector(labels=tuple(labels), scores=tuple(raw), probs=tuple(float(p) for p in probs))
+    rows = np.repeat(np.arange(len(texts)), sizes)
+    return _raw_scores(model.weights, model.bias, indices, values, rows, len(texts))
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +338,15 @@ class LossGrad:
 
 @dataclass(frozen=True)
 class _Encoded:
-    """One item's choices with indices remapped into a support's positions."""
+    """One item's terms, choice after choice, with indices remapped into a support's positions.
 
-    indices: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
-    gold: int
-    flat_indices: np.ndarray
-    flat_values: np.ndarray
+    Choice c has `sizes[c]` terms.
+    """
+
+    positions: np.ndarray
+    values: np.ndarray
     sizes: np.ndarray
+    gold: int
 
 
 def _featurize_items(
@@ -334,55 +372,49 @@ def _encode(
     """Split the items' featurized choices, with indices already remapped to positions.
 
     An n-gram outside the support is kept at position K, not dropped, so
-    each choice's dot product sums the same number of terms in the same
-    order as over full-dim weights. Every array of an item is a slice of the
-    given arrays.
+    each choice's score sums the same terms in the same order as over
+    full-dim weights. Every array of an item is a slice of the given arrays.
     """
     bounds = [0, *np.cumsum(sizes).tolist()]
     out = []
     text = 0
     for item in items:
-        edges = bounds[text : text + len(item.texts) + 1]
-        out.append(
-            _Encoded(
-                indices=tuple(positions[lo:hi] for lo, hi in zip(edges, edges[1:])),
-                values=tuple(values[lo:hi] for lo, hi in zip(edges, edges[1:])),
-                gold=item.gold_index,
-                flat_indices=positions[edges[0] : edges[-1]],
-                flat_values=values[edges[0] : edges[-1]],
-                sizes=sizes[text : text + len(item.texts)],
-            )
-        )
-        text += len(item.texts)
+        end = text + len(item.texts)
+        lo, hi = bounds[text], bounds[end]
+        out.append(_Encoded(positions[lo:hi], values[lo:hi], sizes[text:end], item.gold_index))
+        text = end
     return out
 
 
 def _loss_grad(
     weights: np.ndarray, bias: float, batch: Sequence[_Encoded]
 ) -> tuple[float, np.ndarray, float]:
-    """Mean cross-entropy, its weight gradient (dense over `weights`) and its bias gradient."""
+    """Mean cross-entropy, its weight gradient (dense over `weights`) and its bias gradient.
+
+    The batch is laid out in (item, choice, n-gram) order and scored in one
+    kernel call, with a softmax over each item's choices.
+    """
     inv = 1.0 / len(batch)
+    sizes = np.concatenate([item.sizes for item in batch])
+    positions = np.concatenate([item.positions for item in batch])
+    values = np.concatenate([item.values for item in batch])
+    counts = np.fromiter((item.sizes.size for item in batch), np.int64, len(batch))
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(sizes.size), sizes)
+    scores = _raw_scores(weights, bias, positions, values, rows, sizes.size)
+    probs = _softmax_groups(scores, np.repeat(np.arange(len(batch)), counts), starts)
+    gold = starts + np.fromiter((item.gold for item in batch), np.int64, len(batch))
     total = 0.0
-    coeffs = []
-    for item in batch:
-        probs = softmax(_scores(weights, bias, item.indices, item.values))
-        total -= math.log(max(probs[item.gold], 1e-300))
-        probs[item.gold] -= 1.0
-        probs *= inv
-        coeffs.append(probs)
-    coeff = np.concatenate(coeffs)
+    for p in probs[gold].tolist():
+        total -= math.log(max(p, 1e-300))
+    probs[gold] -= 1.0
+    probs *= inv
     # a plain left-to-right sum (builtin sum() compensates on newer Pythons)
     bias_grad = 0.0
-    for c in coeff.tolist():
+    for c in probs.tolist():
         bias_grad += c
-    # bincount adds its weights in input order, and the parts are laid out in
-    # (item, choice, n-gram) order: every gradient entry is the sequential sum
-    grad = np.bincount(
-        np.concatenate([item.flat_indices for item in batch]),
-        weights=np.repeat(coeff, np.concatenate([item.sizes for item in batch]))
-        * np.concatenate([item.flat_values for item in batch]),
-        minlength=weights.size,
-    )
+    # bincount adds in input order: every gradient entry is the sequential sum
+    grad = np.bincount(positions, weights=probs[rows] * values, minlength=weights.size)
     return total * inv, grad, bias_grad
 
 
@@ -443,6 +475,11 @@ def train(
     if not dev_items:
         raise ScorerError("no dev items for early stopping")
     cfg = featurizer or FeaturizerConfig()
+    # the returned model is full-dim: a dim too large to allocate fails first
+    try:
+        weights = np.zeros(cfg.dim, dtype=np.float64)
+    except (ValueError, MemoryError) as exc:
+        raise ScorerError(f"featurizer dim {cfg.dim}: cannot allocate its weights ({exc})") from exc
 
     train_slots, train_values, train_sizes = _featurize_items(train_items, cfg)
     dev_slots, dev_values, dev_sizes = _featurize_items(dev_items, cfg)
@@ -452,7 +489,10 @@ def train(
     support = np.flatnonzero(np.bincount(train_slots))
     position = _positions(cfg, support)
     train_enc = _encode(train_items, position[train_slots], train_values, train_sizes)
-    dev_enc = _encode(dev_items, position[dev_slots], dev_values, dev_sizes)
+    dev_positions = position[dev_slots]
+    dev_rows = np.repeat(np.arange(dev_sizes.size), dev_sizes)
+    dev_counts = [len(item.texts) for item in dev_items]
+    dev_gold = np.array([item.gold_index for item in dev_items])
 
     w = np.zeros(support.size + 1, dtype=np.float64)
     m = np.zeros_like(w)
@@ -496,10 +536,9 @@ def train(
             w -= np.multiply(lr * config.weight_decay, w, out=t)
             bias -= lr * bias_grad
 
-        correct = sum(
-            int(np.argmax(_scores(w, bias, it.indices, it.values))) == it.gold for it in dev_enc
-        )
-        dev_acc = correct / len(dev_enc)
+        scores = _raw_scores(w, bias, dev_positions, dev_values, dev_rows, dev_sizes.size)
+        correct = int(np.count_nonzero(best_choices(scores, dev_counts) == dev_gold))
+        dev_acc = correct / len(dev_items)
         log.history.append(
             {"epoch": epoch, "train_loss": epoch_loss / max(1, n_batches), "dev_accuracy": dev_acc}
         )
@@ -515,7 +554,6 @@ def train(
                 break
     if log.stopped_epoch < 0:
         log.stopped_epoch = len(log.history) - 1
-    weights = np.zeros(cfg.dim, dtype=np.float64)
     weights[cfg._tokens.indices[support]] = best_w[:-1]
     return ScorerModel(weights=weights, bias=best_bias, featurizer=cfg), log
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from privqa import cli
+from privqa import cli, scorer
 from privqa.corpus import (
     Dataset,
     QAInstance,
@@ -446,6 +446,17 @@ def test_featurizer_setting_out_of_range_is_user_error(capsys, flag, value, mess
     # the featurizer keys its hash with 8 bytes and keeps int64 indices
     assert run(["sweep", "--synthetic", "--train-size", "8", flag, value]) == 1
     assert f"error: featurizer {message}" in capsys.readouterr().err
+
+
+def test_featurizer_dim_too_large_to_allocate_is_user_error(capsys, monkeypatch):
+    # 2**63 is in range, but no weight vector that long can be allocated: the
+    # run stops before it featurizes a training text
+    featurized = []
+    monkeypatch.setattr(scorer, "_featurize_items", lambda *args: featurized.append(args))
+    argv = ["sweep", "--synthetic", "--train-size", "8", "--dev-size", "8", "--test-size", "8"]
+    assert run([*argv, "--max-epochs", "1", "--dim", str(2**63)]) == 1
+    assert f"error: featurizer dim {2**63}: cannot allocate its weights" in capsys.readouterr().err
+    assert not featurized
 
 
 def test_checkpoint_with_out_of_range_hash_seed_is_user_error(ws, capsys, tmp_path):

@@ -575,6 +575,35 @@ def test_run_representation_compare(corpus, provider):
     assert out[METHOD_RANDOM_SPAN].config["method"] == METHOD_RANDOM_SPAN
 
 
+def test_compare_builds_each_baseline_map_once(monkeypatch):
+    # each baseline's train map serves both its run and the budget check
+    calls = []
+    for name in ("extract_random_span", "extract_random_words"):
+        real = getattr(harness, name)
+
+        def spy(question, ratio, seed, real=real, name=name):
+            calls.append((name, question, ratio, seed))
+            return real(question, ratio, seed)
+
+        monkeypatch.setattr(harness, name, spy)
+    spec = SyntheticSpec(seed=5, train_size=100, dev_size=40, test_size=40)
+    provider = SyntheticContextProvider(spec)
+    run_representation_compare(small_config(max_epochs=1), build_corpus(spec), provider)
+    # two baselines over the 180 shared instances
+    assert len(calls) == len(set(calls)) == 360
+
+
+def test_compare_baseline_off_its_budget_is_an_error(corpus, provider, monkeypatch):
+    real = harness.extract_random_span
+    monkeypatch.setattr(
+        harness, "extract_random_span", lambda question, ratio, seed: real(question, ratio / 2, seed)
+    )
+    with pytest.raises(
+        HarnessError, match=r"^RandomSpan budget \S+ misses target 50\.0% by more than 1%$"
+    ):
+        run_representation_compare(small_config(max_epochs=1), corpus, provider)
+
+
 @pytest.mark.parametrize(
     "regime, with_provider, need",
     [("SFT", True, "context regime"), ("FTC", False, "context provider")],

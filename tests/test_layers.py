@@ -6,7 +6,8 @@ the modules that know about instances, contexts or runs. Run reports are
 built by `harness.evaluate`; the CLI asks for one and only rebuilds saved
 reports it reads back. Every context provider materializes through the one
 `ContextProvider.augment_all`, and the context cue is spelled once, in
-`privqa.contexts`. No module keeps an import it does not use.
+`privqa.contexts`. No module keeps an import it does not use. Scores and
+predictions reduce in a fixed order: no BLAS product and no numpy `exp`.
 """
 
 import ast
@@ -21,6 +22,10 @@ PROVIDER_MODULES = (SRC / "harness.py", SRC / "synthetic.py")
 CUE = "Context:"
 # not used in privqa.synthetic, but perfbench/tracer.py patches them there by name
 REEXPORTS = {"synthetic.parse_generation", "synthetic.subsample_keywords"}
+# OpenBLAS picks its dot-product kernel, and numpy its exp kernel, per CPU
+ORDERED_MODULES = (SCORER, SRC / "harness.py")
+BLAS_PRODUCTS = {"dot", "matmul", "einsum", "inner"}
+NUMPY = {"np", "numpy"}
 
 
 def parse(path: Path) -> ast.AST:
@@ -190,3 +195,53 @@ def test_no_unused_imports():
         for name in unused_imports(parse(path))
     }
     assert not unused - REEXPORTS, f"unused imports: {sorted(unused - REEXPORTS)}"
+
+
+def dispatched_reductions(tree: ast.AST) -> list[str]:
+    """`line: form` of each BLAS product (`@`, dot, matmul, einsum, inner) and numpy `exp`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in BLAS_PRODUCTS
+            or node.attr == "exp" and getattr(node.value, "id", None) in NUMPY
+        ):
+            found.append(f"{node.lineno}: {node.attr}")
+        elif isinstance(node, ast.Name) and node.id in BLAS_PRODUCTS:
+            found.append(f"{node.lineno}: {node.id}")
+        elif isinstance(node, ast.ImportFrom) and node.module in NUMPY:
+            found += [
+                f"{node.lineno}: {alias.name}"
+                for alias in node.names
+                if alias.name in BLAS_PRODUCTS | {"exp"}
+            ]
+    return found
+
+
+def test_dispatched_reductions_sees_every_form():
+    tree = ast.parse(
+        "a @ b\n"
+        "a @= b\n"
+        "np.dot(a, b)\n"
+        "a.dot(b)\n"
+        "numpy.matmul(a, b)\n"
+        "np.einsum('i,i', a, b)\n"
+        "inner(a, b)\n"
+        "np.exp(a)\n"
+        "from numpy import exp\n"
+        "math.exp(1.0)\n"
+        "np.bincount(a, weights=b)\n"
+    )
+    assert set(dispatched_reductions(tree)) == {
+        "1: @", "2: @", "3: dot", "4: dot", "5: matmul", "6: einsum", "7: inner", "8: exp", "9: exp",
+    }
+
+
+def test_scores_reduce_in_a_fixed_order():
+    found = {
+        f"{path.stem}:{where}"
+        for path in ORDERED_MODULES
+        for where in dispatched_reductions(parse(path))
+    }
+    assert not found, f"CPU-dependent reductions: {sorted(found)}"

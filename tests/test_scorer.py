@@ -2,8 +2,12 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from privqa.scorer import (
     TrainConfig,
     TrainingDiverged,
     TrainItem,
+    best_choices,
     featurize,
     featurize_texts,
     load_model,
@@ -276,8 +281,8 @@ def test_confident_model_loss_near_zero():
     gold_text = choice_texts(aug, ContextView.FULL)[1]
     fv = featurize(gold_text, model.featurizer)
     model.weights[fv.indices] = 100.0
-    sv = score_texts(model, aug.instance.labels(), choice_texts(aug, ContextView.FULL))
-    assert sv.probs[1] > 0.999
+    scores = score_texts(model, choice_texts(aug, ContextView.FULL))
+    assert softmax(scores)[1] > 0.999
     assert loss_and_grad(model, full_items([aug])).loss < 1e-3
 
 
@@ -334,6 +339,14 @@ def test_gradient_matches_finite_differences():
     assert worst <= 1e-4
 
 
+def ordered_score(weights, bias, fv):
+    """bias plus a plain Python left-to-right sum of the text's terms w[i] * v."""
+    total = 0.0
+    for idx, val in zip(fv.indices.tolist(), fv.values.tolist()):
+        total += float(weights[idx]) * val
+    return bias + total
+
+
 def reference_loss_grad(weights, bias, featurized):
     """Per-item dict loop over full-dim weights: the order the kernel must sum in."""
     grad = {}
@@ -341,7 +354,7 @@ def reference_loss_grad(weights, bias, featurized):
     total = 0.0
     inv = 1.0 / len(featurized)
     for fvs, gold in featurized:
-        probs = softmax([float(weights[fv.indices] @ fv.values) + bias for fv in fvs])
+        probs = softmax([ordered_score(weights, bias, fv) for fv in fvs])
         total -= math.log(max(probs[gold], 1e-300))
         for j, fv in enumerate(fvs):
             coeff = (probs[j] - (1.0 if j == gold else 0.0)) * inv
@@ -409,8 +422,7 @@ def test_train_learns_separable_data():
     model, log = train(cfg, train_items, dev_items, featurizer=CFG)
     assert log.best_dev_accuracy == 1.0
     for item in make_separable_items(30, rng):
-        sv = score_texts(model, ("a", "b", "c", "d"), item.texts)
-        assert int(np.argmax(sv.probs)) == item.gold_index
+        assert int(np.argmax(score_texts(model, item.texts))) == item.gold_index
 
 
 def reference_train(config, train_items, dev_items, cfg, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -451,7 +463,7 @@ def reference_train(config, train_items, dev_items, cfg, beta1=0.9, beta2=0.999,
             bias -= lr * bias_grad
         correct = 0
         for fvs, gold in dev_fv:
-            raw = [float(w[fv.indices] @ fv.values) + bias for fv in fvs]
+            raw = [ordered_score(w, bias, fv) for fv in fvs]
             correct += int(np.argmax(raw)) == gold
         acc = correct / len(dev_fv)
         history.append(
@@ -519,6 +531,91 @@ def test_compact_training_equals_dense(
     assert model.weights.tobytes() == weights.tobytes()
     assert model.bias == bias
     assert log.history == history
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=items(DEV_WORDS, "k"),
+    weights=st.lists(st.floats(-1e6, 1e6), min_size=16, max_size=16),
+    bias=st.floats(-1e3, 1e3),
+)
+@example(
+    batch=[TrainItem("k0", ("", ""), 0), TrainItem("k1", ("", "", "", ""), 3)],
+    weights=[1.0] * 16,
+    bias=0.5,
+)
+def test_kernel_sums_each_text_left_to_right(batch, weights, bias):
+    # items of 2-4 choices, scored in one call: each raw score is the bias
+    # plus the text's terms in featurizer order, summed one at a time
+    cfg = FeaturizerConfig(dim=16, hash_seed=17)
+    model = ScorerModel(np.array(weights), bias, cfg)
+    texts = [text for item in batch for text in item.texts]
+    scores = score_texts(model, texts)
+    assert scores.dtype == np.float64
+    assert scores.tolist() == [ordered_score(model.weights, bias, featurize(t, cfg)) for t in texts]
+
+
+def test_best_choices_is_argmax_per_group():
+    scores = np.array([1.0, 3.0, 3.0, 0.0, 0.0, 2.0, np.nan, 5.0, np.nan])
+    counts = [3, 2, 4]
+    assert best_choices(scores, counts).tolist() == [1, 0, 1]
+    assert best_choices(np.empty(0), []).tolist() == []
+
+
+def test_dev_accuracy_ties_go_to_lowest_label():
+    # empty training texts leave the model at zero: every dev choice scores
+    # exactly 0.0, and only the items whose gold is the first choice count
+    train_items = [TrainItem("t0", ("", ""), 1), TrainItem("t1", ("", "", "", ""), 0)]
+    dev_items = [
+        TrainItem("d0", ("alpha", "beta"), 0),
+        TrainItem("d1", ("gamma", "delta", "eps"), 2),
+        TrainItem("d2", ("zeta eta", "theta", "alpha", "beta"), 0),
+    ]
+    config = TrainConfig(max_epochs=2, early_stop_patience=5)
+    model, log = train(config, train_items, dev_items, featurizer=CFG)
+    assert not model.weights.any() and model.bias == 0.0
+    assert [h["dev_accuracy"] for h in log.history] == [2 / 3, 2 / 3]
+
+
+# A small FTC run, trained in a child process; it prints the weight digest and bias.
+DIGEST_RUN = """
+import hashlib
+from privqa.harness import ExperimentConfig, train_scorer
+from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus
+
+spec = SyntheticSpec(seed=0, train_size=200, dev_size=80, test_size=8)
+corpus = build_corpus(spec)
+provider = SyntheticContextProvider(spec)
+train_aug, dev_aug = (provider.provide(corpus[s], 0.5, 0)[0] for s in ("train", "dev"))
+model, _ = train_scorer(ExperimentConfig(ratio=0.5, max_epochs=3), train_aug, dev_aug)
+print(hashlib.sha256(model.weights.tobytes()).hexdigest(), model.bias.hex())
+"""
+
+
+def test_checkpoint_bits_do_not_depend_on_cpu_kernels():
+    # OPENBLAS_CORETYPE picks OpenBLAS's dot-product kernel and
+    # NPY_DISABLE_CPU_FEATURES turns off numpy's AVX-512 kernels, each in
+    # the child process only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    }
+    base["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [base.get("PYTHONPATH")])])
+    outputs = set()
+    for coretype in (None, "Haswell", "Prescott"):
+        for disabled in (None, "AVX512_SPR AVX512_ICL X86_V4"):
+            env = dict(base)
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            out = subprocess.run(
+                [sys.executable, "-c", DIGEST_RUN], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            outputs.add(out.stdout)
+    assert len(outputs) == 1, sorted(outputs)
 
 
 def test_train_is_deterministic():
