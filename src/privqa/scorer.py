@@ -274,7 +274,9 @@ def _raw_scores(
     left to right and the bias is added after. With no terms it returns
     int64 zeros, which `+ bias` turns into floats.
     """
-    return np.bincount(rows, weights=weights[indices] * values, minlength=n) + bias
+    terms = weights[indices]
+    terms *= values
+    return np.bincount(rows, weights=terms, minlength=n) + bias
 
 
 def _softmax_groups(scores: np.ndarray, group: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -352,7 +354,17 @@ class _Encoded:
 def _featurize_items(
     items: Sequence[TrainItem], cfg: FeaturizerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every choice text of the items, featurized to memo slots in one call."""
+    """Every choice text of the items, featurized to memo slots in one call.
+
+    A batch lays its items' choices end to end, so a gold index outside its
+    own item's choices would silently pick a neighbour's: it is rejected.
+    """
+    for item in items:
+        if not 0 <= item.gold_index < len(item.texts):
+            raise ScorerError(
+                f"item {item.id!r}: gold index {item.gold_index}"
+                f" outside its {len(item.texts)} choices"
+            )
     return _featurize_slots([text for item in items for text in item.texts], cfg)
 
 
@@ -475,9 +487,12 @@ def train(
     if not dev_items:
         raise ScorerError("no dev items for early stopping")
     cfg = featurizer or FeaturizerConfig()
-    # the returned model is full-dim: a dim too large to allocate fails first
+    # The returned model is full-dim, so a dim too large to allocate fails
+    # here, before any featurizing. The weights themselves are built after
+    # training, once its arrays are freed: held through training, they
+    # raised a sweep's peak RSS by about 0.9 MB.
     try:
-        weights = np.zeros(cfg.dim, dtype=np.float64)
+        np.empty(cfg.dim, dtype=np.float64)
     except (ValueError, MemoryError) as exc:
         raise ScorerError(f"featurizer dim {cfg.dim}: cannot allocate its weights ({exc})") from exc
 
@@ -554,6 +569,7 @@ def train(
                 break
     if log.stopped_epoch < 0:
         log.stopped_epoch = len(log.history) - 1
+    weights = np.zeros(cfg.dim, dtype=np.float64)
     weights[cfg._tokens.indices[support]] = best_w[:-1]
     return ScorerModel(weights=weights, bias=best_bias, featurizer=cfg), log
 

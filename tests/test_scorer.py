@@ -700,6 +700,16 @@ def test_train_requires_items():
         train(TrainConfig(), [TrainItem("t", ("x", "y"), 0)], [], featurizer=CFG)
 
 
+@pytest.mark.parametrize("gold, texts", [(2, ("x", "y")), (-1, ("x", "y")), (0, ())])
+def test_gold_index_outside_its_choices(gold, texts):
+    bad = TrainItem("bad", texts, gold)
+    good = TrainItem("t", ("x", "y", "z"), 0)
+    with pytest.raises(ScorerError, match="'bad': gold index"):
+        loss_and_grad(ScorerModel.zeros(CFG), [bad, good])
+    with pytest.raises(ScorerError, match="'bad': gold index"):
+        train(TrainConfig(max_epochs=1), [good], [bad, good], featurizer=CFG)
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = random.Random(6)
     items = make_separable_items(30, rng)
