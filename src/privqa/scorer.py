@@ -301,8 +301,6 @@ def best_choices(scores: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     Exact ties go to the lowest position, and a NaN counts as the maximum.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    if not counts.size:
-        return counts
     starts = np.cumsum(counts) - counts
     group = np.repeat(np.arange(counts.size), counts)
     top = np.maximum.reduceat(scores, starts)[group]
