@@ -6,30 +6,28 @@ train and evaluate the scorer, and run the multi-stage experiments (ood,
 sweep, compare, report). Every experiment command accepts --config pointing
 at a JSON file of option defaults; explicit flags win over the file.
 
-Exit codes: 0 success, 1 user error (bad arguments or inputs), 2 internal
-error.
+Exit codes: 0 success; 1 bad arguments, a `PrivqaError` (a bad input file is
+named with its line) or an `OSError` writing an output; 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from dataclasses import fields
 from pathlib import Path
 
-from privqa.contexts import ParseError
 from privqa.corpus import (
     INGEST_FORMATS,
     DatasetFormatError,
-    _read_jsonl,
     ingest_records,
     load_augmented,
     load_dataset,
     write_augmented,
     write_dataset,
 )
+from privqa.errors import PrivqaError, read_json, read_jsonl
 from privqa.gateway import (
     DEFAULT_CREDENTIAL_ENV,
     MODES,
@@ -64,23 +62,9 @@ from privqa.keywords import (
     load_keyword_sets,
     save_keyword_sets,
 )
-from privqa.plugin import PluginError
-from privqa.promptkit import PromptError, build_prompt, bundled_demo_path, load_demonstrations
-from privqa.scorer import ScorerError, load_model, save_model
+from privqa.promptkit import build_prompt, bundled_demo_path, load_demonstrations
+from privqa.scorer import load_model, save_model
 from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus
-
-USER_ERRORS = (
-    DatasetFormatError,
-    ExtractionError,
-    ParseError,
-    PromptError,
-    GatewayError,
-    HarnessError,
-    ScorerError,
-    PluginError,
-    OSError,
-    json.JSONDecodeError,
-)
 
 SPLITS = ("train", "dev", "test")
 
@@ -104,23 +88,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_json(path: str) -> object:
-    """A JSON file's value; text that is not UTF-8 JSON fails naming the file and line."""
-    raw = Path(path).read_bytes()
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise HarnessError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise HarnessError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
-
-
 def _apply_config_file(args: argparse.Namespace) -> None:
     path = getattr(args, "config", None)
     if not path:
         return
-    cfg = _read_json(path)
+    cfg = read_json(path, HarnessError)
     if not isinstance(cfg, dict):
         raise HarnessError(f"config file {path} must hold a JSON object")
     for key, value in cfg.items():
@@ -162,7 +134,7 @@ def _load_completions(path: str | None) -> dict[str, str] | None:
     """Canned completions for mock mode: a JSON object of instance id -> text."""
     if not path:
         return None
-    mock = _read_json(path)
+    mock = read_json(path, HarnessError)
     if not (isinstance(mock, dict) and all(isinstance(v, str) for v in mock.values())):
         raise HarnessError(f"completions file {path} must hold a JSON object of strings")
     return mock
@@ -245,16 +217,17 @@ def _cmd_parse(args) -> int:
     dataset = load_dataset(args.data)
     by_id = dataset.by_id()
     augmented = []
-    for lineno, rec in _read_jsonl(args.input):
+    for lineno, rec in read_jsonl(args.input, DatasetFormatError):
         inst = by_id.get(str(rec.get("id")))
         if inst is None:
             raise DatasetFormatError(f"{args.input}:{lineno}: unknown instance id {rec.get('id')!r}")
-        try:
-            augmented.append(
-                augment_completion(
-                    inst, str(rec.get("completion", "")), str(rec.get("generation_id", ""))
-                )
+        completion, generation_id = rec.get("completion", ""), rec.get("generation_id", "")
+        if not (isinstance(completion, str) and isinstance(generation_id, str)):
+            raise DatasetFormatError(
+                f"{args.input}:{lineno}: completion and generation_id must be strings"
             )
+        try:
+            augmented.append(augment_completion(inst, completion, generation_id))
         except HarnessError as exc:
             raise HarnessError(f"{args.input}:{lineno}: {exc}") from exc
     write_augmented(augmented, args.output)
@@ -399,7 +372,7 @@ def _cmd_ood(args) -> int:
 
 def _load_report(path: str) -> EvalReport:
     """A saved report, checked for the fields the summary table reads."""
-    data = _read_json(path)
+    data = read_json(path, HarnessError)
     if not isinstance(data, dict):
         raise HarnessError(f"report {path} must hold a JSON object")
     metrics, config, budget = data.get("metrics"), data.get("config", {}), data.get("budget")
@@ -562,7 +535,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(args)
         return args.func(args)
-    except USER_ERRORS as exc:
+    except (PrivqaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -21,6 +21,8 @@ import enum
 import re
 from dataclasses import dataclass, field
 
+from privqa.errors import PrivqaError
+
 CONTEXT_HEAD = "Context:"
 
 _BLOCK_OPEN = re.compile(r"^\(([a-z])\):[ \t]?(.*)$")
@@ -35,7 +37,7 @@ _SENTENCE_GAP = re.compile(r"(?<=[.!?])\s+")
 _RELATION_PREFIXES = ("It is", "It could", "No relationship", "This is")
 
 
-class ParseError(Exception):
+class ParseError(PrivqaError):
     """Base for all generation-parsing failures."""
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from privqa.contexts import ParsedContext, SpecificContext
+from privqa.errors import PrivqaError, read_jsonl
 
 LABELS = ("a", "b", "c", "d", "e")
 MIN_CHOICES = 2
@@ -30,7 +31,7 @@ REFERENCE_SPLIT_SIZES = {
 }
 
 
-class DatasetFormatError(Exception):
+class DatasetFormatError(PrivqaError):
     """A dataset or augmented file violates the canonical schema."""
 
 
@@ -130,46 +131,24 @@ def _instance_to_record(inst: QAInstance) -> dict[str, Any]:
     }
 
 
-def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
-    p = Path(path)
-    if not p.exists():
-        raise DatasetFormatError(f"dataset file not found: {p}")
-    with p.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DatasetFormatError(f"{p}:{lineno}: not UTF-8 text ({exc.reason})") from exc
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{p}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise DatasetFormatError(f"{p}:{lineno}: record is not an object")
-            yield lineno, rec
-
-
 def _read_instances(
     path: str | Path, format: str, meta_override: dict[str, str] | None = None
 ) -> tuple[QAInstance, ...]:
     """Read, adapt and validate every record; errors name file:line, repeated ids fail."""
-    p = Path(path)
     adapter = _ADAPTERS[format]
     instances: list[QAInstance] = []
     seen: set[str] = set()
-    for lineno, rec in _read_jsonl(p):
+    for lineno, rec in read_jsonl(path, DatasetFormatError):
         try:
             canon = adapter(rec, lineno)
-        except (KeyError, ValueError, IndexError, TypeError) as exc:
-            raise DatasetFormatError(f"{p}:{lineno}: not a {format} record ({exc})") from exc
+        except (KeyError, ValueError, IndexError, TypeError, OverflowError) as exc:
+            raise DatasetFormatError(f"{path}:{lineno}: not a {format} record ({exc})") from exc
         try:
             inst = _instance_from_record(canon, meta_override)
         except DatasetFormatError as exc:
-            raise DatasetFormatError(f"{p}:{lineno}: {exc}") from exc
+            raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
         if inst.id in seen:
-            raise DatasetFormatError(f"{p}:{lineno}: duplicate id {inst.id!r}")
+            raise DatasetFormatError(f"{path}:{lineno}: duplicate id {inst.id!r}")
         seen.add(inst.id)
         instances.append(inst)
     return tuple(instances)
@@ -256,8 +235,7 @@ def load_augmented(path: str | Path) -> list[AugmentedInstance]:
     """
     out: list[AugmentedInstance] = []
     seen: set[str] = set()
-    p = Path(path)
-    for lineno, rec in _read_jsonl(p):
+    for lineno, rec in read_jsonl(path, DatasetFormatError):
         try:
             inst = _instance_from_record(rec.get("instance", {}))
             aug = AugmentedInstance(
@@ -267,9 +245,9 @@ def load_augmented(path: str | Path) -> list[AugmentedInstance]:
             )
             aug.validate()
         except DatasetFormatError as exc:
-            raise DatasetFormatError(f"{p}:{lineno}: {exc}") from exc
+            raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
         if inst.id in seen:
-            raise DatasetFormatError(f"{p}:{lineno}: duplicate id {inst.id!r}")
+            raise DatasetFormatError(f"{path}:{lineno}: duplicate id {inst.id!r}")
         seen.add(inst.id)
         out.append(aug)
     return out

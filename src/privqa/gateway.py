@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import requests
 
+from privqa.errors import PrivqaError
 from privqa.promptkit import STOP_SEQUENCE, PromptText
 
 log = logging.getLogger(__name__)
@@ -44,7 +45,7 @@ HTTP_TIMEOUT_S = 60.0
 MODES = ("live", "replay", "mock")
 
 
-class GatewayError(Exception):
+class GatewayError(PrivqaError):
     """Request construction, transport, or mock lookup failed."""
 
 
@@ -243,12 +244,13 @@ class Gateway:
     def _load_cache(self) -> None:
         if not self.cache_path.exists():
             return
-        with self.cache_path.open(encoding="utf-8") as fh:
+        # bytes, so a line that is not UTF-8 is skipped like one that is not JSON
+        with self.cache_path.open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = json.loads(line.decode("utf-8"))
                     key, completion = rec["cache_key"], rec["completion"]
                     if not (isinstance(key, str) and isinstance(completion, str)):
                         raise TypeError("cache_key and completion must be strings")
@@ -259,7 +261,7 @@ class Gateway:
                         truncated=bool(rec.get("truncated", False)),
                         retries=int(rec.get("retries", 0)),
                     )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, ValueError, OverflowError):
                     log.warning("skipping corrupt cache line %s:%d", self.cache_path, lineno)
                     continue
                 self._cache[record.cache_key] = record

@@ -35,6 +35,7 @@ from privqa.contexts import (
     parse_generation,
 )
 from privqa.corpus import AugmentedInstance, Dataset, QAInstance, plain_augmented
+from privqa.errors import PrivqaError
 from privqa.gateway import MODES, PROMPT_STYLE, Gateway, GenerationRequest
 from privqa.keywords import (
     METHOD_NER,
@@ -75,7 +76,7 @@ BUDGET_TOLERANCE = 0.01  # how far a random baseline's corpus budget may miss th
 Extractions = dict[tuple[Gazetteer, str], KeywordSet]
 
 
-class HarnessError(Exception):
+class HarnessError(PrivqaError):
     """An experiment was misconfigured or a pipeline step failed."""
 
 
@@ -122,8 +123,8 @@ class ExperimentConfig:
             if not getattr(self, name) >= 1:
                 raise HarnessError(f"{name} {getattr(self, name)} must be at least 1")
         for name in ("warmup_steps", "weight_decay"):
-            if not getattr(self, name) >= 0:
-                raise HarnessError(f"{name} {getattr(self, name)} must not be negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise HarnessError(f"{name} {getattr(self, name)} must be finite and not negative")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise HarnessError(f"learning_rate {self.learning_rate} must be finite and positive")
 

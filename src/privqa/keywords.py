@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from privqa.corpus import Dataset, nfc
+from privqa.errors import PrivqaError, read_jsonl, read_text
 
 METHOD_NER = "NER"
 METHOD_RANDOM_SPAN = "RandomSpan"
@@ -30,7 +31,7 @@ _WORD = re.compile(r"\S+")
 _EDGE_PUNCT = ".,;:!?()[]{}<>\"'‘’“”…"
 
 
-class ExtractionError(Exception):
+class ExtractionError(PrivqaError):
     """Keyword extraction or budget accounting failed."""
 
 
@@ -269,16 +270,13 @@ def format_budget(budget: float) -> str:
 
 def load_gazetteer(path: str | Path) -> list[str]:
     """Read a gazetteer file: one term per line, '#' comments and blanks skipped."""
-    p = Path(path)
-    if not p.exists():
-        raise ExtractionError(f"gazetteer file not found: {p}")
     terms = []
-    for line in p.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path, ExtractionError).splitlines():
         term = line.strip()
         if term and not term.startswith("#"):
             terms.append(term)
     if not terms:
-        raise ExtractionError(f"gazetteer file {p} has no terms")
+        raise ExtractionError(f"gazetteer file {path} has no terms")
     return terms
 
 
@@ -298,37 +296,26 @@ def save_keyword_sets(keyword_map: dict[str, KeywordSet], path: str | Path) -> N
 
 
 def load_keyword_sets(path: str | Path) -> dict[str, KeywordSet]:
-    p = Path(path)
-    if not p.exists():
-        raise ExtractionError(f"keyword file not found: {p}")
     out: dict[str, KeywordSet] = {}
-    with p.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ExtractionError(f"{p}:{lineno}: not UTF-8 text ({exc.reason})") from exc
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                inst_id = str(rec["id"])
-                ks = KeywordSet(
-                    keywords=tuple(str(k) for k in rec["keywords"]),
-                    method=str(rec["method"]),
-                    ratio=float(rec["ratio"]),
-                    seed=int(rec["seed"]),
-                    starts=tuple(int(s) for s in rec.get("starts", [])),
-                    word_count=int(rec["word_count"]),
-                )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-                raise ExtractionError(f"{p}:{lineno}: bad keyword record ({exc})") from exc
-            if inst_id in out:
-                raise ExtractionError(f"{p}:{lineno}: repeated id {inst_id!r}")
-            words = _count_words(ks.keywords)
-            if ks.word_count != words:
-                raise ExtractionError(
-                    f"{p}:{lineno}: word_count {ks.word_count} but the keywords have {words} words"
-                )
-            out[inst_id] = ks
+    for lineno, rec in read_jsonl(path, ExtractionError):
+        try:
+            inst_id = str(rec["id"])
+            ks = KeywordSet(
+                keywords=tuple(str(k) for k in rec["keywords"]),
+                method=str(rec["method"]),
+                ratio=float(rec["ratio"]),
+                seed=int(rec["seed"]),
+                starts=tuple(int(s) for s in rec.get("starts", [])),
+                word_count=int(rec["word_count"]),
+            )
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            raise ExtractionError(f"{path}:{lineno}: bad keyword record ({exc})") from exc
+        if inst_id in out:
+            raise ExtractionError(f"{path}:{lineno}: repeated id {inst_id!r}")
+        words = _count_words(ks.keywords)
+        if ks.word_count != words:
+            raise ExtractionError(
+                f"{path}:{lineno}: word_count {ks.word_count} but the keywords have {words} words"
+            )
+        out[inst_id] = ks
     return out

@@ -19,13 +19,14 @@ from typing import Sequence
 
 from privqa.contexts import ContextView
 from privqa.corpus import AugmentedInstance
+from privqa.errors import PrivqaError
 from privqa.harness import choice_texts
 from privqa.scorer import ScoreVector, softmax
 
 PROTOCOL_VERSION = 1
 
 
-class PluginError(Exception):
+class PluginError(PrivqaError):
     """The external scorer process violated the protocol or went away."""
 
 

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from privqa.contexts import CONTEXT_HEAD, ParsedContext, ParseError
 from privqa.contexts import parse_generation, serialize_context
+from privqa.errors import PrivqaError, read_text
 
 KEYWORDS_MARKER = "Question Keywords:"
 ANSWERS_MARKER = "Candidate Answers:"
@@ -30,7 +31,7 @@ STOP_SEQUENCE = "\n\n" + KEYWORDS_MARKER
 _CHOICE_SPLIT = re.compile(r"\(([a-z])\)\s*")
 
 
-class PromptError(Exception):
+class PromptError(PrivqaError):
     """A demonstration file or prompt component is malformed."""
 
 
@@ -111,17 +112,14 @@ def _parse_demo(chunk: str, where: str) -> Demonstration:
 
 def load_demonstrations(path: str | Path) -> list[Demonstration]:
     """Load a demonstration file: blocks in prompt layout, blank-line separated."""
-    p = Path(path)
-    if not p.exists():
-        raise PromptError(f"demonstration file not found: {p}")
-    chunks = [c.strip("\n") for c in re.split(r"\n[ \t]*\n", p.read_text(encoding="utf-8"))]
+    chunks = [c.strip("\n") for c in re.split(r"\n[ \t]*\n", read_text(path, PromptError))]
     demos = [
-        _parse_demo(chunk, f"{p}#{i + 1}")
+        _parse_demo(chunk, f"{path}#{i + 1}")
         for i, chunk in enumerate(chunks)
         if chunk.strip()
     ]
     if not demos:
-        raise PromptError(f"{p}: no demonstrations found")
+        raise PromptError(f"{path}: no demonstrations found")
     return demos
 
 

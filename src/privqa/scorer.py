@@ -41,6 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
+from privqa.errors import PrivqaError
+
 # Featurization is fixed: these word n-gram orders, over text that `featurize`
 # always lowercases. Checkpoints record both, and one made with other values
 # does not load.
@@ -53,7 +55,7 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-class ScorerError(Exception):
+class ScorerError(PrivqaError):
     """Model construction or checkpoint IO failed."""
 
 
@@ -605,7 +607,7 @@ def load_model(path: str | Path) -> ScorerModel:
     # a damaged archive surfaces as any of these, from zipfile, zlib or numpy,
     # and meta outside the featurizer's range as a ScorerError
     except (
-        OSError, EOFError, KeyError, TypeError, ValueError, RuntimeError,
+        OSError, EOFError, KeyError, TypeError, ValueError, OverflowError, RuntimeError,
         zipfile.BadZipFile, zlib.error, ScorerError,
     ) as exc:
         raise ScorerError(f"corrupt checkpoint {p}: {exc}") from exc

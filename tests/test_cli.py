@@ -1,9 +1,13 @@
 import argparse
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privqa import cli, scorer
 from privqa.corpus import (
@@ -474,12 +478,93 @@ def test_checkpoint_with_out_of_range_hash_seed_is_user_error(ws, capsys, tmp_pa
     assert f"corrupt checkpoint {checkpoint}: featurizer hash_seed -1 outside" in err
 
 
+@pytest.mark.parametrize("key", ["dim", "hash_seed"])
+def test_checkpoint_with_an_infinite_setting_is_user_error(ws, capsys, tmp_path, key):
+    checkpoint = tmp_path / "model.npz"
+    meta = {"dim": 16, "hash_seed": 17, "ngram_orders": [1, 2], "lowercase": True, key: "INF"}
+    meta_bytes = json.dumps(meta).replace('"INF"', "1e999").encode("utf-8")
+    np.savez(checkpoint, weights=np.zeros(16), bias=np.float64(0.0), meta=np.bytes_(meta_bytes))
+    data = ws["root"] / "data-test.jsonl"
+    assert run(["eval", "--checkpoint", checkpoint, "--data", data]) == 1
+    assert f"corrupt checkpoint {checkpoint}: cannot convert float infinity" in capsys.readouterr().err
+
+
 def test_keyword_file_not_utf8_names_file_and_line(ws, capsys, tmp_path):
     keywords = tmp_path / "kw.jsonl"
     keywords.write_bytes(b"\xff")
     data = ws["root"] / "data-train.jsonl"
     assert run(["budget", "--data", data, "--keywords", keywords]) == 1
     assert f"error: {keywords}:1: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_gazetteer_not_utf8_names_file_and_line(ws, capsys, tmp_path):
+    gazetteer = tmp_path / "gazetteer.txt"
+    gazetteer.write_bytes(b"# terms\ntok000\ntok\xff002\n")
+    data = ws["root"] / "data-dev.jsonl"
+    argv = ["extract", "--data", data, "--method", "NER", "--gazetteer", gazetteer]
+    assert run([*argv, "--output", tmp_path / "kw.jsonl"]) == 1
+    assert f"error: {gazetteer}:3: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_demos_not_utf8_names_file_and_line(ws, capsys, tmp_path):
+    lines = (ws["root"] / "demos.txt").read_bytes().split(b"\n")
+    lines[1] += b" \xe9"
+    demos = tmp_path / "demos.txt"
+    demos.write_bytes(b"\n".join(lines))
+    root = ws["root"]
+    argv = ["prompt", "--data", root / "data-train.jsonl", "--keywords", root / "kw-train.jsonl"]
+    assert run([*argv, "--demos", demos, "--id", "syn-train-0000"]) == 1
+    assert f"error: {demos}:2: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_replay_skips_a_cache_line_that_is_not_utf8(ws, capsys, tmp_path):
+    root, dev = ws["root"], ws["corpus"]["dev"]
+    cache = tmp_path / "cache.jsonl"
+    assert _generate_mock(root, "dev", cache, tmp_path / "primed.jsonl") == 0
+    lines = cache.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'"completion": "', b'"completion": "\xff', 1)
+    cache.write_bytes(b"\n".join(lines))
+    for inst, code in ((dev.instances[0], 0), (dev.instances[1], 1)):
+        data = tmp_path / f"{inst.id}.jsonl"
+        write_dataset(Dataset(name=dev.name, split=dev.split, instances=(inst,)), data)
+        argv = ["generate", "--data", data, "--keywords", root / "kw-dev.jsonl"]
+        argv += ["--demos", root / "demos.txt", "--cache", cache, "--mode", "replay"]
+        capsys.readouterr()
+        assert run([*argv, "--output", tmp_path / "aug.jsonl"]) == code
+        assert ("no cached completion" in capsys.readouterr().err) == bool(code)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("completion", ["Context: x\n(a): y\nTherefore, the answer is (a)."]),
+        ("completion", None),
+        ("generation_id", 7),
+    ],
+    ids=["completion-list", "completion-null", "generation-id-number"],
+)
+def test_parse_rejects_a_field_that_is_not_a_string(ws, capsys, tmp_path, field, value):
+    inst = ws["corpus"]["dev"].instances[0]
+    rec = {"id": inst.id, "completion": "x", field: value}
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("\n" + json.dumps(rec) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run(["parse", "--input", raw, "--data", ws["root"] / "data-dev.jsonl", "--output", out]) == 1
+    assert f"error: {raw}:2: completion and generation_id must be strings" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_input_file_is_named(ws, capsys, tmp_path):
+    missing = tmp_path / "missing"
+    data, keywords = ws["root"] / "data-dev.jsonl", ws["root"] / "kw-dev.jsonl"
+    extract = ["extract", "--data", data, "--method", "NER", "--output", tmp_path / "kw.jsonl"]
+    for argv in (
+        ["budget", "--data", missing, "--keywords", keywords],
+        ["budget", "--data", data, "--keywords", missing],
+        [*extract, "--gazetteer", missing],
+    ):
+        assert run(argv) == 1
+        assert f"error: {missing}: cannot read (No such file or directory)" in capsys.readouterr().err
 
 
 def test_ingest_command(tmp_path, capsys):
@@ -744,6 +829,7 @@ def test_malformed_completions_is_user_error(ws, tmp_path, capsys, command, cont
         ("dim", 0, "featurizer_dim"),
         ("warmup-steps", -1, "warmup_steps"),
         ("weight-decay", -0.5, "weight_decay"),
+        ("weight-decay", float("inf"), "weight_decay"),
         ("learning-rate", 0, "learning_rate"),
         ("learning-rate", "nan", "learning_rate"),
         ("batch-size", "eight", "batch_size"),
@@ -861,3 +947,135 @@ def test_ood_files_match_harness_steps(ws, tmp_path, capsys):
         f"transfer accuracy: {acc * 100:.2f}% ({round(acc * len(gold))}/{len(gold)})"
         in capsys.readouterr().out
     )
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the CLI boundary: a mutated input file exits 0 or 1, never with a
+# traceback.
+
+FUZZ_SPEC = SyntheticSpec(seed=3, train_size=6, dev_size=3, test_size=3, vocab_size=40)
+WRONG_TYPES = ("null", "[]", "1e999")
+_SLOT = "\x00slot"
+
+
+@pytest.fixture(scope="module")
+def fuzz_ws(tmp_path_factory):
+    """Per input kind: one small valid file, and a command that reads it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = build_corpus(FUZZ_SPEC)
+    provider = SyntheticContextProvider(FUZZ_SPEC)
+    dev = corpus["dev"]
+    data, kw, gazetteer, demos, completions, cache, config, model, aug, report, raw, out = (
+        root / name
+        for name in (
+            "data.jsonl", "kw.jsonl", "gazetteer.txt", "demos.txt", "completions.json",
+            "cache.jsonl", "config.json", "model.npz", "aug.jsonl", "report.json", "raw.jsonl",
+            "out",
+        )
+    )
+    write_dataset(dev, data)
+    kmap = provider.keyword_map(dev, 1.0, seed=0)
+    save_keyword_sets(kmap, kw)
+    gazetteer.write_text("# terms\n" + "\n".join(gazetteer_tokens(FUZZ_SPEC)) + "\n", encoding="utf-8")
+    [demo] = provider.demonstrations(corpus["train"], count=1)
+    demos.write_text(render_block(demo.keywords, demo.choices, demo.context), encoding="utf-8")
+    completions.write_text(json.dumps(provider.mock_completions(dev, 1.0, seed=0)), encoding="utf-8")
+    options = {
+        "dim": 64, "max-epochs": 2, "patience": 1, "batch-size": 2, "learning-rate": 0.1,
+        "weight-decay": 0.0, "warmup-steps": 0, "regime": "FTCR", "view": "Full",
+    }
+    config.write_text(json.dumps(options), encoding="utf-8")
+    save_model(ScorerModel.zeros(FeaturizerConfig(dim=64)), model)
+    write_augmented(provider.provide(dev, 1.0, seed=0)[0], aug)
+    raw.write_text("".join(
+        json.dumps({"id": inst.id, "completion": provider.completion_for(inst, kmap[inst.id])}) + "\n"
+        for inst in dev.instances
+    ), encoding="utf-8")
+    generate = ["generate", "--data", data, "--keywords", kw, "--demos", demos, "--cache", cache]
+    evaluate = ["eval", "--checkpoint", model, "--data", aug]
+    assert run([*generate, "--mode", "mock", "--completions", completions, "--output", out]) == 0
+    assert run([*evaluate, "--report", report]) == 0
+    budget = ["budget", "--data", data, "--keywords", kw]
+    return {
+        "data": (data, budget),
+        "keywords": (kw, budget),
+        "gazetteer": (gazetteer, ["extract", "--data", data, "--method", "NER",
+                                  "--gazetteer", gazetteer, "--output", out]),
+        "demos": (demos, ["prompt", *budget[1:], "--demos", demos, "--id", dev.instances[0].id]),
+        "cache": (cache, [*generate, "--mode", "replay", "--output", out]),
+        "config": (config, ["train", "--config", config, "--train", aug, "--dev", aug,
+                            "--checkpoint", out]),
+        "checkpoint": (model, evaluate),
+        "augmented": (aug, evaluate),
+        "report": (report, ["report", report]),
+        "parse": (raw, ["parse", "--input", raw, "--data", data, "--output", out]),
+    }
+
+
+def _slots(value):
+    """(container, key) for every field of a JSON value, at any depth."""
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield value, key
+            yield from _slots(child)
+
+
+def _json_value(raw: bytes):
+    try:
+        return json.loads(raw)
+    except ValueError:
+        return None
+
+
+def _wrong_type(data, raw: bytes) -> bytes:
+    """`raw` with one JSON field, at any depth, replaced by `null`, `[]` or `1e999`.
+
+    The field is in the file's value if the file is one JSON document, else in
+    one of its lines; a file with no JSON field gets the value inserted anywhere.
+    """
+    wrong = data.draw(st.sampled_from(WRONG_TYPES)).encode()
+    docs = [raw] if _json_value(raw) is not None else raw.split(b"\n")
+    at = data.draw(st.integers(0, len(docs) - 1))
+    value = _json_value(docs[at])
+    slots = list(_slots(value))
+    if not slots:
+        pos = data.draw(st.integers(0, len(raw)))
+        return raw[:pos] + wrong + raw[pos:]
+    container, key = data.draw(st.sampled_from(slots))
+    container[key] = _SLOT
+    docs[at] = json.dumps(value).encode().replace(json.dumps(_SLOT).encode(), wrong)
+    return b"\n".join(docs)
+
+
+def _mutate(data, raw: bytes) -> bytes:
+    how = data.draw(st.sampled_from(["truncate", "flip", "xff", "random", "wrong-type"]))
+    pos = data.draw(st.integers(0, max(len(raw) - 1, 0)))
+    if how == "truncate":
+        return raw[:pos]
+    if how == "flip":
+        return raw[:pos] + bytes([raw[pos] ^ 1 << data.draw(st.integers(0, 7))]) + raw[pos + 1:]
+    if how == "xff":
+        return raw[:pos] + b"\xff" + raw[pos:]
+    if how == "random":
+        return data.draw(st.binary(max_size=64))
+    return _wrong_type(data, raw)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["data", "keywords", "gazetteer", "demos", "cache", "config", "checkpoint", "augmented",
+     "report", "parse"],
+)
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cli_survives_a_mutated_input_file(fuzz_ws, kind, data):
+    path, argv = fuzz_ws[kind]
+    original = path.read_bytes()
+    path.write_bytes(_mutate(data, original))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    finally:
+        path.write_bytes(original)
+    assert code in (0, 1) and "Traceback" not in err.getvalue(), err.getvalue()

@@ -266,3 +266,24 @@ def test_ingest_unknown_format(tmp_path):
     path.write_text("{}\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="unknown ingest format"):
         ingest_records(path, "mystery", "x", "y")
+
+
+def test_ingest_infinite_index_names_line(tmp_path):
+    path = tmp_path / "src.jsonl"
+    rec = {"question": "Pick.", "opa": "w", "opb": "x", "opc": "y", "opd": "z", "cop": 1}
+    path.write_text(json.dumps(rec).replace('"cop": 1', '"cop": 1e999') + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=r":1: not a medmcqa record"):
+        ingest_records(path, "medmcqa", "medmcqa", "train")
+
+
+def test_load_splits_lines_at_newlines_only(tmp_path):
+    # json.dumps(..., ensure_ascii=False) writes U+2028 and U+0085 raw
+    first = QAInstance("q0", "one\u2028two\x85three", {"a": "x", "b": "y"}, "a")
+    second = QAInstance("q1", "four", {"a": "x", "b": "y"}, "b")
+    path = tmp_path / "data.jsonl"
+    write_dataset(Dataset("toy", "train", (first, second)), path)
+    assert "\u2028" in path.read_text(encoding="utf-8")
+    assert load_dataset(path).instances == (first, second)
+    # a file saved with Windows line ends loads the same
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_dataset(path).instances == (first, second)

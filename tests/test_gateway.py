@@ -434,13 +434,26 @@ def test_corrupt_cache_fields_skipped(tmp_path, caplog):
         {"cache_key": key, "completion": None},
         {"cache_key": 7, "completion": "seven"},
         {"cache_key": key, "completion": ["not", "text"]},
+        {"cache_key": key, "completion": "one", "retries": float("inf")},
+        {"cache_key": key, "completion": "one", "retries": []},
     ]
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     gw = Gateway(path)
     assert len(gw) == 0
-    assert caplog.text.count("skipping corrupt cache line") == 3
+    assert caplog.text.count("skipping corrupt cache line") == 5
     with pytest.raises(ReplayCacheMiss):
         gw.complete(REQUEST, "replay")
+
+
+def test_cache_line_not_utf8_is_skipped(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    good = {"cache_key": cache_key(REQUEST), "completion": "one", "source": "live"}
+    bad = json.dumps({"cache_key": "k2", "completion": "two"}).encode("utf-8")
+    path.write_bytes(bad.replace(b"two", b"tw\xff") + b"\n" + json.dumps(good).encode() + b"\n")
+    gw = Gateway(path)
+    assert len(gw) == 1
+    assert f"skipping corrupt cache line {path}:1" in caplog.text
+    assert gw.complete(REQUEST, "replay").completion == "one"
 
 
 class PausingLock:

@@ -338,3 +338,14 @@ def test_keyword_sets_corrupt_line(tmp_path):
     path.write_text('{"id": "q1"}\n', encoding="utf-8")
     with pytest.raises(ExtractionError, match=r":1:"):
         load_keyword_sets(path)
+
+
+@pytest.mark.parametrize("field", ["seed", "word_count", "starts"])
+def test_keyword_sets_reject_an_infinite_number(tmp_path, field):
+    path = tmp_path / "kw.jsonl"
+    save_keyword_sets({"q1": extract_random_span("one two three four", 0.5, seed=2)}, path)
+    rec = json.loads(path.read_text(encoding="utf-8"))
+    rec[field] = "INF" if field != "starts" else ["INF"]
+    path.write_text(json.dumps(rec).replace('"INF"', "1e999") + "\n", encoding="utf-8")
+    with pytest.raises(ExtractionError, match=r"kw\.jsonl:1: bad keyword record"):
+        load_keyword_sets(path)

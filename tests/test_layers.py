@@ -8,9 +8,12 @@ reports it reads back. Every context provider materializes through the one
 `ContextProvider.augment_all`, and the context cue is spelled once, in
 `privqa.contexts`. No module keeps an import it does not use. Scores and
 predictions reduce in a fixed order: no BLAS product and no numpy `exp`.
+Every error class derives from `privqa.errors.PrivqaError`, and the CLI
+catches that base, not a hand-kept list of classes.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "privqa"
@@ -245,3 +248,67 @@ def test_scores_reduce_in_a_fixed_order():
         for where in dispatched_reductions(parse(path))
     }
     assert not found, f"CPU-dependent reductions: {sorted(found)}"
+
+
+def _names_an_exception(name: str) -> bool:
+    """A builtin exception, or a name spelled like one (`JSONDecodeError`)."""
+    value = getattr(builtins, name, None)
+    if isinstance(value, type) and issubclass(value, BaseException):
+        return True
+    return name.endswith(("Error", "Exception"))
+
+
+def error_classes(trees: list[ast.AST]) -> dict[str, set[str]]:
+    """Each exception class the trees define, by name, with every name it derives from.
+
+    Bases are followed through the classes the trees define, in any module,
+    and named without their module (`errors.PrivqaError` is `PrivqaError`).
+    """
+    bases = {
+        node.name: [ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases]
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def ancestors(name: str) -> set[str]:
+        found = set()
+        for base in bases.get(name, []):
+            found |= {base} | ancestors(base)
+        return found
+
+    return {
+        name: ancestors(name)
+        for name in bases
+        if any(_names_an_exception(a) for a in ancestors(name))
+    }
+
+
+def test_error_classes_follow_bases_across_modules():
+    trees = [
+        ast.parse("class Base(Exception): pass\nclass A(Base): pass\nclass E(enum.Enum): pass\n"),
+        ast.parse("class B(m.A): pass\nclass C(json.JSONDecodeError): pass\nclass D(KeyError): pass\n"),
+    ]
+    found = error_classes(trees)
+    assert set(found) == {"Base", "A", "B", "C", "D"}
+    assert found["B"] == {"A", "Base", "Exception"}
+    assert found["C"] == {"JSONDecodeError"}
+
+
+def test_every_error_derives_from_privqa_error():
+    found = error_classes([parse(path) for path in sorted(SRC.glob("*.py"))])
+    assert found["PrivqaError"] == {"Exception"}
+    stray = sorted(name for name, parents in found.items() if "PrivqaError" not in parents)
+    assert stray == ["PrivqaError"], f"error classes not derived from PrivqaError: {stray}"
+
+
+def test_cli_keeps_no_list_of_error_classes():
+    errors = set(error_classes([parse(path) for path in sorted(SRC.glob("*.py"))]))
+    tuples = [
+        [ast.unparse(elt) for elt in node.elts]
+        for node in ast.walk(parse(CLI))
+        if isinstance(node, ast.Tuple)
+        and node.elts
+        and all(ast.unparse(elt) in errors or _names_an_exception(ast.unparse(elt)) for elt in node.elts)
+    ]
+    assert tuples == [["PrivqaError", "OSError"]], f"tuples of error classes in privqa.cli: {tuples}"

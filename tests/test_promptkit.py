@@ -105,6 +105,13 @@ def test_load_demonstrations_error_names_block(tmp_path):
         load_demonstrations(path)
 
 
+def test_load_demonstrations_reads_windows_line_ends(tmp_path):
+    path = tmp_path / "demos.txt"
+    good = render_block(DEMO.keywords, DEMO.choices, DEMO.context)
+    path.write_bytes(f"{good}\n\n{good}\n".replace("\n", "\r\n").encode("utf-8"))
+    assert load_demonstrations(path) == [DEMO, DEMO]
+
+
 def test_bundled_files_render_canonically():
     # the shipped demonstration files are exactly what the renderer produces
     for name in ("medqa", "medmcqa", "csqa", "obqa"):
