@@ -125,9 +125,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         if value is None:
             continue
         values[f.name] = _exact(f.name, type(f.default), value)
-    cfg = ExperimentConfig(**values)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def _load_completions(path: str | None) -> dict[str, str] | None:
@@ -141,9 +139,10 @@ def _load_completions(path: str | None) -> dict[str, str] | None:
 
 
 def _load_demos(spec: str):
+    """Demonstrations from a file, or bundled ones by a bare name (no separator or suffix)."""
     p = Path(spec)
-    if p.exists():
-        return load_demonstrations(p)
+    if p.exists() or p.suffix or p.name != spec:
+        return load_demonstrations(spec)
     return load_demonstrations(bundled_demo_path(spec))
 
 
@@ -409,7 +408,7 @@ def _cmd_report(args) -> int:
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     """--config, then one flag per ExperimentConfig field, typed as its default.
 
-    Values are checked by `ExperimentConfig.validate`, as config-file values are.
+    Values are checked when the `ExperimentConfig` is built, as config-file values are.
     """
     p.add_argument("--config", help="JSON file of option defaults")
     for f in fields(ExperimentConfig):

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -82,7 +81,7 @@ class HarnessError(PrivqaError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything that determines a run's outcome; fully JSON-serializable."""
+    """Everything that determines a run's outcome; JSON-serializable, checked when built."""
 
     regime: str = "FTC"
     view: str = "Full"
@@ -103,6 +102,9 @@ class ExperimentConfig:
     demo_file: str = ""
     gazetteer_file: str = ""
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.regime not in REGIMES:
             raise HarnessError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
@@ -119,28 +121,18 @@ class ExperimentConfig:
             raise HarnessError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.mode not in MODES:
             raise HarnessError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        for name in ("batch_size", "max_epochs", "early_stop_patience", "featurizer_dim"):
-            if not getattr(self, name) >= 1:
-                raise HarnessError(f"{name} {getattr(self, name)} must be at least 1")
-        for name in ("warmup_steps", "weight_decay"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise HarnessError(f"{name} {getattr(self, name)} must be finite and not negative")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise HarnessError(f"learning_rate {self.learning_rate} must be finite and positive")
+        # FeaturizerConfig's own message names `dim`, not this field
+        if not self.featurizer_dim >= 1:
+            raise HarnessError(f"featurizer_dim {self.featurizer_dim} must be at least 1")
+        # the training and featurizer configs check their own ranges
+        self.train_config()
+        self.featurizer()
 
     def context_view(self) -> ContextView:
         return ContextView(self.view)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            warmup_steps=self.warmup_steps,
-            early_stop_patience=self.early_stop_patience,
-            seed=self.seed,
-            weight_decay=self.weight_decay,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def featurizer(self) -> FeaturizerConfig:
         return FeaturizerConfig(dim=self.featurizer_dim, hash_seed=self.hash_seed)
@@ -571,8 +563,9 @@ def _run(
 ) -> EvalReport:
     """Train on datasets' train/dev splits, predict `test`, and build the report.
 
-    Both providers' keyword maps share `extractions`, by default a memo of
-    this run alone.
+    Runs handed one `featurizer` (equal to their configs') and one
+    `extractions` memo hash each n-gram and extract each question once across
+    them; by default the run builds its own of each.
     """
     if extractions is None:
         extractions = {}
@@ -590,28 +583,11 @@ def _run(
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    datasets: dict[str, Dataset],
-    provider=None,
-    featurizer: FeaturizerConfig | None = None,
-    extractions: Extractions | None = None,
+    config: ExperimentConfig, datasets: dict[str, Dataset], provider=None
 ) -> EvalReport:
-    """Train under the configured regime and evaluate on the test split.
-
-    Runs handed one `featurizer` share its n-gram memo, so each n-gram is
-    hashed once across them, and runs handed one `extractions` memo extract
-    each question once across them; by default the run builds its own of
-    each, which lives as long as the run. A given featurizer must equal the
-    config's.
-    """
-    config.validate()
+    """Train under the configured regime and evaluate on the test split."""
     _require_splits(datasets, "train", "dev", "test")
-    if featurizer is not None and featurizer != config.featurizer():
-        raise HarnessError(f"featurizer {featurizer} differs from the config's")
-    return _run(
-        config, datasets, datasets["test"], provider, provider,
-        featurizer=featurizer, extractions=extractions,
-    )
+    return _run(config, datasets, datasets["test"], provider, provider)
 
 
 def run_ood(
@@ -622,7 +598,6 @@ def run_ood(
     target_provider=None,
 ) -> EvalReport:
     """Train on the source domain, evaluate on the target domain's test split."""
-    config.validate()
     _require_splits(source, "train", "dev")
     _require_splits(target, "test")
     transfer = {"source": source["train"].name, "target": target["test"].name}
@@ -640,20 +615,25 @@ def run_budget_sweep(
     Contexts are regenerated per ratio: a smaller disclosure changes the
     prompt, so cached generations from other ratios never leak in. The
     ratios' runs share one featurizer and one extraction memo, built for
-    this sweep: extraction does not depend on the ratio.
+    this sweep: extraction does not depend on the ratio. Every ratio's config
+    is built before the first run, so a bad ratio fails before any training.
     """
+    configs = [replace(config, ratio=ratio) for ratio in ratios]
     _require_disclosure("budget sweep", config, provider)
+    _require_splits(datasets, "train", "dev", "test")
     featurizer = config.featurizer()
     extractions: Extractions = {}
     return [
-        run_experiment(replace(config, ratio=ratio), datasets, provider, featurizer, extractions)
-        for ratio in ratios
+        _run(
+            cfg, datasets, datasets["test"], provider, provider,
+            featurizer=featurizer, extractions=extractions,
+        )
+        for cfg in configs
     ]
 
 
 def _require_disclosure(what: str, config: ExperimentConfig, provider) -> None:
     """A run that varies the disclosed keywords needs contexts to disclose them to."""
-    config.validate()
     if provider is None:
         raise HarnessError(f"{what} needs a context provider")
     if config.regime == "SFT":
@@ -700,7 +680,10 @@ def run_representation_compare(
     for method in METHODS:
         ratio = config.ratio if method == METHOD_NER else target
         cfg = replace(config, method=method, ratio=ratio)
-        out[method] = run_experiment(cfg, shared, provider, featurizer, extractions)
+        out[method] = _run(
+            cfg, shared, shared["test"], provider, provider,
+            featurizer=featurizer, extractions=extractions,
+        )
         # the report's budget is that of the train map the run disclosed
         realized = out[method].budget["budget"]
         if method != METHOD_NER and abs(realized - target) > BUDGET_TOLERANCE:

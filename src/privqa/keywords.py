@@ -300,12 +300,15 @@ def load_keyword_sets(path: str | Path) -> dict[str, KeywordSet]:
     for lineno, rec in read_jsonl(path, ExtractionError):
         try:
             inst_id = str(rec["id"])
+            keywords, starts = rec["keywords"], rec.get("starts", [])
+            if not (isinstance(keywords, list) and isinstance(starts, list)):
+                raise TypeError("keywords and starts must be JSON lists")
             ks = KeywordSet(
-                keywords=tuple(str(k) for k in rec["keywords"]),
+                keywords=tuple(str(k) for k in keywords),
                 method=str(rec["method"]),
                 ratio=float(rec["ratio"]),
                 seed=int(rec["seed"]),
-                starts=tuple(int(s) for s in rec.get("starts", [])),
+                starts=tuple(int(s) for s in starts),
                 word_count=int(rec["word_count"]),
             )
         except (KeyError, ValueError, TypeError, OverflowError) as exc:

@@ -462,6 +462,16 @@ class TrainConfig:
     seed: int = 0
     weight_decay: float = 0.01
 
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "max_epochs", "early_stop_patience"):
+            if not getattr(self, name) >= 1:
+                raise ScorerError(f"{name} {getattr(self, name)} must be at least 1")
+        for name in ("warmup_steps", "weight_decay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ScorerError(f"{name} {getattr(self, name)} must be finite and not negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ScorerError(f"learning_rate {self.learning_rate} must be finite and positive")
+
 
 @dataclass
 class TrainLog:

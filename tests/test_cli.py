@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privqa import cli, scorer
+from privqa import cli, harness, scorer
 from privqa.corpus import (
     Dataset,
     QAInstance,
@@ -452,6 +452,24 @@ def test_featurizer_setting_out_of_range_is_user_error(capsys, flag, value, mess
     assert f"error: featurizer {message}" in capsys.readouterr().err
 
 
+def test_bad_sweep_ratio_fails_before_any_training(capsys, monkeypatch):
+    trained, real = [], harness.train
+    monkeypatch.setattr(harness, "train", lambda *args: trained.append(args) or real(*args))
+    argv = ["sweep", "--synthetic", "--train-size", "8", "--dev-size", "8", "--test-size", "8"]
+    assert run([*argv, "--max-epochs", "1", "--ratios", "0.5,1.5"]) == 1
+    assert "error: ratio 1.5 outside [0, 1]" in capsys.readouterr().err
+    assert not trained
+
+
+def test_bad_setting_fails_before_any_file_is_read(capsys, tmp_path):
+    missing = [tmp_path / "train.jsonl", tmp_path / "dev.jsonl"]
+    argv = ["train", "--train", missing[0], "--dev", missing[1], "--checkpoint", tmp_path / "m.npz"]
+    assert run([*argv, "--hash-seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "error: featurizer hash_seed -1 outside [0, 2**64)" in err
+    assert "cannot read" not in err
+
+
 def test_featurizer_dim_too_large_to_allocate_is_user_error(capsys, monkeypatch):
     # 2**63 is in range, but no weight vector that long can be allocated: the
     # run stops before it featurizes a training text
@@ -515,6 +533,23 @@ def test_demos_not_utf8_names_file_and_line(ws, capsys, tmp_path):
     argv = ["prompt", "--data", root / "data-train.jsonl", "--keywords", root / "kw-train.jsonl"]
     assert run([*argv, "--demos", demos, "--id", "syn-train-0000"]) == 1
     assert f"error: {demos}:2: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["demos.txt", "missing/demos", "demos.md"])
+def test_missing_demo_file_is_named(ws, capsys, tmp_path, name):
+    # a value with a path separator or a suffix is a file, never a bundled name
+    demos = tmp_path / name
+    root = ws["root"]
+    argv = ["prompt", "--data", root / "data-train.jsonl", "--keywords", root / "kw-train.jsonl"]
+    assert run([*argv, "--demos", demos, "--id", "syn-train-0000"]) == 1
+    assert f"error: {demos}: cannot read (No such file or directory)" in capsys.readouterr().err
+
+
+def test_unknown_bundled_demo_name_is_named(ws, capsys):
+    root = ws["root"]
+    argv = ["prompt", "--data", root / "data-train.jsonl", "--keywords", root / "kw-train.jsonl"]
+    assert run([*argv, "--demos", "nosuchset", "--id", "syn-train-0000"]) == 1
+    assert "error: no bundled demonstrations named 'nosuchset'" in capsys.readouterr().err
 
 
 def test_replay_skips_a_cache_line_that_is_not_utf8(ws, capsys, tmp_path):

@@ -541,12 +541,6 @@ def test_compare_runs_share_one_memo_per_call(corpus, provider, featurizers):
     assert firsts[0] is not firsts[1]
 
 
-def test_run_experiment_rejects_another_featurizer(corpus, provider):
-    other = replace(small_config(), featurizer_dim=2**12).featurizer()
-    with pytest.raises(HarnessError, match="featurizer"):
-        run_experiment(small_config(), corpus, provider, other)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     corpus_seed=st.integers(0, 2**16),

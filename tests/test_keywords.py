@@ -340,6 +340,22 @@ def test_keyword_sets_corrupt_line(tmp_path):
         load_keyword_sets(path)
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        # a string would load as one keyword per character, with a matching word count
+        {"keywords": "ab", "word_count": 2},
+        {"keywords": ["ab"], "starts": "0", "word_count": 1},
+    ],
+)
+def test_keyword_sets_reject_a_string_for_a_list(tmp_path, record):
+    path = tmp_path / "kw.jsonl"
+    rec = {"id": "q1", "method": "NER", "ratio": 1.0, "seed": 0, **record}
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(ExtractionError, match=r"kw\.jsonl:1: bad keyword record .*JSON lists"):
+        load_keyword_sets(path)
+
+
 @pytest.mark.parametrize("field", ["seed", "word_count", "starts"])
 def test_keyword_sets_reject_an_infinite_number(tmp_path, field):
     path = tmp_path / "kw.jsonl"

@@ -700,6 +700,23 @@ def test_train_requires_items():
         train(TrainConfig(), [TrainItem("t", ("x", "y"), 0)], [], featurizer=CFG)
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"batch_size": 0}, "batch_size 0 must be at least 1"),
+        ({"max_epochs": 0}, "max_epochs 0 must be at least 1"),
+        ({"early_stop_patience": 0}, "early_stop_patience 0 must be at least 1"),
+        ({"warmup_steps": -1}, "warmup_steps -1 must be finite and not negative"),
+        ({"weight_decay": math.inf}, "weight_decay inf must be finite and not negative"),
+        ({"learning_rate": math.nan}, "learning_rate nan must be finite and positive"),
+    ],
+)
+def test_train_config_checks_its_ranges(setting, message):
+    items = [TrainItem("t", ("x", "y"), 0)]
+    with pytest.raises(ScorerError, match=message):
+        train(TrainConfig(**setting), items, items, featurizer=CFG)
+
+
 @pytest.mark.parametrize("gold, texts", [(2, ("x", "y")), (-1, ("x", "y")), (0, ())])
 def test_gold_index_outside_its_choices(gold, texts):
     bad = TrainItem("bad", texts, gold)
