@@ -328,12 +328,32 @@ def _publish(out: str | None, named: dict[str, EvalReport]) -> None:
     print(f"wrote {len(named)} reports -> {outdir}")
 
 
+def _sweep_name(ratio: float, seed: int) -> str:
+    return f"sweep-ratio{ratio:g}-seed{seed}"
+
+
+def _sweep_ratios(text, seed: int) -> tuple[float, ...]:
+    """`--ratios` as numbers, each naming its own report; unset, the defaults."""
+    if text is None:
+        return DEFAULT_SWEEP_RATIOS
+    named: dict[str, str] = {}
+    for item in _exact("ratios", str, text).split(","):
+        try:
+            name = _sweep_name(float(item), seed)
+        except ValueError:
+            raise HarnessError(f"--ratios: {item!r} is not a number") from None
+        if name in named:
+            raise HarnessError(f"--ratios: {item!r} and {named[name]!r} would both write {name}")
+        named[name] = item
+    return tuple(float(item) for item in named.values())
+
+
 def _cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
+    ratios = _sweep_ratios(args.ratios, cfg.seed)
     datasets, provider = _setup(args, cfg)
-    ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else DEFAULT_SWEEP_RATIOS
     reports = run_budget_sweep(cfg, datasets, provider, ratios)
-    _publish(args.out, {f"sweep-ratio{r.config['ratio']:g}-seed{cfg.seed}": r for r in reports})
+    _publish(args.out, {_sweep_name(r.config["ratio"], cfg.seed): r for r in reports})
     return 0
 
 

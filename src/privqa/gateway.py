@@ -5,7 +5,8 @@ persisted to an append-only JSONL cache. Replay mode serves cached
 completions only and never touches the network, which is what makes
 experiment runs reproducible after the fact. A live key goes upstream once
 while its call is in flight; calls are retried with exponential backoff on
-transient failures and bounded by a concurrency limit. Decoding is fixed:
+transient failures, waiting at least as long as a `Retry-After` asks, and
+bounded by a concurrency limit. Decoding is fixed:
 greedy, at most `DEFAULT_MAX_TOKENS`, stopped at the prompt's block
 separator. A batch sends each key once, as an ordered map over
 `Gateway.complete` on up to that many threads, and writes its cache lines in
@@ -25,8 +26,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-import requests
-
 from privqa.errors import PrivqaError
 from privqa.promptkit import STOP_SEQUENCE, PromptText
 
@@ -41,6 +40,7 @@ DEFAULT_MAX_ATTEMPTS = 5
 DEFAULT_BACKOFF_START = 1.0
 DEFAULT_CREDENTIAL_ENV = "PRIVQA_API_KEY"
 HTTP_TIMEOUT_S = 60.0
+MAX_RETRY_AFTER_S = 60.0
 
 MODES = ("live", "replay", "mock")
 
@@ -108,39 +108,73 @@ def _request_summary(request: GenerationRequest) -> dict:
 class TransportReply:
     status: int
     body: dict
+    retry_after: float | None = None  # seconds, from a `Retry-After` header
+
+
+def _json_body(raw: bytes) -> dict:
+    try:
+        return json.loads(raw)
+    except ValueError:
+        return {}
+
+
+def _retry_after_seconds(value: str | None) -> float | None:
+    """A `Retry-After` header in its seconds form; an HTTP-date or anything else is None."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 class HttpTransport:
-    """POSTs chat-completion payloads; credential comes from an env var."""
+    """POSTs chat-completion payloads; credential comes from an env var.
+
+    One opener, built here and shared by the pool threads, sends every
+    request; it honours the `*_proxy` environment variables. An HTTP error
+    status comes back as a reply, with its `Retry-After` seconds. A failure
+    to connect, a timeout or a broken response raises `TransportError`.
+    """
 
     def __init__(self, url: str, credential_env: str = DEFAULT_CREDENTIAL_ENV) -> None:
+        # imported here, not at module level: only live generation sends, and
+        # an HTTP stack loaded on import costs every other command memory
+        import urllib.parse
+        import urllib.request
+
+        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+            raise GatewayError(f"api url {url!r} must start with http:// or https://")
         self.url = url
         self.credential_env = credential_env
+        self._opener = urllib.request.build_opener()
         self._lock = threading.Lock()
         self.calls = 0
 
     def send(self, payload: dict) -> TransportReply:
+        # loaded by __init__; bound here by name
+        import http.client
+        import urllib.error
+        import urllib.request
+
         key = os.environ.get(self.credential_env)
         if not key:
             raise GatewayError(f"credential env var {self.credential_env} is not set")
         with self._lock:
             self.calls += 1
+        request = urllib.request.Request(
+            self.url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Authorization": f"Bearer {key}", "Content-Type": "application/json"},
+            method="POST",
+        )
         try:
-            resp = requests.post(
-                self.url,
-                json=payload,
-                headers={"Authorization": f"Bearer {key}"},
-                timeout=HTTP_TIMEOUT_S,
-            )
-        except requests.Timeout as exc:
-            raise TransportError("request timed out") from exc
-        except requests.RequestException as exc:
+            try:
+                with self._opener.open(request, timeout=HTTP_TIMEOUT_S) as resp:
+                    status, raw, retry_after = resp.status, resp.read(), None
+            except urllib.error.HTTPError as exc:  # an error status is a reply
+                with exc:
+                    status, raw = exc.code, exc.read()
+                    retry_after = _retry_after_seconds(exc.headers.get("Retry-After"))
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"request failed: {exc}") from exc
-        try:
-            body = resp.json()
-        except ValueError:
-            body = {}
-        return TransportReply(status=resp.status_code, body=body)
+        return TransportReply(status, _json_body(raw), retry_after)
 
 
 class MockTransport:
@@ -380,11 +414,13 @@ class Gateway:
     def _call_upstream(self, request: GenerationRequest, key: str) -> GenerationRecord:
         payload = _chat_payload(request)
         backoff = self.backoff_start
+        retry_after = 0.0
         last_error = "no attempts made"
         for attempt in range(DEFAULT_MAX_ATTEMPTS):
             if attempt:
-                self._sleep(backoff)
+                self._sleep(max(backoff, retry_after))
                 backoff *= 2
+                retry_after = 0.0
             try:
                 with self._sem:
                     reply = self.transport.send(payload)
@@ -393,6 +429,8 @@ class Gateway:
                 continue
             if reply.status == 429 or reply.status >= 500:
                 last_error = f"upstream status {reply.status}"
+                if reply.status in (429, 503) and reply.retry_after is not None:
+                    retry_after = min(reply.retry_after, MAX_RETRY_AFTER_S)
                 continue
             if reply.status != 200:
                 raise GatewayError(f"upstream status {reply.status}: {reply.body}")

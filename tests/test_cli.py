@@ -1,6 +1,9 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -461,6 +464,33 @@ def test_bad_sweep_ratio_fails_before_any_training(capsys, monkeypatch):
     assert not trained
 
 
+@pytest.mark.parametrize(
+    "ratios, message",
+    [
+        ("0.5,x", "--ratios: 'x' is not a number"),
+        ("0.5,,1", "--ratios: '' is not a number"),
+        ("", "--ratios: '' is not a number"),
+        ("0.5,0.5000001", "--ratios: '0.5000001' and '0.5' would both write sweep-ratio0.5-seed0"),
+        ("1,0.5,1.0", "--ratios: '1.0' and '1' would both write sweep-ratio1-seed0"),
+    ],
+)
+def test_unreadable_sweep_ratios_fail_before_any_training(capsys, monkeypatch, tmp_path, ratios, message):
+    trained, real = [], harness.train
+    monkeypatch.setattr(harness, "train", lambda *args: trained.append(args) or real(*args))
+    argv = ["sweep", "--synthetic", "--train-size", "8", "--dev-size", "8", "--test-size", "8"]
+    assert run([*argv, "--max-epochs", "1", "--ratios", ratios, "--out", tmp_path / "out"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not trained
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_ratios_from_a_config_file_must_be_a_string(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ratios": [0.5, 1.0]}), encoding="utf-8")
+    assert run(["sweep", "--synthetic", "--train-size", "8", "--config", config]) == 1
+    assert "error: ratios: [0.5, 1.0] is not of type str" in capsys.readouterr().err
+
+
 def test_bad_setting_fails_before_any_file_is_read(capsys, tmp_path):
     missing = [tmp_path / "train.jsonl", tmp_path / "dev.jsonl"]
     argv = ["train", "--train", missing[0], "--dev", missing[1], "--checkpoint", tmp_path / "m.npz"]
@@ -704,6 +734,22 @@ def test_sweep_synthetic(tmp_path, capsys):
     assert "25.0%" in stdout and "50.0%" in stdout
     assert (out / "sweep-ratio0.5-seed0.json").exists()
     assert (out / "sweep-ratio1-seed0.json").exists()
+
+
+def test_sweep_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes are salted per process, so set and dict order must never reach a report
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "privqa.cli", "sweep", "--synthetic", "--train-size", "60"]
+    argv += ["--dev-size", "30", "--test-size", "30", "--dim", "4096", "--max-epochs", "2"]
+    reports = {}
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([*argv, "--out", str(out)], env=env, capture_output=True, timeout=120, check=True)
+        reports[hash_seed] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert len(reports["0"]) == 4
+    assert reports["0"] == reports["12345"]
 
 
 def test_ood_synthetic(capsys):

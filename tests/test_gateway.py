@@ -1,17 +1,23 @@
 import json
+import socket
 import threading
 import time
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privqa import cli, gateway
+from privqa.corpus import load_augmented, write_dataset
 from privqa.gateway import (
+    DEFAULT_MAX_ATTEMPTS,
     DEFAULT_MAX_TOKENS,
     Gateway,
     GatewayError,
     GenerationRequest,
+    MAX_RETRY_AFTER_S,
     HttpTransport,
     MockTransport,
     ReplayCacheMiss,
@@ -19,7 +25,9 @@ from privqa.gateway import (
     TransportReply,
     cache_key,
 )
+from privqa.keywords import save_keyword_sets
 from privqa.promptkit import STOP_SEQUENCE, PromptText
+from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus
 
 PROMPT = PromptText(
     text="Question Keywords: a\nCandidate Answers: (a) x (b) y\nContext:",
@@ -142,6 +150,24 @@ def test_live_retries_with_backoff(tmp_path):
     assert rec.retries == 3
     assert transport.calls == 4
     assert sleeps == [1.0, 2.0, 4.0]
+
+
+def test_live_waits_as_long_as_retry_after_asks(tmp_path):
+    sleeps = []
+    transport = MockTransport(
+        [
+            TransportReply(429, {}, 6.0),
+            TransportReply(503, {}, 0.5),  # shorter than the backoff
+            TransportReply(500, {}, 30.0),  # only a 429 or 503 is honoured
+            TransportReply(429, {}, MAX_RETRY_AFTER_S * 100),
+            ok("eventually"),
+        ]
+    )
+    gw = Gateway(tmp_path / "cache.jsonl", transport=transport, sleep=sleeps.append)
+    rec = gw.complete(REQUEST, "live")
+    assert rec.completion == "eventually"
+    assert rec.retries == 4
+    assert sleeps == [6.0, 2.0, 4.0, MAX_RETRY_AFTER_S]
 
 
 def test_live_gives_up_after_max_attempts(tmp_path):
@@ -613,3 +639,191 @@ def test_complete_all_wide_batch_equals_serial(tmp_path_factory, picks, delays, 
     assert wide == serial
     assert wide[2] == len(set(picks))
 
+
+
+# ---------------------------------------------------------------------------
+# HttpTransport against a loopback server
+
+
+def reply(status, body, headers=None):
+    raw = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+    return status, raw, headers or {}
+
+
+def ok_reply(text, finish="stop"):
+    return reply(200, ok(text, finish).body)
+
+
+class ChatServer(ThreadingHTTPServer):
+    """Chat-completion endpoint on 127.0.0.1 that answers from a script.
+
+    Each POST takes the next scripted (status, body bytes, headers) reply, or
+    `default` once the script runs out, and is kept as (headers, payload).
+    """
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), ChatHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
+        self.script = []
+        self.default = ok_reply("default")
+        self.received = []
+        self.lock = threading.Lock()
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with self.server.lock:
+            self.server.received.append((self.headers, payload))
+            status, body, headers = self.server.script.pop(0) if self.server.script else self.server.default
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def server(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    monkeypatch.setenv("PRIVQA_API_KEY", "sk-loopback")
+    monkeypatch.setattr(gateway, "HTTP_TIMEOUT_S", 10.0)
+    srv = ChatServer()
+    thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def http_gateway(tmp_path, url, sleeps):
+    return Gateway(tmp_path / "cache.jsonl", transport=HttpTransport(url), sleep=sleeps.append)
+
+
+def test_http_sends_payload_and_credential(tmp_path, server):
+    sleeps = []
+    server.script = [ok_reply("hello")]
+    rec = http_gateway(tmp_path, server.url, sleeps).complete(REQUEST, "live")
+    assert (rec.completion, rec.source, rec.retries, rec.truncated) == ("hello", "live", 0, False)
+    assert sleeps == []
+    [(headers, payload)] = server.received
+    assert headers["Authorization"] == "Bearer sk-loopback"
+    assert headers["Content-Type"] == "application/json"
+    assert payload == {
+        "model": "test-model",
+        "messages": [{"role": "user", "content": PROMPT.text}],
+        "temperature": 0.0,
+        "max_tokens": DEFAULT_MAX_TOKENS,
+        "stop": [STOP_SEQUENCE],
+    }
+
+
+@pytest.mark.parametrize(
+    "header, wait",
+    [
+        ("3", 3.0),
+        ("0", 1.0),  # shorter than the backoff
+        (str(int(MAX_RETRY_AFTER_S) * 10), MAX_RETRY_AFTER_S),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 1.0),  # the HTTP-date form is ignored
+        ("soon", 1.0),
+    ],
+)
+def test_http_429_waits_for_retry_after(tmp_path, server, header, wait):
+    sleeps = []
+    server.script = [reply(429, {"error": "slow down"}, {"Retry-After": header}), ok_reply("late")]
+    rec = http_gateway(tmp_path, server.url, sleeps).complete(REQUEST, "live")
+    assert (rec.completion, rec.retries) == ("late", 1)
+    assert sleeps == [wait]
+    assert len(server.received) == 2
+
+
+def test_http_503_is_retried(tmp_path, server):
+    sleeps = []
+    server.script = [reply(503, b"unavailable"), ok_reply("second")]
+    rec = http_gateway(tmp_path, server.url, sleeps).complete(REQUEST, "live")
+    assert (rec.completion, rec.retries) == ("second", 1)
+    assert sleeps == [1.0]
+    first, second = (payload for _, payload in server.received)
+    assert first == second
+
+
+def test_http_400_is_sent_once(tmp_path, server):
+    sleeps = []
+    server.script = [reply(400, {"error": "bad model"})]
+    gw = http_gateway(tmp_path, server.url, sleeps)
+    with pytest.raises(GatewayError, match="upstream status 400: {'error': 'bad model'}"):
+        gw.complete(REQUEST, "live")
+    assert len(server.received) == 1
+    assert sleeps == []
+    assert len(gw) == 0
+
+
+def test_http_body_not_json_is_malformed(tmp_path, server):
+    server.script = [reply(200, b"<html>not json</html>")]
+    with pytest.raises(GatewayError, match="malformed upstream response: {}"):
+        http_gateway(tmp_path, server.url, []).complete(REQUEST, "live")
+    assert len(server.received) == 1
+
+
+def test_http_length_finish_is_truncated(tmp_path, server):
+    server.script = [ok_reply("cut off", finish="length")]
+    rec = http_gateway(tmp_path, server.url, []).complete(REQUEST, "live")
+    assert (rec.completion, rec.truncated) == ("cut off", True)
+    cached = json.loads((tmp_path / "cache.jsonl").read_text(encoding="utf-8"))
+    assert cached["truncated"] is True
+
+
+def test_http_refused_connection_gives_up(tmp_path, monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    monkeypatch.setenv("PRIVQA_API_KEY", "sk-loopback")
+    with socket.socket() as probe:  # a port that nothing listens on once it is closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    sleeps = []
+    gw = http_gateway(tmp_path, f"http://127.0.0.1:{port}/v1/chat/completions", sleeps)
+    with pytest.raises(GatewayError, match=f"giving up after {DEFAULT_MAX_ATTEMPTS} attempts"):
+        gw.complete(REQUEST, "live")
+    assert gw.transport_calls == DEFAULT_MAX_ATTEMPTS
+    assert sleeps == [1.0, 2.0, 4.0, 8.0]
+
+
+def test_http_transport_needs_an_http_url():
+    with pytest.raises(GatewayError, match="http:// or https://"):
+        HttpTransport("127.0.0.1:8080/v1/chat/completions")
+
+
+def test_generate_live_through_loopback(tmp_path, server, capsys):
+    instances = build_corpus(SyntheticSpec(seed=3, train_size=4, dev_size=3, test_size=3))["dev"]
+    provider = SyntheticContextProvider(SyntheticSpec(seed=3))
+    write_dataset(instances, tmp_path / "data.jsonl")
+    save_keyword_sets(provider.keyword_map(instances, 1.0, seed=0), tmp_path / "kw.jsonl")
+    generic = "Context: x\n(a): y.\n(b): z.\n(c): w.\n(d): v.\nTherefore, the answer is (b)."
+    server.default = ok_reply(generic)
+    argv = [
+        "generate",
+        "--data", tmp_path / "data.jsonl",
+        "--keywords", tmp_path / "kw.jsonl",
+        "--demos", "medqa",
+        "--cache", tmp_path / "cache.jsonl",
+        "--mode", "live",
+        "--api-url", server.url,
+        "--output", tmp_path / "aug.jsonl",
+    ]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert "generated 3 contexts" in capsys.readouterr().out
+    augmented = load_augmented(tmp_path / "aug.jsonl")
+    assert [a.instance.id for a in augmented] == [inst.id for inst in instances.instances]
+    assert {a.context.decision for a in augmented} == {frozenset("b")}
+    lines = [json.loads(line) for line in (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [line["summary"]["query_id"] for line in lines] == [a.instance.id for a in augmented]
+    assert {line["source"] for line in lines} == {"live"}
+    assert len(server.received) == 3
+    assert all(headers["Authorization"] == "Bearer sk-loopback" for headers, _ in server.received)

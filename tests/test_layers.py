@@ -9,11 +9,16 @@ reports it reads back. Every context provider materializes through the one
 `privqa.contexts`. No module keeps an import it does not use. Scores and
 predictions reduce in a fixed order: no BLAS product and no numpy `exp`.
 Every error class derives from `privqa.errors.PrivqaError`, and the CLI
-catches that base, not a hand-kept list of classes.
+catches that base, not a hand-kept list of classes. Only a live transport
+loads an HTTP stack: importing the CLI loads none, and nothing imports
+`requests`.
 """
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "privqa"
@@ -29,6 +34,8 @@ REEXPORTS = {"synthetic.parse_generation", "synthetic.subsample_keywords"}
 ORDERED_MODULES = (SCORER, SRC / "harness.py")
 BLAS_PRODUCTS = {"dot", "matmul", "einsum", "inner"}
 NUMPY = {"np", "numpy"}
+# `certifi` is left out: a site `.pth` file may load it at interpreter start
+HTTP_MODULES = {"requests", "urllib3", "urllib.request", "urllib.error", "http.client", "ssl"}
 
 
 def parse(path: Path) -> ast.AST:
@@ -62,6 +69,64 @@ def test_imported_modules_sees_every_form():
         "    import privqa.harness as h\n"
     )
     assert FORBIDDEN <= imported_modules(tree)
+
+
+def import_time_modules(tree: ast.AST) -> set[str]:
+    """`imported_modules` of the imports that run on import: those outside function bodies."""
+    found, todo = [], list(ast.iter_child_nodes(tree))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return imported_modules(ast.Module(body=found, type_ignores=[]))
+
+
+def test_import_time_modules_skip_function_bodies():
+    tree = ast.parse(
+        "import json\n"
+        "try:\n"
+        "    import ssl\n"
+        "except ImportError:\n"
+        "    ssl = None\n"
+        "class T:\n"
+        "    from http import client\n"
+        "    def send(self):\n"
+        "        import urllib.request\n"
+        "def f():\n"
+        "    import requests\n"
+    )
+    assert import_time_modules(tree) == {"json", "ssl", "http", "http.client"}
+
+
+def is_http_module(name: str) -> bool:
+    return any(name == m or name.startswith(m + ".") for m in HTTP_MODULES)
+
+
+def test_no_module_imports_requests():
+    found = {
+        f"{path.stem}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in imported_modules(parse(path))
+        if name.split(".")[0] == "requests"
+    }
+    assert not found, f"imports of requests: {sorted(found)}"
+
+
+def test_gateway_imports_no_http_module_on_import():
+    found = {name for name in import_time_modules(parse(SRC / "gateway.py")) if is_http_module(name)}
+    assert not found, f"privqa.gateway imports {sorted(found)} at module level"
+
+
+def test_cli_import_loads_no_http_stack():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    probe = f"import sys, privqa.cli; print(sorted(m for m in {sorted(HTTP_MODULES)} if m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "[]", f"import privqa.cli loads {out.stdout.strip()}"
 
 
 def test_scorer_imports_no_instance_modules():
