@@ -111,13 +111,6 @@ class TransportReply:
     retry_after: float | None = None  # seconds, from a `Retry-After` header
 
 
-def _json_body(raw: bytes) -> dict:
-    try:
-        return json.loads(raw)
-    except ValueError:
-        return {}
-
-
 def _retry_after_seconds(value: str | None) -> float | None:
     """A `Retry-After` header in its seconds form; an HTTP-date or anything else is None."""
     value = (value or "").strip()
@@ -174,7 +167,11 @@ class HttpTransport:
                     retry_after = _retry_after_seconds(exc.headers.get("Retry-After"))
         except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"request failed: {exc}") from exc
-        return TransportReply(status, _json_body(raw), retry_after)
+        try:
+            body = json.loads(raw)
+        except ValueError:
+            body = {}
+        return TransportReply(status, body, retry_after)
 
 
 class MockTransport:
