@@ -121,37 +121,44 @@ class HttpTransport:
     """POSTs chat-completion payloads; credential comes from an env var.
 
     One opener, built here and shared by the pool threads, sends every
-    request; it honours the `*_proxy` environment variables. An HTTP error
-    status comes back as a reply, with its `Retry-After` seconds. A failure
+    request; it honours the `*_proxy` environment variables and follows no
+    redirect. An HTTP error status, a 30x included, comes back as a reply,
+    with its `Retry-After` seconds. A failure
     to connect, a timeout or a broken response raises `TransportError`.
     """
 
     def __init__(self, url: str, credential_env: str = DEFAULT_CREDENTIAL_ENV) -> None:
         # imported here, not at module level: only live generation sends, and
         # an HTTP stack loaded on import costs every other command memory
+        import http.client
+        import urllib.error
         import urllib.parse
         import urllib.request
+
+        class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+            """A 30x comes back as its status; the credential never follows a `Location`."""
+
+            def redirect_request(self, *args, **kwargs):
+                return None
 
         if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
             raise GatewayError(f"api url {url!r} must start with http:// or https://")
         self.url = url
         self.credential_env = credential_env
-        self._opener = urllib.request.build_opener()
+        self._opener = urllib.request.build_opener(RefuseRedirects)
+        self._request = urllib.request.Request
+        self._status_error = urllib.error.HTTPError
+        self._failures = (OSError, http.client.HTTPException)
         self._lock = threading.Lock()
         self.calls = 0
 
     def send(self, payload: dict) -> TransportReply:
-        # loaded by __init__; bound here by name
-        import http.client
-        import urllib.error
-        import urllib.request
-
         key = os.environ.get(self.credential_env)
         if not key:
             raise GatewayError(f"credential env var {self.credential_env} is not set")
         with self._lock:
             self.calls += 1
-        request = urllib.request.Request(
+        request = self._request(
             self.url,
             data=json.dumps(payload).encode("utf-8"),
             headers={"Authorization": f"Bearer {key}", "Content-Type": "application/json"},
@@ -161,11 +168,11 @@ class HttpTransport:
             try:
                 with self._opener.open(request, timeout=HTTP_TIMEOUT_S) as resp:
                     status, raw, retry_after = resp.status, resp.read(), None
-            except urllib.error.HTTPError as exc:  # an error status is a reply
+            except self._status_error as exc:  # an error status is a reply
                 with exc:
                     status, raw = exc.code, exc.read()
                     retry_after = _retry_after_seconds(exc.headers.get("Retry-After"))
-        except (OSError, http.client.HTTPException) as exc:
+        except self._failures as exc:
             raise TransportError(f"request failed: {exc}") from exc
         try:
             body = json.loads(raw)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import socket
 import threading
@@ -683,15 +684,17 @@ class ChatHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def do_GET(self):  # where a followed 30x would arrive
+        with self.server.lock:
+            self.server.received.append((self.headers, None))
+        self.send_error(405)
+
     def log_message(self, *args):
         pass
 
 
-@pytest.fixture
-def server(monkeypatch):
-    monkeypatch.setenv("no_proxy", "127.0.0.1")
-    monkeypatch.setenv("PRIVQA_API_KEY", "sk-loopback")
-    monkeypatch.setattr(gateway, "HTTP_TIMEOUT_S", 10.0)
+@contextlib.contextmanager
+def serving():
     srv = ChatServer()
     thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
     thread.start()
@@ -702,6 +705,15 @@ def server(monkeypatch):
         srv.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+@pytest.fixture
+def server(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    monkeypatch.setenv("PRIVQA_API_KEY", "sk-loopback")
+    monkeypatch.setattr(gateway, "HTTP_TIMEOUT_S", 10.0)
+    with serving() as srv:
+        yield srv
 
 
 def http_gateway(tmp_path, url, sleeps):
@@ -763,6 +775,18 @@ def test_http_400_is_sent_once(tmp_path, server):
         gw.complete(REQUEST, "live")
     assert len(server.received) == 1
     assert sleeps == []
+    assert len(gw) == 0
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_http_redirect_is_not_followed(tmp_path, server, status):
+    with serving() as elsewhere:
+        server.script = [reply(status, {"moved": True}, {"Location": elsewhere.url})]
+        gw = http_gateway(tmp_path, server.url, [])
+        with pytest.raises(GatewayError, match=f"upstream status {status}"):
+            gw.complete(REQUEST, "live")
+        assert elsewhere.received == []
+    assert len(server.received) == 1
     assert len(gw) == 0
 
 
