@@ -88,7 +88,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _apply_config_file(args: argparse.Namespace, kinds: dict[str, type] | None = None) -> None:
+    """Fill the options left unset from the --config file.
+
+    A value for an option in `kinds` must have that type; ExperimentConfig
+    fields are checked when the config is built. Keys that name no option
+    are ignored.
+    """
     path = getattr(args, "config", None)
     if not path:
         return
@@ -101,13 +107,27 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             flag = _FLAG_DEST[dest]
             raise HarnessError(f"config file {path}: key {key!r} is not a flag name; use {flag!r}")
         if hasattr(args, dest) and getattr(args, dest) is None:
+            if kinds and dest in kinds:
+                value = _exact(key, kinds[dest], value)
             setattr(args, dest, value)
 
 
+def _option_kinds(parser: argparse.ArgumentParser, command: str) -> dict[str, type]:
+    """The type of each option of `command` that is no ExperimentConfig field,
+    by dest: bool for a switch, else the flag's type (str when it names none)."""
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    experiment = {_FLAG_DEST.get(f.name, f.name) for f in fields(ExperimentConfig)}
+    return {
+        a.dest: bool if a.nargs == 0 else a.type or str
+        for a in commands[command]._actions
+        if a.dest not in experiment
+    }
+
+
 def _exact(name: str, kind: type, value):
-    """`value` as a field of type `kind`; a bool is no number, and an int field
-    takes a float only when it is whole."""
-    if not isinstance(value, bool):
+    """`value` as a field of type `kind`; a bool is no number and a number no
+    bool, and an int field takes a float only when it is whole."""
+    if isinstance(value, bool) == (kind is bool):
         if isinstance(value, kind):
             return value
         if kind is float and isinstance(value, int):
@@ -284,7 +304,7 @@ def _cmd_eval(args) -> int:
 def _synthetic(args, seed: int):
     """The synthetic corpus at `seed` and its oracle context provider."""
     sizes = {
-        name: int(getattr(args, name))
+        name: getattr(args, name)
         for name in ("train_size", "dev_size", "test_size")
         if getattr(args, name) is not None
     }
@@ -337,7 +357,7 @@ def _sweep_ratios(text, seed: int) -> tuple[float, ...]:
     if text is None:
         return DEFAULT_SWEEP_RATIOS
     named: dict[str, str] = {}
-    for item in _exact("ratios", str, text).split(","):
+    for item in text.split(","):
         try:
             name = _sweep_name(float(item), seed)
         except ValueError:
@@ -370,7 +390,7 @@ def _cmd_ood(args) -> int:
     if args.synthetic:
         source, provider = _synthetic(args, cfg.seed)
         target, target_provider = _synthetic(
-            args, 1 if args.target_seed is None else int(args.target_seed)
+            args, 1 if args.target_seed is None else args.target_seed
         )
         _publish(None, {"ood": run_ood(cfg, source, target, provider, target_provider)})
         return 0
@@ -438,7 +458,8 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_source_flags(p: argparse.ArgumentParser, data_files: bool) -> None:
     """Where an experiment's splits come from: the synthetic corpus or files."""
-    p.add_argument("--synthetic", action="store_true")
+    # unset is None, not False, so a config file can set it
+    p.add_argument("--synthetic", action="store_true", default=None)
     p.add_argument("--train-size", type=int)
     p.add_argument("--dev-size", type=int)
     p.add_argument("--test-size", type=int)
@@ -552,7 +573,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, _option_kinds(parser, args.command))
         return args.func(args)
     except (PrivqaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

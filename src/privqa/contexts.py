@@ -92,30 +92,30 @@ class ParsedContext:
     warnings: tuple[str, ...] = field(compare=False, default=())
 
 
-def _split_last_sentence(text: str) -> tuple[str, str] | None:
-    """Return (head, final sentence) or None when there is no boundary."""
+def _last_gap(text: str) -> re.Match | None:
+    """The gap before the text's final sentence, or None when it has one sentence."""
     last = None
-    for m in _SENTENCE_GAP.finditer(text):
-        last = m
-    if last is None:
-        return None
-    return text[: last.start()], text[last.end() :]
+    for last in _SENTENCE_GAP.finditer(text):
+        pass
+    return last
 
 
 def _split_block(block: str) -> SpecificContext:
     block = block.strip()
     if not block:
         return SpecificContext("", "")
-    parts = _split_last_sentence(block)
-    if parts is not None:
-        return SpecificContext(knowledge=parts[0], relation=parts[1])
+    gap = _last_gap(block)
+    if gap is not None:
+        return SpecificContext(knowledge=block[: gap.start()], relation=block[gap.end() :])
     if block.startswith(_RELATION_PREFIXES):
         return SpecificContext(knowledge="", relation=block)
     return SpecificContext(knowledge=block, relation="")
 
 
 def _parse_decision(token: str) -> frozenset[str]:
-    if token.strip().lower().startswith("none"):
+    # the decision matches in any case, and labels are lower case
+    token = token.lower()
+    if token.strip().startswith("none"):
         return frozenset()
     return frozenset(_DECISION_LABELS.findall(token))
 
@@ -123,11 +123,8 @@ def _parse_decision(token: str) -> frozenset[str]:
 def _decision_sentence_start(body: str, match_start: int) -> int:
     """Walk back from the decision match to the start of its sentence."""
     prefix = body[:match_start]
-    start = prefix.rfind("\n") + 1
-    gap_end = 0
-    for m in _SENTENCE_GAP.finditer(prefix):
-        gap_end = m.end()
-    return max(start, gap_end)
+    gap = _last_gap(prefix)
+    return max(prefix.rfind("\n") + 1, gap.end() if gap else 0)
 
 
 def parse_generation(text: str, labels: tuple[str, ...] | list[str]) -> ParsedContext:

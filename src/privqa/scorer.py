@@ -338,26 +338,16 @@ class LossGrad:
     bias_grad: float
 
 
-@dataclass(frozen=True)
-class _Encoded:
-    """One item's terms, choice after choice, with indices remapped into a support's positions.
-
-    Choice c has `sizes[c]` terms.
-    """
-
-    positions: np.ndarray
-    values: np.ndarray
-    sizes: np.ndarray
-    gold: int
-
-
 def _featurize_items(
     items: Sequence[TrainItem], cfg: FeaturizerConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every choice text of the items, featurized to memo slots in one call.
 
-    A batch lays its items' choices end to end, so a gold index outside its
-    own item's choices would silently pick a neighbour's: it is rejected.
+    Returns (slots, values, sizes, counts, gold): the featurizer's flat
+    arrays, in which item k's choices are the `counts[k]` texts after its
+    predecessors', and each item's gold position among its own choices. A
+    batch lays its items' choices end to end, so a gold index outside its own
+    item's choices would silently pick a neighbour's: it is rejected.
     """
     for item in items:
         if not 0 <= item.gold_index < len(item.texts):
@@ -365,57 +355,34 @@ def _featurize_items(
                 f"item {item.id!r}: gold index {item.gold_index}"
                 f" outside its {len(item.texts)} choices"
             )
-    return _featurize_slots([text for item in items for text in item.texts], cfg)
-
-
-def _positions(cfg: FeaturizerConfig, support: np.ndarray) -> np.ndarray:
-    """Slot -> position in `support`, an array of slots; other slots map to `support.size`.
-
-    It has one entry per slot of the config's memo, not per index of `dim`.
-    """
-    position = np.full(len(cfg._tokens.slots), support.size, dtype=np.int64)
-    position[support] = np.arange(support.size)
-    return position
-
-
-def _encode(
-    items: Sequence[TrainItem], positions: np.ndarray, values: np.ndarray, sizes: np.ndarray
-) -> list[_Encoded]:
-    """Split the items' featurized choices, with indices already remapped to positions.
-
-    An n-gram outside the support is kept at position K, not dropped, so
-    each choice's score sums the same terms in the same order as over
-    full-dim weights. Every array of an item is a slice of the given arrays.
-    """
-    bounds = [0, *np.cumsum(sizes).tolist()]
-    out = []
-    text = 0
-    for item in items:
-        end = text + len(item.texts)
-        lo, hi = bounds[text], bounds[end]
-        out.append(_Encoded(positions[lo:hi], values[lo:hi], sizes[text:end], item.gold_index))
-        text = end
-    return out
+    slots, values, sizes = _featurize_slots([text for item in items for text in item.texts], cfg)
+    counts = np.array([len(item.texts) for item in items], dtype=np.int64)
+    gold = np.array([item.gold_index for item in items], dtype=np.int64)
+    return slots, values, sizes, counts, gold
 
 
 def _loss_grad(
-    weights: np.ndarray, bias: float, batch: Sequence[_Encoded]
+    weights: np.ndarray,
+    bias: float,
+    positions: np.ndarray,
+    values: np.ndarray,
+    sizes: np.ndarray,
+    counts: np.ndarray,
+    gold: np.ndarray,
 ) -> tuple[float, np.ndarray, float]:
     """Mean cross-entropy, its weight gradient (dense over `weights`) and its bias gradient.
 
-    The batch is laid out in (item, choice, n-gram) order and scored in one
-    kernel call, with a softmax over each item's choices.
+    The batch is laid out in (item, choice, n-gram) order: term j is
+    `weights[positions[j]] * values[j]`, choice c has `sizes[c]` terms, item
+    k has `counts[k]` choices and its gold one is the `gold[k]`-th. It is
+    scored in one kernel call, with a softmax over each item's choices.
     """
-    inv = 1.0 / len(batch)
-    sizes = np.concatenate([item.sizes for item in batch])
-    positions = np.concatenate([item.positions for item in batch])
-    values = np.concatenate([item.values for item in batch])
-    counts = np.fromiter((item.sizes.size for item in batch), np.int64, len(batch))
+    inv = 1.0 / counts.size
     starts = np.cumsum(counts) - counts
     rows = np.repeat(np.arange(sizes.size), sizes)
     scores = _raw_scores(weights, bias, positions, values, rows, sizes.size)
-    probs = _softmax_groups(scores, np.repeat(np.arange(len(batch)), counts), starts)
-    gold = starts + np.fromiter((item.gold for item in batch), np.int64, len(batch))
+    probs = _softmax_groups(scores, np.repeat(np.arange(counts.size), counts), starts)
+    gold = starts + gold
     total = 0.0
     for p in probs[gold].tolist():
         total -= math.log(max(p, 1e-300))
@@ -438,14 +405,21 @@ def loss_and_grad(model: ScorerModel, batch: Sequence[TrainItem]) -> LossGrad:
     if not batch:
         raise ScorerError("empty batch")
     cfg = model.featurizer
-    slots, values, sizes = _featurize_items(batch, cfg)
-    support = np.flatnonzero(np.bincount(slots))
-    encoded = _encode(batch, _positions(cfg, support)[slots], values, sizes)
-    indices = cfg._tokens.indices[support]
-    loss, grad, bias_grad = _loss_grad(model.weights[indices], model.bias, encoded)
+    slots, values, sizes, counts, gold = _featurize_items(batch, cfg)
+    indices = cfg._tokens.indices[slots]
+    loss, grad, bias_grad = _loss_grad(
+        model.weights, model.bias, indices, values, sizes, counts, gold
+    )
     # in index order, so the memo's slot order never shows
-    weight_grad = dict(sorted(zip(indices.tolist(), grad.tolist())))
+    touched = np.unique(indices)
+    weight_grad = dict(zip(touched.tolist(), grad[touched].tolist()))
     return LossGrad(loss=loss, weight_grad=weight_grad, bias_grad=bias_grad)
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices of the ranges `[starts[k], starts[k] + lens[k])`, laid end to end."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +480,22 @@ def train(
     except (ValueError, MemoryError) as exc:
         raise ScorerError(f"featurizer dim {cfg.dim}: cannot allocate its weights ({exc})") from exc
 
-    train_slots, train_values, train_sizes = _featurize_items(train_items, cfg)
-    dev_slots, dev_values, dev_sizes = _featurize_items(dev_items, cfg)
+    train_slots, train_values, train_sizes, train_counts, train_gold = _featurize_items(
+        train_items, cfg
+    )
+    dev_slots, dev_values, dev_sizes, dev_counts, dev_gold = _featurize_items(dev_items, cfg)
     # Weights live at support positions 0..K-1, one per slot the training
     # texts use. Position K holds the dev n-grams that never occur in
     # training: its gradient is always 0, so it stays 0.0.
     support = np.flatnonzero(np.bincount(train_slots))
-    position = _positions(cfg, support)
-    train_enc = _encode(train_items, position[train_slots], train_values, train_sizes)
+    position = np.full(len(cfg._tokens.slots), support.size, dtype=np.int64)
+    position[support] = np.arange(support.size)
+    train_positions = position[train_slots]
     dev_positions = position[dev_slots]
     dev_rows = np.repeat(np.arange(dev_sizes.size), dev_sizes)
-    dev_counts = [len(item.texts) for item in dev_items]
-    dev_gold = np.array([item.gold_index for item in dev_items])
+    # each training item's first text, and each text's first term
+    first_text = np.cumsum(train_counts) - train_counts
+    first_term = np.cumsum(train_sizes) - train_sizes
 
     w = np.zeros(support.size + 1, dtype=np.float64)
     m = np.zeros_like(w)
@@ -532,13 +510,20 @@ def train(
     step = 0
 
     for epoch in range(config.max_epochs):
-        order = list(range(len(train_enc)))
+        order = list(range(len(train_items)))
         rng.shuffle(order)
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, len(order), config.batch_size):
-            batch = [train_enc[i] for i in order[lo : lo + config.batch_size]]
-            loss, g, bias_grad = _loss_grad(w, bias, batch)
+            pick = np.array(order[lo : lo + config.batch_size])
+            counts = train_counts[pick]
+            texts = _ranges(first_text[pick], counts)
+            sizes = train_sizes[texts]
+            terms = _ranges(first_term[texts], sizes)
+            loss, g, bias_grad = _loss_grad(
+                w, bias, train_positions[terms], train_values[terms],
+                sizes, counts, train_gold[pick],
+            )
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch} step {step}")
             epoch_loss += loss

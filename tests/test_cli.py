@@ -920,6 +920,12 @@ def test_malformed_completions_is_user_error(ws, tmp_path, capsys, command, cont
         ("learning-rate", True, "learning_rate"),
         ("seed", False, "seed"),
         ("model", 5, "model_id"),
+        # so must a value for a flag outside the config, named by its key
+        ("dev_size", "abc", "dev_size"),
+        ("dev-size", 1.5, "dev-size"),
+        ("test_size", True, "test_size"),
+        ("out", 3, "out"),
+        ("data-train", 3, "data-train"),
     ],
 )
 def test_bad_config_field_is_user_error(tmp_path, capsys, key, value, field):
@@ -928,6 +934,30 @@ def test_bad_config_field_is_user_error(tmp_path, capsys, key, value, field):
     code = run(["sweep", "--synthetic", "--train-size", "8", "--config", cfg])
     assert code == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["ood", "--synthetic"], "target_seed", "x"),
+        (["sweep"], "synthetic", 1),
+        (["sweep"], "synthetic", "true"),
+    ],
+)
+def test_bad_source_flag_in_config_is_user_error(tmp_path, capsys, argv, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert run([*argv, "--config", cfg]) == 1
+    assert f"error: {key}: {value!r} is not of type" in capsys.readouterr().err
+
+
+def test_config_file_can_choose_the_synthetic_corpus(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    options = {"synthetic": True, "train-size": 8.0, "dev-size": 8, "test-size": 8}
+    cfg.write_text(json.dumps({**options, "max-epochs": 1, "ratios": "1.0"}), encoding="utf-8")
+    assert run(["sweep", "--config", cfg]) == 0
+    # one ratio, scored on the 8 synthetic test questions
+    assert capsys.readouterr().out.splitlines()[1].split()[-1] == "8"
 
 
 def test_config_whole_numbers_convert_exactly():

@@ -109,6 +109,13 @@ def test_decision_multi_or_and_none():
 def test_decision_case_insensitive():
     text = "Context: x.\n(a): Fact. It is fine.\nSo The Answer Is (a)."
     assert parse_generation(text, ("a", "b")).decision == frozenset("a")
+    # capital labels name the same (lower-case) choices
+    text = "Context: x.\n(a): Fact. It is fine.\nTherefore, the answer is (B)."
+    assert parse_generation(text, ("a", "b")).decision == frozenset("b")
+    text = "Context: x.\n(a): Fact. It is fine.\nTherefore, the answer is (B) or (a)."
+    assert parse_generation(text, ("a", "b")).decision == frozenset("ab")
+    with pytest.raises(LabelUnknown):
+        parse_generation("Context: x.\nTherefore, the answer is (E).", LABELS4)
 
 
 def test_trailing_text_after_decision_dropped():

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privqa.contexts import ContextView, ParsedContext, SpecificContext
-from privqa.corpus import AugmentedInstance, QAInstance
+from privqa.corpus import MAX_CHOICES, AugmentedInstance, QAInstance
 from privqa.harness import (
     SEPARATOR,
     ExperimentConfig,
@@ -488,7 +488,7 @@ def items(draw, words, prefix, min_size=1):
     out = []
     for i in range(draw(st.integers(min_size, 6))):
         texts = draw(
-            st.lists(st.lists(st.sampled_from(words), max_size=5), min_size=2, max_size=4)
+            st.lists(st.lists(st.sampled_from(words), max_size=5), min_size=2, max_size=MAX_CHOICES)
         )
         gold = draw(st.integers(0, len(texts) - 1))
         out.append(TrainItem(f"{prefix}{i}", tuple(" ".join(t) for t in texts), gold))
