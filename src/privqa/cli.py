@@ -20,6 +20,7 @@ from pathlib import Path
 
 from privqa.corpus import (
     INGEST_FORMATS,
+    AugmentedInstance,
     DatasetFormatError,
     ingest_records,
     load_augmented,
@@ -27,7 +28,7 @@ from privqa.corpus import (
     write_augmented,
     write_dataset,
 )
-from privqa.errors import PrivqaError, read_json, read_jsonl
+from privqa.errors import PrivqaError, read_json, read_records
 from privqa.gateway import (
     DEFAULT_CREDENTIAL_ENV,
     MODES,
@@ -233,23 +234,19 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_parse(args) -> int:
-    dataset = load_dataset(args.data)
-    by_id = dataset.by_id()
-    augmented = []
-    for lineno, rec in read_jsonl(args.input, DatasetFormatError):
+    by_id = load_dataset(args.data).by_id()
+
+    def convert(rec: dict, lineno: int) -> tuple[str, AugmentedInstance]:
         inst = by_id.get(str(rec.get("id")))
         if inst is None:
-            raise DatasetFormatError(f"{args.input}:{lineno}: unknown instance id {rec.get('id')!r}")
+            raise DatasetFormatError(f"unknown instance id {rec.get('id')!r}")
         completion, generation_id = rec.get("completion", ""), rec.get("generation_id", "")
         if not (isinstance(completion, str) and isinstance(generation_id, str)):
-            raise DatasetFormatError(
-                f"{args.input}:{lineno}: completion and generation_id must be strings"
-            )
-        try:
-            augmented.append(augment_completion(inst, completion, generation_id))
-        except HarnessError as exc:
-            raise HarnessError(f"{args.input}:{lineno}: {exc}") from exc
-    write_augmented(augmented, args.output)
+            raise DatasetFormatError("completion and generation_id must be strings")
+        return inst.id, augment_completion(inst, completion, generation_id)
+
+    augmented = read_records(args.input, DatasetFormatError, convert)
+    write_augmented(augmented.values(), args.output)
     print(f"parsed {len(augmented)} generations -> {args.output}")
     return 0
 

@@ -12,14 +12,13 @@ form. Augmented files carry the same instance plus its parsed context.
 
 from __future__ import annotations
 
-import json
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
 from privqa.contexts import ParsedContext, SpecificContext
-from privqa.errors import PrivqaError, read_jsonl
+from privqa.errors import PrivqaError, read_records, write_records
 
 LABELS = ("a", "b", "c", "d", "e")
 MIN_CHOICES = 2
@@ -136,22 +135,16 @@ def _read_instances(
 ) -> tuple[QAInstance, ...]:
     """Read, adapt and validate every record; errors name file:line, repeated ids fail."""
     adapter = _ADAPTERS[format]
-    instances: list[QAInstance] = []
-    seen: set[str] = set()
-    for lineno, rec in read_jsonl(path, DatasetFormatError):
+
+    def convert(rec: dict, lineno: int) -> tuple[str, QAInstance]:
         try:
             canon = adapter(rec, lineno)
         except (KeyError, ValueError, IndexError, TypeError, OverflowError) as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: not a {format} record ({exc})") from exc
-        try:
-            inst = _instance_from_record(canon, meta_override)
-        except DatasetFormatError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
-        if inst.id in seen:
-            raise DatasetFormatError(f"{path}:{lineno}: duplicate id {inst.id!r}")
-        seen.add(inst.id)
-        instances.append(inst)
-    return tuple(instances)
+            raise DatasetFormatError(f"not a {format} record ({exc})") from exc
+        inst = _instance_from_record(canon, meta_override)
+        return inst.id, inst
+
+    return tuple(read_records(path, DatasetFormatError, convert).values())
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -170,9 +163,7 @@ def load_dataset(path: str | Path) -> Dataset:
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for inst in dataset.instances:
-            fh.write(json.dumps(_instance_to_record(inst), ensure_ascii=False) + "\n")
+    write_records(path, map(_instance_to_record, dataset.instances))
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +207,18 @@ def _context_from_record(rec: Any) -> ParsedContext:
 
 
 def write_augmented(augmented: Iterable[AugmentedInstance], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for aug in augmented:
-            rec = {
+    write_records(
+        path,
+        (
+            {
                 "id": aug.instance.id,
                 "generation_id": aug.generation_id,
                 "instance": _instance_to_record(aug.instance),
                 "context": _context_to_record(aug.context),
             }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            for aug in augmented
+        ),
+    )
 
 
 def load_augmented(path: str | Path) -> list[AugmentedInstance]:
@@ -233,24 +227,17 @@ def load_augmented(path: str | Path) -> list[AugmentedInstance]:
     Repeated instance ids fail, as in `load_dataset`: predictions are keyed
     by id, so a repeat would silently drop out of the metrics.
     """
-    out: list[AugmentedInstance] = []
-    seen: set[str] = set()
-    for lineno, rec in read_jsonl(path, DatasetFormatError):
-        try:
-            inst = _instance_from_record(rec.get("instance", {}))
-            aug = AugmentedInstance(
-                instance=inst,
-                context=_context_from_record(rec.get("context", {})),
-                generation_id=str(rec.get("generation_id", "")),
-            )
-            aug.validate()
-        except DatasetFormatError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
-        if inst.id in seen:
-            raise DatasetFormatError(f"{path}:{lineno}: duplicate id {inst.id!r}")
-        seen.add(inst.id)
-        out.append(aug)
-    return out
+
+    def convert(rec: dict, lineno: int) -> tuple[str, AugmentedInstance]:
+        aug = AugmentedInstance(
+            instance=_instance_from_record(rec.get("instance", {})),
+            context=_context_from_record(rec.get("context", {})),
+            generation_id=str(rec.get("generation_id", "")),
+        )
+        aug.validate()
+        return aug.instance.id, aug
+
+    return list(read_records(path, DatasetFormatError, convert).values())
 
 
 def plain_augmented(instance: QAInstance) -> AugmentedInstance:

@@ -1,4 +1,4 @@
-"""The one error base, and the one way a user's input file is read.
+"""The one error base, and the one way a user's input file is read and written.
 
 Every error that bad input or settings can cause derives from `PrivqaError`.
 The readers raise the caller's error class, naming the file and, where there
@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, TypeVar
+
+V = TypeVar("V")
 
 
 class PrivqaError(Exception):
@@ -37,12 +39,20 @@ def read_json(path: str | Path, error: type[PrivqaError]) -> Any:
         raise error(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
 
 
-def read_jsonl(path: str | Path, error: type[PrivqaError]) -> Iterator[tuple[int, dict]]:
-    """(line number, record) for each non-blank line; every record is a JSON object.
+def read_records(
+    path: str | Path,
+    error: type[PrivqaError],
+    convert: Callable[[dict, int], tuple[str, V]],
+) -> dict[str, V]:
+    """Each non-blank line's JSON object, converted and keyed by its id, in file order.
 
-    Lines end at "\\n" only: `json.dumps(..., ensure_ascii=False)` writes
-    U+2028 and U+0085 raw, and `str.splitlines` would break at them.
+    `convert(record, line number)` returns the (id, value) pair; a
+    `PrivqaError` it raises comes back as the same class, prefixed with
+    `path:line: `. An id may appear once. Lines end at "\\n" only, since
+    `write_records` writes U+2028 and U+0085 raw and `str.splitlines` would
+    break at them.
     """
+    out: dict[str, V] = {}
     for lineno, line in enumerate(read_text(path, error).split("\n"), start=1):
         if not line.strip():
             continue
@@ -52,4 +62,18 @@ def read_jsonl(path: str | Path, error: type[PrivqaError]) -> Iterator[tuple[int
             raise error(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
         if not isinstance(rec, dict):
             raise error(f"{path}:{lineno}: record is not an object")
-        yield lineno, rec
+        try:
+            key, value = convert(rec, lineno)
+        except PrivqaError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+        if key in out:
+            raise error(f"{path}:{lineno}: duplicate id {key!r}")
+        out[key] = value
+    return out
+
+
+def write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line, non-ASCII text as is: what `read_records` reads."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")

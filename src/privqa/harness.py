@@ -210,10 +210,7 @@ def ftcr_admission(
     """
     if config.regime != "FTCR":
         return None
-    view = config.context_view()
-    admitted = sum(
-        resolve_view("FTCR", view, aug) is not ContextView.NO_CONTEXT for aug in train_aug
-    )
+    admitted = sum(ftcr_admit(aug.context, aug.instance.gold) for aug in train_aug)
     return {"admitted": admitted, "total": len(train_aug)}
 
 

@@ -11,16 +11,15 @@ extraction then only looks question n-grams up in it.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
 from privqa.corpus import Dataset, nfc
-from privqa.errors import PrivqaError, read_jsonl, read_text
+from privqa.errors import PrivqaError, read_records, read_text, write_records
 
 METHOD_NER = "NER"
 METHOD_RANDOM_SPAN = "RandomSpan"
@@ -281,23 +280,12 @@ def load_gazetteer(path: str | Path) -> list[str]:
 
 
 def save_keyword_sets(keyword_map: dict[str, KeywordSet], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for inst_id, ks in keyword_map.items():
-            rec = {
-                "id": inst_id,
-                "keywords": list(ks.keywords),
-                "method": ks.method,
-                "ratio": ks.ratio,
-                "seed": ks.seed,
-                "starts": list(ks.starts),
-                "word_count": ks.word_count,
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    # the record's keys after "id" are KeywordSet's fields, in their order
+    write_records(path, ({"id": inst_id, **asdict(ks)} for inst_id, ks in keyword_map.items()))
 
 
 def load_keyword_sets(path: str | Path) -> dict[str, KeywordSet]:
-    out: dict[str, KeywordSet] = {}
-    for lineno, rec in read_jsonl(path, ExtractionError):
+    def convert(rec: dict, lineno: int) -> tuple[str, KeywordSet]:
         try:
             inst_id = str(rec["id"])
             keywords, starts = rec["keywords"], rec.get("starts", [])
@@ -312,13 +300,10 @@ def load_keyword_sets(path: str | Path) -> dict[str, KeywordSet]:
                 word_count=int(rec["word_count"]),
             )
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise ExtractionError(f"{path}:{lineno}: bad keyword record ({exc})") from exc
-        if inst_id in out:
-            raise ExtractionError(f"{path}:{lineno}: repeated id {inst_id!r}")
+            raise ExtractionError(f"bad keyword record ({exc})") from exc
         words = _count_words(ks.keywords)
         if ks.word_count != words:
-            raise ExtractionError(
-                f"{path}:{lineno}: word_count {ks.word_count} but the keywords have {words} words"
-            )
-        out[inst_id] = ks
-    return out
+            raise ExtractionError(f"word_count {ks.word_count} but the keywords have {words} words")
+        return inst_id, ks
+
+    return read_records(path, ExtractionError, convert)

@@ -580,12 +580,14 @@ def save_model(model: ScorerModel, path: str | Path) -> None:
         "ngram_orders": list(NGRAM_ORDERS),
         "lowercase": LOWERCASE,
     }
-    np.savez(
-        Path(path),
-        weights=model.weights,
-        bias=np.float64(model.bias),
-        meta=np.bytes_(json.dumps(meta).encode("utf-8")),
-    )
+    # through an open file, since np.savez appends ".npz" to a path without it
+    with Path(path).open("wb") as fh:
+        np.savez(
+            fh,
+            weights=model.weights,
+            bias=np.float64(model.bias),
+            meta=np.bytes_(json.dumps(meta).encode("utf-8")),
+        )
 
 
 def load_model(path: str | Path) -> ScorerModel:

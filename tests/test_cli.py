@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from privqa import cli, harness, scorer
 from privqa.corpus import (
     Dataset,
+    DatasetFormatError,
     QAInstance,
     load_augmented,
     load_dataset,
@@ -24,12 +26,19 @@ from privqa.corpus import (
 from privqa.gateway import GenerationRecord
 from privqa.harness import (
     ExperimentConfig,
+    HarnessError,
     PipelineProvider,
     accuracy,
     predict_labels,
     train_scorer,
 )
-from privqa.keywords import KeywordSet, corpus_budget_report, load_keyword_sets, save_keyword_sets
+from privqa.keywords import (
+    ExtractionError,
+    KeywordSet,
+    corpus_budget_report,
+    load_keyword_sets,
+    save_keyword_sets,
+)
 from privqa.promptkit import render_block
 from privqa.scorer import FeaturizerConfig, ScorerModel, save_model
 from privqa.synthetic import (
@@ -211,6 +220,18 @@ def test_eval_takes_featurizer_from_checkpoint(ws, tmp_path, capsys):
         assert run(["eval", *test_data, flag, value]) == 1
         err = capsys.readouterr().err
         assert f"{flag} {value}" in err and "4096" in err and "17" in err
+
+
+def test_checkpoint_is_written_at_the_path_given(ws, tmp_path, capsys):
+    aug = tmp_path / "aug.jsonl"
+    write_augmented(ws["provider"].provide(ws["corpus"]["dev"], 1.0, seed=0)[0], aug)
+    model = tmp_path / "model.ckpt"
+    train = ["train", *FAST, "--max-epochs", "2", "--train", aug, "--dev", aug]
+    assert run([*train, "--checkpoint", model]) == 0
+    assert f"-> {model}" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["aug.jsonl", "model.ckpt"]
+    assert run(["eval", "--checkpoint", model, "--data", aug]) == 0
+    assert "accuracy:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
@@ -619,6 +640,70 @@ def test_parse_rejects_a_field_that_is_not_a_string(ws, capsys, tmp_path, field,
     assert not out.exists()
 
 
+def _keyed_input(ws, kind, tmp_path):
+    """For one keyed input: its first two record lines, a copy of the second that
+    fails conversion, that failure's class and message, and the file's reader."""
+    root, dev, provider = ws["root"], ws["corpus"]["dev"], ws["provider"]
+    out = tmp_path / "out.jsonl"
+    if kind == "dataset":
+        lines = (root / "data-dev.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+        bad = {**json.loads(lines[1]), "gold": "z"}
+        return lines, bad, DatasetFormatError, f"instance {bad['id']!r}: gold 'z'", load_dataset
+    if kind == "augmented":
+        write_augmented(provider.provide(dev, 1.0, seed=0)[0][:2], out)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        bad = json.loads(lines[1])
+        del bad["context"]["specific"]["a"]
+        message = f"instance {bad['id']!r}: specific contexts cover"
+        return lines, bad, DatasetFormatError, message, load_augmented
+    if kind == "keywords":
+        lines = (root / "kw-dev.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+        bad = json.loads(lines[1])
+        bad["word_count"] += 1
+        return lines, bad, ExtractionError, "word_count", load_keyword_sets
+    kmap = provider.keyword_map(dev, 1.0, seed=0)
+    lines = [
+        json.dumps({"id": inst.id, "completion": provider.completion_for(inst, kmap[inst.id])})
+        for inst in dev.instances[:2]
+    ]
+    bad = {"id": dev.instances[1].id, "completion": "no context here"}
+
+    def parse(path):
+        data = str(root / "data-dev.jsonl")
+        cli._cmd_parse(argparse.Namespace(data=data, input=str(path), output=str(out)))
+
+    return lines, bad, HarnessError, f"instance {bad['id']!r}: ", parse
+
+
+@pytest.mark.parametrize("kind", ["dataset", "augmented", "keywords", "parse"])
+def test_keyed_inputs_share_one_record_rule(ws, tmp_path, kind):
+    lines, bad, convert_error, message, read = _keyed_input(ws, kind, tmp_path)
+    file_error = ExtractionError if kind == "keywords" else DatasetFormatError
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    read(path)
+    # a repeated id fails at the line that repeats it, in the file's own error class
+    path.write_text(lines[0] + "\n" + lines[0] + "\n", encoding="utf-8")
+    key = json.loads(lines[0])["id"]
+    with pytest.raises(file_error, match=re.escape(f"{path}:2: duplicate id {key!r}")) as exc:
+        read(path)
+    assert type(exc.value) is file_error
+    # a record's conversion error keeps its class and gains the file:line prefix
+    path.write_text(lines[0] + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(convert_error, match=re.escape(f"{path}:2: {message}")) as exc:
+        read(path)
+    assert type(exc.value) is convert_error
+
+
+def test_parse_rejects_a_repeated_id(ws, capsys, tmp_path):
+    line = _keyed_input(ws, "parse", tmp_path)[0][0]
+    raw, out = tmp_path / "raw.jsonl", tmp_path / "parsed.jsonl"
+    raw.write_text(line + "\n" + line + "\n", encoding="utf-8")
+    assert run(["parse", "--input", raw, "--data", ws["root"] / "data-dev.jsonl", "--output", out]) == 1
+    assert f"error: {raw}:2: duplicate id" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_file_is_named(ws, capsys, tmp_path):
     missing = tmp_path / "missing"
     data, keywords = ws["root"] / "data-dev.jsonl", ws["root"] / "kw-dev.jsonl"
@@ -738,14 +823,12 @@ def test_sweep_synthetic(tmp_path, capsys):
 
 def test_sweep_reports_do_not_depend_on_the_hash_seed(tmp_path):
     # str hashes are salted per process, so set and dict order must never reach a report
-    src = str(Path(__file__).resolve().parents[1] / "src")
     argv = [sys.executable, "-m", "privqa.cli", "sweep", "--synthetic", "--train-size", "60"]
     argv += ["--dev-size", "30", "--test-size", "30", "--dim", "4096", "--max-epochs", "2"]
     reports = {}
     for hash_seed in ("0", "12345"):
         out = tmp_path / hash_seed
         env = {**os.environ, "PYTHONHASHSEED": hash_seed}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run([*argv, "--out", str(out)], env=env, capture_output=True, timeout=120, check=True)
         reports[hash_seed] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     assert len(reports["0"]) == 4

@@ -131,15 +131,18 @@ def test_build_inputs_unknown_regime(mixed_augmented):
         build_inputs(mixed_augmented, "XYZ", ContextView.FULL)
 
 
-def test_ftcr_matches_admission_exactly(mixed_augmented):
-    ftcr = build_inputs(mixed_augmented, "FTCR", ContextView.FULL)
+@pytest.mark.parametrize("view", list(ContextView), ids=lambda v: v.value)
+def test_ftcr_matches_admission_exactly(mixed_augmented, view):
     expected = {
         a.instance.id
         for a in mixed_augmented
         if ftcr_admit(a.context, a.instance.gold)
     }
-    assert with_context(ftcr, mixed_augmented) == expected
-    admission = ftcr_admission(small_config(regime="FTCR"), mixed_augmented)
+    if view is not ContextView.NO_CONTEXT:
+        ftcr = build_inputs(mixed_augmented, "FTCR", view)
+        assert with_context(ftcr, mixed_augmented) == expected
+    # under NoContext no text carries context, but admission is still ftcr_admit's
+    admission = ftcr_admission(small_config(regime="FTCR", view=view.value), mixed_augmented)
     assert admission == {"admitted": len(expected), "total": len(mixed_augmented)}
 
 

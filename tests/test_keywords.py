@@ -319,7 +319,7 @@ def test_keyword_sets_reject_repeated_ids(tmp_path):
     path = tmp_path / "kw.jsonl"
     save_keyword_sets({"q1": extract_ner("he took aspirin", GAZETTEER)}, path)
     path.write_text(path.read_text(encoding="utf-8") * 2, encoding="utf-8")
-    with pytest.raises(ExtractionError, match=r"kw\.jsonl:2: repeated id 'q1'"):
+    with pytest.raises(ExtractionError, match=r"kw\.jsonl:2: duplicate id 'q1'"):
         load_keyword_sets(path)
 
 

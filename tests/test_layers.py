@@ -16,7 +16,6 @@ loads an HTTP stack: importing the CLI loads none, and nothing imports
 
 import ast
 import builtins
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -82,15 +81,13 @@ def test_no_module_imports_requests():
 
 
 def test_cli_import_loads_no_http_stack():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     # privqa.gateway is named so the guard holds even if the CLI stops importing it
     probe = (
         "import sys, privqa.gateway, privqa.cli; "
         f"print(sorted(m for m in {sorted(HTTP_MODULES)} if m in sys.modules))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
     )
     assert out.stdout.strip() == "[]", f"importing privqa loads {out.stdout.strip()}"
 

@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -596,12 +595,10 @@ def test_checkpoint_bits_do_not_depend_on_cpu_kernels():
     # OPENBLAS_CORETYPE picks OpenBLAS's dot-product kernel and
     # NPY_DISABLE_CPU_FEATURES turns off numpy's AVX-512 kernels, each in
     # the child process only
-    src = str(Path(__file__).resolve().parents[1] / "src")
     base = {
         k: v for k, v in os.environ.items()
         if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
     }
-    base["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [base.get("PYTHONPATH")])])
     outputs = set()
     for coretype in (None, "Haswell", "Prescott"):
         for disabled in (None, "AVX512_SPR AVX512_ICL X86_V4"):
