@@ -25,12 +25,14 @@ from privqa.errors import PrivqaError
 
 CONTEXT_HEAD = "Context:"
 
-_BLOCK_OPEN = re.compile(r"^\(([a-z])\):[ \t]?(.*)$")
-_DECISION = re.compile(
-    r"(?i)\bthe answer is\b[ \t]*((?:\([a-z]\))(?:\s*or\s*\([a-z]\))*|none\b)"
+_BLOCK_OPEN = re.compile(r"^\(([A-Za-z])\):[ \t]?(.*)$")
+# The leading greedy `.*` backtracks from the end of the text, so one match
+# finds the last decision, or the last gap between sentences.
+_LAST_DECISION = re.compile(
+    r"(?is).*\b(the answer is)\b[ \t]*((?:\([a-z]\))(?:\s*or\s*\([a-z]\))*|none\b)"
 )
 _DECISION_LABELS = re.compile(r"\(([a-z])\)")
-_SENTENCE_GAP = re.compile(r"(?<=[.!?])\s+")
+_LAST_GAP = re.compile(r"(?s).*[.!?](\s+)")
 
 # A one-sentence choice block is a bare relation only when it opens with a
 # stance marker; otherwise it is knowledge with the relation missing.
@@ -92,21 +94,13 @@ class ParsedContext:
     warnings: tuple[str, ...] = field(compare=False, default=())
 
 
-def _last_gap(text: str) -> re.Match | None:
-    """The gap before the text's final sentence, or None when it has one sentence."""
-    last = None
-    for last in _SENTENCE_GAP.finditer(text):
-        pass
-    return last
-
-
 def _split_block(block: str) -> SpecificContext:
     block = block.strip()
     if not block:
         return SpecificContext("", "")
-    gap = _last_gap(block)
+    gap = _LAST_GAP.match(block)
     if gap is not None:
-        return SpecificContext(knowledge=block[: gap.start()], relation=block[gap.end() :])
+        return SpecificContext(knowledge=block[: gap.start(1)], relation=block[gap.end(1) :])
     if block.startswith(_RELATION_PREFIXES):
         return SpecificContext(knowledge="", relation=block)
     return SpecificContext(knowledge=block, relation="")
@@ -122,9 +116,8 @@ def _parse_decision(token: str) -> frozenset[str]:
 
 def _decision_sentence_start(body: str, match_start: int) -> int:
     """Walk back from the decision match to the start of its sentence."""
-    prefix = body[:match_start]
-    gap = _last_gap(prefix)
-    return max(prefix.rfind("\n") + 1, gap.end() if gap else 0)
+    gap = _LAST_GAP.match(body, 0, match_start)
+    return max(body.rfind("\n", 0, match_start) + 1, gap.end(1) if gap else 0)
 
 
 def parse_generation(text: str, labels: tuple[str, ...] | list[str]) -> ParsedContext:
@@ -140,16 +133,15 @@ def parse_generation(text: str, labels: tuple[str, ...] | list[str]) -> ParsedCo
         raise FormatError(f"no {CONTEXT_HEAD!r} head in generation")
     body = text[head + len(CONTEXT_HEAD) :]
 
-    matches = list(_DECISION.finditer(body))
-    if not matches:
+    final = _LAST_DECISION.match(body)
+    if final is None:
         raise DecisionMissing("no 'the answer is ...' sentence in generation")
-    final = matches[-1]
-    decision = _parse_decision(final.group(1))
+    decision = _parse_decision(final.group(2))
     unknown = decision - set(labels)
     if unknown:
         raise LabelUnknown(f"decision names unknown label(s): {sorted(unknown)}")
 
-    content = body[: _decision_sentence_start(body, final.start())]
+    content = body[: _decision_sentence_start(body, final.start(1))]
 
     overall_lines: list[str] = []
     blocks: dict[str, list[str]] = {}
@@ -158,7 +150,7 @@ def parse_generation(text: str, labels: tuple[str, ...] | list[str]) -> ParsedCo
     for line in content.split("\n"):
         m = _BLOCK_OPEN.match(line)
         if m:
-            label = m.group(1)
+            label = m.group(1).lower()
             if label not in labels:
                 # Consume the stray block without attaching it anywhere.
                 warnings.append(f"dropped block for unknown label ({label})")

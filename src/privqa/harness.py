@@ -48,6 +48,7 @@ from privqa.keywords import (
     extract_random_span,
     extract_random_words,
     format_budget,
+    keyword_order,
     stable_seed,
     subsample_keywords,
 )
@@ -69,10 +70,33 @@ DEFAULT_SWEEP_RATIOS = (0.25, 0.5, 0.75, 1.0)
 
 BUDGET_TOLERANCE = 0.01  # how far a random baseline's corpus budget may miss the target
 
-# `extract_ner` results by (gazetteer, question). A run, or one sweep or
-# compare command, builds one and hands it to every keyword map it makes, so
-# each question is extracted once per command; it never outlives the command.
-Extractions = dict[tuple[Gazetteer, str], KeywordSet]
+
+class KeywordMemo:
+    """The ratio-free parts of entity keyword maps, computed once per command.
+
+    It holds `extract_ner` results by (gazetteer, question) and each
+    instance's `keyword_order` by (instance seed, keyword count). A run, or
+    one sweep or compare command, builds one and hands it to every keyword
+    map it makes, so each question is extracted and each instance's order is
+    drawn once per command; it never outlives the command.
+    """
+
+    def __init__(self) -> None:
+        self.extracted: dict[tuple[Gazetteer, str], KeywordSet] = {}
+        self.orders: dict[tuple[int, int], list[int]] = {}
+
+    def extract(self, question: str, gazetteer: Gazetteer) -> KeywordSet:
+        key = (gazetteer, question)
+        ks = self.extracted.get(key)
+        if ks is None:
+            ks = self.extracted[key] = extract_ner(question, gazetteer)
+        return ks
+
+    def order(self, k: int, seed: int) -> list[int]:
+        order = self.orders.get((seed, k))
+        if order is None:
+            order = self.orders[seed, k] = keyword_order(k, seed)
+        return order
 
 
 class HarnessError(PrivqaError):
@@ -245,7 +269,7 @@ def build_keyword_map(
     seed: int,
     method: str,
     gazetteer: Gazetteer | None,
-    extractions: Extractions | None = None,
+    memo: KeywordMemo | None = None,
 ) -> dict[str, KeywordSet]:
     """Per-instance disclosed keywords.
 
@@ -254,22 +278,22 @@ def build_keyword_map(
     ones. A question with no gazetteer match discloses nothing: it keeps the
     empty set, so its budget counts 0 words and its prompt carries only the
     answers. For the random baselines `ratio` is the disclosed fraction of
-    question words directly. Entity extraction reads and fills
-    `extractions`, by default a memo of this call alone.
+    question words directly. Entity keywords read and fill `memo`, by
+    default a memo of this call alone.
     """
     if method == METHOD_NER and gazetteer is None:
         raise HarnessError("entity extraction needs a gazetteer")
-    if extractions is None:
-        extractions = {}
+    if memo is None:
+        memo = KeywordMemo()
     out: dict[str, KeywordSet] = {}
     for inst in dataset.instances:
         inst_seed = stable_seed(seed, inst.id)
         if method == METHOD_NER:
-            key = (gazetteer, inst.question)
-            ks = extractions.get(key)
-            if ks is None:
-                ks = extractions[key] = extract_ner(inst.question, gazetteer)
-            out[inst.id] = subsample_keywords(ks, ratio, inst_seed) if ks.keywords else ks
+            ks = memo.extract(inst.question, gazetteer)
+            if ks.keywords:
+                order = memo.order(len(ks.keywords), inst_seed)
+                ks = subsample_keywords(ks, ratio, inst_seed, order)
+            out[inst.id] = ks
         elif method == METHOD_RANDOM_SPAN:
             out[inst.id] = extract_random_span(inst.question, ratio, inst_seed)
         elif method == METHOD_RANDOM_WORDS:
@@ -315,9 +339,9 @@ class ContextProvider:
         ratio: float,
         seed: int,
         method: str = METHOD_NER,
-        extractions: Extractions | None = None,
+        memo: KeywordMemo | None = None,
     ) -> dict[str, KeywordSet]:
-        return build_keyword_map(dataset, ratio, seed, method, self.gazetteer, extractions)
+        return build_keyword_map(dataset, ratio, seed, method, self.gazetteer, memo)
 
     def augment_all(
         self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
@@ -335,10 +359,10 @@ class ContextProvider:
         ratio: float,
         seed: int,
         method: str = METHOD_NER,
-        extractions: Extractions | None = None,
+        memo: KeywordMemo | None = None,
     ) -> tuple[list[AugmentedInstance], dict[str, KeywordSet]]:
         """The augmented instances and the keyword map their prompts disclosed."""
-        kmap = self.keyword_map(dataset, ratio, seed, method, extractions)
+        kmap = self.keyword_map(dataset, ratio, seed, method, memo)
         return self.augment_all(dataset.instances, kmap), kmap
 
 
@@ -458,13 +482,13 @@ def _require_splits(datasets: dict[str, Dataset], *names: str) -> None:
 
 
 def _materialize(
-    config: ExperimentConfig, dataset: Dataset, provider, extractions: Extractions
+    config: ExperimentConfig, dataset: Dataset, provider, memo: KeywordMemo
 ) -> tuple[list[AugmentedInstance], dict[str, KeywordSet] | None]:
     if config.regime == "SFT":
         return [plain_augmented(inst) for inst in dataset.instances], None
     if provider is None:
         raise HarnessError(f"regime {config.regime} needs a context provider")
-    return provider.provide(dataset, config.ratio, config.seed, config.method, extractions)
+    return provider.provide(dataset, config.ratio, config.seed, config.method, memo)
 
 
 def train_scorer(
@@ -556,20 +580,20 @@ def _run(
     test_provider,
     transfer: dict | None = None,
     featurizer: FeaturizerConfig | None = None,
-    extractions: Extractions | None = None,
+    memo: KeywordMemo | None = None,
 ) -> EvalReport:
     """Train on datasets' train/dev splits, predict `test`, and build the report.
 
-    Runs handed one `featurizer` (equal to their configs') and one
-    `extractions` memo hash each n-gram and extract each question once across
-    them; by default the run builds its own of each.
+    Runs handed one `featurizer` (equal to their configs') and one keyword
+    `memo` hash each n-gram, extract each question and draw each instance's
+    keyword order once across them; by default the run builds its own of each.
     """
-    if extractions is None:
-        extractions = {}
-    train_aug, train_kmap = _materialize(config, datasets["train"], provider, extractions)
-    dev_aug, _ = _materialize(config, datasets["dev"], provider, extractions)
+    if memo is None:
+        memo = KeywordMemo()
+    train_aug, train_kmap = _materialize(config, datasets["train"], provider, memo)
+    dev_aug, _ = _materialize(config, datasets["dev"], provider, memo)
     model, tlog = train_scorer(config, train_aug, dev_aug, featurizer)
-    test_aug, _ = _materialize(config, test, test_provider, extractions)
+    test_aug, _ = _materialize(config, test, test_provider, memo)
     sizes = {split: len(ds) for split, ds in sorted(datasets.items())}
     dataset = {"name": test.name, "split": test.split, "sizes": sizes}
     if transfer is not None:
@@ -611,19 +635,20 @@ def run_budget_sweep(
 
     Contexts are regenerated per ratio: a smaller disclosure changes the
     prompt, so cached generations from other ratios never leak in. The
-    ratios' runs share one featurizer and one extraction memo, built for
-    this sweep: extraction does not depend on the ratio. Every ratio's config
-    is built before the first run, so a bad ratio fails before any training.
+    ratios' runs share one featurizer and one keyword memo, built for this
+    sweep: neither extraction nor keyword order depends on the ratio. Every
+    ratio's config is built before the first run, so a bad ratio fails before
+    any training.
     """
     configs = [replace(config, ratio=ratio) for ratio in ratios]
     _require_disclosure("budget sweep", config, provider)
     _require_splits(datasets, "train", "dev", "test")
     featurizer = config.featurizer()
-    extractions: Extractions = {}
+    memo = KeywordMemo()
     return [
         _run(
             cfg, datasets, datasets["test"], provider, provider,
-            featurizer=featurizer, extractions=extractions,
+            featurizer=featurizer, memo=memo,
         )
         for cfg in configs
     ]
@@ -654,14 +679,14 @@ def run_representation_compare(
     fraction of each question. A baseline whose realized corpus budget, the
     one its run's report gives, lands more than `BUDGET_TOLERANCE` from the
     target is an error. The methods'
-    runs share one featurizer and one extraction memo, built for this
-    comparison, so the entity run re-extracts nothing.
+    runs share one featurizer and one keyword memo, built for this
+    comparison, so the entity run re-extracts and redraws nothing.
     """
     _require_disclosure("representation compare", config, provider)
     _require_splits(datasets, "train", "dev", "test")
-    extractions: Extractions = {}
+    memo = KeywordMemo()
     ner_maps = {
-        split: provider.keyword_map(ds, config.ratio, config.seed, METHOD_NER, extractions)
+        split: provider.keyword_map(ds, config.ratio, config.seed, METHOD_NER, memo)
         for split, ds in datasets.items()
     }
     shared = {
@@ -679,7 +704,7 @@ def run_representation_compare(
         cfg = replace(config, method=method, ratio=ratio)
         out[method] = _run(
             cfg, shared, shared["test"], provider, provider,
-            featurizer=featurizer, extractions=extractions,
+            featurizer=featurizer, memo=memo,
         )
         # the report's budget is that of the train map the run disclosed
         realized = out[method].budget["budget"]

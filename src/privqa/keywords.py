@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from privqa.corpus import Dataset, nfc
 from privqa.errors import PrivqaError, read_records, read_text, write_records
@@ -178,20 +178,36 @@ def extract_random_words(question: str, ratio: float, seed: int) -> KeywordSet:
     )
 
 
-def subsample_keywords(keywords: KeywordSet, ratio: float, seed: int) -> KeywordSet:
+def keyword_order(k: int, seed: int) -> list[int]:
+    """The seeded permutation of k keyword indices that subsampling keeps a prefix of.
+
+    It depends on neither the ratio nor the keywords themselves, so a caller
+    that subsamples one set at several ratios may draw it once.
+    """
+    return random.Random(seed).sample(range(k), k)
+
+
+def subsample_keywords(
+    keywords: KeywordSet, ratio: float, seed: int, order: Sequence[int] | None = None
+) -> KeywordSet:
     """Keep round(ratio * k) keywords, preserving order.
 
     Selection takes a prefix of one seeded permutation, so subsets are nested
     across ratios for a fixed seed: everything disclosed at 25% is disclosed
     at 50%, and disclosed word counts grow monotonically with the ratio.
+    `order` is that permutation, `keyword_order(k, seed)`, when the caller
+    has already drawn it.
     """
     _check_ratio(ratio)
     k = len(keywords.keywords)
     if k == 0:
         raise ExtractionError("cannot subsample an empty keyword set")
+    if order is None:
+        order = keyword_order(k, seed)
+    elif len(order) != k:
+        raise ExtractionError(f"keyword order has {len(order)} indices for {k} keywords")
     n = round_half_away(ratio * k)
-    perm = random.Random(seed).sample(range(k), k)
-    keep = sorted(perm[:n])
+    keep = sorted(order[:n])
     kept_keywords = tuple(keywords.keywords[i] for i in keep)
     return replace(
         keywords,

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privqa.contexts import (
+    CONTEXT_HEAD,
     ContextView,
     DecisionMissing,
     FormatError,
@@ -116,6 +117,21 @@ def test_decision_case_insensitive():
     assert parse_generation(text, ("a", "b")).decision == frozenset("ab")
     with pytest.raises(LabelUnknown):
         parse_generation("Context: x.\nTherefore, the answer is (E).", LABELS4)
+
+
+def test_capital_block_openers_name_the_same_choices():
+    text = "Context: o.\n(A): k. It is x.\n(B): m. It is y.\nTherefore, the answer is (A)."
+    ctx = parse_generation(text, ("a", "b"))
+    assert ctx.overall == "o."
+    assert ctx.specific == {
+        "a": SpecificContext("k.", "It is x."),
+        "b": SpecificContext("m.", "It is y."),
+    }
+    assert ctx.decision == frozenset("a")
+    assert ctx.warnings == ()
+    # a capital label outside the choices is still a dropped block
+    ctx = parse_generation(text.replace("(B):", "(E):"), ("a", "b"))
+    assert ctx.warnings == ("dropped block for unknown label (e)", "missing block for choice (b)")
 
 
 def test_trailing_text_after_decision_dropped():
@@ -277,3 +293,179 @@ def test_round_trip_generator_shapes():
 
     collect()
     assert seen == {(False, True), (True, False), (True, True)}
+
+
+# The parser as it was before the one-pass matches: every decision and
+# sentence gap found by `finditer`, the last one kept. It is the reference the
+# one-pass parser must agree with, on every field and every error.
+
+_REF_BLOCK_OPEN = re.compile(r"^\(([A-Za-z])\):[ \t]?(.*)$")
+_REF_DECISION = re.compile(
+    r"(?i)\bthe answer is\b[ \t]*((?:\([a-z]\))(?:\s*or\s*\([a-z]\))*|none\b)"
+)
+_REF_DECISION_LABELS = re.compile(r"\(([a-z])\)")
+_REF_SENTENCE_GAP = re.compile(r"(?<=[.!?])\s+")
+_REF_RELATION_PREFIXES = ("It is", "It could", "No relationship", "This is")
+
+
+def _ref_last_gap(text):
+    last = None
+    for last in _REF_SENTENCE_GAP.finditer(text):
+        pass
+    return last
+
+
+def _ref_split_block(block):
+    block = block.strip()
+    if not block:
+        return SpecificContext("", "")
+    gap = _ref_last_gap(block)
+    if gap is not None:
+        return SpecificContext(knowledge=block[: gap.start()], relation=block[gap.end() :])
+    if block.startswith(_REF_RELATION_PREFIXES):
+        return SpecificContext(knowledge="", relation=block)
+    return SpecificContext(knowledge=block, relation="")
+
+
+def reference_parse(text, labels):
+    head = text.find(CONTEXT_HEAD)
+    if head < 0:
+        raise FormatError(f"no {CONTEXT_HEAD!r} head in generation")
+    body = text[head + len(CONTEXT_HEAD) :]
+    matches = list(_REF_DECISION.finditer(body))
+    if not matches:
+        raise DecisionMissing("no 'the answer is ...' sentence in generation")
+    final = matches[-1]
+    token = final.group(1).lower()
+    if token.strip().startswith("none"):
+        decision = frozenset()
+    else:
+        decision = frozenset(_REF_DECISION_LABELS.findall(token))
+    unknown = decision - set(labels)
+    if unknown:
+        raise LabelUnknown(f"decision names unknown label(s): {sorted(unknown)}")
+    prefix = body[: final.start()]
+    gap = _ref_last_gap(prefix)
+    content = body[: max(prefix.rfind("\n") + 1, gap.end() if gap else 0)]
+
+    overall_lines, blocks, warnings, current = [], {}, [], None
+    for line in content.split("\n"):
+        m = _REF_BLOCK_OPEN.match(line)
+        if m:
+            label = m.group(1).lower()
+            if label not in labels:
+                warnings.append(f"dropped block for unknown label ({label})")
+                current = "!"
+                continue
+            blocks.setdefault(label, []).append(m.group(2))
+            current = label
+        elif current is None:
+            overall_lines.append(line)
+        elif current == "!":
+            continue
+        else:
+            blocks[current].append(line)
+    specific = {}
+    for label in labels:
+        if label in blocks:
+            specific[label] = _ref_split_block("\n".join(blocks[label]))
+        else:
+            specific[label] = SpecificContext("", "")
+            warnings.append(f"missing block for choice ({label})")
+    return ParsedContext(
+        overall="\n".join(overall_lines).strip(),
+        specific=specific,
+        decision=decision,
+        raw=text,
+        warnings=tuple(warnings),
+    )
+
+
+def outcome(parse, text, labels):
+    """Everything a parse gives: the error's class and message, or every field in order."""
+    try:
+        ctx = parse(text, labels)
+    except Exception as exc:  # noqa: BLE001 - the class itself is compared
+        return type(exc), str(exc)
+    return (
+        ctx.overall,
+        list(ctx.specific.items()),
+        ctx.decision,
+        ctx.raw,
+        ctx.warnings,
+    )
+
+
+# Separators include `\r\n`, the information separators and NEL, which
+# `str.splitlines` would split and the parser must not.
+SEPARATORS = [" ", "  ", "\t", "\n", "\n\n", "\r\n", "\x1c", "\x1d", "\x1e", "\x85", " ", ""]
+HEADS = ["Context:", "Context: ", "context:", "Sure.\nContext:", "Context:\n", "Contex:", ""]
+OPENERS = [
+    "(a):", "(a): ", "(b): ", "(c):\t", "(A): ", "(B):", "(C): ", "(e): ", "(E): ", "(z):",
+    " (a): ", "(ab): ", "(a) :", "(1): ",
+]
+SENTENCES = [
+    "Fact one.", "Fact two!", "Is it so?", "It is related.", "It could be.",
+    "No relationship can be found.", "This is relevant.", "no terminator", "e.g. this",
+    "Mid. sentence", "", ".", "?!",
+]
+DECISIONS = [
+    "Therefore, the answer is (a).", "the answer is (B) or (c).", "The Answer Is None.",
+    "So the answer is none", "the answer is (a)or(b)", "the answer is (a) or\n(b).",
+    "the answer is\t(c)", "the answer is\n(a).", "the answer is(a).", "xthe answer is (a).",
+    "the answer is nonesuch.", "the answer is (e).", "the answer is (Z).", "the answer is ",
+    "theanswer is (a).", "THE ANSWER IS (D) OR (A) OR (B).",
+]
+PIECES = st.one_of(
+    st.sampled_from(HEADS),
+    st.sampled_from(OPENERS),
+    st.sampled_from(SENTENCES),
+    st.sampled_from(DECISIONS),
+)
+
+
+def _joined(draw, parts):
+    return "".join(part + draw(st.sampled_from(SEPARATORS)) for part in parts)
+
+
+@st.composite
+def generations(draw):
+    """A head, overall sentences, blocks and a decision, with stray pieces and
+    single-character edits mixed in."""
+    sentences = st.lists(st.sampled_from(SENTENCES), max_size=4)
+    parts = [draw(st.sampled_from(HEADS)), *draw(sentences)]
+    for _ in range(draw(st.integers(0, 5))):
+        parts += [draw(st.sampled_from(OPENERS)), *draw(sentences)]
+    parts += [draw(st.sampled_from(DECISIONS)), *draw(st.lists(PIECES, max_size=2))]
+    for pos, piece in draw(st.lists(st.tuples(st.integers(0, 99), PIECES), max_size=3)):
+        parts.insert(pos % (len(parts) + 1), piece)
+    text = _joined(draw, parts)
+    alphabet = st.sampled_from(list(".!?() :\n\r\t\x1c\x1d\x1e\x85aAbeo"))
+    for kind, pos, char in draw(
+        st.lists(st.tuples(st.sampled_from("id"), st.integers(0, 10**4), alphabet), max_size=3)
+    ):
+        pos %= len(text) + 1
+        text = text[:pos] + char + text[pos:] if kind == "i" else text[:pos] + text[pos + 1 :]
+    labels = tuple("abcd"[: draw(st.integers(1, 4))])
+    return text, labels
+
+
+@settings(max_examples=500, deadline=None)
+@given(generations())
+def test_parse_agrees_with_the_reference_parser(drawn):
+    text, labels = drawn
+    assert outcome(parse_generation, text, labels) == outcome(reference_parse, text, labels)
+
+
+def test_differential_generator_reaches_every_outcome():
+    # the drawn generations parse, and fail in each of the three ways
+    seen = set()
+
+    @settings(max_examples=200, database=None, deadline=None)
+    @given(generations())
+    def collect(drawn):
+        got = outcome(reference_parse, *drawn)
+        seen.add(got[0] if isinstance(got[0], type) else ParsedContext)
+
+    collect()
+    assert seen == {ParsedContext, FormatError, DecisionMissing, LabelUnknown}

@@ -1,3 +1,4 @@
+import random
 import time
 from dataclasses import replace
 
@@ -36,6 +37,9 @@ from privqa.keywords import (
     METHOD_RANDOM_WORDS,
     Gazetteer,
     corpus_budget_report,
+    extract_ner,
+    stable_seed,
+    subsample_keywords,
 )
 from privqa.promptkit import render_block
 from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus, gazetteer_tokens
@@ -487,6 +491,78 @@ def test_ood_memo_keeps_each_providers_gazetteer(corpus):
     want = build_keyword_map(shared, 1.0, 0, METHOD_NER, target.gazetteer)
     assert target.provided["test"] == want
     assert want != build_keyword_map(shared, 1.0, 0, METHOD_NER, source.gazetteer)
+
+
+@pytest.fixture
+def orders(monkeypatch):
+    """Each full keyword permutation drawn, in draw order.
+
+    Only keyword orders sample a whole `range`; the synthetic oracle samples
+    lists, and an entity sweep draws no random-word sample.
+    """
+    seen = []
+    real = random.Random.sample
+
+    def spy(self, population, k, **kwargs):
+        out = real(self, population, k, **kwargs)
+        if isinstance(population, range) and k == len(population):
+            seen.append(out)
+        return out
+
+    monkeypatch.setattr(random.Random, "sample", spy)
+    return seen
+
+
+@pytest.fixture
+def memos(monkeypatch):
+    """Each `build_keyword_map` call's memo, with how many orders it held then."""
+    seen = []
+    real = harness.build_keyword_map
+
+    def spy(dataset, ratio, seed, method, gazetteer, memo=None):
+        seen.append((memo, None if memo is None else len(memo.orders)))
+        return real(dataset, ratio, seed, method, gazetteer, memo)
+
+    monkeypatch.setattr(harness, "build_keyword_map", spy)
+    return seen
+
+
+def test_sweep_draws_each_instance_order_once_per_call(corpus, provider, orders, memos):
+    instances = sum(len(ds) for ds in corpus.values())
+    ratios = (0.25, 0.5, 1.0)
+    firsts = []
+    for _ in range(2):  # a second sweep starts from an empty memo again
+        orders.clear()
+        memos.clear()
+        run_budget_sweep(small_config(max_epochs=1), corpus, provider, ratios=ratios)
+        assert len(orders) == instances
+        first, known = memos[0]
+        assert known == 0
+        assert len(memos) == 3 * len(ratios)
+        assert all(memo is first for memo, _ in memos)
+        assert len(first.orders) == instances
+        firsts.append(first)
+    assert firsts[0] is not firsts[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 2**16),
+    keyword_count=st.integers(1, 16),
+    seed=st.integers(0, 2**63),
+    ratios=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_memoized_subsample_equals_a_fresh_one(corpus_seed, keyword_count, seed, ratios):
+    # orders drawn at one ratio serve every other ratio exactly
+    spec = SyntheticSpec(seed=corpus_seed, train_size=20, keyword_count=keyword_count)
+    data = build_corpus(spec)["train"]
+    gazetteer = Gazetteer(gazetteer_tokens(spec))
+    memo = harness.KeywordMemo()
+    for ratio in ratios:
+        kmap = build_keyword_map(data, ratio, seed, METHOD_NER, gazetteer, memo)
+        for inst in data.instances:
+            ks = extract_ner(inst.question, gazetteer)
+            assert kmap[inst.id] == subsample_keywords(ks, ratio, stable_seed(seed, inst.id))
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from privqa.keywords import (
     extract_random_span,
     extract_random_words,
     format_budget,
+    keyword_order,
     load_gazetteer,
     load_keyword_sets,
     question_words,
@@ -233,6 +234,20 @@ def test_subsample_empty_raises():
     empty = KeywordSet((), METHOD_NER, 1.0, 0, (), 0)
     with pytest.raises(ExtractionError):
         subsample_keywords(empty, 0.5, seed=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 12), seed=st.integers(0, 2**64 - 1), ratio=st.floats(0.0, 1.0))
+def test_subsample_with_a_drawn_order_equals_drawing_it(k, seed, ratio):
+    ks = base_keywords(k)
+    order = keyword_order(k, seed)
+    assert sorted(order) == list(range(k))
+    assert subsample_keywords(ks, ratio, seed, order) == subsample_keywords(ks, ratio, seed)
+
+
+def test_subsample_rejects_an_order_of_another_length():
+    with pytest.raises(ExtractionError, match="7 indices for 8 keywords"):
+        subsample_keywords(base_keywords(8), 0.5, seed=0, order=keyword_order(7, 0))
 
 
 def test_stable_seed_frozen():
