@@ -204,8 +204,6 @@ def subsample_keywords(
         raise ExtractionError("cannot subsample an empty keyword set")
     if order is None:
         order = keyword_order(k, seed)
-    elif len(order) != k:
-        raise ExtractionError(f"keyword order has {len(order)} indices for {k} keywords")
     n = round_half_away(ratio * k)
     keep = sorted(order[:n])
     kept_keywords = tuple(keywords.keywords[i] for i in keep)
