@@ -383,26 +383,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_ood(args) -> int:
-    cfg = _experiment_config(args)
-    if args.synthetic:
-        source, provider = _synthetic(args, cfg.seed)
-        target, target_provider = _synthetic(
-            args, 1 if args.target_seed is None else args.target_seed
+    if not args.synthetic:
+        raise HarnessError(
+            "ood runs on --synthetic only; over files, run `privqa train` on the source"
+            " domain, then `privqa eval --data TARGET`"
         )
-        _publish(None, {"ood": run_ood(cfg, source, target, provider, target_provider)})
-        return 0
-    for name in ("train", "dev", "target"):
-        if getattr(args, name) is None:
-            raise HarnessError(f"ood needs --{name} (or --synthetic)")
-    model, tlog = train_scorer(cfg, load_augmented(args.train), load_augmented(args.dev))
-    metrics = evaluate(model, cfg, load_augmented(args.target), tlog=tlog).metrics
-    print(
-        f"transfer accuracy: {_accuracy_line(metrics)};"
-        f" dev {metrics['best_dev_accuracy'] * 100:.2f}%"
-    )
-    if args.checkpoint:
-        save_model(model, args.checkpoint)
-        print(f"saved checkpoint -> {args.checkpoint}")
+    cfg = _experiment_config(args)
+    source, provider = _synthetic(args, cfg.seed)
+    target, target_provider = _synthetic(args, 1 if args.target_seed is None else args.target_seed)
+    _publish(None, {"ood": run_ood(cfg, source, target, provider, target_provider)})
     return 0
 
 
@@ -537,10 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(p)
     _add_source_flags(p, data_files=False)
     p.add_argument("--target-seed", type=int, help="synthetic target domain seed")
-    p.add_argument("--train", dest="train")
-    p.add_argument("--dev")
-    p.add_argument("--target")
-    p.add_argument("--checkpoint")
     p.set_defaults(func=_cmd_ood)
 
     p = sub.add_parser("sweep", help="sweep the keyword disclosure ratio")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -104,20 +104,16 @@ class HarnessError(PrivqaError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything that determines a run's outcome; JSON-serializable, checked when built."""
+class ExperimentConfig(TrainConfig):
+    """Everything that determines a run's outcome; JSON-serializable, checked when built.
+
+    Its training fields are `TrainConfig`'s, so it is what `scorer.train` gets.
+    """
 
     regime: str = "FTC"
     view: str = "Full"
     ratio: float = 1.0
     method: str = METHOD_NER
-    seed: int = TrainConfig.seed
-    learning_rate: float = TrainConfig.learning_rate
-    batch_size: int = TrainConfig.batch_size
-    max_epochs: int = TrainConfig.max_epochs
-    warmup_steps: int = TrainConfig.warmup_steps
-    early_stop_patience: int = TrainConfig.early_stop_patience
-    weight_decay: float = TrainConfig.weight_decay
     featurizer_dim: int = FeaturizerConfig.dim
     hash_seed: int = FeaturizerConfig.hash_seed
     model_id: str = "gpt-3.5-turbo"
@@ -149,14 +145,11 @@ class ExperimentConfig:
         if not self.featurizer_dim >= 1:
             raise HarnessError(f"featurizer_dim {self.featurizer_dim} must be at least 1")
         # the training and featurizer configs check their own ranges
-        self.train_config()
+        TrainConfig.__post_init__(self)
         self.featurizer()
 
     def context_view(self) -> ContextView:
         return ContextView(self.view)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def featurizer(self) -> FeaturizerConfig:
         return FeaturizerConfig(dim=self.featurizer_dim, hash_seed=self.hash_seed)
@@ -502,7 +495,7 @@ def train_scorer(
     `featurizer` must equal the config's; by default a fresh one is built.
     """
     return train(
-        config.train_config(),
+        config,
         build_inputs(train_aug, config.regime, config.context_view()),
         build_inputs(dev_aug, "FTC", eval_view(config)),
         featurizer or config.featurizer(),

@@ -33,7 +33,7 @@ from privqa.contexts import (  # noqa: F401
 )
 from privqa.corpus import LABELS, Dataset, QAInstance
 from privqa.harness import ContextProvider
-from privqa.keywords import METHOD_NER, Gazetteer, KeywordSet, extract_ner
+from privqa.keywords import Gazetteer, KeywordSet, extract_ner
 from privqa.keywords import subsample_keywords  # noqa: F401
 from privqa.promptkit import Demonstration
 
@@ -46,6 +46,10 @@ UNINFORMED_RELATION = "No relationship can be found."
 
 _DECISION_SHAPES = ("wrong", "with-gold", "without-gold", "empty")
 
+N_CHOICES = 4
+QUESTION_WORDS = 16  # of which `SyntheticSpec.keyword_count` are gazetteer terms
+CHOICE_WORDS = 3
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -53,10 +57,7 @@ class SyntheticSpec:
     train_size: int = 500
     dev_size: int = 200
     test_size: int = 200
-    n_choices: int = 4
-    question_words: int = 16
     keyword_count: int = 8
-    choice_words: int = 3
     vocab_size: int = 500
 
 
@@ -74,11 +75,11 @@ def _build_instance(
 ) -> QAInstance:
     rng = random.Random(f"{spec.seed}:{split}:{index}")
     keywords = rng.sample(gaz, spec.keyword_count)
-    fillers = rng.sample(fil, spec.question_words - spec.keyword_count)
+    fillers = rng.sample(fil, QUESTION_WORDS - spec.keyword_count)
     words = keywords + fillers
     rng.shuffle(words)
-    labels = LABELS[: spec.n_choices]
-    choices = {label: " ".join(rng.sample(fil, spec.choice_words)) for label in labels}
+    labels = LABELS[:N_CHOICES]
+    choices = {label: " ".join(rng.sample(fil, CHOICE_WORDS)) for label in labels}
     return QAInstance(
         id=f"syn-{split}-{index:04d}",
         question=" ".join(words),
@@ -177,15 +178,9 @@ class SyntheticContextProvider(ContextProvider):
     ) -> list[tuple[str, str]]:
         return [(self.completion_for(i, kmap[i.id]), f"synthetic:{i.id}") for i in instances]
 
-    def mock_completions(
-        self,
-        dataset: Dataset,
-        ratio: float,
-        seed: int,
-        method: str = METHOD_NER,
-    ) -> dict[str, str]:
+    def mock_completions(self, dataset: Dataset, ratio: float, seed: int) -> dict[str, str]:
         """Canned completions keyed by instance id, for gateway mock mode."""
-        kmap = self.keyword_map(dataset, ratio, seed, method)
+        kmap = self.keyword_map(dataset, ratio, seed)
         return {
             inst.id: self.completion_for(inst, kmap[inst.id]) for inst in dataset.instances
         }

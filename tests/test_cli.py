@@ -24,14 +24,7 @@ from privqa.corpus import (
     write_dataset,
 )
 from privqa.gateway import GenerationRecord
-from privqa.harness import (
-    ExperimentConfig,
-    HarnessError,
-    PipelineProvider,
-    accuracy,
-    predict_labels,
-    train_scorer,
-)
+from privqa.harness import HarnessError, PipelineProvider
 from privqa.keywords import (
     ExtractionError,
     KeywordSet,
@@ -1112,35 +1105,16 @@ def test_unmatched_question_discloses_nothing(ws, tmp_path, capsys):
     assert prompts[0].endswith("\n\n" + render_block((), inst.choices))
 
 
-def test_ood_files_match_harness_steps(ws, tmp_path, capsys):
-    corpus, provider = ws["corpus"], ws["provider"]
-    paths = {}
-    for split, ratio in (("train", 1.0), ("dev", 1.0), ("test", 0.5)):
-        paths[split] = tmp_path / f"aug-{split}.jsonl"
-        write_augmented(provider.provide(corpus[split], ratio, seed=0)[0], paths[split])
-    code = run(
-        [
-            "ood",
-            *FAST,
-            "--train", paths["train"],
-            "--dev", paths["dev"],
-            "--target", paths["test"],
-        ]
-    )
-    assert code == 0
-    cfg = ExperimentConfig(
-        featurizer_dim=16384, max_epochs=10, warmup_steps=20, early_stop_patience=3
-    )
-    model, tlog = train_scorer(
-        cfg, load_augmented(paths["train"]), load_augmented(paths["dev"])
-    )
-    preds, gold = predict_labels(model, cfg, load_augmented(paths["test"]))
-    acc = accuracy(preds, gold)
-    assert 0.0 < acc < 1.0
-    assert (
-        f"transfer accuracy: {acc * 100:.2f}% ({round(acc * len(gold))}/{len(gold)})"
-        in capsys.readouterr().out
-    )
+def test_ood_without_synthetic_names_the_file_path(capsys):
+    # over files, an out-of-domain run is `train` on the source, then `eval` on the target
+    (commands,) = [
+        a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    flags = {flag for a in commands["ood"]._actions for flag in a.option_strings}
+    assert not flags & {"--train", "--dev", "--target", "--checkpoint"}
+    assert run(["ood", *FAST]) == 1
+    err = capsys.readouterr().err
+    assert "--synthetic" in err and err.index("privqa train") < err.index("privqa eval")
 
 
 # ---------------------------------------------------------------------------
