@@ -27,9 +27,12 @@ CONTEXT_HEAD = "Context:"
 
 _BLOCK_OPEN = re.compile(r"^\(([A-Za-z])\):[ \t]?(.*)$")
 # The leading greedy `.*` backtracks from the end of the text, so one match
-# finds the last decision, or the last gap between sentences.
+# finds the last decision, or the last gap between sentences. A label is an
+# ASCII letter in either case: under `(?i)`, `[a-z]` would also match `ſ`,
+# `İ` and the Kelvin sign.
 _LAST_DECISION = re.compile(
-    r"(?is).*\b(the answer is)\b[ \t]*((?:\([a-z]\))(?:\s*or\s*\([a-z]\))*|none\b)"
+    r"(?is).*\b(the answer is)\b[ \t]*"
+    r"((?:\((?-i:[A-Za-z])\))(?:\s*or\s*\((?-i:[A-Za-z])\))*|none\b)"
 )
 _DECISION_LABELS = re.compile(r"\(([a-z])\)")
 _LAST_GAP = re.compile(r"(?s).*[.!?](\s+)")

@@ -119,6 +119,38 @@ def test_decision_case_insensitive():
         parse_generation("Context: x.\nTherefore, the answer is (E).", LABELS4)
 
 
+# Unicode case folding maps these to ASCII letters: the long s and the dotted
+# capital I fold to `s` and `i`, the Kelvin sign to `k`. A label is ASCII only.
+NON_ASCII_LABELS = ["\u017f", "\u0130", "\u212a"]
+
+
+@pytest.mark.parametrize("letter", NON_ASCII_LABELS)
+def test_non_ascii_label_is_no_decision(letter):
+    base = "Context: x.\n(a): Fact. It is fine.\n"
+    with pytest.raises(DecisionMissing):
+        parse_generation(base + f"Therefore, the answer is ({letter}).", LABELS4)
+    # an earlier ASCII decision is then the last one
+    text = base + f"So the answer is (b). Therefore, the answer is ({letter})."
+    assert parse_generation(text, LABELS4).decision == frozenset("b")
+
+
+LABEL_PIECES = [
+    *(f"({c})" for c in ["a", "B", "d", *NON_ASCII_LABELS]),
+    "none", "None", " or ", "or", " ", "(", ")", "n", "o", "e", ".", *NON_ASCII_LABELS,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LABEL_PIECES), max_size=5))
+def test_parsed_decision_is_empty_only_when_the_text_says_none(pieces):
+    text = "Context: x.\n(a): Fact. It is fine.\nTherefore, the answer is " + "".join(pieces)
+    try:
+        ctx = parse_generation(text, LABELS4)
+    except (DecisionMissing, LabelUnknown):
+        return
+    assert ctx.decision or "none" in text.lower()
+
+
 def test_capital_block_openers_name_the_same_choices():
     text = "Context: o.\n(A): k. It is x.\n(B): m. It is y.\nTherefore, the answer is (A)."
     ctx = parse_generation(text, ("a", "b"))
@@ -301,7 +333,8 @@ def test_round_trip_generator_shapes():
 
 _REF_BLOCK_OPEN = re.compile(r"^\(([A-Za-z])\):[ \t]?(.*)$")
 _REF_DECISION = re.compile(
-    r"(?i)\bthe answer is\b[ \t]*((?:\([a-z]\))(?:\s*or\s*\([a-z]\))*|none\b)"
+    r"(?i)\bthe answer is\b[ \t]*"
+    r"((?:\((?-i:[A-Za-z])\))(?:\s*or\s*\((?-i:[A-Za-z])\))*|none\b)"
 )
 _REF_DECISION_LABELS = re.compile(r"\(([a-z])\)")
 _REF_SENTENCE_GAP = re.compile(r"(?<=[.!?])\s+")
@@ -415,6 +448,7 @@ DECISIONS = [
     "the answer is\t(c)", "the answer is\n(a).", "the answer is(a).", "xthe answer is (a).",
     "the answer is nonesuch.", "the answer is (e).", "the answer is (Z).", "the answer is ",
     "theanswer is (a).", "THE ANSWER IS (D) OR (A) OR (B).",
+    "the answer is (\u017f).", "the answer is (a) or (\u0130).", "the answer is (\u212a).",
 ]
 PIECES = st.one_of(
     st.sampled_from(HEADS),
@@ -440,7 +474,7 @@ def generations(draw):
     for pos, piece in draw(st.lists(st.tuples(st.integers(0, 99), PIECES), max_size=3)):
         parts.insert(pos % (len(parts) + 1), piece)
     text = _joined(draw, parts)
-    alphabet = st.sampled_from(list(".!?() :\n\r\t\x1c\x1d\x1e\x85aAbeo"))
+    alphabet = st.sampled_from(list(".!?() :\n\r\t\x1c\x1d\x1e\x85aAbeo\u017f\u0130\u212a"))
     for kind, pos, char in draw(
         st.lists(st.tuples(st.sampled_from("id"), st.integers(0, 10**4), alphabet), max_size=3)
     ):
