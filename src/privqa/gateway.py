@@ -8,7 +8,8 @@ while its call is in flight; calls are retried with exponential backoff on
 transient failures, waiting at least as long as a `Retry-After` asks, and
 bounded by a concurrency limit. Decoding is fixed:
 greedy, at most `DEFAULT_MAX_TOKENS`, stopped at the prompt's block
-separator. A batch sends each key once, as an ordered map over
+separator. A completion cut off at that limit is an error, never a cached
+success. A batch sends each key once, as an ordered map over
 `Gateway.complete` on up to that many threads, and writes its cache lines in
 request order, so the cache file never depends on which call finished first.
 """
@@ -292,11 +293,12 @@ class Gateway:
                     key, completion = rec["cache_key"], rec["completion"]
                     if not (isinstance(key, str) and isinstance(completion, str)):
                         raise TypeError("cache_key and completion must be strings")
+                    if rec.get("truncated", False):
+                        raise ValueError("a truncated completion is never served")
                     record = GenerationRecord(
                         cache_key=key,
                         completion=completion,
                         source=rec.get("source", "live"),
-                        truncated=bool(rec.get("truncated", False)),
                         retries=int(rec.get("retries", 0)),
                     )
                 except (KeyError, TypeError, ValueError, OverflowError):
@@ -444,15 +446,14 @@ class Gateway:
                 finish = choice.get("finish_reason", "stop")
             except (KeyError, IndexError, TypeError) as exc:
                 raise GatewayError(f"malformed upstream response: {reply.body}") from exc
-            truncated = finish == "length"
-            if truncated:
-                log.warning("completion for key %s truncated at max_tokens", key)
+            if finish == "length":
+                # greedy decoding would stop at the same token again, so no retry
+                raise GatewayError(
+                    f"completion for key {key} stopped at max_tokens {DEFAULT_MAX_TOKENS};"
+                    " not cached"
+                )
             return GenerationRecord(
-                cache_key=key,
-                completion=completion,
-                source="live",
-                truncated=truncated,
-                retries=attempt,
+                cache_key=key, completion=completion, source="live", retries=attempt
             )
         raise GatewayError(
             f"giving up after {DEFAULT_MAX_ATTEMPTS} attempts for key {key}: {last_error}"

@@ -198,10 +198,25 @@ def test_live_malformed_body(tmp_path):
 
 
 def test_live_truncation_flag(tmp_path):
+    # a completion cut off at max_tokens is an error naming its key, and is not cached
     transport = MockTransport([ok("cut off", finish="length")])
     gw = Gateway(tmp_path / "cache.jsonl", transport=transport)
-    rec = gw.complete(REQUEST, "live")
-    assert rec.truncated
+    with pytest.raises(GatewayError, match=f"key {cache_key(REQUEST)} stopped at max_tokens"):
+        gw.complete(REQUEST, "live")
+    assert transport.calls == 1
+    assert len(gw) == 0
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
+def test_truncated_cache_line_is_skipped(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    line = {"cache_key": cache_key(REQUEST), "completion": "cut off", "truncated": True}
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    gw = Gateway(path)
+    assert len(gw) == 0
+    assert f"skipping corrupt cache line {path}:1" in caplog.text
+    with pytest.raises(ReplayCacheMiss):
+        gw.complete(REQUEST, "replay")
 
 
 def test_live_mode_requires_transport(tmp_path):
@@ -798,11 +813,20 @@ def test_http_body_not_json_is_malformed(tmp_path, server):
 
 
 def test_http_length_finish_is_truncated(tmp_path, server):
-    server.script = [ok_reply("cut off", finish="length")]
-    rec = http_gateway(tmp_path, server.url, []).complete(REQUEST, "live")
-    assert (rec.completion, rec.truncated) == ("cut off", True)
-    cached = json.loads((tmp_path / "cache.jsonl").read_text(encoding="utf-8"))
-    assert cached["truncated"] is True
+    # one thread, so the server answers the batch's requests in order
+    requests = numbered_requests(3)
+    server.script = [ok_reply("one"), ok_reply("cut off", finish="length"), ok_reply("three")]
+    gw = Gateway(tmp_path / "cache.jsonl", transport=HttpTransport(server.url), max_in_flight=1)
+    with pytest.raises(GatewayError, match=f"key {cache_key(requests[1])} stopped at max_tokens"):
+        gw.complete_all(requests, "live")
+    assert len(server.received) == 3
+    # the rest of the batch is cached; replay serves it and misses the cut-off one
+    lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["completion"] for line in lines] == ["one", "three"]
+    replay = Gateway(tmp_path / "cache.jsonl")
+    assert [replay.complete(r, "replay").completion for r in requests[::2]] == ["one", "three"]
+    with pytest.raises(ReplayCacheMiss):
+        replay.complete(requests[1], "replay")
 
 
 def test_http_refused_connection_gives_up(tmp_path, monkeypatch):
