@@ -24,11 +24,6 @@ LABELS = ("a", "b", "c", "d", "e")
 MIN_CHOICES = 2
 MAX_CHOICES = 5
 
-# Published split sizes, for reference only: no loader checks a split against them.
-REFERENCE_SPLIT_SIZES = {
-    "medqa": {"train": 10178, "dev": 1272, "test": 1273},
-}
-
 
 class DatasetFormatError(PrivqaError):
     """A dataset or augmented file violates the canonical schema."""

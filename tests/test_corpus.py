@@ -4,7 +4,6 @@ import pytest
 
 from privqa.contexts import ParsedContext, SpecificContext
 from privqa.corpus import (
-    REFERENCE_SPLIT_SIZES,
     AugmentedInstance,
     Dataset,
     DatasetFormatError,
@@ -75,8 +74,8 @@ def test_load_rejects_duplicate_ids(tmp_path):
 
 
 def test_load_reference_scale(tmp_path):
-    # Loader handles a file at the size of the largest published split.
-    n = REFERENCE_SPLIT_SIZES["medqa"]["train"]
+    # Loader handles a file at the size of the largest published split, MedQA's train.
+    n = 10178
     path = tmp_path / "big.jsonl"
     with path.open("w", encoding="utf-8") as fh:
         for i in range(n):
