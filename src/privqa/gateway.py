@@ -71,7 +71,6 @@ class GenerationRecord:
     cache_key: str
     completion: str
     source: str  # "live" | "replay" | "mock"
-    truncated: bool = False
     retries: int = 0
 
 
@@ -226,7 +225,7 @@ def _cache_line(record: GenerationRecord, request: GenerationRequest) -> str:
             "summary": _request_summary(request),
             "completion": record.completion,
             "source": record.source,
-            "truncated": record.truncated,
+            "truncated": False,  # a truncated completion is never cached
             "retries": record.retries,
         },
         ensure_ascii=False,

@@ -123,7 +123,6 @@ def test_live_success_and_payload_shape(tmp_path):
     assert rec.completion == "hello"
     assert rec.source == "live"
     assert rec.retries == 0
-    assert not rec.truncated
     assert transport.payloads == [
         {
             "model": "test-model",
@@ -739,7 +738,7 @@ def test_http_sends_payload_and_credential(tmp_path, server):
     sleeps = []
     server.script = [ok_reply("hello")]
     rec = http_gateway(tmp_path, server.url, sleeps).complete(REQUEST, "live")
-    assert (rec.completion, rec.source, rec.retries, rec.truncated) == ("hello", "live", 0, False)
+    assert (rec.completion, rec.source, rec.retries) == ("hello", "live", 0)
     assert sleeps == []
     [(headers, payload)] = server.received
     assert headers["Authorization"] == "Bearer sk-loopback"
