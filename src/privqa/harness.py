@@ -54,6 +54,7 @@ from privqa.keywords import (
 )
 from privqa.promptkit import Demonstration, build_prompt
 from privqa.scorer import (
+    SEPARATOR,
     FeaturizerConfig,
     ScorerModel,
     TrainConfig,
@@ -71,19 +72,23 @@ DEFAULT_SWEEP_RATIOS = (0.25, 0.5, 0.75, 1.0)
 BUDGET_TOLERANCE = 0.01  # how far a random baseline's corpus budget may miss the target
 
 
-class KeywordMemo:
-    """The ratio-free parts of entity keyword maps, computed once per command.
+class CommandMemo:
+    """The work of a command that no keyword ratio changes, done once per command.
 
-    It holds `extract_ner` results by (gazetteer, question) and each
-    instance's `keyword_order` by (instance seed, keyword count). A run, or
-    one sweep or compare command, builds one and hands it to every keyword
-    map it makes, so each question is extracted and each instance's order is
-    drawn once per command; it never outlives the command.
+    It holds `extract_ner` results by (gazetteer, question), each instance's
+    `keyword_order` by (instance seed, keyword count), and a context
+    provider's per-instance random draws (`draws`, keyed and filled by the
+    provider; the synthetic oracle keeps its noise words and uninformed
+    decisions there). A run, or one sweep or compare command, builds one and
+    hands it to every keyword map and provider call it makes, so each question
+    is extracted and each instance's order and draws are drawn once per
+    command; it never outlives the command.
     """
 
     def __init__(self) -> None:
         self.extracted: dict[tuple[Gazetteer, str], KeywordSet] = {}
         self.orders: dict[tuple[int, int], list[int]] = {}
+        self.draws: dict[tuple, object] = {}
 
     def extract(self, question: str, gazetteer: Gazetteer) -> KeywordSet:
         key = (gazetteer, question)
@@ -162,14 +167,6 @@ def config_digest(config: ExperimentConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # Input assembly
-
-# Segment separator: a control character that never occurs in natural text,
-# so distinct (question, answer, contexts) tuples assemble to distinct strings
-# for an external scorer. `str.split()` treats it as whitespace, so the
-# built-in featurizer has no boundary token: it sees the segments' tokens in
-# order, and a bigram may span two segments.
-SEPARATOR = "\x1e"
-
 
 def assemble_input(question: str, answer: str, overall: str, choice_context: str) -> str:
     """Join the four segments with the reserved separator token."""
@@ -262,7 +259,7 @@ def build_keyword_map(
     seed: int,
     method: str,
     gazetteer: Gazetteer | None,
-    memo: KeywordMemo | None = None,
+    memo: CommandMemo | None = None,
 ) -> dict[str, KeywordSet]:
     """Per-instance disclosed keywords.
 
@@ -277,7 +274,7 @@ def build_keyword_map(
     if method == METHOD_NER and gazetteer is None:
         raise HarnessError("entity extraction needs a gazetteer")
     if memo is None:
-        memo = KeywordMemo()
+        memo = CommandMemo()
     out: dict[str, KeywordSet] = {}
     for inst in dataset.instances:
         inst_seed = stable_seed(seed, inst.id)
@@ -321,9 +318,15 @@ class ContextProvider:
     gazetteer: Gazetteer | None = None
 
     def completions(
-        self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
+        self,
+        instances: Sequence[QAInstance],
+        kmap: dict[str, KeywordSet],
+        memo: CommandMemo | None = None,
     ) -> list[tuple[str, str]]:
-        """(completion text, generation id) per instance, in input order."""
+        """(completion text, generation id) per instance, in input order.
+
+        A provider may keep ratio-free work in the command's `memo`.
+        """
         raise NotImplementedError
 
     def keyword_map(
@@ -332,18 +335,21 @@ class ContextProvider:
         ratio: float,
         seed: int,
         method: str = METHOD_NER,
-        memo: KeywordMemo | None = None,
+        memo: CommandMemo | None = None,
     ) -> dict[str, KeywordSet]:
         return build_keyword_map(dataset, ratio, seed, method, self.gazetteer, memo)
 
     def augment_all(
-        self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
+        self,
+        instances: Sequence[QAInstance],
+        kmap: dict[str, KeywordSet],
+        memo: CommandMemo | None = None,
     ) -> list[AugmentedInstance]:
         """Augmented instances in input order; an id `kmap` lacks fails before any completion."""
         for inst in instances:
             if inst.id not in kmap:
                 raise HarnessError(f"no keywords for instance {inst.id!r}")
-        pairs = self.completions(instances, kmap)
+        pairs = self.completions(instances, kmap, memo)
         return [augment_completion(inst, *pair) for inst, pair in zip(instances, pairs)]
 
     def provide(
@@ -352,11 +358,11 @@ class ContextProvider:
         ratio: float,
         seed: int,
         method: str = METHOD_NER,
-        memo: KeywordMemo | None = None,
+        memo: CommandMemo | None = None,
     ) -> tuple[list[AugmentedInstance], dict[str, KeywordSet]]:
         """The augmented instances and the keyword map their prompts disclosed."""
         kmap = self.keyword_map(dataset, ratio, seed, method, memo)
-        return self.augment_all(dataset.instances, kmap), kmap
+        return self.augment_all(dataset.instances, kmap, memo), kmap
 
 
 class PipelineProvider(ContextProvider):
@@ -382,9 +388,15 @@ class PipelineProvider(ContextProvider):
         self.mode = mode
 
     def completions(
-        self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
+        self,
+        instances: Sequence[QAInstance],
+        kmap: dict[str, KeywordSet],
+        memo: CommandMemo | None = None,
     ) -> list[tuple[str, str]]:
-        """Build every prompt, then complete all of them in one gateway batch."""
+        """Build every prompt, then complete all of them in one gateway batch.
+
+        Every prompt depends on its keywords, so nothing goes into `memo`.
+        """
         requests = [
             GenerationRequest(
                 model_id=self.model_id,
@@ -475,7 +487,7 @@ def _require_splits(datasets: dict[str, Dataset], *names: str) -> None:
 
 
 def _materialize(
-    config: ExperimentConfig, dataset: Dataset, provider, memo: KeywordMemo
+    config: ExperimentConfig, dataset: Dataset, provider, memo: CommandMemo
 ) -> tuple[list[AugmentedInstance], dict[str, KeywordSet] | None]:
     if config.regime == "SFT":
         return [plain_augmented(inst) for inst in dataset.instances], None
@@ -573,16 +585,17 @@ def _run(
     test_provider,
     transfer: dict | None = None,
     featurizer: FeaturizerConfig | None = None,
-    memo: KeywordMemo | None = None,
+    memo: CommandMemo | None = None,
 ) -> EvalReport:
     """Train on datasets' train/dev splits, predict `test`, and build the report.
 
-    Runs handed one `featurizer` (equal to their configs') and one keyword
-    `memo` hash each n-gram, extract each question and draw each instance's
-    keyword order once across them; by default the run builds its own of each.
+    Runs handed one `featurizer` (equal to their configs') and one command
+    `memo` featurize each segment, hash each n-gram, extract each question and
+    draw each instance's keyword order and oracle draws once across them; by
+    default the run builds its own of each.
     """
     if memo is None:
-        memo = KeywordMemo()
+        memo = CommandMemo()
     train_aug, train_kmap = _materialize(config, datasets["train"], provider, memo)
     dev_aug, _ = _materialize(config, datasets["dev"], provider, memo)
     model, tlog = train_scorer(config, train_aug, dev_aug, featurizer)
@@ -628,8 +641,9 @@ def run_budget_sweep(
 
     Contexts are regenerated per ratio: a smaller disclosure changes the
     prompt, so cached generations from other ratios never leak in. The
-    ratios' runs share one featurizer and one keyword memo, built for this
-    sweep: neither extraction nor keyword order depends on the ratio. Every
+    ratios' runs share one featurizer and one command memo, built for this
+    sweep: no segment's features, extraction, keyword order or oracle draw
+    depends on the ratio. Every
     ratio's config is built before the first run, so a bad ratio fails before
     any training.
     """
@@ -637,7 +651,7 @@ def run_budget_sweep(
     _require_disclosure("budget sweep", config, provider)
     _require_splits(datasets, "train", "dev", "test")
     featurizer = config.featurizer()
-    memo = KeywordMemo()
+    memo = CommandMemo()
     return [
         _run(
             cfg, datasets, datasets["test"], provider, provider,
@@ -671,13 +685,13 @@ def run_representation_compare(
     one gazetteer match) sets the target; the random baselines disclose that
     fraction of each question. A baseline whose realized corpus budget, the
     one its run's report gives, lands more than `BUDGET_TOLERANCE` from the
-    target is an error. The methods'
-    runs share one featurizer and one keyword memo, built for this
-    comparison, so the entity run re-extracts and redraws nothing.
+    target is an error. The methods' runs share one featurizer and one
+    command memo, built for this comparison, so the entity run re-extracts
+    and redraws nothing.
     """
     _require_disclosure("representation compare", config, provider)
     _require_splits(datasets, "train", "dev", "test")
-    memo = KeywordMemo()
+    memo = CommandMemo()
     ner_maps = {
         split: provider.keyword_map(ds, config.ratio, config.seed, METHOD_NER, memo)
         for split, ds in datasets.items()

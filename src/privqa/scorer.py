@@ -49,6 +49,13 @@ from privqa.errors import PrivqaError
 NGRAM_ORDERS = (1, 2)
 LOWERCASE = True
 
+# Segment separator: a control character that never occurs in natural text,
+# so distinct (question, answer, contexts) tuples assemble to distinct strings
+# for an external scorer. `str.split()` treats it as whitespace, so the
+# featurizer has no boundary token: it sees the segments' tokens in order,
+# and a bigram may span two segments.
+SEPARATOR = "\x1e"
+
 # AdamW moment decay rates and denominator epsilon.
 BETA1 = 0.9
 BETA2 = 0.999
@@ -74,12 +81,13 @@ class FeaturizerConfig:
             raise ScorerError(f"featurizer dim {self.dim} outside [1, 2**63]")
         if not 0 <= self.hash_seed < 2**64:
             raise ScorerError(f"featurizer hash_seed {self.hash_seed} outside [0, 2**64)")
-        # n-gram -> index memo filled by `featurize_texts`. It lives on this
-        # object, which a run, or one sweep or compare command, builds once, so
-        # each starts cold; it is not a field, so equality, hashing and
-        # checkpoint metadata ignore it.
+        # n-gram -> index and segment memos filled by `featurize_texts`. They
+        # live on this object, which a run, or one sweep or compare command,
+        # builds once, so each starts cold; they are not fields, so equality,
+        # hashing and checkpoint metadata ignore them.
         object.__setattr__(self, "_tokens", _Tokens(self.dim, self.hash_seed))
         object.__setattr__(self, "_bigrams", _Bigrams(self._tokens))
+        object.__setattr__(self, "_segments", _Segments())
 
 
 @dataclass(frozen=True)
@@ -158,11 +166,66 @@ class _Bigrams(dict):
         return slot
 
 
+class _Segments(dict):
+    """Segment -> segment number, plus each segment's token ids and in-segment bigram slots.
+
+    A text splits at `SEPARATOR` into segments, and the texts of a sweep share
+    most of theirs (a question and its answers recur at every ratio). Segment
+    s spans positions `at[s]` to `at[s + 1]` of two flat columns: `ids` holds
+    its token ids, and `slots` at a token's position the slot of the bigram
+    that token starts (at the segment's last token, no bigram: -1). The
+    columns are int32, since token ids and slots number distinct strings held
+    in memory, far below 2**31, and one small array per segment would cost
+    more in headers than its data.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.new: list[str] = []  # numbered but not yet looked up
+        self.ids = np.empty(0, dtype=np.int32)
+        self.slots = np.empty(0, dtype=np.int32)
+        self.at = np.zeros(1, dtype=np.int64)
+
+    def __missing__(self, segment: str) -> int:
+        number = self[segment] = len(self)
+        self.new.append(segment)
+        return number
+
+    def look_up_new(self, tokens: _Tokens, bigrams: _Bigrams) -> None:
+        """Look up the tokens and bigrams of the new segments, all in one pass."""
+        split = [segment.lower().split() for segment in self.new]
+        lens = np.fromiter(map(len, split), np.int64, len(split))
+        words = list(chain.from_iterable(split))
+        ids = np.fromiter(map(tokens.__getitem__, words), np.int64, len(words))
+        # a token starts a bigram unless it ends its segment
+        ends = np.cumsum(lens)
+        pairs = np.ones(ids.size, dtype=bool)
+        pairs[ends[lens > 0] - 1] = False
+        keys = ((ids[:-1] << _ID_BITS) | ids[1:])[pairs[:-1]]
+        slots = np.full(ids.size, -1, dtype=np.int64)
+        slots[pairs] = np.fromiter(map(bigrams.__getitem__, keys.tolist()), np.int64, keys.size)
+
+        first, last = len(self) - len(self.new), len(self)
+        lo = int(self.at[first])
+        hi = lo + ids.size
+        self.ids = _grown(self.ids, hi)
+        self.ids[lo:hi] = ids
+        self.slots = _grown(self.slots, hi)
+        self.slots[lo:hi] = slots
+        self.at = _grown(self.at, last + 1)
+        self.at[first + 1 : last + 1] = lo + ends
+        self.new.clear()
+
+
 def _grown(array: np.ndarray, size: int) -> np.ndarray:
-    """`array` if it has room for `size` entries, else a copy with room for twice that."""
+    """`array` if it has room for `size` entries, else a copy with room for a quarter more.
+
+    A memo keeps its arrays for a whole command, so their slack counts in its
+    peak memory; a quarter still grows them in few copies.
+    """
     if size <= array.size:
         return array
-    out = np.empty(2 * size, dtype=array.dtype)
+    out = np.empty(size + size // 4 + 64, dtype=array.dtype)
     out[: array.size] = array
     return out
 
@@ -186,7 +249,9 @@ def _featurize_slots(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`featurize_texts` with each index given as its slot in the config's memo."""
     parts = [
-        _featurize_chunk(texts[lo : lo + CHUNK_TEXTS], config._tokens, config._bigrams)
+        _featurize_chunk(
+            texts[lo : lo + CHUNK_TEXTS], config._tokens, config._bigrams, config._segments
+        )
         for lo in range(0, max(len(texts), 1), CHUNK_TEXTS)
     ]
     if len(parts) == 1:
@@ -195,26 +260,43 @@ def _featurize_slots(
 
 
 def _featurize_chunk(
-    texts: Sequence[str], tokens: _Tokens, bigrams: _Bigrams
+    texts: Sequence[str], tokens: _Tokens, bigrams: _Bigrams, segments: _Segments
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    split = [text.lower().split() for text in texts]
-    lens = np.fromiter(map(len, split), np.int64, len(split))
-    words = list(chain.from_iterable(split))
-    ids = np.fromiter(map(tokens.__getitem__, words), np.int64, len(words))
-    # adjacent tokens form a bigram unless the second one starts a text
-    ends = np.cumsum(lens)
+    # A text's tokens are its segments' tokens end to end: `str.split()` takes
+    # the separator for whitespace, and `str.lower()` reads no context across
+    # it (its final sigma looks past case-ignorable characters only, and the
+    # separator is neither cased nor case-ignorable).
+    split = [text.split(SEPARATOR) for text in texts]
+    counts = np.fromiter(map(len, split), np.int64, len(split))
+    parts = list(chain.from_iterable(split))
+    seg = np.fromiter(map(segments.__getitem__, parts), np.int64, len(parts))
+    if segments.new:
+        segments.look_up_new(tokens, bigrams)
+    seg_lens = segments.at[seg + 1] - segments.at[seg]
+    at = _ranges(segments.at[seg], seg_lens)
+    ids = segments.ids[at]
+    seg_ends = np.cumsum(seg_lens)
+    ends = seg_ends[np.cumsum(counts) - 1]
+    lens = np.diff(ends, prepend=0)
+    # A token starts a bigram unless it ends its text. Inside a segment the
+    # memo has the bigram's slot; at the end of a non-empty segment, where the
+    # next one in the text starts, the bigram is looked up here.
     pairs = np.ones(ids.size, dtype=bool)
-    pairs[(ends - lens)[lens > 0]] = False
-    keys = ((ids[:-1] << _ID_BITS) | ids[1:])[pairs[1:]]
+    pairs[ends[lens > 0] - 1] = False
+    pair_slots = segments.slots[at]
+    across = seg_ends[seg_lens > 0] - 1
+    across = across[pairs[across]]
+    keys = (ids[across].astype(np.int64) << _ID_BITS) | ids[across + 1]
+    pair_slots[across] = np.fromiter(
+        map(bigrams.__getitem__, keys.tolist()), np.int64, keys.size
+    )
 
     # lay each text out as its unigrams' slots, then its bigrams'
     blens = np.maximum(lens - 1, 0)
-    seq = np.empty(ids.size + keys.size, dtype=np.int64)
+    seq = np.empty(ids.size + int(blens.sum()), dtype=np.int64)
     unigram_at = np.arange(ids.size) + np.repeat(np.cumsum(blens) - blens, lens)
     seq[unigram_at] = tokens.unigram_slots[ids]
-    seq[np.arange(keys.size) + np.repeat(ends, blens)] = np.fromiter(
-        map(bigrams.__getitem__, keys.tolist()), np.int64, keys.size
-    )
+    seq[np.arange(seq.size - ids.size) + np.repeat(ends, blens)] = pair_slots[pairs]
     rows = np.repeat(np.arange(len(texts)), lens + blens)
 
     # Sorted (slot, position) keys put each text's repeats of a slot next to
@@ -419,7 +501,7 @@ def loss_and_grad(model: ScorerModel, batch: Sequence[TrainItem]) -> LossGrad:
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The indices of the ranges `[starts[k], starts[k] + lens[k])`, laid end to end."""
     ends = np.cumsum(lens)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - lens), lens)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 # parse_generation and subsample_keywords are not called here: the oracle's
@@ -32,7 +33,7 @@ from privqa.contexts import (  # noqa: F401
     serialize_context,
 )
 from privqa.corpus import LABELS, Dataset, QAInstance
-from privqa.harness import ContextProvider
+from privqa.harness import CommandMemo, ContextProvider
 from privqa.keywords import Gazetteer, KeywordSet, extract_ner
 from privqa.keywords import subsample_keywords  # noqa: F401
 from privqa.promptkit import Demonstration
@@ -124,18 +125,48 @@ class SyntheticContextProvider(ContextProvider):
     def keywords_for(self, instance: QAInstance) -> KeywordSet:
         return extract_ner(instance.question, self.gazetteer)
 
-    def oracle_context(self, instance: QAInstance, keywords: KeywordSet) -> ParsedContext:
-        """The structured context the oracle would generate for a disclosure."""
-        spec = self.spec
+    def _draws(self, instance: QAInstance) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Two noise words per label, end to end, and the decision for an undisclosed key.
+
+        Neither depends on the disclosed keywords.
+        """
+        labels = instance.labels()
+        noise_rng = random.Random(f"{self.spec.seed}:noise:{instance.id}")
+        noise = tuple(chain.from_iterable(noise_rng.sample(self.fillers, 2) for _ in labels))
+        dec_rng = random.Random(f"{self.spec.seed}:dec:{instance.id}")
+        nongold = [label for label in labels if label != instance.gold]
+        shape = dec_rng.choice(_DECISION_SHAPES)
+        if shape == "wrong":
+            decision = (dec_rng.choice(nongold),)
+        elif shape == "with-gold":
+            decision = (instance.gold, dec_rng.choice(nongold))
+        elif shape == "without-gold":
+            decision = tuple(dec_rng.sample(nongold, 2))
+        else:
+            decision = ()
+        return noise, decision
+
+    def oracle_context(
+        self, instance: QAInstance, keywords: KeywordSet, memo: CommandMemo | None = None
+    ) -> ParsedContext:
+        """The structured context the oracle would generate for a disclosure.
+
+        With a command `memo`, the instance's draws are made once per command.
+        """
+        if memo is None:
+            noise, uninformed = self._draws(instance)
+        else:
+            # one spec builds one instance under an id
+            draws = memo.draws.get((self.spec, instance.id))
+            if draws is None:
+                draws = memo.draws[self.spec, instance.id] = self._draws(instance)
+            noise, uninformed = draws
         disclosed = _disclosed_words(keywords)
         key = instance.meta["key"]
         informed = key in disclosed
-        labels = instance.labels()
 
-        noise_rng = random.Random(f"{spec.seed}:noise:{instance.id}")
         specific: dict[str, SpecificContext] = {}
-        for label in labels:
-            n1, n2 = noise_rng.sample(self.fillers, 2)
+        for label, n1, n2 in zip(instance.labels(), noise[::2], noise[1::2]):
             if informed and label == instance.gold:
                 knowledge = (
                     f"The option {instance.choices[label]} matches the key term {key} "
@@ -150,33 +181,26 @@ class SyntheticContextProvider(ContextProvider):
                 relation = UNINFORMED_RELATION
             specific[label] = SpecificContext(knowledge=knowledge, relation=relation)
 
-        if informed:
-            decision = frozenset((instance.gold,))
-        else:
-            dec_rng = random.Random(f"{spec.seed}:dec:{instance.id}")
-            nongold = [label for label in labels if label != instance.gold]
-            shape = dec_rng.choice(_DECISION_SHAPES)
-            if shape == "wrong":
-                decision = frozenset((dec_rng.choice(nongold),))
-            elif shape == "with-gold":
-                decision = frozenset((instance.gold, dec_rng.choice(nongold)))
-            elif shape == "without-gold":
-                decision = frozenset(dec_rng.sample(nongold, 2))
-            else:
-                decision = frozenset()
-
+        decision = frozenset((instance.gold,) if informed else uninformed)
         overall = f"The question mentions {', '.join(sorted(disclosed))}."
         return ParsedContext(overall=overall, specific=specific, decision=decision)
 
-    def completion_for(self, instance: QAInstance, keywords: KeywordSet) -> str:
+    def completion_for(
+        self, instance: QAInstance, keywords: KeywordSet, memo: CommandMemo | None = None
+    ) -> str:
         """The oracle text as an LLM continuation: everything after the cue."""
-        text = serialize_context(self.oracle_context(instance, keywords), instance.labels())
-        return text[len(CONTEXT_HEAD) :]
+        context = self.oracle_context(instance, keywords, memo)
+        return serialize_context(context, instance.labels())[len(CONTEXT_HEAD) :]
 
     def completions(
-        self, instances: Sequence[QAInstance], kmap: dict[str, KeywordSet]
+        self,
+        instances: Sequence[QAInstance],
+        kmap: dict[str, KeywordSet],
+        memo: CommandMemo | None = None,
     ) -> list[tuple[str, str]]:
-        return [(self.completion_for(i, kmap[i.id]), f"synthetic:{i.id}") for i in instances]
+        return [
+            (self.completion_for(i, kmap[i.id], memo), f"synthetic:{i.id}") for i in instances
+        ]
 
     def mock_completions(self, dataset: Dataset, ratio: float, seed: int) -> dict[str, str]:
         """Canned completions keyed by instance id, for gateway mock mode."""

@@ -557,7 +557,7 @@ def test_memoized_subsample_equals_a_fresh_one(corpus_seed, keyword_count, seed,
     spec = SyntheticSpec(seed=corpus_seed, train_size=20, keyword_count=keyword_count)
     data = build_corpus(spec)["train"]
     gazetteer = Gazetteer(gazetteer_tokens(spec))
-    memo = harness.KeywordMemo()
+    memo = harness.CommandMemo()
     for ratio in ratios:
         kmap = build_keyword_map(data, ratio, seed, METHOD_NER, gazetteer, memo)
         for inst in data.instances:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from privqa.contexts import ContextView, ParsedContext, SpecificContext
 from privqa.corpus import MAX_CHOICES, AugmentedInstance, QAInstance
 from privqa.harness import (
-    SEPARATOR,
     ExperimentConfig,
     assemble_input,
     build_inputs,
@@ -26,6 +25,7 @@ from privqa.harness import (
 from privqa.scorer import (
     CHUNK_TEXTS,
     NGRAM_ORDERS,
+    SEPARATOR,
     FeaturizerConfig,
     ScorerError,
     ScorerModel,
@@ -149,12 +149,19 @@ def feature_rows(featurized):
 
 
 # mixed case, non-ASCII (with case maps that change length or depend on
-# context), the separator alone and inside a word, and bare whitespace
+# context, as a final sigma next to a segment boundary does), the separator
+# alone, in runs and inside a word, other separators and line breaks that
+# `str.split()` takes for whitespace, and bare whitespace
 TOKENS = st.sampled_from(
     ["a", "A", "b", "ab", "Straße", "ΣΑΣ", "é", "İ", "日本", "tok1", "TOK1",
-     SEPARATOR, f"x{SEPARATOR}y", "\u00a0", "\t\n"]
+     SEPARATOR, f"x{SEPARATOR}y", "Σ" + SEPARATOR, SEPARATOR + "Σ", SEPARATOR * 2,
+     SEPARATOR * 3, "\x85", "\u2028", "\x1c", "\x1d", "\u00a0", "\t\n"]
 )
-TEXTS = st.one_of(st.lists(TOKENS, max_size=12).map(" ".join), st.text(max_size=12))
+TEXTS = st.one_of(
+    st.lists(TOKENS, max_size=12).map(" ".join),
+    st.lists(TOKENS, max_size=12).map("".join),
+    st.text(max_size=12),
+)
 # dims 1-7 make unigrams and bigrams collide; 2**62 overflows a sort key that
 # packs a text number with an index
 DIMS = st.one_of(st.integers(1, 7), st.just(2**62), st.just(4096))
@@ -232,11 +239,11 @@ def test_dropped_config_frees_its_memo_at_once():
     # a reference cycle would keep the memo alive until a full collection
     cfg = FeaturizerConfig(dim=4096)
     featurize_texts(["alpha beta", "beta gamma"], cfg)
-    memo = [weakref.ref(cfg._tokens), weakref.ref(cfg._bigrams)]
+    memo = [weakref.ref(cfg._tokens), weakref.ref(cfg._bigrams), weakref.ref(cfg._segments)]
     gc.disable()
     try:
         del cfg
-        assert [ref() for ref in memo] == [None, None]
+        assert [ref() for ref in memo] == [None, None, None]
     finally:
         gc.enable()
 

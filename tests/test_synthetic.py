@@ -8,6 +8,13 @@ from privqa.contexts import (
     parse_generation,
     serialize_context,
 )
+from privqa.harness import (
+    CommandMemo,
+    ExperimentConfig,
+    run_budget_sweep,
+    run_experiment,
+    run_representation_compare,
+)
 from privqa.keywords import (
     METHOD_RANDOM_SPAN,
     METHOD_RANDOM_WORDS,
@@ -228,3 +235,57 @@ def test_uninformed_decision_reproducible():
         c1 = provider.oracle_context(inst, empty[inst.id])
         c2 = provider.oracle_context(inst, empty[inst.id])
         assert c1.decision == c2.decision
+
+
+def test_shared_memo_completions_equal_memo_less_ones():
+    # no draw depends on the disclosure, so one command memo across the
+    # ratios changes no completion byte
+    provider = SyntheticContextProvider(SPEC)
+    corpus = build_corpus(SPEC)
+    memo = CommandMemo()
+    for ratio in (0.25, 0.5, 0.75, 1.0):
+        for data in corpus.values():
+            kmap = provider.keyword_map(data, ratio, SPEC.seed, memo=memo)
+            shared = provider.completions(data.instances, kmap, memo)
+            assert shared == provider.completions(data.instances, kmap)
+    assert len(memo.draws) == sum(len(ds) for ds in corpus.values())
+
+
+class MemoSpy(SyntheticContextProvider):
+    """The oracle, noting each completions call's memo and each draw it makes."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.seen = []
+        self.drawn = []
+
+    def completions(self, instances, kmap, memo=None):
+        self.seen.append((memo, len(memo.draws)))
+        return super().completions(instances, kmap, memo)
+
+    def _draws(self, instance):
+        self.drawn.append(instance.id)
+        return super()._draws(instance)
+
+
+def test_each_command_draws_once_from_a_fresh_memo():
+    corpus = build_corpus(SPEC)
+    provider = MemoSpy(SPEC)
+    config = ExperimentConfig(max_epochs=1, featurizer_dim=2**12)
+    commands = [
+        lambda: run_budget_sweep(config, corpus, provider, ratios=(0.25, 0.5, 1.0)),
+        lambda: run_budget_sweep(config, corpus, provider, ratios=(0.25, 0.5, 1.0)),
+        lambda: run_representation_compare(config, corpus, provider),
+        lambda: run_experiment(config, corpus, provider),
+    ]
+    memos = []
+    for command in commands:
+        provider.seen.clear()
+        provider.drawn.clear()
+        command()
+        first, known = provider.seen[0]
+        assert known == 0  # the command starts from an empty memo
+        assert all(memo is first for memo, _ in provider.seen)
+        assert sorted(provider.drawn) == sorted(set(provider.drawn))
+        memos.append(first)
+    assert len({id(memo) for memo in memos}) == len(memos)
