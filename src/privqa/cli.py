@@ -82,7 +82,12 @@ _FLAG_DEST = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit code 2; here that means an internal error, so
-    usage problems are remapped to 1."""
+    usage problems are remapped to 1. A flag must be spelled in full: with
+    abbreviations, a mistyped or retired flag would silently set any flag it
+    prefixes. Subparsers are built with this class too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
