@@ -29,6 +29,8 @@ ANSWERS_MARKER = "Candidate Answers:"
 STOP_SEQUENCE = "\n\n" + KEYWORDS_MARKER
 
 _CHOICE_SPLIT = re.compile(r"\(([a-z])\)\s*")
+# every line boundary of `str.splitlines`, "\r\n" as one
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class PromptError(PrivqaError):
@@ -51,14 +53,22 @@ class PromptText:
     query_id: str
 
 
+def _one_line(text: str) -> str:
+    return _LINE_BREAK.sub(" ", text)
+
+
 def render_block(
     keywords: Sequence[str],
     choices: dict[str, str],
     context: ParsedContext | None = None,
 ) -> str:
-    """Render one prompt block; without a context it ends at the bare cue."""
-    answers = " ".join(f"({label}) {text}" for label, text in choices.items())
-    keyword_line = f"{KEYWORDS_MARKER} {', '.join(keywords)}"
+    """Render one prompt block; without a context it ends at the bare cue.
+
+    Each line break in a keyword or an answer becomes one space, so neither
+    can add a line to the block (say, a decision line).
+    """
+    answers = " ".join(f"({label}) {_one_line(text)}" for label, text in choices.items())
+    keyword_line = f"{KEYWORDS_MARKER} {', '.join(map(_one_line, keywords))}"
     lines = [keyword_line, f"{ANSWERS_MARKER} {answers}"]
     if context is None:
         lines.append(CONTEXT_HEAD)
