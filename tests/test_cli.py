@@ -1117,7 +1117,6 @@ def test_ood_without_synthetic_names_the_file_path(capsys):
     assert "--synthetic" in err and err.index("privqa train") < err.index("privqa eval")
 
 
-
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -1131,6 +1130,7 @@ def test_a_flag_must_be_spelled_in_full(argv, flag, capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag} " in err
+
 
 # ---------------------------------------------------------------------------
 # Fuzzing the CLI boundary: a mutated input file exits 0 or 1, never with a
