@@ -240,14 +240,19 @@ def featurize_texts(
     in first-occurrence order over its unigrams, then its bigrams, and each
     value counts the text's n-grams that hash to that index.
     """
-    slots, values, sizes = _featurize_slots(texts, config)
-    return config._tokens.indices[slots], values, sizes
+    slots, counts, sizes = _featurize_slots(texts, config)
+    return config._tokens.indices[slots], counts.astype(np.float64), sizes
 
 
 def _featurize_slots(
     texts: Sequence[str], config: FeaturizerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`featurize_texts` with each index given as its slot in the config's memo."""
+    """`featurize_texts` with each index given as its int32 slot in the config's memo.
+
+    Slots and counts are int32: they number distinct n-grams held in memory
+    and n-grams of one chunk, far below 2**31, and every use of a count as a
+    float64 converts it exactly.
+    """
     parts = [
         _featurize_chunk(
             texts[lo : lo + CHUNK_TEXTS], config._tokens, config._bigrams, config._segments
@@ -293,7 +298,7 @@ def _featurize_chunk(
 
     # lay each text out as its unigrams' slots, then its bigrams'
     blens = np.maximum(lens - 1, 0)
-    seq = np.empty(ids.size + int(blens.sum()), dtype=np.int64)
+    seq = np.empty(ids.size + int(blens.sum()), dtype=np.int32)
     unigram_at = np.arange(ids.size) + np.repeat(np.cumsum(blens) - blens, lens)
     seq[unigram_at] = tokens.unigram_slots[ids]
     seq[np.arange(seq.size - ids.size) + np.repeat(ends, blens)] = pair_slots[pairs]
@@ -304,7 +309,7 @@ def _featurize_chunk(
     # Slots and positions each stay far below 2**31, so the keys fit int64.
     n = seq.size
     bits = n.bit_length()
-    key = (seq << bits) | np.arange(n)
+    key = (seq.astype(np.int64) << bits) | np.arange(n)
     key.sort()
     pos = key & ((1 << bits) - 1)
     key >>= bits
@@ -312,7 +317,7 @@ def _featurize_chunk(
     head = np.ones(n + 1, dtype=bool)
     head[1:n] = (key[1:] != key[:-1]) | (row[1:] != row[:-1])
     starts = np.flatnonzero(head)
-    counts = np.zeros(n)
+    counts = np.zeros(n, dtype=np.int32)
     counts[pos[starts[:-1]]] = starts[1:] - starts[:-1]
     keep = counts > 0
     return seq[keep], counts[keep], np.bincount(rows[keep], minlength=len(texts))
@@ -356,7 +361,9 @@ def _raw_scores(
     Term j is `weights[indices[j]] * values[j]` and belongs to text `rows[j]`.
     bincount adds its weights in input order, so each text's terms are summed
     left to right and the bias is added after. With no terms it returns
-    int64 zeros, which `+ bias` turns into floats.
+    int64 zeros, which `+ bias` turns into floats. `values` may be the
+    featurizer's int32 counts: their conversion to float64 is exact, so the
+    products are those of float64 counts, bit for bit.
     """
     terms = weights[indices]
     terms *= values
@@ -426,8 +433,9 @@ def _featurize_items(
     """Every choice text of the items, featurized to memo slots in one call.
 
     Returns (slots, values, sizes, counts, gold): the featurizer's flat
-    arrays, in which item k's choices are the `counts[k]` texts after its
-    predecessors', and each item's gold position among its own choices. A
+    arrays (int32 slots and counts), in which item k's choices are the
+    `counts[k]` texts after its predecessors', and each item's gold position
+    among its own choices. A
     batch lays its items' choices end to end, so a gold index outside its own
     item's choices would silently pick a neighbour's: it is rejected.
     """
@@ -554,27 +562,54 @@ def train(
         raise ScorerError("no dev items for early stopping")
     cfg = featurizer or FeaturizerConfig()
     # The returned model is full-dim, so a dim too large to allocate fails
-    # here, before any featurizing. The weights themselves are built after
-    # training, once its arrays are freed: held through training, they
-    # raised a sweep's peak RSS by about 0.9 MB.
+    # here, before any featurizing. The weights themselves are built once
+    # `_fit` has returned, when the featurized splits and the optimizer's
+    # buffers are already freed, so the two are never held at once.
     try:
         np.empty(cfg.dim, dtype=np.float64)
     except (ValueError, MemoryError) as exc:
         raise ScorerError(f"featurizer dim {cfg.dim}: cannot allocate its weights ({exc})") from exc
 
+    best_w, best_bias, log, support = _fit(config, train_items, dev_items, cfg)
+    weights = np.zeros(cfg.dim, dtype=np.float64)
+    weights[cfg._tokens.indices[support]] = best_w[:-1]
+    return ScorerModel(weights=weights, bias=best_bias, featurizer=cfg), log
+
+
+def _support_positions(slots: np.ndarray, support: np.ndarray, n_slots: int) -> np.ndarray:
+    """Each slot's int32 position in `support`, or `support.size` for a slot outside it."""
+    position = np.full(n_slots, support.size, dtype=np.int32)
+    position[support] = np.arange(support.size, dtype=np.int32)
+    return position[slots]
+
+
+def _fit(
+    config: TrainConfig,
+    train_items: Sequence[TrainItem],
+    dev_items: Sequence[TrainItem],
+    cfg: FeaturizerConfig,
+) -> tuple[np.ndarray, float, TrainLog, np.ndarray]:
+    """`train`'s epoch loop over the support: (best weights, best bias, log, support).
+
+    The best weights are indexed by support position, with one more entry,
+    the 0.0 of position K, at the end; `support` holds the memo slot of
+    each position. Each split's slots become int32 support positions as soon
+    as it is featurized, and only its positions and int32 counts are kept;
+    they and the optimizer's buffers are freed when this returns.
+    """
     train_slots, train_values, train_sizes, train_counts, train_gold = _featurize_items(
         train_items, cfg
     )
-    dev_slots, dev_values, dev_sizes, dev_counts, dev_gold = _featurize_items(dev_items, cfg)
     # Weights live at support positions 0..K-1, one per slot the training
     # texts use. Position K holds the dev n-grams that never occur in
     # training: its gradient is always 0, so it stays 0.0.
     support = np.flatnonzero(np.bincount(train_slots))
-    position = np.full(len(cfg._tokens.slots), support.size, dtype=np.int64)
-    position[support] = np.arange(support.size)
-    train_positions = position[train_slots]
-    dev_positions = position[dev_slots]
-    dev_rows = np.repeat(np.arange(dev_sizes.size), dev_sizes)
+    train_positions = _support_positions(train_slots, support, len(cfg._tokens.slots))
+    del train_slots
+    dev_slots, dev_values, dev_sizes, dev_counts, dev_gold = _featurize_items(dev_items, cfg)
+    dev_positions = _support_positions(dev_slots, support, len(cfg._tokens.slots))
+    del dev_slots
+    dev_rows = np.repeat(np.arange(dev_sizes.size, dtype=np.int32), dev_sizes)
     # each training item's first text, and each text's first term
     first_text = np.cumsum(train_counts) - train_counts
     first_term = np.cumsum(train_sizes) - train_sizes
@@ -646,9 +681,7 @@ def train(
                 break
     if log.stopped_epoch < 0:
         log.stopped_epoch = len(log.history) - 1
-    weights = np.zeros(cfg.dim, dtype=np.float64)
-    weights[cfg._tokens.indices[support]] = best_w[:-1]
-    return ScorerModel(weights=weights, bias=best_bias, featurizer=cfg), log
+    return best_w, best_bias, log, support
 
 
 # ---------------------------------------------------------------------------
