@@ -10,7 +10,8 @@ bounded by a concurrency limit. Decoding is fixed:
 greedy, at most `DEFAULT_MAX_TOKENS`, stopped at the prompt's block
 separator. A completion cut off at that limit is an error, never a cached
 success. A batch sends each key once, as an ordered map over
-`Gateway.complete` on up to that many threads, and writes its cache lines in
+`Gateway.complete` on up to twice that many threads (a request that is
+backing off holds a thread but no slot), and writes its cache lines in
 request order, so the cache file never depends on which call finished first.
 """
 
@@ -236,14 +237,16 @@ class Gateway:
     """Mode-switched completion service over one JSONL response cache.
 
     Thread-safe: cache reads/writes are locked, and a semaphore bounds
-    concurrent upstream calls at `max_in_flight`. A live key goes upstream
-    once while its call is in flight: concurrent requests for it wait and
-    share the result, or the failure. A request that starts after that call
+    concurrent upstream sends at `max_in_flight`; a request holds its slot
+    only while it is being sent, not while it backs off. A live key goes
+    upstream once while its call is in flight: concurrent requests for it
+    wait and share the result, or the failure. A request that starts after that call
     failed goes upstream again.
 
     `complete_all` resolves a batch: each key's first request goes through
-    `complete` on up to `max_in_flight` threads, repeats follow in order on
-    the calling thread, and the cache lines land in request order.
+    `complete` on up to `2 * max_in_flight` threads, so another request can
+    take the slot of one that is backing off; repeats follow in order on the
+    calling thread, and the cache lines land in request order.
 
     `clock` is accepted and ignored: cache lines carry no timestamp.
     """
@@ -377,8 +380,11 @@ class Gateway:
         """Resolve a batch of requests; the records come back in request order.
 
         Each key is sent once: the first request of every key passes through
-        `complete`, on a pool of at most `max_in_flight` threads when a live
-        batch has a cache miss, else on the calling thread. The requests are
+        `complete`, on a pool of at most `2 * max_in_flight` threads when a
+        live batch has a cache miss, else on the calling thread. The
+        semaphore alone bounds concurrent sends; the spare thread per slot
+        sends while a request sleeps out a 429/5xx backoff or a
+        `Retry-After`, which would otherwise idle its slot. The requests are
         then walked in order, and a repeat calls `complete` only after its
         first request has resolved, so it gets a cache hit, or tries again if
         that request failed. Every record that did not come from the cache
@@ -399,7 +405,7 @@ class Gateway:
             first.setdefault(key, i)
         with self._lock:
             live = mode == "live" and not first.keys() <= self._cache.keys()
-        pool = ThreadPoolExecutor(min(self.max_in_flight, len(first))) if live else None
+        pool = ThreadPoolExecutor(min(2 * self.max_in_flight, len(first))) if live else None
         results: list[GenerationRecord | Exception] = []
         try:
             firsts = (pool.map if pool else map)(resolve, [requests[i] for i in first.values()])

@@ -438,6 +438,44 @@ def test_complete_all_repeated_key_goes_upstream_once(tmp_path):
     assert [line["summary"]["query_id"] for line in lines] == ["q0", "q1"]
 
 
+def test_complete_all_sends_while_a_request_backs_off(tmp_path):
+    # one slot: while p0 sleeps out its 429, p1 takes the slot instead of
+    # waiting on a thread behind p0's retry
+    requests = numbered_requests(2)
+    sent = []
+    p0_sent, p1_sent = threading.Event(), threading.Event()
+
+    def scripted(payload):
+        i = int(payload["messages"][0]["content"].split("\n")[0][1:])
+        sent.append(i)
+        (p0_sent, p1_sent)[i].set()
+        if sent == [0]:
+            return TransportReply(429, {})
+        return ok(f"answer {i}")
+
+    sent_during_backoff = []
+
+    def sleep(seconds):
+        sent_during_backoff.append(p1_sent.wait(5))
+
+    gw = Gateway(
+        tmp_path / "cache.jsonl", transport=MockTransport(scripted), max_in_flight=1, sleep=sleep
+    )
+    complete = gw.complete
+
+    def p0_sends_first(request, mode, **kwargs):
+        if request is requests[1]:
+            p0_sent.wait(5)
+        return complete(request, mode, **kwargs)
+
+    gw.complete = p0_sends_first
+    records = gw.complete_all(requests, "live")
+    assert sent_during_backoff == [True]
+    assert [r.completion for r in records] == ["answer 0", "answer 1"]
+    assert [r.retries for r in records] == [1, 0]
+    assert sent == [0, 1, 0]
+
+
 def test_complete_all_inline_without_live_misses(tmp_path, monkeypatch):
     import privqa.gateway
 
