@@ -467,6 +467,10 @@ def _loss_grad(
     k has `counts[k]` choices and its gold one is the `gold[k]`-th. It is
     scored in one kernel call, with a softmax over each item's choices.
     """
+    # widened once per batch: numpy gathers and bincounts by intp, and
+    # multiplies float64 by float64, without a casting pass per call
+    positions = positions.astype(np.intp, copy=False)
+    values = values.astype(np.float64, copy=False)
     inv = 1.0 / counts.size
     starts = np.cumsum(counts) - counts
     rows = np.repeat(np.arange(sizes.size), sizes)
