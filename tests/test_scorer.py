@@ -642,9 +642,9 @@ def test_checkpoint_bits_do_not_depend_on_cpu_kernels():
 
 def test_train_frees_its_arrays_before_building_the_weights():
     # Traced peak of `train` over what it leaves behind (its memo and the
-    # returned weights): 3.2 MB on this split when 64-bit featurized arrays
-    # were still held as the full-dim weights were built, 0.2 MB with 32-bit
-    # arrays freed first.
+    # returned weights). The bound sits between 3.2 MB, read on this split
+    # when 64-bit featurized arrays were still held as the full-dim weights
+    # were built, and 0.2 MB with 32-bit arrays freed before them.
     spec = SyntheticSpec(seed=0, train_size=200, dev_size=80, test_size=8)
     corpus = build_corpus(spec)
     provider = SyntheticContextProvider(spec)
