@@ -249,9 +249,9 @@ def _featurize_slots(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`featurize_texts` with each index given as its int32 slot in the config's memo.
 
-    Slots and counts are int32: they number distinct n-grams held in memory
-    and n-grams of one chunk, far below 2**31, and every use of a count as a
-    float64 converts it exactly.
+    Slots and counts are int32: a slot numbers a distinct index held in the
+    memo and a count the n-grams of one chunk, both far below 2**31, and
+    every use of a count as a float64 converts it exactly.
     """
     parts = [
         _featurize_chunk(
@@ -435,9 +435,9 @@ def _featurize_items(
     Returns (slots, values, sizes, counts, gold): the featurizer's flat
     arrays (int32 slots and counts), in which item k's choices are the
     `counts[k]` texts after its predecessors', and each item's gold position
-    among its own choices. A
-    batch lays its items' choices end to end, so a gold index outside its own
-    item's choices would silently pick a neighbour's: it is rejected.
+    among its own choices. A batch lays its items' choices end to end, so a
+    gold index outside its own item's choices would silently pick a
+    neighbour's: it is rejected.
     """
     for item in items:
         if not 0 <= item.gold_index < len(item.texts):
