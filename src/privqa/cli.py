@@ -69,6 +69,9 @@ from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corp
 
 SPLITS = ("train", "dev", "test")
 
+# The fields that only a run through the pipeline reads: a model, cache and prompt.
+_PIPELINE_FIELDS = ("model_id", "mode", "cache_path", "demo_file", "gazetteer_file")
+
 # Experiment flags whose destination is not the ExperimentConfig field name.
 _FLAG_DEST = {
     "early_stop_patience": "patience",
@@ -316,6 +319,14 @@ def _synthetic(args, seed: int):
 
 def _setup(args, cfg: ExperimentConfig):
     """Datasets and context provider: the synthetic oracle or the pipeline."""
+    files = {f"--data-{split}": getattr(args, f"data_{split}") for split in SPLITS}
+    sizes = {f"--{split}-size": getattr(args, f"{split}_size") for split in SPLITS}
+    # the synthetic corpus reads no file, and files have no sizes
+    unread = {**files, "--completions": args.completions} if args.synthetic else sizes
+    given = [flag for flag, value in unread.items() if value is not None]
+    if given:
+        side = "with" if args.synthetic else "without"
+        raise HarnessError(f"{' '.join(given)} cannot be used {side} --synthetic")
     if args.synthetic:
         return _synthetic(args, cfg.seed)
     if cfg.mode == "live":
@@ -323,7 +334,6 @@ def _setup(args, cfg: ExperimentConfig):
             "experiment commands cannot call upstream: prime the cache with `privqa generate"
             " --mode live --api-url URL`, then run with --mode replay"
         )
-    files = {f"--data-{split}": getattr(args, f"data_{split}") for split in SPLITS}
     needed = {**files, "--demos": cfg.demo_file, "--cache": cfg.cache_path}
     missing = [flag for flag, value in needed.items() if not value]
     if missing:
@@ -436,13 +446,15 @@ def _cmd_report(args) -> int:
 # Parser wiring
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    """--config, then one flag per ExperimentConfig field, typed as its default.
+def _add_experiment_flags(p: argparse.ArgumentParser, unread: tuple[str, ...] = ()) -> None:
+    """--config, then one flag per ExperimentConfig field not in `unread`, typed as its default.
 
     Values are checked when the `ExperimentConfig` is built, as config-file values are.
     """
     p.add_argument("--config", help="JSON file of option defaults")
     for f in fields(ExperimentConfig):
+        if f.name in unread:
+            continue
         dest = _FLAG_DEST.get(f.name, f.name)
         p.add_argument(f"--{dest.replace('_', '-')}", type=type(f.default), help=f"sets {f.name}")
 
@@ -514,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("train", help="train the scorer on augmented instances")
-    _add_experiment_flags(p)
+    _add_experiment_flags(p, ("ratio", "method", *_PIPELINE_FIELDS))
     p.add_argument("--train", required=True, dest="train")
     p.add_argument("--dev", required=True)
     p.add_argument("--checkpoint", required=True)
@@ -528,13 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ood", help="train on one domain, evaluate on another")
-    _add_experiment_flags(p)
+    _add_experiment_flags(p, _PIPELINE_FIELDS)
     _add_source_flags(p, data_files=False)
     p.add_argument("--target-seed", type=int, help="synthetic target domain seed")
     p.set_defaults(func=_cmd_ood)
 
     p = sub.add_parser("sweep", help="sweep the keyword disclosure ratio")
-    _add_experiment_flags(p)
+    _add_experiment_flags(p, ("ratio",))
     _add_source_flags(p, data_files=True)
     p.add_argument(
         "--ratios",
@@ -544,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="compare disclosure representations at matched budget")
-    _add_experiment_flags(p)
+    _add_experiment_flags(p, ("method",))
     _add_source_flags(p, data_files=True)
     p.add_argument("--out", help="directory for per-method reports")
     p.set_defaults(func=_cmd_compare)

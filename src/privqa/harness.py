@@ -43,6 +43,7 @@ from privqa.keywords import (
     METHODS,
     Gazetteer,
     KeywordSet,
+    check_ratio,
     corpus_budget_report,
     extract_ner,
     extract_random_span,
@@ -265,12 +266,14 @@ def build_keyword_map(
 
     For entity keywords `ratio` subsamples the extracted set with a
     per-instance seed, so lower ratios disclose nested subsets of higher
-    ones. A question with no gazetteer match discloses nothing: it keeps the
-    empty set, so its budget counts 0 words and its prompt carries only the
-    answers. For the random baselines `ratio` is the disclosed fraction of
-    question words directly. Entity keywords read and fill `memo`, by
-    default a memo of this call alone.
+    ones. A question with no gazetteer match discloses nothing: its set is
+    empty, tagged with the ratio and instance seed as any other, so its
+    budget counts 0 words and its prompt carries only the answers. For the
+    random baselines `ratio` is the disclosed fraction of question words
+    directly. Entity keywords read and fill `memo`, by default a memo of
+    this call alone.
     """
+    check_ratio(ratio)
     if method == METHOD_NER and gazetteer is None:
         raise HarnessError("entity extraction needs a gazetteer")
     if memo is None:
@@ -283,6 +286,8 @@ def build_keyword_map(
             if ks.keywords:
                 order = memo.order(len(ks.keywords), inst_seed)
                 ks = subsample_keywords(ks, ratio, inst_seed, order)
+            else:
+                ks = replace(ks, ratio=ratio, seed=inst_seed)
             out[inst.id] = ks
         elif method == METHOD_RANDOM_SPAN:
             out[inst.id] = extract_random_span(inst.question, ratio, inst_seed)
@@ -701,7 +706,9 @@ def run_representation_compare(
     }
     for split, ds in shared.items():
         if not len(ds):
-            raise HarnessError(f"no instances with keywords in split {split!r}")
+            raise HarnessError(
+                f"no instance in split {split!r} discloses a keyword at ratio {config.ratio:g}"
+            )
     target = corpus_budget_report(shared["train"], ner_maps["train"]).budget
 
     featurizer = config.featurizer()

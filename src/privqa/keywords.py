@@ -134,7 +134,7 @@ def extract_ner(question: str, gazetteer: Gazetteer) -> KeywordSet:
 
 def extract_random_span(question: str, ratio: float, seed: int) -> KeywordSet:
     """One contiguous window covering round(ratio * question words) words."""
-    _check_ratio(ratio)
+    check_ratio(ratio)
     q = nfc(question)
     spans = _word_spans(q)
     if not spans:
@@ -160,7 +160,7 @@ def extract_random_words(question: str, ratio: float, seed: int) -> KeywordSet:
     Sampled positions are re-sorted so the surviving words keep their
     question order.
     """
-    _check_ratio(ratio)
+    check_ratio(ratio)
     q = nfc(question)
     spans = _word_spans(q)
     if not spans:
@@ -198,7 +198,7 @@ def subsample_keywords(
     `order` is that permutation, `keyword_order(k, seed)`, when the caller
     has already drawn it.
     """
-    _check_ratio(ratio)
+    check_ratio(ratio)
     k = len(keywords.keywords)
     if k == 0:
         raise ExtractionError("cannot subsample an empty keyword set")
@@ -217,7 +217,8 @@ def subsample_keywords(
     )
 
 
-def _check_ratio(ratio: float) -> None:
+def check_ratio(ratio: float) -> None:
+    """Refuse a ratio outside [0, 1], nan included."""
     if not 0.0 <= ratio <= 1.0:
         raise ExtractionError(f"ratio {ratio} outside [0, 1]")
 

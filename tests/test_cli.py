@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,14 @@ from privqa.corpus import (
     write_dataset,
 )
 from privqa.gateway import GenerationRecord
-from privqa.harness import HarnessError, PipelineProvider
+from privqa.harness import ExperimentConfig, HarnessError, PipelineProvider
 from privqa.keywords import (
     ExtractionError,
     KeywordSet,
     corpus_budget_report,
     load_keyword_sets,
     save_keyword_sets,
+    stable_seed,
 )
 from privqa.promptkit import render_block
 from privqa.scorer import FeaturizerConfig, ScorerModel, save_model
@@ -1131,6 +1133,169 @@ def test_a_flag_must_be_spelled_in_full(argv, flag, capsys):
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag} " in err
 
+
+
+def _unmatched_data(path: Path) -> Path:
+    # filler tokens are never gazetteer terms, so no question matches
+    instances = tuple(
+        QAInstance(
+            id=f"nomatch{i}",
+            question=" ".join(filler_tokens(SPEC)[i : i + 12]),
+            choices={"a": "tok001", "b": "tok003", "c": "tok005", "d": "tok007"},
+            gold="a",
+            meta={"key": "tok000"},
+        )
+        for i in range(2)
+    )
+    write_dataset(Dataset(name="synthetic", split="dev", instances=instances), path)
+    return path
+
+
+@pytest.mark.parametrize("method", ["NER", "RandomSpan"])
+@pytest.mark.parametrize("ratio", ["1.5", "-0.5", "nan"])
+@pytest.mark.parametrize("records", [True, False], ids=["unmatched", "empty"])
+def test_extract_checks_the_ratio_before_any_question(ws, tmp_path, capsys, method, ratio, records):
+    data = tmp_path / "data.jsonl"
+    if records:
+        _unmatched_data(data)
+    else:
+        data.write_text("", encoding="utf-8")
+    argv = ["extract", "--data", data, "--method", method, "--ratio", ratio]
+    argv += ["--gazetteer", ws["root"] / "gazetteer.txt", "--output", tmp_path / "kw.jsonl"]
+    assert run(argv) == 1
+    assert f"error: ratio {float(ratio)} outside [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "kw.jsonl").exists()
+
+
+def test_unmatched_keyword_set_carries_the_ratio_and_its_seed(ws, tmp_path):
+    data = _unmatched_data(tmp_path / "data.jsonl")
+    argv = ["extract", "--data", data, "--method", "NER", "--ratio", "0.5", "--seed", "3"]
+    argv += ["--gazetteer", ws["root"] / "gazetteer.txt", "--output", tmp_path / "kw.jsonl"]
+    assert run(argv) == 0
+    for id_, ks in load_keyword_sets(tmp_path / "kw.jsonl").items():
+        assert (ks.keywords, ks.word_count) == ((), 0)
+        assert (ks.ratio, ks.seed) == (0.5, stable_seed(3, id_))
+
+
+def test_compare_names_the_ratio_that_discloses_nothing(capsys):
+    # every synthetic question matches the gazetteer; at ratio 0 none discloses a keyword
+    argv = ["compare", "--synthetic", "--train-size", "8", "--dev-size", "4", "--test-size", "4"]
+    assert run([*argv, "--ratio", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "error: no instance in split 'train' discloses a keyword at ratio 0" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["--synthetic", "--data-train", "nosuch.jsonl"], "--data-train"),
+        (["--synthetic", "--data-dev", "a", "--data-test", "b"], "--data-dev --data-test"),
+        (["--synthetic", "--completions", "nosuch.json"], "--completions"),
+        (["--train-size", "8", "--test-size", "8"], "--train-size --test-size"),
+        (["--dev-size", "8", "--data-train", "nosuch.jsonl"], "--dev-size"),
+    ],
+)
+def test_source_flag_the_source_ignores_is_user_error(capsys, monkeypatch, command, argv, flags):
+    built = []
+    monkeypatch.setattr(cli, "build_corpus", lambda spec: built.append(spec))
+    monkeypatch.setattr(cli, "load_dataset", lambda path: built.append(path))
+    assert run([command, *argv]) == 1
+    side = "with" if "--synthetic" in argv else "without"
+    assert f"error: {flags} cannot be used {side} --synthetic" in capsys.readouterr().err
+    assert not built
+
+
+TRAINING = {
+    "--learning-rate", "--batch-size", "--max-epochs", "--warmup-steps", "--patience",
+    "--seed", "--weight-decay", "--regime", "--view", "--dim", "--hash-seed",
+}
+DISCLOSURE = {"--ratio", "--method"}
+PIPELINE = {"--model", "--mode", "--cache", "--demos", "--gazetteer"}
+# the ExperimentConfig flags each experiment command takes, and its options in all
+COMMAND_FLAGS = {
+    "train": (TRAINING, 15),
+    "eval": (TRAINING | DISCLOSURE | PIPELINE, 22),
+    "ood": (TRAINING | DISCLOSURE, 19),
+    "sweep": (TRAINING | {"--method"} | PIPELINE, 28),
+    "compare": (TRAINING | {"--ratio"} | PIPELINE, 27),
+}
+
+
+def _command_options(command: str) -> set[str]:
+    (commands,) = [
+        a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    actions = [a for a in commands[command]._actions if a.dest != "help"]
+    return {flag for a in actions for flag in a.option_strings}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_takes_the_experiment_flags_it_reads(command):
+    # a new ExperimentConfig field fails here until the table says who reads it
+    experiment = {
+        "--" + cli._FLAG_DEST.get(f.name, f.name).replace("_", "-") for f in fields(ExperimentConfig)
+    }
+    assert experiment == TRAINING | DISCLOSURE | PIPELINE
+    flags, count = COMMAND_FLAGS[command]
+    options = _command_options(command)
+    assert options & experiment == flags
+    assert len(options) == count
+
+
+VALID = {
+    "train": ["train", "--train", "a.jsonl", "--dev", "b.jsonl", "--checkpoint", "m.npz"],
+    "ood": ["ood", "--synthetic"],
+    "sweep": ["sweep", "--synthetic"],
+    "compare": ["compare", "--synthetic"],
+}
+VALUES = {
+    "--ratio": "0.5", "--method": "RandomSpan", "--model": "m", "--mode": "mock",
+    "--cache": "c.jsonl", "--demos": "medqa", "--gazetteer": "g.txt",
+}
+DROPPED = [
+    (command, flag)
+    for command in VALID
+    for flag in sorted((TRAINING | DISCLOSURE | PIPELINE) - COMMAND_FLAGS[command][0])
+]
+
+
+@pytest.mark.parametrize("command, flag", DROPPED)
+def test_a_flag_the_command_never_reads_is_refused(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run([*VALID[command], flag, VALUES[flag]])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} {VALUES[flag]}" in capsys.readouterr().err
+
+
+def _outputs(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "command, key, value", [("sweep", "ratio", 0.3), ("compare", "method", "RandomSpan")]
+)
+def test_a_config_key_the_command_never_reads_changes_nothing(tmp_path, command, key, value):
+    argv = [command, "--synthetic", "--train-size", "20", "--dev-size", "8", "--test-size", "8"]
+    argv += [*FAST, "--max-epochs", "2"] + (["--ratios", "0.5,1.0"] if command == "sweep" else [])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert run([*argv, "--out", tmp_path / "plain"]) == 0
+    assert run([*argv, "--config", cfg, "--out", tmp_path / "keyed"]) == 0
+    assert _outputs(tmp_path / "keyed") == _outputs(tmp_path / "plain")
+
+
+def test_a_cache_key_in_a_train_config_changes_nothing(ws, tmp_path):
+    aug = tmp_path / "aug.jsonl"
+    write_augmented(ws["provider"].provide(ws["corpus"]["dev"], 1.0, seed=0)[0], aug)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cache": str(tmp_path / "nosuch.jsonl")}), encoding="utf-8")
+    train = ["train", *FAST, "--max-epochs", "2", "--train", aug, "--dev", aug]
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "keyed").mkdir()
+    assert run([*train, "--checkpoint", tmp_path / "plain" / "m.npz"]) == 0
+    assert run([*train, "--config", cfg, "--checkpoint", tmp_path / "keyed" / "m.npz"]) == 0
+    assert _outputs(tmp_path / "keyed") == _outputs(tmp_path / "plain")
 
 # ---------------------------------------------------------------------------
 # Fuzzing the CLI boundary: a mutated input file exits 0 or 1, never with a

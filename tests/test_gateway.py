@@ -850,20 +850,27 @@ def test_http_body_not_json_is_malformed(tmp_path, server):
 
 
 def test_http_length_finish_is_truncated(tmp_path, server):
-    # one thread, so the server answers the batch's requests in order
+    # one slot, but the pool's spare thread may take it first: the server
+    # answers in arrival order, and the second request to arrive is cut off
     requests = numbered_requests(3)
     server.script = [ok_reply("one"), ok_reply("cut off", finish="length"), ok_reply("three")]
     gw = Gateway(tmp_path / "cache.jsonl", transport=HttpTransport(server.url), max_in_flight=1)
-    with pytest.raises(GatewayError, match=f"key {cache_key(requests[1])} stopped at max_tokens"):
+    with pytest.raises(GatewayError) as exc:
         gw.complete_all(requests, "live")
-    assert len(server.received) == 3
-    # the rest of the batch is cached; replay serves it and misses the cut-off one
+    arrived = [int(p["messages"][0]["content"].split("\n")[0][1:]) for _, p in server.received]
+    assert sorted(arrived) == [0, 1, 2]
+    cut = requests[arrived[1]]
+    assert f"key {cache_key(cut)} stopped at max_tokens" in str(exc.value)
+    # the rest of the batch is cached in request order; replay serves it and misses the cut-off one
+    answered = dict(zip(arrived, ["one", "cut off", "three"]))
+    kept = [i for i in range(3) if i != arrived[1]]
+    want = [answered[i] for i in kept]
     lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
-    assert [json.loads(line)["completion"] for line in lines] == ["one", "three"]
+    assert [json.loads(line)["completion"] for line in lines] == want
     replay = Gateway(tmp_path / "cache.jsonl")
-    assert [replay.complete(r, "replay").completion for r in requests[::2]] == ["one", "three"]
+    assert [replay.complete(requests[i], "replay").completion for i in kept] == want
     with pytest.raises(ReplayCacheMiss):
-        replay.complete(requests[1], "replay")
+        replay.complete(cut, "replay")
 
 
 def test_http_refused_connection_gives_up(tmp_path, monkeypatch):
