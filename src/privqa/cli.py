@@ -124,13 +124,17 @@ def _apply_config_file(args: argparse.Namespace, kinds: dict[str, type] | None =
 def _option_kinds(parser: argparse.ArgumentParser, command: str) -> dict[str, type]:
     """The type of each option of `command` that is no ExperimentConfig field,
     by dest: bool for a switch, else the flag's type (str when it names none)."""
-    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     experiment = {_FLAG_DEST.get(f.name, f.name) for f in fields(ExperimentConfig)}
     return {
         a.dest: bool if a.nargs == 0 else a.type or str
-        for a in commands[command]._actions
+        for a in _subparser(parser, command)._actions
         if a.dest not in experiment
     }
+
+
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands[command]
 
 
 def _exact(name: str, kind: type, value):
@@ -570,7 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # the command's usage, not the top level's: every flag is the command's
+        _subparser(parser, args.command).error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         _apply_config_file(args, _option_kinds(parser, args.command))
         return args.func(args)

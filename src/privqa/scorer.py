@@ -37,7 +37,7 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -106,7 +106,53 @@ CHUNK_TEXTS = 64
 
 # A bigram's memo key packs its two token ids into one int64.
 _ID_BITS = 32
-_LOW_ID = (1 << _ID_BITS) - 1
+
+# New segments are split and looked up this many at a time: the first call of
+# a sweep brings thousands, and splitting all of them at once would hold their
+# ≈150 K word strings together (the small-object allocator keeps the arenas it
+# grew for them).
+SEGMENT_BATCH = 1024
+
+
+class _Table:
+    """int64 key -> int32 value, as sorted keys and a parallel value array.
+
+    A batch of keys is looked up with one `np.searchsorted`, and its new keys
+    go in with one `np.insert` per array: 12 bytes an entry, where a dict of
+    Python ints holds about a hundred.
+    """
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, dtype=np.int64)
+        self.values = np.empty(0, dtype=np.int32)
+
+    def __len__(self) -> int:
+        return self.keys.size
+
+    def look_up(
+        self, keys: np.ndarray, new_values: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """Each key's value. The keys not yet held are passed to one
+        `new_values` call, once each and in first-seen order, and get its values."""
+        at = np.searchsorted(self.keys, keys)
+        found = np.zeros(keys.size, dtype=bool)
+        inside = at < self.keys.size
+        found[inside] = self.keys[at[inside]] == keys[inside]
+        out = np.empty(keys.size, dtype=np.int32)
+        out[found] = self.values[at[found]]
+        if not found.all():
+            missing = ~found
+            new, first, inverse = np.unique(
+                keys[missing], return_index=True, return_inverse=True
+            )
+            order = np.argsort(first)
+            values = np.empty(new.size, dtype=np.int32)
+            values[order] = new_values(new[order])
+            out[missing] = values[inverse]
+            at = np.searchsorted(self.keys, new)
+            self.keys = np.insert(self.keys, at, new)
+            self.values = np.insert(self.values, at, values)
+        return out
 
 
 class _Tokens(dict):
@@ -115,8 +161,10 @@ class _Tokens(dict):
     An n-gram's index is the keyed 8-byte blake2b digest of its UTF-8 bytes
     (a bigram's two tokens joined by U+001F), little-endian, modulo `dim`,
     computed the first time the n-gram is seen. Each distinct index gets a
-    slot, numbered from 0 as first seen, and `indices[slot]` is that index:
-    n-grams that hash alike share a slot.
+    slot, numbered from 0 as first seen; `slots` maps index -> slot as a
+    sorted `_Table`, and `indices[slot]` is that index: n-grams that hash
+    alike share a slot. A token gets its id when first seen, and `ids` hashes
+    a batch's new tokens together into `unigram_slots` (token id -> slot).
     """
 
     def __init__(self, dim: int, hash_seed: int) -> None:
@@ -124,46 +172,66 @@ class _Tokens(dict):
         self.dim = dim
         self.keyed = hashlib.blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
         self.words: list[str] = []  # token id -> token
-        self.unigram_slots = np.empty(0, dtype=np.int64)  # token id -> slot
-        self.slots: dict[int, int] = {}  # index -> slot
+        self.unigram_slots = np.empty(0, dtype=np.int32)  # token id -> slot
+        self.slots = _Table()  # index -> slot
         self.indices = np.empty(0, dtype=np.int64)  # slot -> index
-
-    def slot(self, gram: str) -> int:
-        h = self.keyed.copy()
-        h.update(gram.encode("utf-8"))
-        index = int.from_bytes(h.digest(), "little") % self.dim
-        slot = self.slots.get(index)
-        if slot is None:
-            slot = self.slots[index] = len(self.slots)
-            self.indices = _grown(self.indices, slot + 1)
-            self.indices[slot] = index
-        return slot
 
     def __missing__(self, word: str) -> int:
         tid = self[word] = len(self.words)
         self.words.append(word)
-        self.unigram_slots = _grown(self.unigram_slots, tid + 1)
-        self.unigram_slots[tid] = self.slot(word)
         return tid
 
+    def ids(self, words: list[str]) -> np.ndarray:
+        """Each word's token id; the new words are hashed and looked up in one pass."""
+        first = len(self.words)
+        ids = np.fromiter(map(self.__getitem__, words), np.int64, len(words))
+        if len(self.words) > first:
+            self.unigram_slots = _grown(self.unigram_slots, len(self.words))
+            self.unigram_slots[first : len(self.words)] = self.slots_of(self.words[first:])
+        return ids
 
-class _Bigrams(dict):
-    """Two token ids packed in one int -> the bigram's slot in `tokens`.
+    def slots_of(self, grams: list[str]) -> np.ndarray:
+        """Each n-gram's slot: all of them hashed, then looked up in one table call."""
+        keyed = self.keyed
 
-    It refers to `tokens` and not the other way round: with no reference
-    cycle, a dropped config frees its memo at once, not at the next full
-    garbage collection.
+        def digest(gram: str) -> bytes:
+            h = keyed.copy()
+            h.update(gram.encode("utf-8"))
+            return h.digest()
+
+        digests = np.frombuffer(b"".join(map(digest, grams)), dtype="<u8")
+        # below dim <= 2**63, so every index fits int64
+        return self.slots.look_up((digests % np.uint64(self.dim)).astype(np.int64), self._number)
+
+    def _number(self, new: np.ndarray) -> np.ndarray:
+        first = len(self.slots)
+        self.indices = _grown(self.indices, first + new.size)
+        self.indices[first : first + new.size] = new
+        return np.arange(first, first + new.size, dtype=np.int32)
+
+
+class _Bigrams(_Table):
+    """Two token ids packed in one int64 -> the bigram's slot in `tokens`, a sorted `_Table`.
+
+    A batch's new bigrams are hashed together, in first-seen order. It refers
+    to `tokens` and not the other way round: with no reference cycle, a
+    dropped config frees its memo at once, not at the next full garbage
+    collection.
     """
 
     def __init__(self, tokens: _Tokens) -> None:
         super().__init__()
         self.tokens = tokens
 
-    def __missing__(self, key: int) -> int:
+    def slots_of(self, keys: np.ndarray) -> np.ndarray:
+        return self.look_up(keys, self._hash)
+
+    def _hash(self, new: np.ndarray) -> np.ndarray:
         words = self.tokens.words
-        gram = words[key >> _ID_BITS] + "\x1f" + words[key & _LOW_ID]
-        slot = self[key] = self.tokens.slot(gram)
-        return slot
+        left, right = (new >> _ID_BITS).tolist(), (new & ((1 << _ID_BITS) - 1)).tolist()
+        return self.tokens.slots_of(
+            [words[a] + "\x1f" + words[b] for a, b in zip(left, right)]
+        )
 
 
 class _Segments(dict):
@@ -192,29 +260,36 @@ class _Segments(dict):
         return number
 
     def look_up_new(self, tokens: _Tokens, bigrams: _Bigrams) -> None:
-        """Look up the tokens and bigrams of the new segments, all in one pass."""
-        split = [segment.lower().split() for segment in self.new]
+        """Look up the tokens and bigrams of the new segments, `SEGMENT_BATCH` at a time.
+
+        Each batch is lowered and split in one pass; its new tokens are hashed
+        together, and its bigrams looked up in one table call.
+        """
+        done = len(self) - len(self.new)
+        for lo in range(0, len(self.new), SEGMENT_BATCH):
+            self._look_up(self.new[lo : lo + SEGMENT_BATCH], done + lo, tokens, bigrams)
+        self.new.clear()
+
+    def _look_up(self, batch: list[str], first: int, tokens: _Tokens, bigrams: _Bigrams) -> None:
+        split = [segment.lower().split() for segment in batch]
         lens = np.fromiter(map(len, split), np.int64, len(split))
-        words = list(chain.from_iterable(split))
-        ids = np.fromiter(map(tokens.__getitem__, words), np.int64, len(words))
+        ids = tokens.ids(list(chain.from_iterable(split)))
+        del split
         # a token starts a bigram unless it ends its segment
         ends = np.cumsum(lens)
         pairs = np.ones(ids.size, dtype=bool)
         pairs[ends[lens > 0] - 1] = False
-        keys = ((ids[:-1] << _ID_BITS) | ids[1:])[pairs[:-1]]
-        slots = np.full(ids.size, -1, dtype=np.int64)
-        slots[pairs] = np.fromiter(map(bigrams.__getitem__, keys.tolist()), np.int64, keys.size)
+        slots = np.full(ids.size, -1, dtype=np.int32)
+        slots[pairs] = bigrams.slots_of(((ids[:-1] << _ID_BITS) | ids[1:])[pairs[:-1]])
 
-        first, last = len(self) - len(self.new), len(self)
         lo = int(self.at[first])
         hi = lo + ids.size
         self.ids = _grown(self.ids, hi)
         self.ids[lo:hi] = ids
         self.slots = _grown(self.slots, hi)
         self.slots[lo:hi] = slots
-        self.at = _grown(self.at, last + 1)
-        self.at[first + 1 : last + 1] = lo + ends
-        self.new.clear()
+        self.at = _grown(self.at, first + len(batch) + 1)
+        self.at[first + 1 : first + len(batch) + 1] = lo + ends
 
 
 def _grown(array: np.ndarray, size: int) -> np.ndarray:
@@ -252,49 +327,68 @@ def _featurize_slots(
     Slots and counts are int32: a slot numbers a distinct index held in the
     memo and a count the n-grams of one chunk, both far below 2**31, and
     every use of a count as a float64 converts it exactly.
+
+    All of the call's segments are numbered first, and the new ones looked
+    up; then the bigrams that span two segments are looked up in one table
+    call, and each chunk of texts is only laid out and counted.
     """
-    parts = [
-        _featurize_chunk(
-            texts[lo : lo + CHUNK_TEXTS], config._tokens, config._bigrams, config._segments
-        )
-        for lo in range(0, max(len(texts), 1), CHUNK_TEXTS)
-    ]
+    tokens, bigrams, segments = config._tokens, config._bigrams, config._segments
+    # A text's tokens are its segments' tokens end to end: `str.split()` takes
+    # the separator for whitespace, and `str.lower()` reads no context across
+    # it (its final sigma looks past case-ignorable characters only, and the
+    # separator is neither cased nor case-ignorable).
+    per_text = np.fromiter((text.count(SEPARATOR) + 1 for text in texts), np.int64, len(texts))
+    parts = chain.from_iterable(text.split(SEPARATOR) for text in texts)
+    seg = np.fromiter(map(segments.__getitem__, parts), np.int64, int(per_text.sum()))
+    if segments.new:
+        segments.look_up_new(tokens, bigrams)
+
+    # Between two non-empty segments of one text, a bigram joins the first
+    # one's last token to the second one's first: `across[k]` is its slot,
+    # after the k-th segment of the call, or -1.
+    at = segments.at
+    full = np.flatnonzero(at[seg + 1] > at[seg])
+    text = np.repeat(np.arange(per_text.size), per_text)[full]
+    link = text[1:] == text[:-1]
+    left, right = full[:-1][link], full[1:][link]
+    last = segments.ids[at[seg[left] + 1] - 1].astype(np.int64)
+    keys = (last << _ID_BITS) | segments.ids[at[seg[right]]]
+    across = np.full(seg.size, -1, dtype=np.int32)
+    across[left] = bigrams.slots_of(keys)
+
+    bounds = np.concatenate(([0], np.cumsum(per_text)))
+    parts = []
+    for lo in range(0, max(len(texts), 1), CHUNK_TEXTS):
+        hi = min(lo + CHUNK_TEXTS, len(texts))
+        span = slice(bounds[lo], bounds[hi])
+        parts.append(_featurize_chunk(per_text[lo:hi], seg[span], across[span], tokens, segments))
     if len(parts) == 1:
         return parts[0]
     return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _featurize_chunk(
-    texts: Sequence[str], tokens: _Tokens, bigrams: _Bigrams, segments: _Segments
+    per_text: np.ndarray,
+    seg: np.ndarray,
+    across: np.ndarray,
+    tokens: _Tokens,
+    segments: _Segments,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # A text's tokens are its segments' tokens end to end: `str.split()` takes
-    # the separator for whitespace, and `str.lower()` reads no context across
-    # it (its final sigma looks past case-ignorable characters only, and the
-    # separator is neither cased nor case-ignorable).
-    split = [text.split(SEPARATOR) for text in texts]
-    counts = np.fromiter(map(len, split), np.int64, len(split))
-    parts = list(chain.from_iterable(split))
-    seg = np.fromiter(map(segments.__getitem__, parts), np.int64, len(parts))
-    if segments.new:
-        segments.look_up_new(tokens, bigrams)
+    """Slots, counts and sizes of the texts made of `per_text[k]` segments each,
+    numbered `seg` and followed by the cross-segment bigram slots `across`."""
     seg_lens = segments.at[seg + 1] - segments.at[seg]
     at = _ranges(segments.at[seg], seg_lens)
     ids = segments.ids[at]
     seg_ends = np.cumsum(seg_lens)
-    ends = seg_ends[np.cumsum(counts) - 1]
+    ends = seg_ends[np.cumsum(per_text) - 1]
     lens = np.diff(ends, prepend=0)
     # A token starts a bigram unless it ends its text. Inside a segment the
-    # memo has the bigram's slot; at the end of a non-empty segment, where the
-    # next one in the text starts, the bigram is looked up here.
+    # memo has the bigram's slot, and at the end of a non-empty one `across`.
     pairs = np.ones(ids.size, dtype=bool)
     pairs[ends[lens > 0] - 1] = False
     pair_slots = segments.slots[at]
-    across = seg_ends[seg_lens > 0] - 1
-    across = across[pairs[across]]
-    keys = (ids[across].astype(np.int64) << _ID_BITS) | ids[across + 1]
-    pair_slots[across] = np.fromiter(
-        map(bigrams.__getitem__, keys.tolist()), np.int64, keys.size
-    )
+    full = seg_lens > 0
+    pair_slots[seg_ends[full] - 1] = across[full]
 
     # lay each text out as its unigrams' slots, then its bigrams'
     blens = np.maximum(lens - 1, 0)
@@ -302,7 +396,7 @@ def _featurize_chunk(
     unigram_at = np.arange(ids.size) + np.repeat(np.cumsum(blens) - blens, lens)
     seq[unigram_at] = tokens.unigram_slots[ids]
     seq[np.arange(seq.size - ids.size) + np.repeat(ends, blens)] = pair_slots[pairs]
-    rows = np.repeat(np.arange(len(texts)), lens + blens)
+    rows = np.repeat(np.arange(per_text.size), lens + blens)
 
     # Sorted (slot, position) keys put each text's repeats of a slot next to
     # each other, earliest first; the count goes to the earliest position.
@@ -320,7 +414,7 @@ def _featurize_chunk(
     counts = np.zeros(n, dtype=np.int32)
     counts[pos[starts[:-1]]] = starts[1:] - starts[:-1]
     keep = counts > 0
-    return seq[keep], counts[keep], np.bincount(rows[keep], minlength=len(texts))
+    return seq[keep], counts[keep], np.bincount(rows[keep], minlength=per_text.size)
 
 
 def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
@@ -401,10 +495,16 @@ def best_choices(scores: np.ndarray, counts: Sequence[int]) -> np.ndarray:
 
 
 def score_texts(model: ScorerModel, texts: Sequence[str]) -> np.ndarray:
-    """Raw score of each text: one featurizing pass and one kernel call."""
-    indices, values, sizes = featurize_texts(texts, model.featurizer)
+    """Raw score of each text: one featurizing pass and one kernel call.
+
+    The kernel reads the featurizer's int32 slots and counts, against the
+    weights gathered once per memo slot.
+    """
+    cfg = model.featurizer
+    slots, counts, sizes = _featurize_slots(texts, cfg)
+    weights = model.weights[cfg._tokens.indices[: len(cfg._tokens.slots)]]
     rows = np.repeat(np.arange(len(texts)), sizes)
-    return _raw_scores(model.weights, model.bias, indices, values, rows, len(texts))
+    return _raw_scores(weights, model.bias, slots, counts, rows, len(texts))
 
 
 # ---------------------------------------------------------------------------

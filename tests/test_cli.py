@@ -1268,6 +1268,22 @@ def test_a_flag_the_command_never_reads_is_refused(capsys, command, flag):
     assert f"unrecognized arguments: {flag} {VALUES[flag]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["sweep", "--synthetic"], ["--ratio", "0.3"]),
+        (["budget", "--data", "d.jsonl", "--keywords", "k.jsonl"], ["--bogus"]),
+    ],
+)
+def test_an_unrecognized_flag_prints_the_command_usage(capsys, argv, extra):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, *extra])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: privqa {argv[0]} ")
+    assert f"privqa {argv[0]}: error: unrecognized arguments: {' '.join(extra)}" in err
+
+
 def _outputs(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 

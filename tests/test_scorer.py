@@ -27,6 +27,7 @@ from privqa.harness import (
 from privqa.scorer import (
     CHUNK_TEXTS,
     NGRAM_ORDERS,
+    SEGMENT_BATCH,
     SEPARATOR,
     FeaturizerConfig,
     ScorerError,
@@ -198,6 +199,44 @@ def test_featurize_texts_equals_reference(base, copies, skip, warmup, dim, hash_
     assert feature_rows(featurize_texts(texts, warm)) == expected
 
 
+WORDS = ["a", "A", "b", "ab", "Straße", "ΣΑΣ", "é", "İ", "日本", "tok1", "TOK1", "\x85",
+         "\u00a0"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    extra=st.integers(1, 300),
+    first=st.integers(1, 300),
+    dim=DIMS,
+    hash_seed=st.integers(0, 2**16),
+)
+@example(seed=0, extra=1, first=1, dim=3, hash_seed=17)
+def test_featurize_texts_over_calls_equals_reference(seed, extra, first, dim, hash_seed):
+    # Text k holds segment k, new, and up to three segments from anywhere, so
+    # the first call brings more new segments than one look-up batch, and
+    # segments recur across batch edges and calls.
+    rng = random.Random(seed)
+    segments = [
+        " ".join([f"s{k}", *rng.choices(WORDS, k=rng.randrange(4))])
+        for k in range(SEGMENT_BATCH + extra)
+    ] + ["", " "]
+    texts = [
+        SEPARATOR.join([segments[k], *rng.choices(segments, k=rng.randrange(4))])
+        for k in range(SEGMENT_BATCH + extra)
+    ]
+    reference = FeaturizerConfig(dim, hash_seed)
+    expected = [
+        (i.tobytes(), v.tobytes()) for i, v in (reference_featurize(t, reference) for t in texts)
+    ]
+    cut = SEGMENT_BATCH + min(first, extra)
+    warm = FeaturizerConfig(dim, hash_seed)
+    assert feature_rows(featurize_texts(texts[:cut], warm)) == expected[:cut]
+    assert feature_rows(featurize_texts(texts[cut:][::-1], warm)) == expected[cut:][::-1]
+    assert feature_rows(featurize_texts(texts, warm)) == expected
+    assert feature_rows(featurize_texts(texts, FeaturizerConfig(dim, hash_seed))) == expected
+
+
 def test_featurize_frozen_indices():
     fv = featurize("alpha beta", CFG)
     assert dict(zip(fv.indices, fv.values)) == {841: 1.0, 2440: 1.0, 3446: 1.0}
@@ -250,6 +289,25 @@ def test_dropped_config_frees_its_memo_at_once():
         assert [ref() for ref in memo] == [None, None, None]
     finally:
         gc.enable()
+
+
+def test_memo_holds_few_bytes_per_ngram():
+    # ≈29 K distinct n-grams held as Python ints in dicts took 206 bytes each
+    # (the memo as a whole, over that count); sorted numpy tables take 52
+    rng = random.Random(5)
+    vocab = [f"w{k}" for k in range(2000)]
+    texts = [" ".join(rng.choices(vocab, k=12)) for _ in range(2500)]
+    grams = {g for t in texts for g in t.split()}
+    grams |= {g for t in texts for g in zip(t.split(), t.split()[1:])}
+    tracemalloc.start()
+    try:
+        cfg = FeaturizerConfig()
+        featurize_texts(texts, cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grams) > 29000
+    assert held / len(grams) < 100
 
 
 def test_featurize_empty():
@@ -688,7 +746,11 @@ def test_slot_order_does_not_leak_into_results():
     config = TrainConfig(max_epochs=5, seed=7)
     cold_model, cold_log = train(config, train_items, dev_items, featurizer=cold)
     warm_model, warm_log = train(config, train_items, dev_items, featurizer=warm)
-    assert any(warm._tokens.slots[i] != slot for i, slot in cold._tokens.slots.items())
+    cold_slots, warm_slots = (
+        dict(zip(cfg._tokens.slots.keys.tolist(), cfg._tokens.slots.values.tolist()))
+        for cfg in (cold, warm)
+    )
+    assert any(warm_slots[i] != slot for i, slot in cold_slots.items())
     assert warm_model.weights.tobytes() == cold_model.weights.tobytes()
     assert warm_model.bias == cold_model.bias
     assert warm_log.history == cold_log.history
