@@ -135,9 +135,8 @@ class _Table:
         """Each key's value. The keys not yet held are passed to one
         `new_values` call, once each and in first-seen order, and get its values."""
         at = np.searchsorted(self.keys, keys)
-        found = np.zeros(keys.size, dtype=bool)
-        inside = at < self.keys.size
-        found[inside] = self.keys[at[inside]] == keys[inside]
+        found = at < self.keys.size
+        found[found] = self.keys[at[found]] == keys[found]
         out = np.empty(keys.size, dtype=np.int32)
         out[found] = self.values[at[found]]
         if not found.all():
