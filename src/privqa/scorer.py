@@ -356,14 +356,14 @@ def _featurize_slots(
     across[left] = bigrams.slots_of(keys)
 
     bounds = np.concatenate(([0], np.cumsum(per_text)))
-    parts = []
+    chunks = []
     for lo in range(0, max(len(texts), 1), CHUNK_TEXTS):
         hi = min(lo + CHUNK_TEXTS, len(texts))
         span = slice(bounds[lo], bounds[hi])
-        parts.append(_featurize_chunk(per_text[lo:hi], seg[span], across[span], tokens, segments))
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(map(np.concatenate, zip(*parts)))
+        chunks.append(_featurize_chunk(per_text[lo:hi], seg[span], across[span], tokens, segments))
+    if len(chunks) == 1:
+        return chunks[0]
+    return tuple(map(np.concatenate, zip(*chunks)))
 
 
 def _featurize_chunk(
