@@ -35,9 +35,9 @@ import random
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, count
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -233,41 +233,74 @@ class _Bigrams(_Table):
         )
 
 
-class _Segments(dict):
-    """Segment -> segment number, plus each segment's token ids and in-segment bigram slots.
+def _segment_hashes(segments: Collection[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's memo key and check: two independent 64-bit `hash()`es.
+
+    The key hashes (length, segment): a `str` hashes its internal bytes, which
+    `"AN"` and `"\u4e41"` share, but not their length. The check hashes the
+    segment and a NUL.
+    """
+    n = len(segments)
+    keys = np.fromiter((hash((len(s), s)) for s in segments), np.int64, n)
+    check = np.fromiter((hash(s + "\x00") for s in segments), np.int64, n)
+    return keys, check
+
+
+class _Segments(_Table):
+    """Segment key -> segment number, plus each segment's token ids and in-segment bigram slots.
 
     A text splits at `SEPARATOR` into segments, and the texts of a sweep share
-    most of theirs (a question and its answers recur at every ratio). Segment
-    s spans positions `at[s]` to `at[s + 1]` of two flat columns: `ids` holds
-    its token ids, and `slots` at a token's position the slot of the bigram
-    that token starts (at the segment's last token, no bigram: -1). The
-    columns are int32, since token ids and slots number distinct strings held
-    in memory, far below 2**31, and one small array per segment would cost
-    more in headers than its data.
+    most of theirs (a question and its answers recur at every ratio). The memo
+    keeps no segment strings: its sorted `_Table` maps each segment's key to
+    its number, and `check[s]` holds segment s's second hash, which every
+    look-up compares, so two segments whose keys collide raise a `ScorerError`
+    and never share a number. Keys follow the process's hash seed, but
+    numbers go to segments in first-seen order, so no output does.
+
+    Segment s spans positions `at[s]` to `at[s + 1]` of two flat columns:
+    `ids` holds its token ids, and `slots` at a token's position the slot of
+    the bigram that token starts (at the segment's last token, no bigram:
+    -1). The columns are int32, since token ids and slots number distinct
+    strings held in memory, far below 2**31, and one small array per segment
+    would cost more in headers than its data.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self.new: list[str] = []  # numbered but not yet looked up
+        self.check = np.empty(0, dtype=np.int64)
         self.ids = np.empty(0, dtype=np.int32)
         self.slots = np.empty(0, dtype=np.int32)
         self.at = np.zeros(1, dtype=np.int64)
 
-    def __missing__(self, segment: str) -> int:
-        number = self[segment] = len(self)
-        self.new.append(segment)
-        return number
+    def numbers(self, distinct: Collection[str], tokens: _Tokens, bigrams: _Bigrams) -> np.ndarray:
+        """Each of the distinct segments' numbers.
 
-    def look_up_new(self, tokens: _Tokens, bigrams: _Bigrams) -> None:
-        """Look up the tokens and bigrams of the new segments, `SEGMENT_BATCH` at a time.
-
-        Each batch is lowered and split in one pass; its new tokens are hashed
-        together, and its bigrams looked up in one table call.
+        Their hashes are looked up in one table call. The new segments are
+        numbered in order, and their tokens and bigrams looked up
+        `SEGMENT_BATCH` at a time: each batch is lowered and split in one
+        pass, its new tokens hashed together, and its bigrams looked up in
+        one table call.
         """
-        done = len(self) - len(self.new)
-        for lo in range(0, len(self.new), SEGMENT_BATCH):
-            self._look_up(self.new[lo : lo + SEGMENT_BATCH], done + lo, tokens, bigrams)
-        self.new.clear()
+        keys, check = _segment_hashes(distinct)
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ScorerError("segment memo: two distinct segments share a 64-bit hash")
+        first = len(self)
+        numbers = self.look_up(keys, self._number)
+        new = numbers >= first
+        self.check = _grown(self.check, len(self))
+        self.check[numbers[new]] = check[new]
+        # the new keys are distinct and numbered in order, so the memo stays
+        # whole even when an old segment's check fails below
+        batch = list(compress(distinct, new.tolist()))
+        for lo in range(0, len(batch), SEGMENT_BATCH):
+            self._look_up(batch[lo : lo + SEGMENT_BATCH], first + lo, tokens, bigrams)
+        if (self.check[numbers] != check).any():
+            raise ScorerError("segment memo: a segment shares its 64-bit hash with another")
+        return numbers
+
+    def _number(self, new: np.ndarray) -> np.ndarray:
+        return np.arange(len(self), len(self) + new.size, dtype=np.int32)
 
     def _look_up(self, batch: list[str], first: int, tokens: _Tokens, bigrams: _Bigrams) -> None:
         split = [segment.lower().split() for segment in batch]
@@ -337,10 +370,14 @@ def _featurize_slots(
     # it (its final sigma looks past case-ignorable characters only, and the
     # separator is neither cased nor case-ignorable).
     per_text = np.fromiter((text.count(SEPARATOR) + 1 for text in texts), np.int64, len(texts))
+    # Each segment's first occurrence in the call, as an index into its
+    # segments, numbers the call's distinct segments densely in first-seen order.
     parts = chain.from_iterable(text.split(SEPARATOR) for text in texts)
-    seg = np.fromiter(map(segments.__getitem__, parts), np.int64, int(per_text.sum()))
-    if segments.new:
-        segments.look_up_new(tokens, bigrams)
+    distinct: dict[str, int] = {}
+    first = np.fromiter(map(distinct.setdefault, parts, count()), np.int64, int(per_text.sum()))
+    _, inverse = np.unique(first, return_inverse=True)
+    seg = segments.numbers(distinct, tokens, bigrams)[inverse].astype(np.int64)
+    del distinct, first, inverse
 
     # Between two non-empty segments of one text, a bigram joins the first
     # one's last token to the second one's first: `across[k]` is its slot,
