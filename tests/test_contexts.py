@@ -134,21 +134,28 @@ def test_non_ascii_label_is_no_decision(letter):
     assert parse_generation(text, LABELS4).decision == frozenset("b")
 
 
+# Characters that case folding, `\s`, `\b` or `str.splitlines` treat unlike
+# ASCII: the long s, the dotted capital I, the Kelvin sign, capital sigma (a
+# word character), and line and record breaks.
+TRICKY = ["\u017f", "\u0130", "\u212a", "\u03a3", "\x85", "\u2028", "\x1c", "\x1d", "\x1e",
+          "\r", "\n"]
 LABEL_PIECES = [
     *(f"({c})" for c in ["a", "B", "d", *NON_ASCII_LABELS]),
-    "none", "None", " or ", "or", " ", "(", ")", "n", "o", "e", ".", *NON_ASCII_LABELS,
+    "none", "None", "NONE", " or ", "or", " ", "\t", "(", ")", "n", "o", "e", ".",
+    "the answer is ", "THE ANSWER \u0130S ", "the an\u017fwer is ", *TRICKY,
 ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(LABEL_PIECES), max_size=5))
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(LABEL_PIECES), max_size=8))
 def test_parsed_decision_is_empty_only_when_the_text_says_none(pieces):
     text = "Context: x.\n(a): Fact. It is fine.\nTherefore, the answer is " + "".join(pieces)
     try:
         ctx = parse_generation(text, LABELS4)
     except (DecisionMissing, LabelUnknown):
         return
-    assert ctx.decision or "none" in text.lower()
+    # `none` right after a decision phrase, whose letters may fold as the parser's do
+    assert ctx.decision or re.search(r"(?i)the answer is[ \t]*none", text)
 
 
 def test_capital_block_openers_name_the_same_choices():
