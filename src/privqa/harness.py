@@ -595,9 +595,9 @@ def _run(
     """Train on datasets' train/dev splits, predict `test`, and build the report.
 
     Runs handed one `featurizer` (equal to their configs') and one command
-    `memo` featurize each segment, hash each n-gram, extract each question and
-    draw each instance's keyword order and oracle draws once across them; by
-    default the run builds its own of each.
+    `memo` hash each n-gram, extract each question and draw each instance's
+    keyword order and oracle draws once across them; by default the run
+    builds its own of each.
     """
     if memo is None:
         memo = CommandMemo()
@@ -647,10 +647,9 @@ def run_budget_sweep(
     Contexts are regenerated per ratio: a smaller disclosure changes the
     prompt, so cached generations from other ratios never leak in. The
     ratios' runs share one featurizer and one command memo, built for this
-    sweep: no segment's features, extraction, keyword order or oracle draw
-    depends on the ratio. Every
-    ratio's config is built before the first run, so a bad ratio fails before
-    any training.
+    sweep: no n-gram's hash, extraction, keyword order or oracle draw depends
+    on the ratio. Every ratio's config is built before the first run, so a
+    bad ratio fails before any training.
     """
     configs = [replace(config, ratio=ratio) for ratio in ratios]
     _require_disclosure("budget sweep", config, provider)

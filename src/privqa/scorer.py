@@ -35,9 +35,9 @@ import random
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain, compress, count
+from itertools import chain, count
 from pathlib import Path
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,13 +81,13 @@ class FeaturizerConfig:
             raise ScorerError(f"featurizer dim {self.dim} outside [1, 2**63]")
         if not 0 <= self.hash_seed < 2**64:
             raise ScorerError(f"featurizer hash_seed {self.hash_seed} outside [0, 2**64)")
-        # n-gram -> index and segment memos filled by `featurize_texts`. They
-        # live on this object, which a run, or one sweep or compare command,
-        # builds once, so each starts cold; they are not fields, so equality,
-        # hashing and checkpoint metadata ignore them.
+        # The n-gram -> index memo filled by `featurize_texts`. It lives on
+        # this object, which a run, or one sweep or compare command, builds
+        # once, so it starts cold; it is no field, so equality, hashing and
+        # checkpoint metadata ignore it. Segments are not memoized: each call
+        # splits its own.
         object.__setattr__(self, "_tokens", _Tokens(self.dim, self.hash_seed))
         object.__setattr__(self, "_bigrams", _Bigrams(self._tokens))
-        object.__setattr__(self, "_segments", _Segments())
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,10 @@ CHUNK_TEXTS = 64
 # A bigram's memo key packs its two token ids into one int64.
 _ID_BITS = 32
 
-# New segments are split and looked up this many at a time: the first call of
-# a sweep brings thousands, and splitting all of them at once would hold their
-# ≈150 K word strings together (the small-object allocator keeps the arenas it
-# grew for them).
+# A call's distinct segments are split and looked up this many at a time: a
+# sweep's training calls bring thousands, and splitting all of them at once
+# would hold their ≈150 K word strings together (the small-object allocator
+# keeps the arenas it grew for them).
 SEGMENT_BATCH = 1024
 
 
@@ -233,95 +233,35 @@ class _Bigrams(_Table):
         )
 
 
-def _segment_hashes(segments: Collection[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Each segment's memo key and check: two independent 64-bit `hash()`es.
+def _segment_columns(
+    segments: list[str], tokens: _Tokens, bigrams: _Bigrams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The segments' token ids, in-segment bigram slots and offsets.
 
-    The key hashes (length, segment): a `str` hashes its internal bytes, which
-    `"AN"` and `"\u4e41"` share, but not their length. The check hashes the
-    segment and a NUL.
+    Segment s spans positions `at[s]` to `at[s + 1]` of two flat int32
+    columns: `ids` holds its token ids, and `slots` at a token's position the
+    slot of the bigram that token starts (at the segment's last token, no
+    bigram: -1). Token ids and slots number distinct strings held in memory,
+    far below 2**31. The segments are lowered, split and looked up
+    `SEGMENT_BATCH` at a time: each batch's new tokens are hashed together,
+    and its bigrams looked up in one table call.
     """
-    n = len(segments)
-    keys = np.fromiter((hash((len(s), s)) for s in segments), np.int64, n)
-    check = np.fromiter((hash(s + "\x00") for s in segments), np.int64, n)
-    return keys, check
-
-
-class _Segments(_Table):
-    """Segment key -> segment number, plus each segment's token ids and in-segment bigram slots.
-
-    A text splits at `SEPARATOR` into segments, and the texts of a sweep share
-    most of theirs (a question and its answers recur at every ratio). The memo
-    keeps no segment strings: its sorted `_Table` maps each segment's key to
-    its number, and `check[s]` holds segment s's second hash, which every
-    look-up compares, so two segments whose keys collide raise a `ScorerError`
-    and never share a number. Keys follow the process's hash seed, but
-    numbers go to segments in first-seen order, so no output does.
-
-    Segment s spans positions `at[s]` to `at[s + 1]` of two flat columns:
-    `ids` holds its token ids, and `slots` at a token's position the slot of
-    the bigram that token starts (at the segment's last token, no bigram:
-    -1). The columns are int32, since token ids and slots number distinct
-    strings held in memory, far below 2**31, and one small array per segment
-    would cost more in headers than its data.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.check = np.empty(0, dtype=np.int64)
-        self.ids = np.empty(0, dtype=np.int32)
-        self.slots = np.empty(0, dtype=np.int32)
-        self.at = np.zeros(1, dtype=np.int64)
-
-    def numbers(self, distinct: Collection[str], tokens: _Tokens, bigrams: _Bigrams) -> np.ndarray:
-        """Each of the distinct segments' numbers.
-
-        Their hashes are looked up in one table call. The new segments are
-        numbered in order, and their tokens and bigrams looked up
-        `SEGMENT_BATCH` at a time: each batch is lowered and split in one
-        pass, its new tokens hashed together, and its bigrams looked up in
-        one table call.
-        """
-        keys, check = _segment_hashes(distinct)
-        ordered = np.sort(keys)
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ScorerError("segment memo: two distinct segments share a 64-bit hash")
-        first = len(self)
-        numbers = self.look_up(keys, self._number)
-        new = numbers >= first
-        self.check = _grown(self.check, len(self))
-        self.check[numbers[new]] = check[new]
-        # the new keys are distinct and numbered in order, so the memo stays
-        # whole even when an old segment's check fails below
-        batch = list(compress(distinct, new.tolist()))
-        for lo in range(0, len(batch), SEGMENT_BATCH):
-            self._look_up(batch[lo : lo + SEGMENT_BATCH], first + lo, tokens, bigrams)
-        if (self.check[numbers] != check).any():
-            raise ScorerError("segment memo: a segment shares its 64-bit hash with another")
-        return numbers
-
-    def _number(self, new: np.ndarray) -> np.ndarray:
-        return np.arange(len(self), len(self) + new.size, dtype=np.int32)
-
-    def _look_up(self, batch: list[str], first: int, tokens: _Tokens, bigrams: _Bigrams) -> None:
-        split = [segment.lower().split() for segment in batch]
-        lens = np.fromiter(map(len, split), np.int64, len(split))
-        ids = tokens.ids(list(chain.from_iterable(split)))
+    ids, slots, lens = [], [], []
+    for lo in range(0, max(len(segments), 1), SEGMENT_BATCH):
+        split = [segment.lower().split() for segment in segments[lo : lo + SEGMENT_BATCH]]
+        n = np.fromiter(map(len, split), np.int64, len(split))
+        batch = tokens.ids(list(chain.from_iterable(split)))
         del split
         # a token starts a bigram unless it ends its segment
-        ends = np.cumsum(lens)
-        pairs = np.ones(ids.size, dtype=bool)
-        pairs[ends[lens > 0] - 1] = False
-        slots = np.full(ids.size, -1, dtype=np.int32)
-        slots[pairs] = bigrams.slots_of(((ids[:-1] << _ID_BITS) | ids[1:])[pairs[:-1]])
-
-        lo = int(self.at[first])
-        hi = lo + ids.size
-        self.ids = _grown(self.ids, hi)
-        self.ids[lo:hi] = ids
-        self.slots = _grown(self.slots, hi)
-        self.slots[lo:hi] = slots
-        self.at = _grown(self.at, first + len(batch) + 1)
-        self.at[first + 1 : first + len(batch) + 1] = lo + ends
+        pairs = np.ones(batch.size, dtype=bool)
+        pairs[np.cumsum(n)[n > 0] - 1] = False
+        pair_slots = np.full(batch.size, -1, dtype=np.int32)
+        pair_slots[pairs] = bigrams.slots_of(((batch[:-1] << _ID_BITS) | batch[1:])[pairs[:-1]])
+        ids.append(batch.astype(np.int32))
+        slots.append(pair_slots)
+        lens.append(n)
+    at = np.concatenate(([0], np.cumsum(np.concatenate(lens))))
+    return np.concatenate(ids), np.concatenate(slots), at
 
 
 def _grown(array: np.ndarray, size: int) -> np.ndarray:
@@ -360,11 +300,12 @@ def _featurize_slots(
     memo and a count the n-grams of one chunk, both far below 2**31, and
     every use of a count as a float64 converts it exactly.
 
-    All of the call's segments are numbered first, and the new ones looked
-    up; then the bigrams that span two segments are looked up in one table
-    call, and each chunk of texts is only laid out and counted.
+    The call's distinct segments are numbered and each is lowered, split and
+    looked up once, into columns the call drops on return; then the bigrams
+    that span two segments are looked up in one table call, and each chunk of
+    texts is only laid out and counted.
     """
-    tokens, bigrams, segments = config._tokens, config._bigrams, config._segments
+    tokens, bigrams = config._tokens, config._bigrams
     # A text's tokens are its segments' tokens end to end: `str.split()` takes
     # the separator for whitespace, and `str.lower()` reads no context across
     # it (its final sigma looks past case-ignorable characters only, and the
@@ -375,20 +316,21 @@ def _featurize_slots(
     parts = chain.from_iterable(text.split(SEPARATOR) for text in texts)
     distinct: dict[str, int] = {}
     first = np.fromiter(map(distinct.setdefault, parts, count()), np.int64, int(per_text.sum()))
-    _, inverse = np.unique(first, return_inverse=True)
-    seg = segments.numbers(distinct, tokens, bigrams)[inverse].astype(np.int64)
-    del distinct, first, inverse
+    _, seg = np.unique(first, return_inverse=True)
+    del first
+    columns = _segment_columns(list(distinct), tokens, bigrams)
+    ids, _, at = columns
+    del distinct
 
     # Between two non-empty segments of one text, a bigram joins the first
     # one's last token to the second one's first: `across[k]` is its slot,
     # after the k-th segment of the call, or -1.
-    at = segments.at
     full = np.flatnonzero(at[seg + 1] > at[seg])
     text = np.repeat(np.arange(per_text.size), per_text)[full]
     link = text[1:] == text[:-1]
     left, right = full[:-1][link], full[1:][link]
-    last = segments.ids[at[seg[left] + 1] - 1].astype(np.int64)
-    keys = (last << _ID_BITS) | segments.ids[at[seg[right]]]
+    last = ids[at[seg[left] + 1] - 1].astype(np.int64)
+    keys = (last << _ID_BITS) | ids[at[seg[right]]]
     across = np.full(seg.size, -1, dtype=np.int32)
     across[left] = bigrams.slots_of(keys)
 
@@ -397,7 +339,7 @@ def _featurize_slots(
     for lo in range(0, max(len(texts), 1), CHUNK_TEXTS):
         hi = min(lo + CHUNK_TEXTS, len(texts))
         span = slice(bounds[lo], bounds[hi])
-        chunks.append(_featurize_chunk(per_text[lo:hi], seg[span], across[span], tokens, segments))
+        chunks.append(_featurize_chunk(per_text[lo:hi], seg[span], across[span], tokens, columns))
     if len(chunks) == 1:
         return chunks[0]
     return tuple(map(np.concatenate, zip(*chunks)))
@@ -408,21 +350,23 @@ def _featurize_chunk(
     seg: np.ndarray,
     across: np.ndarray,
     tokens: _Tokens,
-    segments: _Segments,
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slots, counts and sizes of the texts made of `per_text[k]` segments each,
-    numbered `seg` and followed by the cross-segment bigram slots `across`."""
-    seg_lens = segments.at[seg + 1] - segments.at[seg]
-    at = _ranges(segments.at[seg], seg_lens)
-    ids = segments.ids[at]
+    numbered `seg` in the call's segment `columns` and followed by the
+    cross-segment bigram slots `across`."""
+    seg_ids, seg_slots, seg_at = columns
+    seg_lens = seg_at[seg + 1] - seg_at[seg]
+    at = _ranges(seg_at[seg], seg_lens)
+    ids = seg_ids[at]
     seg_ends = np.cumsum(seg_lens)
     ends = seg_ends[np.cumsum(per_text) - 1]
     lens = np.diff(ends, prepend=0)
     # A token starts a bigram unless it ends its text. Inside a segment the
-    # memo has the bigram's slot, and at the end of a non-empty one `across`.
+    # columns have the bigram's slot, and at the end of a non-empty one `across`.
     pairs = np.ones(ids.size, dtype=bool)
     pairs[ends[lens > 0] - 1] = False
-    pair_slots = segments.slots[at]
+    pair_slots = seg_slots[at]
     full = seg_lens > 0
     pair_slots[seg_ends[full] - 1] = across[full]
 

@@ -24,7 +24,6 @@ from privqa.harness import (
     eval_view,
     predict_labels,
 )
-from privqa import scorer
 from privqa.scorer import (
     CHUNK_TEXTS,
     NGRAM_ORDERS,
@@ -283,11 +282,11 @@ def test_dropped_config_frees_its_memo_at_once():
     # a reference cycle would keep the memo alive until a full collection
     cfg = FeaturizerConfig(dim=4096)
     featurize_texts(["alpha beta", "beta gamma"], cfg)
-    memo = [weakref.ref(cfg._tokens), weakref.ref(cfg._bigrams), weakref.ref(cfg._segments)]
+    memo = [weakref.ref(cfg._tokens), weakref.ref(cfg._bigrams)]
     gc.disable()
     try:
         del cfg
-        assert [ref() for ref in memo] == [None, None, None]
+        assert [ref() for ref in memo] == [None, None]
     finally:
         gc.enable()
 
@@ -311,68 +310,19 @@ def test_memo_holds_few_bytes_per_ngram():
     assert held / len(grams) < 100
 
 
-def test_equal_segments_keep_one_number():
-    cfg = FeaturizerConfig(dim=4096)
-    texts = [SEPARATOR.join(["q one", "a", "q one"]), SEPARATOR.join(["a", "q one", ""])]
-    featurize_texts(texts, cfg)
-    assert len(cfg._segments) == 3
-    featurize_texts(["a", SEPARATOR.join(["q one", "b"])], cfg)
-    assert len(cfg._segments) == 4
-    held = [cfg._segments.keys.copy(), cfg._segments.values.copy(), cfg._segments.at.copy()]
-    # a repeat call numbers no segment anew
-    assert feature_rows(featurize_texts(texts, cfg)) == feature_rows(
-        featurize_texts(texts, FeaturizerConfig(dim=4096))
-    )
-    assert len(cfg._segments) == 4
-    assert cfg._segments.keys.tobytes() == held[0].tobytes()
-    assert cfg._segments.values.tobytes() == held[1].tobytes()
-    assert cfg._segments.at[:5].tobytes() == held[2][:5].tobytes()
-
-
 def test_segments_whose_str_hashes_alias_stay_apart():
     # a `str` hashes its internal bytes: latin-1 "AN" and UCS-2 "\u4e41" share them
     cfg = FeaturizerConfig(dim=4096)
     texts = ["AN", "\u4e41", SEPARATOR.join(["\u4e41", "AN"])]
     expected = [(i.tobytes(), v.tobytes()) for i, v in (reference_featurize(t, cfg) for t in texts)]
     assert feature_rows(featurize_texts(texts, cfg)) == expected
-    assert len(cfg._segments) == 2
 
 
-def test_a_segment_whose_check_differs_raises():
-    cfg = FeaturizerConfig(dim=4096)
-    featurize_texts(["alpha beta", "gamma"], cfg)
-    cfg._segments.check[0] += 1
-    with pytest.raises(ScorerError, match="64-bit hash"):
-        featurize_texts(["alpha beta"], cfg)
-    featurize_texts(["gamma"], cfg)
-
-
-def test_segments_whose_keys_collide_raise(monkeypatch):
-    real = scorer._segment_hashes
-
-    def colliding(segments):
-        keys, check = real(segments)
-        keys[:] = 7
-        return keys, check
-
-    cfg = FeaturizerConfig(dim=4096)
-    monkeypatch.setattr(scorer, "_segment_hashes", colliding)
-    with pytest.raises(ScorerError, match="64-bit hash"):
-        featurize_texts(["alpha", "beta"], cfg)
-    featurize_texts(["alpha gamma"], cfg)
-    with pytest.raises(ScorerError, match="64-bit hash"):
-        featurize_texts(["beta"], cfg)
-    # the new segments of a failed call are still looked up whole
-    monkeypatch.setattr(scorer, "_segment_hashes", real)
-    texts = ["alpha gamma", "beta", SEPARATOR.join(["beta", "delta"])]
-    expected = [(i.tobytes(), v.tobytes()) for i, v in (reference_featurize(t, cfg) for t in texts)]
-    assert feature_rows(featurize_texts(texts, cfg)) == expected
-
-
-def test_memo_holds_few_bytes_per_segment():
-    # many short segments over few n-grams: segment strings and a dict took
-    # 166 bytes a segment (the memo as a whole, over that count); two hashes
-    # in a sorted table and a check column take 71
+def test_featurizing_keeps_few_bytes_per_segment():
+    # many short segments over few n-grams: a command-long segment memo of
+    # two hashes, a check column and token columns kept 71 bytes a segment
+    # (the config as a whole, over that count); the n-gram memo alone keeps
+    # under 5, since each call drops its segment columns
     rng = random.Random(3)
     vocab = [f"w{k}" for k in range(40)]
     texts = [
@@ -386,8 +336,8 @@ def test_memo_holds_few_bytes_per_segment():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(cfg._segments) == len(segments) > 15000
-    assert held / len(segments) < 100
+    assert len(segments) > 15000
+    assert held / len(segments) < 10
 
 
 def test_featurize_empty():
