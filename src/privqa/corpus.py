@@ -273,11 +273,16 @@ def _adapt_medmcqa(rec: dict[str, Any], idx: int) -> dict[str, Any]:
         "c": str(rec["opc"]),
         "d": str(rec["opd"]),
     }
+    # a JSON integer only: a negative index would wrap, a float truncate and a
+    # bool read as 0 or 1, each picking a gold label silently
+    cop = rec["cop"]
+    if type(cop) is not int or not 0 <= cop < len(choices):
+        raise ValueError(f"cop {cop!r} is not an integer from 0 to {len(choices) - 1}")
     return {
         "id": rec.get("id", f"medmcqa-{idx}"),
         "question": rec["question"],
         "choices": choices,
-        "gold": LABELS[int(rec["cop"])],
+        "gold": LABELS[cop],
         "meta": rec.get("meta", {}),
     }
 

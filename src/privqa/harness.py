@@ -55,7 +55,6 @@ from privqa.keywords import (
 )
 from privqa.promptkit import Demonstration, build_prompt
 from privqa.scorer import (
-    SEPARATOR,
     FeaturizerConfig,
     ScorerModel,
     TrainConfig,
@@ -168,6 +167,14 @@ def config_digest(config: ExperimentConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # Input assembly
+
+# Segment separator: a control character that never occurs in natural text,
+# so distinct (question, answer, contexts) tuples assemble to distinct strings
+# for an external scorer. `str.split()` takes it for whitespace, so the
+# featurizer sees no boundary: a text's tokens are its segments' tokens in
+# order, and a bigram may span two segments.
+SEPARATOR = "\x1e"
+
 
 def assemble_input(question: str, answer: str, overall: str, choice_context: str) -> str:
     """Join the four segments with the reserved separator token."""

@@ -35,7 +35,7 @@ import random
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -48,13 +48,6 @@ from privqa.errors import PrivqaError
 # does not load.
 NGRAM_ORDERS = (1, 2)
 LOWERCASE = True
-
-# Segment separator: a control character that never occurs in natural text,
-# so distinct (question, answer, contexts) tuples assemble to distinct strings
-# for an external scorer. `str.split()` treats it as whitespace, so the
-# featurizer has no boundary token: it sees the segments' tokens in order,
-# and a bigram may span two segments.
-SEPARATOR = "\x1e"
 
 # AdamW moment decay rates and denominator epsilon.
 BETA1 = 0.9
@@ -84,8 +77,7 @@ class FeaturizerConfig:
         # The n-gram -> index memo filled by `featurize_texts`. It lives on
         # this object, which a run, or one sweep or compare command, builds
         # once, so it starts cold; it is no field, so equality, hashing and
-        # checkpoint metadata ignore it. Segments are not memoized: each call
-        # splits its own.
+        # checkpoint metadata ignore it.
         object.__setattr__(self, "_tokens", _Tokens(self.dim, self.hash_seed))
         object.__setattr__(self, "_bigrams", _Bigrams(self._tokens))
 
@@ -98,20 +90,16 @@ class FeatureVector:
     values: np.ndarray
 
 
-# Texts deduplicated per sort in `featurize_texts`. Chunks of 64 to 256 texts
-# featurize a split equally fast; larger ones raise peak memory (on the
-# default sweep, max RSS was ≈1 MB over the per-text featurizer's at 64 and
-# ≈3-4 MB at 256).
-CHUNK_TEXTS = 64
+# Texts split, looked up and counted together in `featurize_texts`. Each
+# chunk's new n-grams go into the memo with one table insert, so smaller
+# chunks featurize slower cold (a default sweep's 14,400 texts took 0.05-0.15
+# s longer at 64 texts than at 256); larger ones raise a call's peak memory
+# (traced over a default 2,000-text train split: ≈3.2 MB at 64 to 256 texts,
+# 3.6 MB at 320 and 4.5 MB at 512).
+CHUNK_TEXTS = 256
 
 # A bigram's memo key packs its two token ids into one int64.
 _ID_BITS = 32
-
-# A call's distinct segments are split and looked up this many at a time: a
-# sweep's training calls bring thousands, and splitting all of them at once
-# would hold their ≈150 K word strings together (the small-object allocator
-# keeps the arenas it grew for them).
-SEGMENT_BATCH = 1024
 
 
 class _Table:
@@ -233,37 +221,6 @@ class _Bigrams(_Table):
         )
 
 
-def _segment_columns(
-    segments: list[str], tokens: _Tokens, bigrams: _Bigrams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The segments' token ids, in-segment bigram slots and offsets.
-
-    Segment s spans positions `at[s]` to `at[s + 1]` of two flat int32
-    columns: `ids` holds its token ids, and `slots` at a token's position the
-    slot of the bigram that token starts (at the segment's last token, no
-    bigram: -1). Token ids and slots number distinct strings held in memory,
-    far below 2**31. The segments are lowered, split and looked up
-    `SEGMENT_BATCH` at a time: each batch's new tokens are hashed together,
-    and its bigrams looked up in one table call.
-    """
-    ids, slots, lens = [], [], []
-    for lo in range(0, max(len(segments), 1), SEGMENT_BATCH):
-        split = [segment.lower().split() for segment in segments[lo : lo + SEGMENT_BATCH]]
-        n = np.fromiter(map(len, split), np.int64, len(split))
-        batch = tokens.ids(list(chain.from_iterable(split)))
-        del split
-        # a token starts a bigram unless it ends its segment
-        pairs = np.ones(batch.size, dtype=bool)
-        pairs[np.cumsum(n)[n > 0] - 1] = False
-        pair_slots = np.full(batch.size, -1, dtype=np.int32)
-        pair_slots[pairs] = bigrams.slots_of(((batch[:-1] << _ID_BITS) | batch[1:])[pairs[:-1]])
-        ids.append(batch.astype(np.int32))
-        slots.append(pair_slots)
-        lens.append(n)
-    at = np.concatenate(([0], np.cumsum(np.concatenate(lens))))
-    return np.concatenate(ids), np.concatenate(slots), at
-
-
 def _grown(array: np.ndarray, size: int) -> np.ndarray:
     """`array` if it has room for `size` entries, else a copy with room for a quarter more.
 
@@ -299,84 +256,40 @@ def _featurize_slots(
     Slots and counts are int32: a slot numbers a distinct index held in the
     memo and a count the n-grams of one chunk, both far below 2**31, and
     every use of a count as a float64 converts it exactly.
-
-    The call's distinct segments are numbered and each is lowered, split and
-    looked up once, into columns the call drops on return; then the bigrams
-    that span two segments are looked up in one table call, and each chunk of
-    texts is only laid out and counted.
     """
     tokens, bigrams = config._tokens, config._bigrams
-    # A text's tokens are its segments' tokens end to end: `str.split()` takes
-    # the separator for whitespace, and `str.lower()` reads no context across
-    # it (its final sigma looks past case-ignorable characters only, and the
-    # separator is neither cased nor case-ignorable).
-    per_text = np.fromiter((text.count(SEPARATOR) + 1 for text in texts), np.int64, len(texts))
-    # Each segment's first occurrence in the call, as an index into its
-    # segments, numbers the call's distinct segments densely in first-seen order.
-    parts = chain.from_iterable(text.split(SEPARATOR) for text in texts)
-    distinct: dict[str, int] = {}
-    first = np.fromiter(map(distinct.setdefault, parts, count()), np.int64, int(per_text.sum()))
-    _, seg = np.unique(first, return_inverse=True)
-    del first
-    columns = _segment_columns(list(distinct), tokens, bigrams)
-    ids, _, at = columns
-    del distinct
-
-    # Between two non-empty segments of one text, a bigram joins the first
-    # one's last token to the second one's first: `across[k]` is its slot,
-    # after the k-th segment of the call, or -1.
-    full = np.flatnonzero(at[seg + 1] > at[seg])
-    text = np.repeat(np.arange(per_text.size), per_text)[full]
-    link = text[1:] == text[:-1]
-    left, right = full[:-1][link], full[1:][link]
-    last = ids[at[seg[left] + 1] - 1].astype(np.int64)
-    keys = (last << _ID_BITS) | ids[at[seg[right]]]
-    across = np.full(seg.size, -1, dtype=np.int32)
-    across[left] = bigrams.slots_of(keys)
-
-    bounds = np.concatenate(([0], np.cumsum(per_text)))
-    chunks = []
-    for lo in range(0, max(len(texts), 1), CHUNK_TEXTS):
-        hi = min(lo + CHUNK_TEXTS, len(texts))
-        span = slice(bounds[lo], bounds[hi])
-        chunks.append(_featurize_chunk(per_text[lo:hi], seg[span], across[span], tokens, columns))
+    chunks = [
+        _featurize_chunk(texts[lo : lo + CHUNK_TEXTS], tokens, bigrams)
+        for lo in range(0, max(len(texts), 1), CHUNK_TEXTS)
+    ]
     if len(chunks) == 1:
         return chunks[0]
     return tuple(map(np.concatenate, zip(*chunks)))
 
 
 def _featurize_chunk(
-    per_text: np.ndarray,
-    seg: np.ndarray,
-    across: np.ndarray,
-    tokens: _Tokens,
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+    texts: Sequence[str], tokens: _Tokens, bigrams: _Bigrams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slots, counts and sizes of the texts made of `per_text[k]` segments each,
-    numbered `seg` in the call's segment `columns` and followed by the
-    cross-segment bigram slots `across`."""
-    seg_ids, seg_slots, seg_at = columns
-    seg_lens = seg_at[seg + 1] - seg_at[seg]
-    at = _ranges(seg_at[seg], seg_lens)
-    ids = seg_ids[at]
-    seg_ends = np.cumsum(seg_lens)
-    ends = seg_ends[np.cumsum(per_text) - 1]
-    lens = np.diff(ends, prepend=0)
-    # A token starts a bigram unless it ends its text. Inside a segment the
-    # columns have the bigram's slot, and at the end of a non-empty one `across`.
+    """Slots, counts and sizes of the texts: each is lowered and split, the
+    chunk's new tokens are hashed together, and its bigrams looked up in one
+    table call."""
+    split = [text.lower().split() for text in texts]
+    lens = np.fromiter(map(len, split), np.int64, len(split))
+    ids = tokens.ids(list(chain.from_iterable(split)))
+    del split
+    ends = np.cumsum(lens)
+    # a token starts a bigram unless it ends its text
     pairs = np.ones(ids.size, dtype=bool)
     pairs[ends[lens > 0] - 1] = False
-    pair_slots = seg_slots[at]
-    full = seg_lens > 0
-    pair_slots[seg_ends[full] - 1] = across[full]
+    pair_slots = bigrams.slots_of(((ids[:-1] << _ID_BITS) | ids[1:])[pairs[:-1]])
 
     # lay each text out as its unigrams' slots, then its bigrams'
     blens = np.maximum(lens - 1, 0)
     seq = np.empty(ids.size + int(blens.sum()), dtype=np.int32)
     unigram_at = np.arange(ids.size) + np.repeat(np.cumsum(blens) - blens, lens)
     seq[unigram_at] = tokens.unigram_slots[ids]
-    seq[np.arange(seq.size - ids.size) + np.repeat(ends, blens)] = pair_slots[pairs]
-    rows = np.repeat(np.arange(per_text.size), lens + blens)
+    seq[np.arange(seq.size - ids.size) + np.repeat(ends, blens)] = pair_slots
+    rows = np.repeat(np.arange(lens.size), lens + blens)
 
     # Sorted (slot, position) keys put each text's repeats of a slot next to
     # each other, earliest first; the count goes to the earliest position.
@@ -394,7 +307,7 @@ def _featurize_chunk(
     counts = np.zeros(n, dtype=np.int32)
     counts[pos[starts[:-1]]] = starts[1:] - starts[:-1]
     keep = counts > 0
-    return seq[keep], counts[keep], np.bincount(rows[keep], minlength=per_text.size)
+    return seq[keep], counts[keep], np.bincount(rows[keep], minlength=lens.size)
 
 
 def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:

@@ -275,6 +275,17 @@ def test_ingest_infinite_index_names_line(tmp_path):
         ingest_records(path, "medmcqa", "medmcqa", "train")
 
 
+@pytest.mark.parametrize("cop", [-2, -5, 4, 1.7, 1.0, True, False, "1", None])
+def test_ingest_medmcqa_rejects_a_bad_answer_index(tmp_path, cop):
+    # at -2 and -5 the index wrapped, at 1.7 and 1.0 it truncated, and a bool
+    # or a digit string read as a number, each to a silently chosen gold
+    path = tmp_path / "src.jsonl"
+    rec = {"question": "Pick.", "opa": "w", "opb": "x", "opc": "y", "opd": "z", "cop": cop}
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=r"src\.jsonl:1: not a medmcqa record \(cop "):
+        ingest_records(path, "medmcqa", "medmcqa", "train")
+
+
 def test_load_splits_lines_at_newlines_only(tmp_path):
     # json.dumps(..., ensure_ascii=False) writes U+2028 and U+0085 raw
     first = QAInstance("q0", "one\u2028two\x85three", {"a": "x", "b": "y"}, "a")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from privqa.contexts import ContextView, ParsedContext, SpecificContext
 from privqa.corpus import MAX_CHOICES, AugmentedInstance, QAInstance
 from privqa.harness import (
+    SEPARATOR,
     ExperimentConfig,
     assemble_input,
     build_inputs,
@@ -27,8 +29,6 @@ from privqa.harness import (
 from privqa.scorer import (
     CHUNK_TEXTS,
     NGRAM_ORDERS,
-    SEGMENT_BATCH,
-    SEPARATOR,
     FeaturizerConfig,
     ScorerError,
     ScorerModel,
@@ -207,29 +207,31 @@ WORDS = ["a", "A", "b", "ab", "Straße", "ΣΑΣ", "é", "İ", "日本", "tok1",
 @given(
     seed=st.integers(0, 2**16),
     extra=st.integers(1, 300),
-    first=st.integers(1, 300),
+    first=st.integers(1, CHUNK_TEXTS - 1),
     dim=DIMS,
     hash_seed=st.integers(0, 2**16),
 )
 @example(seed=0, extra=1, first=1, dim=3, hash_seed=17)
 def test_featurize_texts_over_calls_equals_reference(seed, extra, first, dim, hash_seed):
-    # Text k holds segment k, new, and up to three segments from anywhere, so
-    # the first call brings more new segments than one look-up batch, and
-    # segments recur across batch edges and calls.
+    # Text k brings word w{k}, new, among words of the half chunk before it
+    # and of texts anywhere, joined by spaces and separators. The first call
+    # spans two chunk edges, so new words and bigrams recur across chunk
+    # edges, and the second call, in reverse, brings words the first saw.
     rng = random.Random(seed)
-    segments = [
-        " ".join([f"s{k}", *rng.choices(WORDS, k=rng.randrange(4))])
-        for k in range(SEGMENT_BATCH + extra)
-    ] + ["", " "]
-    texts = [
-        SEPARATOR.join([segments[k], *rng.choices(segments, k=rng.randrange(4))])
-        for k in range(SEGMENT_BATCH + extra)
-    ]
+    n = 3 * CHUNK_TEXTS + extra
+    words = [f"w{k}" for k in range(n)]
+    texts = []
+    for k in range(n):
+        pool = words[max(k - CHUNK_TEXTS // 2, 0) : k] + rng.choices(words, k=2) + WORDS
+        parts = [words[k], *rng.choices(pool, k=rng.randrange(8))]
+        rng.shuffle(parts)
+        glue = rng.choices([" ", "  ", SEPARATOR, f" {SEPARATOR} ", SEPARATOR * 2], k=len(parts))
+        texts.append("".join(chain.from_iterable(zip(parts, glue))))
     reference = FeaturizerConfig(dim, hash_seed)
     expected = [
         (i.tobytes(), v.tobytes()) for i, v in (reference_featurize(t, reference) for t in texts)
     ]
-    cut = SEGMENT_BATCH + min(first, extra)
+    cut = 2 * CHUNK_TEXTS + first
     warm = FeaturizerConfig(dim, hash_seed)
     assert feature_rows(featurize_texts(texts[:cut], warm)) == expected[:cut]
     assert feature_rows(featurize_texts(texts[cut:][::-1], warm)) == expected[cut:][::-1]
@@ -322,7 +324,7 @@ def test_featurizing_keeps_few_bytes_per_segment():
     # many short segments over few n-grams: a command-long segment memo of
     # two hashes, a check column and token columns kept 71 bytes a segment
     # (the config as a whole, over that count); the n-gram memo alone keeps
-    # under 5, since each call drops its segment columns
+    # under 5, since no call keeps anything per segment
     rng = random.Random(3)
     vocab = [f"w{k}" for k in range(40)]
     texts = [
@@ -338,6 +340,27 @@ def test_featurizing_keeps_few_bytes_per_segment():
         tracemalloc.stop()
     assert len(segments) > 15000
     assert held / len(segments) < 10
+
+
+def test_one_featurizing_call_peaks_low():
+    # Traced peak of one call over a default train split's 2,000 choice texts
+    # on a fresh config. It read 4.06 MB when a call split all of its distinct
+    # segments into columns before counting, and 3.20 MB chunk by chunk at
+    # 256 texts; chunks of 320 texts read 3.64 MB.
+    spec = SyntheticSpec(seed=0)
+    corpus = build_corpus(spec)
+    train_aug = SyntheticContextProvider(spec).provide(corpus["train"], 0.25, 0)[0]
+    config = ExperimentConfig(ratio=0.25)
+    items = build_inputs(train_aug, config.regime, config.context_view())
+    texts = [text for item in items for text in item.texts]
+    tracemalloc.start()
+    try:
+        _featurize_slots(texts, FeaturizerConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(texts) == 2000
+    assert peak < 3.5e6
 
 
 def test_featurize_empty():
