@@ -185,12 +185,65 @@ def parse_generation(text: str, labels: tuple[str, ...] | list[str]) -> ParsedCo
     )
 
 
+def _unwritable_field(ctx: ParsedContext, labels: tuple[str, ...] | list[str]) -> str | None:
+    """The first field of `ctx` that would not parse back as written, or None.
+
+    Labels must be distinct lower-case ASCII letters with one block each, and
+    the decision must name only them. No line of a field after its first may
+    open a choice block. The overall context must be stripped, and each
+    block's text must split back into the same knowledge and relation.
+    """
+    for label in labels:
+        if not (len(label) == 1 and "a" <= label <= "z"):
+            return f"label {label!r}"
+    if len(set(labels)) != len(labels) or ctx.specific.keys() != set(labels):
+        return "choice blocks"
+    if not ctx.decision <= ctx.specific.keys():
+        return "decision"
+    if ctx.overall != ctx.overall.strip() or _opens_block(ctx.overall):
+        return "overall"
+    for label in labels:
+        block = ctx.specific[label]
+        if not _splits_back(block.knowledge, block.relation, block.text()):
+            return f"choice ({label})"
+    return None
+
+
+def _opens_block(text: str) -> bool:
+    """A line of `text` after its first opens a choice block."""
+    return "\n" in text and any(_BLOCK_OPEN.match(line) for line in text.split("\n")[1:])
+
+
+def _splits_back(knowledge: str, relation: str, text: str) -> bool:
+    """`_split_block(text)` gives back this knowledge and relation (`text` joins them).
+
+    It reads the split off `_LAST_GAP` instead of building the split block,
+    which halves the check's cost: the synthetic oracle serializes every
+    context it writes.
+    """
+    if text != text.strip() or _opens_block(text):
+        return False
+    gap = _LAST_GAP.match(text)
+    if gap is not None:
+        return gap.start(1) == len(knowledge) and gap.end(1) == len(text) - len(relation)
+    if text.startswith(_RELATION_PREFIXES):
+        return not knowledge
+    return not relation
+
+
 def serialize_context(ctx: ParsedContext, labels: tuple[str, ...] | list[str]) -> str:
-    """Render a context back into the canonical generation layout."""
+    """Render a context back into the canonical generation layout.
+
+    `parse_generation` of the result gives `ctx` back; a field that would
+    not raises `FormatError` naming it, so no text in a context can change
+    a prompt's structure.
+    """
+    field_name = _unwritable_field(ctx, labels)
+    if field_name is not None:
+        raise FormatError(f"context {field_name} would not parse back as written")
     lines = [f"{CONTEXT_HEAD} {ctx.overall}".rstrip()]
     for label in labels:
-        block = ctx.specific.get(label, SpecificContext("", ""))
-        lines.append(f"({label}): {block.text()}".rstrip())
+        lines.append(f"({label}): {ctx.specific[label].text()}".rstrip())
     if ctx.decision:
         joined = " or ".join(f"({label})" for label in sorted(ctx.decision))
     else:

@@ -9,29 +9,29 @@ transient failures, waiting at least as long as a `Retry-After` asks, and
 bounded by a concurrency limit. Decoding is fixed:
 greedy, at most `DEFAULT_MAX_TOKENS`, stopped at the prompt's block
 separator. A completion cut off at that limit is an error, never a cached
-success. A batch sends each key once, as an ordered map over
-`Gateway.complete` on up to twice that many threads (a request that is
-backing off holds a thread but no slot), and writes its cache lines in
-request order, so the cache file never depends on which call finished first.
+success. A stream resolves a lazy iterable of requests in order, sending
+each key once: up to twice as many worker threads as send slots pull the
+requests (building each as they pull it) and call `Gateway.complete` (a
+request that is backing off holds a thread but no slot). The records come
+back and the cache lines are written in request order, so the cache file
+never depends on which call finished first. A failed request does not stop
+the stream: every other request is still sent and cached before the first
+failure is raised, so a rerun pays only for what failed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
+from privqa._digest import sha256
 from privqa.errors import PrivqaError
 from privqa.promptkit import STOP_SEQUENCE, PromptText
-
-log = logging.getLogger(__name__)
 
 PROMPT_STYLE = "single-user-message"
 TEMPERATURE = 0.0
@@ -91,7 +91,7 @@ def cache_key(request: GenerationRequest) -> str:
         sort_keys=True,
         ensure_ascii=False,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _request_summary(request: GenerationRequest) -> dict:
@@ -243,10 +243,13 @@ class Gateway:
     wait and share the result, or the failure. A request that starts after that call
     failed goes upstream again.
 
-    `complete_all` resolves a batch: each key's first request goes through
-    `complete` on up to `2 * max_in_flight` threads, so another request can
-    take the slot of one that is backing off; repeats follow in order on the
-    calling thread, and the cache lines land in request order.
+    `stream` resolves a lazy iterable of requests in order: worker threads,
+    up to `2 * max_in_flight` of them, pull each request as they get to it
+    and send each key's first request through `complete`, so another request
+    can take the slot of one that is backing off; repeats follow in order on
+    the calling thread, and the cache lines land in request order. A failure
+    is raised only after every other request has been sent and cached.
+    `complete_all` is the stream of a whole batch, as a list.
 
     `clock` is accepted and ignored: cache lines carry no timestamp.
     """
@@ -304,12 +307,15 @@ class Gateway:
                         retries=int(rec.get("retries", 0)),
                     )
                 except (KeyError, TypeError, ValueError, OverflowError):
-                    log.warning("skipping corrupt cache line %s:%d", self.cache_path, lineno)
+                    import logging  # loaded only when there is something to warn about
+
+                    logging.getLogger(__name__).warning(
+                        "skipping corrupt cache line %s:%d", self.cache_path, lineno
+                    )
                     continue
                 self._cache[record.cache_key] = record
 
-    def _append(self, record: GenerationRecord, request: GenerationRequest) -> None:
-        line = _cache_line(record, request)
+    def _append(self, line: str) -> None:
         with self._lock:
             self.cache_path.parent.mkdir(parents=True, exist_ok=True)
             with self.cache_path.open("a", encoding="utf-8") as fh:
@@ -319,7 +325,7 @@ class Gateway:
         with self._lock:
             self._cache[record.cache_key] = record
         if persist:
-            self._append(record, request)
+            self._append(_cache_line(record, request))
 
     def complete(
         self, request: GenerationRequest, mode: str, *, persist: bool = True
@@ -374,53 +380,43 @@ class Gateway:
             with self._lock:
                 self._inflight.pop(key).set()
 
+    def stream(
+        self, requests: Iterable[GenerationRequest], mode: str
+    ) -> Iterator[GenerationRecord]:
+        """Resolve a lazy iterable of requests; the records come back in request order.
+
+        Requests are pulled one at a time, on the calling thread until the
+        first live cache miss, then by up to `2 * max_in_flight` worker
+        threads, each pulling (and so building) its next request as it
+        finishes the last. The semaphore alone bounds concurrent sends; the
+        spare thread per slot sends while a request sleeps out a 429/5xx
+        backoff or a `Retry-After`, which would otherwise idle its slot. At
+        most `2 * max_in_flight` requests are pulled but unresolved at once.
+        Each key is sent once: the first request of a key passes through
+        `complete`, and a repeat is resolved on the calling thread after its
+        first, so it gets a cache hit, or tries again if that request failed.
+        Every record that did not come from the cache gets its cache line,
+        in request order, as it is yielded. A failure, in a request or in
+        building one, is not raised at once: every remaining request is
+        still resolved and cached, then the first failure in request order
+        is raised. Closing the stream early stops the pulling, waits for the
+        requests in flight and writes the lines of every request that
+        resolved. No worker thread outlives the stream.
+        """
+        if mode not in MODES:
+            raise GatewayError(f"unknown mode {mode!r}; expected one of {MODES}")
+        return iter(_Stream(self, requests, mode))
+
     def complete_all(
         self, requests: Sequence[GenerationRequest], mode: str
     ) -> list[GenerationRecord]:
-        """Resolve a batch of requests; the records come back in request order.
+        """Resolve a batch of requests as one `stream`; the records come back in request order.
 
-        Each key is sent once: the first request of every key passes through
-        `complete`, on a pool of at most `2 * max_in_flight` threads when a
-        live batch has a cache miss, else on the calling thread. The
-        semaphore alone bounds concurrent sends; the spare thread per slot
-        sends while a request sleeps out a 429/5xx backoff or a
-        `Retry-After`, which would otherwise idle its slot. The requests are
-        then walked in order, and a repeat calls `complete` only after its
-        first request has resolved, so it gets a cache hit, or tries again if
-        that request failed. Every record that did not come from the cache
-        gets its cache line, in request order. Every request is tried: the
-        records that did resolve are kept, then the first failure in request
-        order is raised. No pool thread outlives the call.
+        Every request is tried: when one fails, the others are still sent and
+        cached, then the first failure in request order is raised, so a rerun
+        pays only for what failed.
         """
-
-        def resolve(request: GenerationRequest) -> GenerationRecord | Exception:
-            try:
-                return self.complete(request, mode, persist=False)
-            except Exception as exc:  # raised below, in request order
-                return exc
-
-        keys = [cache_key(request) for request in requests]
-        first: dict[str, int] = {}  # key -> position of its first request
-        for i, key in enumerate(keys):
-            first.setdefault(key, i)
-        with self._lock:
-            live = mode == "live" and not first.keys() <= self._cache.keys()
-        pool = ThreadPoolExecutor(min(2 * self.max_in_flight, len(first))) if live else None
-        results: list[GenerationRecord | Exception] = []
-        try:
-            firsts = (pool.map if pool else map)(resolve, [requests[i] for i in first.values()])
-            for i, (key, request) in enumerate(zip(keys, requests)):
-                outcome = next(firsts) if first[key] == i else resolve(request)
-                if isinstance(outcome, GenerationRecord) and outcome.source != "replay":
-                    self._append(outcome, request)
-                results.append(outcome)
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
-        for outcome in results:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return results
+        return list(self.stream(requests, mode))
 
     def _call_upstream(self, request: GenerationRequest, key: str) -> GenerationRecord:
         payload = _chat_payload(request)
@@ -438,6 +434,12 @@ class Gateway:
             except TransportError as exc:
                 last_error = str(exc)
                 continue
+            finally:
+                # A request waiting for the slot just freed needs the
+                # interpreter lock to send; a zero sleep gives it up, so that
+                # request sends before this thread reads its reply and builds
+                # its next request (else the slot idles meanwhile).
+                time.sleep(0)
             if reply.status == 429 or reply.status >= 500:
                 last_error = f"upstream status {reply.status}"
                 if reply.status in (429, 503) and reply.retry_after is not None:
@@ -463,3 +465,148 @@ class Gateway:
         raise GatewayError(
             f"giving up after {DEFAULT_MAX_ATTEMPTS} attempts for key {key}: {last_error}"
         )
+
+
+class _Stream:
+    """One `Gateway.stream`: requests pulled in order, outcomes posted by position.
+
+    An outcome is a resolved `(record, cache line or None)`, an exception, or,
+    for a repeated key, the request itself, which the consumer resolves.
+    """
+
+    def __init__(self, gateway: Gateway, requests: Iterable[GenerationRequest], mode: str):
+        self.gateway = gateway
+        self.mode = mode
+        self.width = 2 * gateway.max_in_flight
+        self.requests = iter(requests)
+        self.pull_lock = threading.Lock()  # guards the requests, `pulled`, `done` and `keys`
+        self.pulled = 0
+        self.done = False
+        self.keys: set[str] = set()
+        self.cond = threading.Condition()  # guards the rest
+        self.posted: dict[int, object] = {}
+        self.open = 0  # pulled by a worker and not yet resolved
+        self.closing = False
+        self.workers: list[threading.Thread] = []
+
+    def pull(self) -> tuple[int, GenerationRequest | Exception, str, bool] | None:
+        """The next position, its request, key, and whether the key came before.
+
+        None once the requests are exhausted or the stream is closing. A
+        request that fails to build takes its position as the exception, and
+        ends the requests.
+        """
+        with self.pull_lock:
+            if self.done or self.closing:
+                return None
+            pos = self.pulled
+            try:
+                request = next(self.requests)
+            except StopIteration:
+                self.done = True
+                return None
+            except Exception as exc:
+                self.pulled += 1
+                self.done = True
+                return pos, exc, "", False
+            self.pulled += 1
+            key = cache_key(request)
+            repeat = key in self.keys
+            self.keys.add(key)
+            return pos, request, key, repeat
+
+    def resolve(self, request: GenerationRequest) -> tuple[GenerationRecord, str | None] | Exception:
+        try:
+            record = self.gateway.complete(request, self.mode, persist=False)
+        except Exception as exc:  # raised by the consumer, in request order
+            return exc
+        return record, None if record.source == "replay" else _cache_line(record, request)
+
+    def work(self, item: tuple | None) -> None:
+        """Resolve and post `item`, then pull and resolve until the requests run out."""
+        while True:
+            if item is not None:
+                pos, request, _, repeat = item
+                if repeat:  # left to the consumer, and still open
+                    outcome = request
+                else:
+                    outcome = request if isinstance(request, Exception) else self.resolve(request)
+                with self.cond:
+                    self.posted[pos] = outcome
+                    if not repeat:
+                        self.open -= 1
+                    self.cond.notify_all()
+            with self.cond:
+                while self.open >= self.width and not self.closing:
+                    self.cond.wait()
+                if self.closing:
+                    return
+                self.open += 1
+            item = self.pull()
+            if item is None:
+                with self.cond:
+                    self.open -= 1
+                    self.cond.notify_all()
+                return
+
+    def take(self, pos: int) -> tuple[GenerationRecord, str | None] | Exception | None:
+        """The resolved outcome at `pos`; None past the last request."""
+        if not self.workers:
+            item = self.pull()
+            if item is None:
+                return None
+            _, request, key, repeat = item
+            if isinstance(request, Exception):
+                return request
+            with self.gateway._lock:
+                hit = key in self.gateway._cache
+            if repeat or hit or self.mode != "live":
+                return self.resolve(request)
+            self.open = 1
+            self.workers = [
+                threading.Thread(target=self.work, args=(item if i == 0 else None,))
+                for i in range(self.width)
+            ]
+            for worker in self.workers:
+                worker.start()
+        with self.cond:
+            while pos not in self.posted and not (self.done and pos >= self.pulled):
+                self.cond.wait()
+            outcome = self.posted.pop(pos, None)
+        if isinstance(outcome, GenerationRequest):  # a repeat, after its first
+            outcome = self.resolve(outcome)
+            with self.cond:
+                self.open -= 1
+                self.cond.notify_all()
+        return outcome
+
+    def close(self) -> None:
+        """Stop pulling, wait for the workers, and cache what resolved but was not taken."""
+        with self.cond:
+            self.closing = True
+            self.cond.notify_all()
+        for worker in self.workers:
+            worker.join()
+        for pos in sorted(self.posted):
+            outcome = self.posted.pop(pos)
+            if isinstance(outcome, tuple) and outcome[1] is not None:
+                self.gateway._append(outcome[1])
+
+    def __iter__(self) -> Iterator[GenerationRecord]:
+        failure: Exception | None = None
+        pos = 0
+        try:
+            while (outcome := self.take(pos)) is not None:
+                pos += 1
+                if isinstance(outcome, Exception):
+                    failure = failure or outcome
+                    continue
+                record, line = outcome
+                if line is not None:
+                    self.gateway._append(line)
+                if failure is None:
+                    yield record
+        finally:
+            self.close()
+        if failure is not None:
+            raise failure

@@ -18,13 +18,16 @@ Regimes:
 
 from __future__ import annotations
 
-import hashlib
 import json
+from collections import ChainMap
+from contextlib import closing
 from dataclasses import asdict, dataclass, replace
+from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from privqa import __version__
+from privqa._digest import sha256
 from privqa.contexts import (
     CONTEXT_HEAD,
     ContextView,
@@ -162,7 +165,7 @@ class ExperimentConfig(TrainConfig):
 
 def config_digest(config: ExperimentConfig) -> str:
     payload = json.dumps(asdict(config), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +324,15 @@ def augment_completion(
     return AugmentedInstance(instance=instance, context=parsed, generation_id=generation_id)
 
 
+def _parsed(
+    completions: Iterator[tuple[str, str]], instances: Iterable[QAInstance]
+) -> Iterator[AugmentedInstance]:
+    """Each completion parsed into its instance's context; closing this closes `completions`."""
+    with closing(completions):
+        for pair, inst in zip(completions, instances):
+            yield augment_completion(inst, *pair)
+
+
 class ContextProvider:
     """Materializes contexts: keyword map, one completion per instance, parse.
 
@@ -331,12 +343,15 @@ class ContextProvider:
 
     def completions(
         self,
-        instances: Sequence[QAInstance],
-        kmap: dict[str, KeywordSet],
+        instances: Iterable[QAInstance],
+        kmap: Mapping[str, KeywordSet],
         memo: CommandMemo | None = None,
-    ) -> list[tuple[str, str]]:
-        """(completion text, generation id) per instance, in input order.
+    ) -> Iterator[tuple[str, str]]:
+        """A generator of (completion text, generation id) per instance, in input order.
 
+        `instances` may be lazy: an instance's keywords are in `kmap` from
+        the moment it is pulled until the next one is, so the hook reads
+        them as it pulls it. Closing the generator releases what it holds.
         A provider may keep ratio-free work in the command's `memo`.
         """
         raise NotImplementedError
@@ -361,8 +376,34 @@ class ContextProvider:
         for inst in instances:
             if inst.id not in kmap:
                 raise HarnessError(f"no keywords for instance {inst.id!r}")
-        pairs = self.completions(instances, kmap, memo)
-        return [augment_completion(inst, *pair) for inst, pair in zip(instances, pairs)]
+        return list(_parsed(self.completions(instances, kmap, memo), instances))
+
+    def stream(
+        self,
+        datasets: Sequence[Dataset],
+        ratio: float,
+        seed: int,
+        method: str = METHOD_NER,
+        memo: CommandMemo | None = None,
+        kmaps: list[dict[str, KeywordSet]] | None = None,
+    ) -> Iterator[AugmentedInstance]:
+        """The augmented instances of `datasets`, in order, from one `completions` call.
+
+        A dataset's keyword map is built when the completions reach its
+        first instance, and appended to `kmaps`. Closing the stream closes
+        the completions.
+        """
+        kmap: ChainMap[str, KeywordSet] = ChainMap({})
+
+        def instances() -> Iterator[QAInstance]:
+            for dataset in datasets:
+                kmap.maps[0] = self.keyword_map(dataset, ratio, seed, method, memo)
+                if kmaps is not None:
+                    kmaps.append(kmap.maps[0])
+                yield from dataset.instances
+
+        completions = self.completions(instances(), kmap, memo)
+        return _parsed(completions, chain.from_iterable(ds.instances for ds in datasets))
 
     def provide(
         self,
@@ -373,8 +414,9 @@ class ContextProvider:
         memo: CommandMemo | None = None,
     ) -> tuple[list[AugmentedInstance], dict[str, KeywordSet]]:
         """The augmented instances and the keyword map their prompts disclosed."""
-        kmap = self.keyword_map(dataset, ratio, seed, method, memo)
-        return self.augment_all(dataset.instances, kmap, memo), kmap
+        kmaps: list[dict[str, KeywordSet]] = []
+        augmented = list(self.stream([dataset], ratio, seed, method, memo, kmaps))
+        return augmented, kmaps[0]
 
 
 class PipelineProvider(ContextProvider):
@@ -401,15 +443,17 @@ class PipelineProvider(ContextProvider):
 
     def completions(
         self,
-        instances: Sequence[QAInstance],
-        kmap: dict[str, KeywordSet],
+        instances: Iterable[QAInstance],
+        kmap: Mapping[str, KeywordSet],
         memo: CommandMemo | None = None,
-    ) -> list[tuple[str, str]]:
-        """Build every prompt, then complete all of them in one gateway batch.
+    ) -> Iterator[tuple[str, str]]:
+        """Complete every instance's prompt through one gateway stream.
 
-        Every prompt depends on its keywords, so nothing goes into `memo`.
+        The gateway's workers pull the instances, so each prompt is built
+        on the thread that sends it, and only then. Every prompt depends on
+        its keywords, so nothing goes into `memo`.
         """
-        requests = [
+        requests = (
             GenerationRequest(
                 model_id=self.model_id,
                 prompt=build_prompt(
@@ -417,9 +461,10 @@ class PipelineProvider(ContextProvider):
                 ),
             )
             for inst in instances
-        ]
-        records = self.gateway.complete_all(requests, self.mode)
-        return [(record.completion, record.cache_key) for record in records]
+        )
+        with closing(self.gateway.stream(requests, self.mode)) as records:
+            for record in records:
+                yield record.completion, record.cache_key
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +500,7 @@ def _file_digest(path: str | Path) -> str:
     p = Path(path)
     if not str(path) or not p.exists():
         return ""
-    return hashlib.sha256(p.read_bytes()).hexdigest()
+    return sha256(p.read_bytes()).hexdigest()
 
 
 def provenance(config: ExperimentConfig) -> dict:
@@ -499,13 +544,18 @@ def _require_splits(datasets: dict[str, Dataset], *names: str) -> None:
 
 
 def _materialize(
-    config: ExperimentConfig, dataset: Dataset, provider, memo: CommandMemo
-) -> tuple[list[AugmentedInstance], dict[str, KeywordSet] | None]:
+    config: ExperimentConfig,
+    datasets: Sequence[Dataset],
+    provider,
+    memo: CommandMemo,
+    kmaps: list[dict[str, KeywordSet]],
+) -> Iterator[AugmentedInstance]:
+    """The augmented instances of `datasets`, in order, as one stream."""
     if config.regime == "SFT":
-        return [plain_augmented(inst) for inst in dataset.instances], None
+        return (plain_augmented(inst) for ds in datasets for inst in ds.instances)
     if provider is None:
         raise HarnessError(f"regime {config.regime} needs a context provider")
-    return provider.provide(dataset, config.ratio, config.seed, config.method, memo)
+    return provider.stream(datasets, config.ratio, config.seed, config.method, memo, kmaps)
 
 
 def train_scorer(
@@ -601,22 +651,33 @@ def _run(
 ) -> EvalReport:
     """Train on datasets' train/dev splits, predict `test`, and build the report.
 
-    Runs handed one `featurizer` (equal to their configs') and one command
-    `memo` hash each n-gram, extract each question and draw each instance's
-    keyword order and oracle draws once across them; by default the run
-    builds its own of each.
+    Train, dev and, when one provider serves all three, test contexts come
+    from one stream: the model trains while the test completions are still
+    being generated. Runs handed one `featurizer` (equal to their configs')
+    and one command `memo` hash each n-gram, extract each question and draw
+    each instance's keyword order and oracle draws once across them; by
+    default the run builds its own of each.
     """
     if memo is None:
         memo = CommandMemo()
-    train_aug, train_kmap = _materialize(config, datasets["train"], provider, memo)
-    dev_aug, _ = _materialize(config, datasets["dev"], provider, memo)
-    model, tlog = train_scorer(config, train_aug, dev_aug, featurizer)
-    test_aug, _ = _materialize(config, test, test_provider, memo)
+    train, dev = datasets["train"], datasets["dev"]
+    # SFT reads no provider, so its test split always joins the one stream
+    shared = test_provider is provider or config.regime == "SFT"
+    kmaps: list[dict[str, KeywordSet]] = []
+    splits = [train, dev, test] if shared else [train, dev]
+    with closing(_materialize(config, splits, provider, memo, kmaps)) as contexts:
+        train_aug = list(islice(contexts, len(train)))
+        dev_aug = list(islice(contexts, len(dev)))
+        model, tlog = train_scorer(config, train_aug, dev_aug, featurizer)
+        if shared:
+            test_aug = list(contexts)
+    if not shared:
+        test_aug, _ = test_provider.provide(test, config.ratio, config.seed, config.method, memo)
     sizes = {split: len(ds) for split, ds in sorted(datasets.items())}
     dataset = {"name": test.name, "split": test.split, "sizes": sizes}
     if transfer is not None:
         dataset["transfer"] = transfer
-    budget = _budget_section(datasets["train"], train_kmap)
+    budget = _budget_section(train, kmaps[0] if kmaps else None)
     ftcr = ftcr_admission(config, train_aug)
     return evaluate(model, config, test_aug, dataset, tlog=tlog, budget=budget, ftcr=ftcr)
 

@@ -10,7 +10,6 @@ extraction then only looks question n-grams up in it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import re
@@ -18,6 +17,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from privqa._digest import blake2b
 from privqa.corpus import Dataset, nfc
 from privqa.errors import PrivqaError, read_records, read_text, write_records
 
@@ -225,7 +225,7 @@ def check_ratio(ratio: float) -> None:
 
 def stable_seed(base: int, *parts: str) -> int:
     """Derive a per-item seed that is identical across runs and processes."""
-    digest = hashlib.blake2b(
+    digest = blake2b(
         ":".join([str(base), *parts]).encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little")

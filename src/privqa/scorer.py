@@ -28,7 +28,6 @@ full-dim.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -41,6 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from privqa._digest import blake2b
 from privqa.errors import PrivqaError
 
 # Featurization is fixed: these word n-gram orders, over text that `featurize`
@@ -157,7 +157,7 @@ class _Tokens(dict):
     def __init__(self, dim: int, hash_seed: int) -> None:
         super().__init__()
         self.dim = dim
-        self.keyed = hashlib.blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
+        self.keyed = blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
         self.words: list[str] = []  # token id -> token
         self.unigram_slots = np.empty(0, dtype=np.int32)  # token id -> slot
         self.slots = _Table()  # index -> slot

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Iterator, Mapping
 
 # parse_generation and subsample_keywords are not called here: the oracle's
 # keyword map and parse run through privqa.harness. They stay importable from
@@ -194,13 +194,12 @@ class SyntheticContextProvider(ContextProvider):
 
     def completions(
         self,
-        instances: Sequence[QAInstance],
-        kmap: dict[str, KeywordSet],
+        instances: Iterable[QAInstance],
+        kmap: Mapping[str, KeywordSet],
         memo: CommandMemo | None = None,
-    ) -> list[tuple[str, str]]:
-        return [
-            (self.completion_for(i, kmap[i.id], memo), f"synthetic:{i.id}") for i in instances
-        ]
+    ) -> Iterator[tuple[str, str]]:
+        for inst in instances:
+            yield self.completion_for(inst, kmap[inst.id], memo), f"synthetic:{inst.id}"
 
     def mock_completions(self, dataset: Dataset, ratio: float, seed: int) -> dict[str, str]:
         """Canned completions keyed by instance id, for gateway mock mode."""

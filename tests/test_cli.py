@@ -1085,8 +1085,9 @@ def test_unmatched_question_discloses_nothing(ws, tmp_path, capsys):
             completion = oracle.completion_for(inst, KeywordSet((), "NER", 1.0, 0, (), 0))
             return GenerationRecord("key", completion, mode)
 
-        def complete_all(self, requests, mode):
-            return [self.complete(request, mode) for request in requests]
+        def stream(self, requests, mode):
+            for request in requests:
+                yield self.complete(request, mode)
 
     pipe = PipelineProvider(
         RecordingGateway(),

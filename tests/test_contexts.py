@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -332,6 +333,68 @@ def test_round_trip_generator_shapes():
 
     collect()
     assert seen == {(False, True), (True, False), (True, True)}
+
+
+def test_serialize_refuses_an_overall_that_opens_a_block():
+    # written verbatim, this overall parsed back as "Heart.", with "injected"
+    # moved into choice (b)'s knowledge
+    blocks = {"a": SpecificContext("", ""), "b": SpecificContext("Fact.", "It is x.")}
+    ctx = ParsedContext(overall="Heart.\n(b): injected", specific=blocks, decision=frozenset())
+    with pytest.raises(FormatError, match=r"context overall would not parse back"):
+        serialize_context(ctx, ("a", "b"))
+    text = serialize_context(replace(ctx, overall="Heart. (b): injected"), ("a", "b"))
+    assert parse_generation(text, ("a", "b")).overall == "Heart. (b): injected"
+
+
+# The law over any context: the decision test's alphabet, plus pieces that
+# open a block or start a relation.
+FIELD = st.lists(
+    st.sampled_from([*LABEL_PIECES, ":", "(b): ", "\n(c):", "It is ", "Fact"]), max_size=6
+).map("".join)
+
+
+@st.composite
+def any_contexts(draw):
+    specific = {label: SpecificContext(draw(FIELD), draw(FIELD)) for label in LABELS4}
+    decision = frozenset(draw(st.lists(st.sampled_from(LABELS4), max_size=2, unique=True)))
+    return ParsedContext(overall=draw(FIELD), specific=specific, decision=decision)
+
+
+def test_serialize_round_trips_or_names_the_field():
+    outcomes = set()
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(any_contexts())
+    def law(ctx):
+        try:
+            text = serialize_context(ctx, LABELS4)
+        except FormatError as exc:
+            assert re.fullmatch(r"context (overall|choice \([a-d]\)) would not parse back "
+                                r"as written", str(exc))
+            outcomes.add("refused")
+            return
+        assert parse_generation(text, LABELS4) == ctx, text
+        outcomes.add("written")
+
+    law()
+    assert outcomes == {"refused", "written"}
+
+
+@pytest.mark.parametrize(
+    "labels, specific, decision, name",
+    [
+        (("a", "B"), {"a": SpecificContext("", ""), "B": SpecificContext("", "")}, "", "label 'B'"),
+        (("a", "b"), {"a": SpecificContext("", "")}, "", "choice blocks"),
+        (("a", "a"), {"a": SpecificContext("", "")}, "", "choice blocks"),
+        (("a",), {"a": SpecificContext("", "")}, "b", "decision"),
+        (("a",), {"a": SpecificContext("", " It is x.")}, "", r"choice \(a\)"),
+        (("a",), {"a": SpecificContext("Fact", "It is x.")}, "", r"choice \(a\)"),
+    ],
+)
+def test_serialize_names_the_field_that_would_not_parse_back(labels, specific, decision, name):
+    ctx = ParsedContext(overall="o.", specific=specific, decision=frozenset(decision))
+    with pytest.raises(FormatError, match=f"context {name} would not parse back"):
+        serialize_context(ctx, labels)
 
 
 # The parser as it was before the one-pass matches: every decision and

@@ -1,6 +1,8 @@
 import contextlib
 import json
+import random
 import socket
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -477,12 +479,11 @@ def test_complete_all_sends_while_a_request_backs_off(tmp_path):
 
 
 def test_complete_all_inline_without_live_misses(tmp_path, monkeypatch):
-    import privqa.gateway
+    def no_thread(*args, **kwargs):
+        raise AssertionError("no worker thread without live misses")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("no thread pool without live misses")
-
-    monkeypatch.setattr(privqa.gateway, "ThreadPoolExecutor", no_pool)
+    # the gateway starts its workers as `threading.Thread`
+    monkeypatch.setattr(gateway.threading, "Thread", no_thread)
     path = tmp_path / "cache.jsonl"
     requests = numbered_requests(4)
     mocks = {f"q{i}": f"canned {i}" for i in range(4)}
@@ -692,6 +693,190 @@ def test_complete_all_wide_batch_equals_serial(tmp_path_factory, picks, delays, 
     assert wide == serial
     assert wide[2] == len(set(picks))
 
+
+
+# ---------------------------------------------------------------------------
+# Streams: Gateway.stream over a lazy iterable of requests
+
+
+class Pulls:
+    """A lazy iterable of requests that counts pulls against resolved requests.
+
+    `resolved` is bumped by `counting_complete`; `most_open` keeps the peak
+    of pulled-but-unresolved requests, taken at each pull.
+    """
+
+    def __init__(self, requests):
+        self.requests = requests
+        self.lock = threading.Lock()
+        self.pulled = 0
+        self.resolved = 0
+        self.most_open = 0
+        self.threads = set()
+
+    def __iter__(self):
+        for request in self.requests:
+            with self.lock:
+                self.pulled += 1
+                self.most_open = max(self.most_open, self.pulled - self.resolved)
+            self.threads.add(threading.get_ident())
+            yield request
+
+
+def counting_complete(gw, pulls):
+    complete = gw.complete
+
+    def counted(request, mode, **kwargs):
+        try:
+            return complete(request, mode, **kwargs)
+        finally:
+            with pulls.lock:
+                pulls.resolved += 1
+
+    gw.complete = counted
+
+
+def test_stream_pulls_on_workers_and_keeps_request_order(tmp_path):
+    requests = numbered_requests(12)
+    pulls = Pulls(requests)
+    path = tmp_path / "cache.jsonl"
+    gw = Gateway(path, transport=MockTransport(Upstream()), max_in_flight=2)
+    threads = threading.active_count()
+    records = list(gw.stream(pulls, "live"))
+    assert [r.completion for r in records] == [f"answer {i}" for i in range(12)]
+    assert cache_keys_in(path) == [cache_key(r) for r in requests]
+    # the calling thread pulls the first request; workers pull the rest
+    assert len(pulls.threads) > 1
+    assert threading.active_count() == threads
+
+
+def test_stream_bounds_requests_pulled_but_unresolved(tmp_path):
+    # a slow consumer and many repeats: repeats wait for the consumer, and
+    # the workers stop pulling once twice the slots are open
+    prompts = numbered_requests(3)
+    requests = [prompts[i % 3] for i in range(30)]
+    pulls = Pulls(requests)
+    gw = Gateway(tmp_path / "cache.jsonl", transport=MockTransport(Upstream()), max_in_flight=2)
+    counting_complete(gw, pulls)
+    records = []
+    for record in gw.stream(pulls, "live"):
+        time.sleep(0.002)
+        records.append(record)
+    assert [r.completion for r in records] == [f"answer {i % 3}" for i in range(30)]
+    assert pulls.most_open == 2 * gw.max_in_flight
+    assert pulls.resolved == 30
+
+
+def test_stream_resends_a_repeat_pulled_while_its_first_failed(tmp_path):
+    # the repeat is pulled while its first request is still in flight; it
+    # waits for the consumer, and goes upstream again once the first failed
+    first_sent, repeat_pulled = threading.Event(), threading.Event()
+    replies = []
+
+    def upstream(payload):
+        first_sent.set()
+        if not replies:
+            assert repeat_pulled.wait(10)
+            replies.append("400")
+            return TransportReply(400, {"error": "bad"})
+        return ok("second try")
+
+    def requests():
+        yield REQUEST
+        assert first_sent.wait(10)
+        repeat_pulled.set()
+        yield REQUEST
+
+    transport = MockTransport(upstream)
+    gw = Gateway(tmp_path / "cache.jsonl", transport=transport, max_in_flight=1)
+    with pytest.raises(GatewayError, match="400"):
+        list(gw.stream(requests(), "live"))
+    assert transport.calls == 2
+    assert gw.complete(REQUEST, "replay").completion == "second try"
+    assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_stream_closed_early_caches_what_resolved(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    requests = numbered_requests(12)
+    closing = threading.Event()
+
+    def gated():
+        for i, request in enumerate(requests):
+            if i == 6:  # the rest are pulled only once the consumer closes
+                assert closing.wait(10)
+            yield request
+
+    pulls = Pulls(gated())
+    gw = Gateway(path, transport=MockTransport(Upstream()), max_in_flight=2)
+    threads = threading.active_count()
+    stream = gw.stream(pulls, "live")
+    assert [next(stream).completion for _ in range(2)] == ["answer 0", "answer 1"]
+    closing.set()
+    stream.close()
+    assert threading.active_count() == threads
+    # the pulling stopped; every request pulled was resolved, and its line
+    # written, in request order
+    assert 2 <= pulls.pulled <= 7
+    assert cache_keys_in(path) == [cache_key(r) for r in requests[: pulls.pulled]]
+    rerun = MockTransport(Upstream())
+    records = Gateway(path, transport=rerun, max_in_flight=2).complete_all(requests, "live")
+    assert rerun.calls == 12 - pulls.pulled
+    assert [r.completion for r in records] == [f"answer {i}" for i in range(12)]
+
+
+def test_stream_raises_failures_in_request_order(tmp_path):
+    # a failed send before a request that fails to build: the send's failure
+    # is raised, after every other request was sent and cached
+    path = tmp_path / "cache.jsonl"
+    requests = numbered_requests(6)
+
+    def build():
+        yield from requests
+        raise ValueError("prompt 6 failed to build")
+
+    gw = Gateway(path, transport=MockTransport(Upstream(fail={2})), max_in_flight=2)
+    taken = []
+    with pytest.raises(GatewayError, match="bad p2"):
+        for record in gw.stream(build(), "live"):
+            taken.append(record.completion)
+    assert taken == ["answer 0", "answer 1"]
+    assert cache_keys_in(path) == [cache_key(requests[i]) for i in (0, 1, 3, 4, 5)]
+    # alone, the build failure is raised after the requests before it
+    gw = Gateway(tmp_path / "other.jsonl", transport=MockTransport(Upstream()), max_in_flight=2)
+    with pytest.raises(ValueError, match="failed to build"):
+        for record in gw.stream(build(), "live"):
+            taken.append(record.completion)
+    assert taken[2:] == [f"answer {i}" for i in range(6)]
+
+
+def test_stream_stress_with_a_short_switch_interval(tmp_path):
+    # more workers than cores, switching threads every few bytecodes: a lost
+    # update to the stream's counters or positions breaks one of these
+    prompts = numbered_requests(20)
+    rng = random.Random(7)
+    requests = [prompts[rng.randrange(20)] for _ in range(120)]
+    pulls = Pulls(requests)
+    path = tmp_path / "cache.jsonl"
+    upstream = Upstream(delays=(0.0, 0.001, 0.002, 0.0005))
+    transport = MockTransport(upstream)
+    gw = Gateway(path, transport=transport, max_in_flight=4)
+    counting_complete(gw, pulls)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = list(gw.stream(pulls, "live"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    want = [f"answer {r.prompt.text.split(chr(10))[0][1:]}" for r in requests]
+    assert [r.completion for r in records] == want
+    firsts = list(dict.fromkeys(cache_key(r) for r in requests))
+    assert transport.calls == len(firsts)
+    assert cache_keys_in(path) == firsts
+    assert pulls.resolved == len(requests)
+    assert pulls.most_open <= 2 * gw.max_in_flight
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import threading
 import time
 from dataclasses import replace
 
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 import privqa.harness as harness
 from privqa.contexts import ContextView, ParsedContext, SpecificContext, ftcr_admit
 from privqa.corpus import LABELS, AugmentedInstance, QAInstance
-from privqa.gateway import Gateway, MockTransport, TransportReply
+from privqa.gateway import (
+    Gateway,
+    GatewayError,
+    GenerationRequest,
+    MockTransport,
+    TransportReply,
+    cache_key,
+)
 from privqa.harness import (
     ExperimentConfig,
     HarnessError,
@@ -41,8 +49,9 @@ from privqa.keywords import (
     stable_seed,
     subsample_keywords,
 )
-from privqa.promptkit import render_block
+from privqa.promptkit import build_prompt, render_block
 from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus, gazetteer_tokens
+from tests.test_gateway import cache_keys_in
 from tests.test_scorer import make_augmented
 
 SPEC = SyntheticSpec(seed=5, train_size=60, dev_size=24, test_size=24)
@@ -324,6 +333,114 @@ def test_pipeline_augment_all_needs_every_keyword_set(tmp_path, corpus, provider
     assert not (tmp_path / "cache.jsonl").exists()
 
 
+class OracleUpstream:
+    """Live upstream for a whole corpus: each prompt's answers line names its instance.
+
+    It answers with the oracle's completion, or with `broken` text for the
+    ids named there; the ids in `refused` get a client error. `on_send` is
+    called with each request's split before it is answered.
+    """
+
+    def __init__(self, corpus, provider, ratio, broken=(), refused=(), on_send=None):
+        self.split_of, self.completion_of = {}, {}
+        for split, data in corpus.items():
+            mocks = provider.mock_completions(data, ratio, seed=0)
+            for inst in data.instances:
+                line = render_block((), inst.choices).split("\n")[1]
+                self.split_of[line] = split
+                self.completion_of[line] = " no blocks" if inst.id in broken else mocks[inst.id]
+                if inst.id in refused:
+                    self.completion_of[line] = None
+        self.on_send = on_send
+
+    def __call__(self, payload):
+        line = payload["messages"][0]["content"].rsplit("\n\n", 1)[-1].split("\n")[1]
+        if self.on_send is not None:
+            self.on_send(self.split_of[line])
+        completion = self.completion_of[line]
+        if completion is None:
+            return TransportReply(400, {"error": "refused"})
+        return TransportReply(200, {"choices": [{"message": {"content": completion}}]})
+
+
+def live_pipeline(path, corpus, provider, upstream):
+    return PipelineProvider(
+        gateway=Gateway(path, transport=MockTransport(upstream), max_in_flight=2),
+        demos=provider.demonstrations(corpus["train"]),
+        gazetteer=gazetteer_tokens(SPEC),
+        mode="live",
+    )
+
+
+def request_keys(pipe, corpus, config):
+    """The cache key of every request a run sends, in request order."""
+    keys = []
+    for split in ("train", "dev", "test"):
+        kmap = pipe.keyword_map(corpus[split], config.ratio, config.seed)
+        for inst in corpus[split].instances:
+            prompt = build_prompt(pipe.demos, kmap[inst.id].keywords, inst.choices, inst.id)
+            keys.append(cache_key(GenerationRequest(model_id=pipe.model_id, prompt=prompt)))
+    return keys
+
+
+def test_run_trains_while_the_test_completions_are_in_flight(tmp_path, corpus, provider, monkeypatch):
+    config = small_config(max_epochs=2)
+    test_sent = threading.Event()
+    upstream = OracleUpstream(
+        corpus, provider, config.ratio, on_send=lambda split: split == "test" and test_sent.set()
+    )
+    pipe = live_pipeline(tmp_path / "cache.jsonl", corpus, provider, upstream)
+    real_train = harness.train
+    sent_before_training = []
+
+    def train(*args, **kwargs):
+        sent_before_training.append(test_sent.wait(10))
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", train)
+    threads = threading.active_count()
+    report = run_experiment(config, corpus, pipe)
+    assert sent_before_training == [True]
+    assert threading.active_count() == threads
+    assert render_report(report) == render_report(run_experiment(config, corpus, provider))
+    assert cache_keys_in(tmp_path / "cache.jsonl") == request_keys(pipe, corpus, config)
+
+
+def test_run_caches_every_generation_when_a_test_one_fails_to_parse(tmp_path, corpus, provider):
+    # the last test generation fails to parse after training; every request
+    # resolved by then, so every line is cached, in request order
+    config = small_config(max_epochs=1)
+    last = corpus["test"].instances[-1].id
+    upstream = OracleUpstream(corpus, provider, config.ratio, broken={last})
+    path = tmp_path / "cache.jsonl"
+    pipe = live_pipeline(path, corpus, provider, upstream)
+    threads = threading.active_count()
+    with pytest.raises(HarnessError, match=last):
+        run_experiment(config, corpus, pipe)
+    assert threading.active_count() == threads
+    assert cache_keys_in(path) == request_keys(pipe, corpus, config)
+
+
+def test_run_whose_generation_fails_still_caches_its_other_splits(tmp_path, corpus, provider):
+    # a refused train request: every other train, dev and test prompt is
+    # still sent and cached before the failure is raised
+    config = small_config(max_epochs=1)
+    refused = corpus["train"].instances[3].id
+    upstream = OracleUpstream(corpus, provider, config.ratio, refused={refused})
+    path = tmp_path / "cache.jsonl"
+    pipe = live_pipeline(path, corpus, provider, upstream)
+    with pytest.raises(GatewayError, match="refused"):
+        run_experiment(config, corpus, pipe)
+    keys = request_keys(pipe, corpus, config)
+    assert cache_keys_in(path) == keys[:3] + keys[4:]
+    # a rerun pays for the refused request only
+    upstream = OracleUpstream(corpus, provider, config.ratio)
+    rerun = live_pipeline(path, corpus, provider, upstream)
+    report = run_experiment(config, corpus, rerun)
+    assert rerun.gateway.transport_calls == 1
+    assert report.metrics["accuracy"] >= 0.9
+
+
 def test_pipeline_provider_requires_demos(tmp_path):
     with pytest.raises(HarnessError, match="demonstration"):
         PipelineProvider(gateway=Gateway(tmp_path / "c.jsonl"), demos=[])
@@ -346,11 +463,13 @@ class CountingProvider(SyntheticContextProvider):
     def __init__(self, spec):
         super().__init__(spec)
         self.mapped = []
+        self.built = {}
         self.provided = {}
 
     def keyword_map(self, dataset, *args, **kwargs):
         self.mapped.append(dataset.split)
-        return super().keyword_map(dataset, *args, **kwargs)
+        kmap = self.built[dataset.split] = super().keyword_map(dataset, *args, **kwargs)
+        return kmap
 
     def provide(self, dataset, *args, **kwargs):
         augmented, kmap = super().provide(dataset, *args, **kwargs)
@@ -369,7 +488,9 @@ def test_run_budget_reuses_provided_keyword_map(corpus, monkeypatch):
     monkeypatch.setattr(harness, "corpus_budget_report", recording_budget)
     report = run_experiment(small_config(ratio=0.5, max_epochs=2), corpus, counting)
     assert sorted(counting.mapped) == ["dev", "test", "train"]
-    train_kmap = counting.provided["train"]
+    # a run streams its splits instead of calling `provide`: the map its
+    # train prompts disclosed is the one built for the train split
+    train_kmap = counting.built["train"]
     assert len(budget_maps) == 1 and budget_maps[0] is train_kmap
     want = corpus_budget_report(corpus["train"], train_kmap)
     assert report.budget["budget"] == want.budget

@@ -5,13 +5,15 @@ label, is decided in `privqa.harness`. The scorer must not reach back into
 the modules that know about instances, contexts or runs. Run reports are
 built by `harness.evaluate`; the CLI asks for one and only rebuilds saved
 reports it reads back. Every context provider materializes through the one
-`ContextProvider.augment_all`, and the context cue is spelled once, in
+`ContextProvider.stream` (or `augment_all`, under a given keyword map), and
+the context cue is spelled once, in
 `privqa.contexts`. No module keeps an import it does not use. Scores and
 predictions reduce in a fixed order: no BLAS product and no numpy `exp`.
 Every error class derives from `privqa.errors.PrivqaError`, and the CLI
 catches that base, not a hand-kept list of classes. Only a live transport
 loads an HTTP stack: importing the CLI loads none, and nothing imports
-`requests`.
+`requests`. A synthetic sweep loads neither OpenSSL's hashes, `logging` nor
+`concurrent.futures`.
 """
 
 import ast
@@ -92,6 +94,22 @@ def test_cli_import_loads_no_http_stack():
     assert out.stdout.strip() == "[]", f"importing privqa loads {out.stdout.strip()}"
 
 
+def test_synthetic_sweep_loads_only_what_it_runs():
+    # a synthetic sweep sends no request and computes its digests with the
+    # builtin hash modules: no OpenSSL, no logging, no thread pool
+    probe = (
+        "import sys; from privqa.cli import main; "
+        "code = main(['sweep', '--synthetic', '--train-size', '20', '--dev-size', '10', "
+        "'--test-size', '10', '--max-epochs', '1', '--dim', '4096']); "
+        "print(code, sorted(m for m in ('_hashlib', 'logging', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 []", out.stdout
+
+
 def test_scorer_imports_no_instance_modules():
     found = imported_modules(parse(SCORER))
     bad = {name for name in found if any(name == f or name.startswith(f + ".") for f in FORBIDDEN)}
@@ -148,9 +166,9 @@ def test_providers_only_supply_completions():
         for path in PROVIDER_MODULES
         for name, cls in provider_classes(parse(path)).items()
         for node in cls.body
-        if isinstance(node, ast.FunctionDef) and node.name == "augment_all"
+        if isinstance(node, ast.FunctionDef) and node.name in ("augment_all", "stream")
     }
-    assert not overriders, f"{sorted(overriders)} override ContextProvider.augment_all"
+    assert not overriders, f"{sorted(overriders)} override ContextProvider's materializing"
 
 
 def cue_literals(tree: ast.AST) -> list[int]:

@@ -155,7 +155,8 @@ def test_completion_reconstructs_generation():
     completion = provider.completion_for(inst, ks)
     full = serialize_context(provider.oracle_context(inst, ks), inst.labels())
     assert CONTEXT_HEAD + completion == full
-    assert provider.completions([inst], {inst.id: ks}) == [(completion, f"synthetic:{inst.id}")]
+    pairs = provider.completions([inst], {inst.id: ks})
+    assert list(pairs) == [(completion, f"synthetic:{inst.id}")]
 
 
 def test_augment_matches_oracle():
@@ -246,8 +247,8 @@ def test_shared_memo_completions_equal_memo_less_ones():
     for ratio in (0.25, 0.5, 0.75, 1.0):
         for data in corpus.values():
             kmap = provider.keyword_map(data, ratio, SPEC.seed, memo=memo)
-            shared = provider.completions(data.instances, kmap, memo)
-            assert shared == provider.completions(data.instances, kmap)
+            shared = list(provider.completions(data.instances, kmap, memo))
+            assert shared == list(provider.completions(data.instances, kmap))
     assert len(memo.draws) == sum(len(ds) for ds in corpus.values())
 
 
