@@ -28,7 +28,7 @@ from privqa.corpus import (
     write_augmented,
     write_dataset,
 )
-from privqa.errors import PrivqaError, read_json, read_records
+from privqa.errors import TEXT, WHOLE, PrivqaError, field, read_json, read_records
 from privqa.gateway import (
     DEFAULT_CREDENTIAL_ENV,
     MODES,
@@ -82,6 +82,9 @@ _FLAG_DEST = {
     "gazetteer_file": "gazetteer",
 }
 
+# An option's kind is its type, but JSON has one number type: an int option takes 8.0 too.
+_KIND = {int: WHOLE}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit code 2; here that means an internal error, so
@@ -97,36 +100,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _apply_config_file(args: argparse.Namespace, kinds: dict[str, type] | None = None) -> None:
-    """Fill the options left unset from the --config file.
-
-    A value for an option in `kinds` must have that type; ExperimentConfig
-    fields are checked when the config is built. Keys that name no option
-    are ignored.
-    """
+def _apply_config_file(args: argparse.Namespace, kinds: dict | None = None) -> None:
+    """Fill the options left unset from the --config file; keys that name no option
+    are ignored. Each value is checked as the file is read, so an error names the
+    file: an option's in `kinds` against that kind, ExperimentConfig's by building one."""
     path = getattr(args, "config", None)
     if not path:
         return
-    cfg = read_json(path, HarnessError)
-    if not isinstance(cfg, dict):
-        raise HarnessError(f"config file {path} must hold a JSON object")
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest in _FLAG_DEST:
-            flag = _FLAG_DEST[dest]
-            raise HarnessError(f"config file {path}: key {key!r} is not a flag name; use {flag!r}")
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            if kinds and dest in kinds:
-                value = _exact(key, kinds[dest], value)
-            setattr(args, dest, value)
+
+    def unset_values(cfg: dict) -> dict:
+        values = {}
+        for key in cfg:
+            dest = key.replace("-", "_")
+            if dest in _FLAG_DEST:
+                raise HarnessError(f"key {key!r} is not a flag name; use {_FLAG_DEST[dest]!r}")
+            if hasattr(args, dest) and getattr(args, dest) is None:
+                kind = (kinds or {}).get(dest)
+                values[dest] = field(cfg, key, kind, HarnessError) if kind else cfg[key]
+        _config_from(values)
+        return values
+
+    vars(args).update(read_json(path, HarnessError, unset_values))
 
 
-def _option_kinds(parser: argparse.ArgumentParser, command: str) -> dict[str, type]:
-    """The type of each option of `command` that is no ExperimentConfig field,
-    by dest: bool for a switch, else the flag's type (str when it names none)."""
+def _option_kinds(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The kind of each option of `command` that is no ExperimentConfig field,
+    by dest: bool for a switch, else its flag's type's (str when it names none)."""
     experiment = {_FLAG_DEST.get(f.name, f.name) for f in fields(ExperimentConfig)}
     return {
-        a.dest: bool if a.nargs == 0 else a.type or str
+        a.dest: _KIND.get(a.type, bool if a.nargs == 0 else a.type or str)
         for a in _subparser(parser, command)._actions
         if a.dest not in experiment
     }
@@ -137,27 +139,18 @@ def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.Argume
     return commands[command]
 
 
-def _exact(name: str, kind: type, value):
-    """`value` as a field of type `kind`; a bool is no number and a number no
-    bool, and an int field takes a float only when it is whole."""
-    if isinstance(value, bool) == (kind is bool):
-        if isinstance(value, kind):
-            return value
-        if kind is float and isinstance(value, int):
-            return float(value)
-        if kind is int and isinstance(value, float) and value.is_integer():
-            return int(value)
-    raise HarnessError(f"{name}: {value!r} is not of type {kind.__name__}")
-
-
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """A validated config from the set flags; unset ones keep its defaults."""
+    return _config_from({dest: value for dest, value in vars(args).items() if value is not None})
+
+
+def _config_from(given: dict) -> ExperimentConfig:
+    """A validated config from option values by dest (null is refused); the rest keep defaults."""
     values = {}
     for f in fields(ExperimentConfig):
-        value = getattr(args, _FLAG_DEST.get(f.name, f.name), None)
-        if value is None:
-            continue
-        values[f.name] = _exact(f.name, type(f.default), value)
+        if (dest := _FLAG_DEST.get(f.name, f.name)) in given:
+            kind = _KIND.get(type(f.default), type(f.default))
+            values[f.name] = field({f.name: given[dest]}, f.name, kind, HarnessError)
     return ExperimentConfig(**values)
 
 
@@ -165,10 +158,7 @@ def _load_completions(path: str | None) -> dict[str, str] | None:
     """Canned completions for mock mode: a JSON object of instance id -> text."""
     if not path:
         return None
-    mock = read_json(path, HarnessError)
-    if not (isinstance(mock, dict) and all(isinstance(v, str) for v in mock.values())):
-        raise HarnessError(f"completions file {path} must hold a JSON object of strings")
-    return mock
+    return read_json(path, HarnessError, lambda mock: field(mock, (), dict[str, str], HarnessError))
 
 
 def _load_demos(spec: str):
@@ -249,12 +239,11 @@ def _cmd_parse(args) -> int:
     by_id = load_dataset(args.data).by_id()
 
     def convert(rec: dict, lineno: int) -> tuple[str, AugmentedInstance]:
-        inst = by_id.get(str(rec.get("id")))
+        inst = by_id.get(field(rec, "id", TEXT, DatasetFormatError))
         if inst is None:
-            raise DatasetFormatError(f"unknown instance id {rec.get('id')!r}")
-        completion, generation_id = rec.get("completion", ""), rec.get("generation_id", "")
-        if not (isinstance(completion, str) and isinstance(generation_id, str)):
-            raise DatasetFormatError("completion and generation_id must be strings")
+            raise DatasetFormatError(f"unknown instance id {rec['id']!r}")
+        completion = field(rec, "completion", str, DatasetFormatError, "")
+        generation_id = field(rec, "generation_id", str, DatasetFormatError, "")
         return inst.id, augment_completion(inst, completion, generation_id)
 
     augmented = read_records(args.input, DatasetFormatError, convert)
@@ -414,31 +403,21 @@ def _cmd_ood(args) -> int:
     return 0
 
 
+def _report_fields(data: dict) -> dict:
+    """A saved report's object, once the fields the summary table reads are checked."""
+    field(data, ("metrics", "accuracy"), float, HarnessError)
+    field(data, ("metrics", "n"), int, HarnessError)
+    for name in ("regime", "view", "method"):
+        field(data, ("config", name), str, HarnessError, "")
+    field(data, ("config", "ratio"), float, HarnessError, 0.0)
+    if data.get("budget") is not None:
+        field(data, ("budget", "formatted"), str, HarnessError)
+    return data
+
+
 def _load_report(path: str) -> EvalReport:
-    """A saved report, checked for the fields the summary table reads."""
-    data = read_json(path, HarnessError)
-    if not isinstance(data, dict):
-        raise HarnessError(f"report {path} must hold a JSON object")
-    metrics, config, budget = data.get("metrics"), data.get("config", {}), data.get("budget")
-    if not (
-        isinstance(metrics, dict)
-        and isinstance(metrics.get("accuracy"), (int, float))
-        and "n" in metrics
-    ):
-        raise HarnessError(f"report {path} needs a numeric metrics.accuracy and metrics.n")
-    if not (isinstance(config, dict) and isinstance(config.get("ratio", 0.0), (int, float))):
-        raise HarnessError(f"report {path}: config must be an object with a numeric ratio")
-    if budget and not (isinstance(budget, dict) and isinstance(budget.get("formatted"), str)):
-        raise HarnessError(f"report {path}: budget must be null or carry a 'formatted' string")
-    return EvalReport(
-        config=config,
-        dataset=data.get("dataset", {}),
-        metrics=metrics,
-        budget=budget,
-        ftcr=data.get("ftcr"),
-        provenance=data.get("provenance", {}),
-        predictions=data.get("predictions", {}),
-    )
+    data = read_json(path, HarnessError, _report_fields)
+    return EvalReport(**{f.name: data.get(f.name, {}) for f in fields(EvalReport)})
 
 
 def _cmd_report(args) -> int:

@@ -12,13 +12,14 @@ form. Augmented files carry the same instance plus its parsed context.
 
 from __future__ import annotations
 
+import dataclasses
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from privqa.contexts import ParsedContext, SpecificContext
-from privqa.errors import PrivqaError, read_records, write_records
+from privqa.errors import TEXT, PrivqaError, field, naming, read_records, write_records
 
 LABELS = ("a", "b", "c", "d", "e")
 MIN_CHOICES = 2
@@ -41,7 +42,7 @@ class QAInstance:
     question: str
     choices: dict[str, str]
     gold: str
-    meta: dict[str, str] = field(default_factory=dict)
+    meta: dict[str, str] = dataclasses.field(default_factory=dict)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.choices)
@@ -89,27 +90,24 @@ class AugmentedInstance:
                 f"instance {self.instance.id!r}: specific contexts cover {sorted(got)}, "
                 f"choices are {sorted(want)}"
             )
+        if not self.context.decision <= want:
+            raise DatasetFormatError(
+                f"instance {self.instance.id!r}: decision {sorted(self.context.decision)}"
+                f" names no choice of {sorted(want)}"
+            )
 
 
-def _instance_from_record(rec: Any, meta_override: dict[str, str] | None = None) -> QAInstance:
-    if not isinstance(rec, dict):
-        raise DatasetFormatError("instance must be an object")
-    for key in ("id", "question", "choices", "gold"):
-        if key not in rec:
-            raise DatasetFormatError(f"missing field {key!r}")
-    choices = rec["choices"]
-    if not isinstance(choices, dict) or not all(isinstance(v, str) for v in choices.values()):
-        raise DatasetFormatError("choices must map labels to strings")
-    meta = rec.get("meta", {})
-    if not isinstance(meta, dict):
-        raise DatasetFormatError("meta must be an object")
-    meta = {**meta, **(meta_override or {})}
+def _instance_from_record(rec: dict, meta_override: dict | None = None, at=()) -> QAInstance:
+    """The instance at path `at` of `rec`; an error after its id names it."""
+    inst_id = field(rec, (*at, "id"), TEXT, DatasetFormatError)
+    error = naming(DatasetFormatError, f"instance {inst_id!r}")
+    choices = field(rec, (*at, "choices"), dict[str, str], error)
     inst = QAInstance(
-        id=str(rec["id"]),
-        question=nfc(str(rec["question"])),
-        choices={str(k): nfc(str(v)) for k, v in sorted(choices.items())},
-        gold=str(rec["gold"]),
-        meta={str(k): str(v) for k, v in meta.items()},
+        id=inst_id,
+        question=nfc(field(rec, (*at, "question"), TEXT, error)),
+        choices={label: nfc(text) for label, text in sorted(choices.items())},
+        gold=field(rec, (*at, "gold"), str, error),
+        meta={**field(rec, (*at, "meta"), dict[str, str], error, {}), **(meta_override or {})},
     )
     inst.validate()
     return inst
@@ -132,11 +130,19 @@ def _read_instances(
     adapter = _ADAPTERS[format]
 
     def convert(rec: dict, lineno: int) -> tuple[str, QAInstance]:
-        try:
-            canon = adapter(rec, lineno)
-        except (KeyError, ValueError, IndexError, TypeError, OverflowError) as exc:
-            raise DatasetFormatError(f"not a {format} record ({exc})") from exc
-        inst = _instance_from_record(canon, meta_override)
+        if adapter is not None:
+            try:
+                question, texts, gold = adapter(rec)
+                rec = {
+                    "id": rec.get("id", f"{format}-{lineno}"),
+                    "question": question,
+                    "choices": {LABELS[i]: text for i, text in enumerate(texts)},
+                    "gold": LABELS[gold],
+                    "meta": rec.get("meta", {}),
+                }
+            except (ValueError, IndexError, DatasetFormatError) as exc:
+                raise DatasetFormatError(f"not a {format} record ({exc})") from exc
+        inst = _instance_from_record(rec, meta_override)
         return inst.id, inst
 
     return tuple(read_records(path, DatasetFormatError, convert).values())
@@ -177,27 +183,21 @@ def _context_to_record(ctx: ParsedContext) -> dict[str, Any]:
     }
 
 
-def _context_from_record(rec: Any) -> ParsedContext:
-    if not isinstance(rec, dict):
-        raise DatasetFormatError("context must be an object")
-    blocks = rec.get("specific", {})
-    if not (isinstance(blocks, dict) and all(isinstance(b, dict) for b in blocks.values())):
-        raise DatasetFormatError("context specific must map labels to objects")
-    decision = rec.get("decision", [])
-    if not isinstance(decision, list):
-        raise DatasetFormatError("context decision must be a list of labels")
-    specific = {
-        str(label): SpecificContext(
-            knowledge=str(block.get("knowledge", "")),
-            relation=str(block.get("relation", "")),
-        )
-        for label, block in sorted(blocks.items())
-    }
+def _context_from_record(rec: dict, error: Callable[[str], DatasetFormatError]) -> ParsedContext:
+    """The context of an augmented record; every field but `specific` may be left out."""
+
+    def text(*path: str) -> str:
+        return field(rec, ("context", *path), str, error, "")
+
+    labels = sorted(field(rec, ("context", "specific"), dict, error))
     return ParsedContext(
-        overall=str(rec.get("overall", "")),
-        specific=specific,
-        decision=frozenset(str(x) for x in decision),
-        raw=str(rec.get("raw", "")),
+        overall=text("overall"),
+        specific={
+            label: SpecificContext(*(text("specific", label, k) for k in ("knowledge", "relation")))
+            for label in labels
+        },
+        decision=frozenset(field(rec, ("context", "decision"), list[str], error, [])),
+        raw=text("raw"),
     )
 
 
@@ -224,13 +224,15 @@ def load_augmented(path: str | Path) -> list[AugmentedInstance]:
     """
 
     def convert(rec: dict, lineno: int) -> tuple[str, AugmentedInstance]:
+        instance = _instance_from_record(rec, at=("instance",))
+        error = naming(DatasetFormatError, f"instance {instance.id!r}")
         aug = AugmentedInstance(
-            instance=_instance_from_record(rec.get("instance", {})),
-            context=_context_from_record(rec.get("context", {})),
-            generation_id=str(rec.get("generation_id", "")),
+            instance=instance,
+            context=_context_from_record(rec, error),
+            generation_id=field(rec, "generation_id", str, error, ""),
         )
         aug.validate()
-        return aug.instance.id, aug
+        return instance.id, aug
 
     return list(read_records(path, DatasetFormatError, convert).values())
 
@@ -247,67 +249,37 @@ def plain_augmented(instance: QAInstance) -> AugmentedInstance:
 
 
 # ---------------------------------------------------------------------------
-# Source-format adapters
+# Source-format adapters: each gives a record's question, its choice texts in
+# order and the gold position; `_read_instances` builds the canonical record.
 
 
-def _adapt_medqa(rec: dict[str, Any], idx: int) -> dict[str, Any]:
+def _adapt_medqa(rec: dict) -> tuple[str, list[str], int]:
     # {"question", "options": {"A": ..}, "answer_idx": "A"}
-    options = rec["options"]
-    ordered = sorted(options.items())
-    choices = {LABELS[i]: str(text) for i, (_, text) in enumerate(ordered)}
-    gold_pos = [k for k, _ in ordered].index(rec["answer_idx"])
-    return {
-        "id": rec.get("id", f"medqa-{idx}"),
-        "question": rec["question"],
-        "choices": choices,
-        "gold": LABELS[gold_pos],
-        "meta": rec.get("meta", {}),
-    }
+    ordered = sorted(field(rec, "options", dict[str, str], DatasetFormatError).items())
+    gold = [key for key, _ in ordered].index(field(rec, "answer_idx", str, DatasetFormatError))
+    return field(rec, "question", str, DatasetFormatError), [text for _, text in ordered], gold
 
 
-def _adapt_medmcqa(rec: dict[str, Any], idx: int) -> dict[str, Any]:
+def _adapt_medmcqa(rec: dict) -> tuple[str, list[str], int]:
     # {"question", "opa".."opd", "cop": 0-based index}
-    choices = {
-        "a": str(rec["opa"]),
-        "b": str(rec["opb"]),
-        "c": str(rec["opc"]),
-        "d": str(rec["opd"]),
-    }
-    # a JSON integer only: a negative index would wrap, a float truncate and a
-    # bool read as 0 or 1, each picking a gold label silently
-    cop = rec["cop"]
-    if type(cop) is not int or not 0 <= cop < len(choices):
-        raise ValueError(f"cop {cop!r} is not an integer from 0 to {len(choices) - 1}")
-    return {
-        "id": rec.get("id", f"medmcqa-{idx}"),
-        "question": rec["question"],
-        "choices": choices,
-        "gold": LABELS[cop],
-        "meta": rec.get("meta", {}),
-    }
+    texts = [field(rec, f"op{label}", str, DatasetFormatError) for label in "abcd"]
+    cop = field(rec, "cop", int, DatasetFormatError)
+    if not 0 <= cop < len(texts):  # a negative index would wrap, picking a gold label silently
+        raise ValueError(f"field 'cop': {cop} is not from 0 to {len(texts) - 1}")
+    return field(rec, "question", str, DatasetFormatError), texts, cop
 
 
-def _adapt_arc(rec: dict[str, Any], idx: int) -> dict[str, Any]:
+def _adapt_arc(rec: dict) -> tuple[str, list[str], int]:
     # {"id", "question": {"stem", "choices": [{"label", "text"}]}, "answerKey"}
-    q = rec["question"]
-    listed = q["choices"]
-    labels = [str(c["label"]) for c in listed]
-    choices = {LABELS[i]: str(c["text"]) for i, c in enumerate(listed)}
-    gold_pos = labels.index(str(rec["answerKey"]))
-    return {
-        "id": rec.get("id", f"arc-{idx}"),
-        "question": q["stem"],
-        "choices": choices,
-        "gold": LABELS[gold_pos],
-        "meta": rec.get("meta", {}),
-    }
+    listed = field(rec, ("question", "choices"), list[dict], DatasetFormatError)
+    labels = [field(c, "label", str, DatasetFormatError) for c in listed]
+    gold = labels.index(field(rec, "answerKey", str, DatasetFormatError))
+    texts = [field(c, "text", str, DatasetFormatError) for c in listed]
+    return field(rec, ("question", "stem"), str, DatasetFormatError), texts, gold
 
 
 _ADAPTERS = {
-    "canonical-jsonl": lambda rec, idx: rec,
-    "medqa": _adapt_medqa,
-    "medmcqa": _adapt_medmcqa,
-    "arc": _adapt_arc,
+    "canonical-jsonl": None, "medqa": _adapt_medqa, "medmcqa": _adapt_medmcqa, "arc": _adapt_arc
 }
 INGEST_FORMATS = tuple(_ADAPTERS)
 

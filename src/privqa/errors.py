@@ -2,16 +2,40 @@
 
 Every error that bad input or settings can cause derives from `PrivqaError`.
 The readers raise the caller's error class, naming the file and, where there
-is one, the line. This module imports nothing from privqa.
+is one, the line. `field` is the one check of a decoded value's kind: a field
+of another kind fails, naming its path. This module imports nothing from privqa.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
 V = TypeVar("V")
+
+# A field's kind is a type or one of these two. A float is a finite number, an int is
+# never a bool (JSON's true is no number), and a WHOLE number is an int or a whole float.
+TEXT, WHOLE = "a string with a non-space character", "a whole number"
+_KINDS = {  # kind: (how a message names it, the test its value passes)
+    str: ("a string", lambda v: type(v) is str),
+    TEXT: (TEXT, lambda v: type(v) is str and v.strip() != ""),
+    int: ("an integer", lambda v: type(v) is int),
+    WHOLE: (WHOLE, lambda v: type(v) is int or type(v) is float and v.is_integer()),
+    float: ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    bool: ("true or false", lambda v: type(v) is bool),
+    dict: ("an object", lambda v: type(v) is dict),
+    dict[str, str]: ("an object of strings", lambda v: type(v) is dict and _all(str, v.values())),
+    list[str]: ("a list of strings", lambda v: type(v) is list and _all(str, v)),
+    list[int]: ("a list of integers", lambda v: type(v) is list and _all(int, v)),
+    list[dict]: ("a list of objects", lambda v: type(v) is list and _all(dict, v)),
+}
+_REQUIRED = object()
+
+
+def _all(kind: type, values: Iterable) -> bool:
+    return all(type(v) is kind for v in values)
 
 
 class PrivqaError(Exception):
@@ -31,18 +55,47 @@ def read_text(path: str | Path, error: type[PrivqaError]) -> str:
         raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_json(path: str | Path, error: type[PrivqaError]) -> Any:
-    """The value a JSON file holds."""
+def field(record: Any, key: str | tuple, kind: Any, error: Callable, default: Any = _REQUIRED):
+    """The value at `key`, a path of keys for a nested field, if it is of `kind`.
+
+    A missing field is `default`, or an error without one. `error(message)`
+    names the path: "field 'context.specific.a': expected an object, got 3".
+    """
+    path = key if isinstance(key, tuple) else (key,)
+    for depth in range(len(path) + 1):
+        expected, test = _KINDS[kind if depth == len(path) else dict]
+        if not test(record):
+            shown = json.dumps(record, ensure_ascii=False, default=repr)
+            where = f"field {'.'.join(path[:depth])!r}" if depth else "top level"
+            raise error(f"{where}: expected {expected}, got {shown[:60]}")
+        if depth < len(path):
+            if path[depth] not in record and default is _REQUIRED:
+                raise error(f"missing field {'.'.join(path[: depth + 1])!r}")
+            if path[depth] not in record:
+                return default
+            record = record[path[depth]]
+    return float(record) if kind is float else int(record) if kind is WHOLE else record
+
+
+def naming(error: type[PrivqaError], what: str) -> Callable[[str], PrivqaError]:
+    """`error` for `field` whose message begins with `what: `, e.g. the instance's id."""
+    return lambda message: error(f"{what}: {message}")
+
+
+def read_json(path: str | Path, error: type[PrivqaError], convert: Callable[[dict], V] = dict) -> V:
+    """The JSON object a file holds, converted; `convert`'s `PrivqaError` gains `path: `."""
     try:
-        return json.loads(read_text(path, error))
+        value = json.loads(read_text(path, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
+    try:
+        return convert(field(value, (), dict, error))
+    except PrivqaError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def read_records(
-    path: str | Path,
-    error: type[PrivqaError],
-    convert: Callable[[dict, int], tuple[str, V]],
+    path: str | Path, error: type[PrivqaError], convert: Callable[[dict, int], tuple[str, V]]
 ) -> dict[str, V]:
     """Each non-blank line's JSON object, converted and keyed by its id, in file order.
 

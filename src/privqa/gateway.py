@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from privqa._digest import sha256
-from privqa.errors import PrivqaError
+from privqa.errors import PrivqaError, field
 from privqa.promptkit import STOP_SEQUENCE, PromptText
 
 PROMPT_STYLE = "single-user-message"
@@ -295,22 +295,19 @@ class Gateway:
                     continue
                 try:
                     rec = json.loads(line.decode("utf-8"))
-                    key, completion = rec["cache_key"], rec["completion"]
-                    if not (isinstance(key, str) and isinstance(completion, str)):
-                        raise TypeError("cache_key and completion must be strings")
-                    if rec.get("truncated", False):
-                        raise ValueError("a truncated completion is never served")
+                    if field(rec, "truncated", bool, GatewayError, False):
+                        raise GatewayError("a truncated completion is never served")
                     record = GenerationRecord(
-                        cache_key=key,
-                        completion=completion,
-                        source=rec.get("source", "live"),
-                        retries=int(rec.get("retries", 0)),
+                        cache_key=field(rec, "cache_key", str, GatewayError),
+                        completion=field(rec, "completion", str, GatewayError),
+                        source=field(rec, "source", str, GatewayError, "live"),
+                        retries=field(rec, "retries", int, GatewayError, 0),
                     )
-                except (KeyError, TypeError, ValueError, OverflowError):
+                except (ValueError, GatewayError) as exc:
                     import logging  # loaded only when there is something to warn about
 
                     logging.getLogger(__name__).warning(
-                        "skipping corrupt cache line %s:%d", self.cache_path, lineno
+                        "skipping corrupt cache line %s:%d (%s)", self.cache_path, lineno, exc
                     )
                     continue
                 self._cache[record.cache_key] = record
@@ -449,7 +446,7 @@ class Gateway:
                 raise GatewayError(f"upstream status {reply.status}: {reply.body}")
             try:
                 choice = reply.body["choices"][0]
-                completion = choice["message"]["content"]
+                completion = field(choice, ("message", "content"), str, TypeError)
                 finish = choice.get("finish_reason", "stop")
             except (KeyError, IndexError, TypeError) as exc:
                 raise GatewayError(f"malformed upstream response: {reply.body}") from exc

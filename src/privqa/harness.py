@@ -519,13 +519,13 @@ def render_report_table(reports: Sequence[EvalReport]) -> str:
         cfg = r.config
         rows.append(
             (
-                str(cfg.get("regime", "")),
-                str(cfg.get("view", "")),
-                str(cfg.get("method", "")),
+                cfg.get("regime", ""),
+                cfg.get("view", ""),
+                cfg.get("method", ""),
                 f"{cfg.get('ratio', 0.0):g}",
                 r.budget["formatted"] if r.budget else "-",
                 f"{r.metrics['accuracy'] * 100:.2f}%",
-                str(r.metrics["n"]),
+                f"{r.metrics['n']:d}",
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]

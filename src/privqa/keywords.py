@@ -15,11 +15,11 @@ import random
 import re
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from privqa._digest import blake2b
 from privqa.corpus import Dataset, nfc
-from privqa.errors import PrivqaError, read_records, read_text, write_records
+from privqa.errors import TEXT, PrivqaError, field, naming, read_records, read_text, write_records
 
 METHOD_NER = "NER"
 METHOD_RANDOM_SPAN = "RandomSpan"
@@ -217,10 +217,10 @@ def subsample_keywords(
     )
 
 
-def check_ratio(ratio: float) -> None:
+def check_ratio(ratio: float, error: Callable[[str], PrivqaError] = ExtractionError) -> None:
     """Refuse a ratio outside [0, 1], nan included."""
     if not 0.0 <= ratio <= 1.0:
-        raise ExtractionError(f"ratio {ratio} outside [0, 1]")
+        raise error(f"ratio {ratio} outside [0, 1]")
 
 
 def stable_seed(base: int, *parts: str) -> int:
@@ -284,11 +284,8 @@ def format_budget(budget: float) -> str:
 
 def load_gazetteer(path: str | Path) -> list[str]:
     """Read a gazetteer file: one term per line, '#' comments and blanks skipped."""
-    terms = []
-    for line in read_text(path, ExtractionError).splitlines():
-        term = line.strip()
-        if term and not term.startswith("#"):
-            terms.append(term)
+    lines = map(str.strip, read_text(path, ExtractionError).splitlines())
+    terms = [term for term in lines if term and not term.startswith("#")]
     if not terms:
         raise ExtractionError(f"gazetteer file {path} has no terms")
     return terms
@@ -301,24 +298,23 @@ def save_keyword_sets(keyword_map: dict[str, KeywordSet], path: str | Path) -> N
 
 def load_keyword_sets(path: str | Path) -> dict[str, KeywordSet]:
     def convert(rec: dict, lineno: int) -> tuple[str, KeywordSet]:
-        try:
-            inst_id = str(rec["id"])
-            keywords, starts = rec["keywords"], rec.get("starts", [])
-            if not (isinstance(keywords, list) and isinstance(starts, list)):
-                raise TypeError("keywords and starts must be JSON lists")
-            ks = KeywordSet(
-                keywords=tuple(str(k) for k in keywords),
-                method=str(rec["method"]),
-                ratio=float(rec["ratio"]),
-                seed=int(rec["seed"]),
-                starts=tuple(int(s) for s in starts),
-                word_count=int(rec["word_count"]),
-            )
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise ExtractionError(f"bad keyword record ({exc})") from exc
-        words = _count_words(ks.keywords)
-        if ks.word_count != words:
-            raise ExtractionError(f"word_count {ks.word_count} but the keywords have {words} words")
+        inst_id = field(rec, "id", TEXT, ExtractionError)
+        error = naming(ExtractionError, f"instance {inst_id!r}")
+        ks = KeywordSet(
+            keywords=tuple(field(rec, "keywords", list[str], error)),
+            method=field(rec, "method", str, error),
+            ratio=field(rec, "ratio", float, error),
+            seed=field(rec, "seed", int, error),
+            starts=tuple(field(rec, "starts", list[int], error, [])),
+            word_count=field(rec, "word_count", int, error),
+        )
+        if ks.method not in METHODS:
+            raise error(f"unknown method {ks.method!r}; expected one of {METHODS}")
+        check_ratio(ks.ratio, error)
+        if min(ks.starts, default=0) < 0:
+            raise error(f"negative start in {list(ks.starts)}")
+        if ks.word_count != (words := _count_words(ks.keywords)):
+            raise error(f"word_count {ks.word_count} but the keywords have {words} words")
         return inst_id, ks
 
     return read_records(path, ExtractionError, convert)

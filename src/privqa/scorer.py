@@ -40,6 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from privqa import errors
 from privqa._digest import blake2b
 from privqa.errors import PrivqaError
 
@@ -710,8 +711,9 @@ def load_model(path: str | Path) -> ScorerModel:
         with np.load(p, allow_pickle=False) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             weights = np.asarray(data["weights"], dtype=np.float64)
-            bias = float(data["bias"])
-            cfg = FeaturizerConfig(dim=int(meta["dim"]), hash_seed=int(meta["hash_seed"]))
+            bias = np.asarray(data["bias"], dtype=np.float64).item()
+            dim, hash_seed = (errors.field(meta, k, int, ScorerError) for k in ("dim", "hash_seed"))
+            cfg = FeaturizerConfig(dim=dim, hash_seed=hash_seed)
             featurization = (meta["ngram_orders"], meta["lowercase"])
     # a damaged archive surfaces as any of these, from zipfile, zlib or numpy,
     # and meta outside the featurizer's range as a ScorerError

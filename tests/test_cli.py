@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -428,6 +429,54 @@ def test_report_malformed_file_is_user_error(capsys, tmp_path, content):
     assert str(path) in capsys.readouterr().err
 
 
+REPORT = {
+    "config": {"regime": "FTC", "view": "Full", "method": "NER", "ratio": 0.5},
+    "metrics": {"accuracy": 0.5, "n": 4, "n_correct": 2},
+    "budget": {"budget": 0.25, "formatted": "25.0%"},
+}
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        # printed as 100.00%, nan%, x and 1
+        ("metrics", "accuracy", True, "field 'metrics.accuracy': expected a finite number, got true"),
+        ("metrics", "accuracy", float("nan"), "field 'metrics.accuracy': expected a finite number, got NaN"),
+        ("metrics", "n", "x", 'field \'metrics.n\': expected an integer, got "x"'),
+        ("config", "ratio", True, "field 'config.ratio': expected a finite number, got true"),
+    ],
+    ids=["accuracy-true", "accuracy-nan", "n-string", "ratio-true"],
+)
+def test_report_field_of_another_kind_is_user_error(capsys, tmp_path, section, key, value, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(REPORT), encoding="utf-8")
+    assert run(["report", path]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.split() == ["FTC", "Full", "NER", "0.5", "25.0%", "50.00%", "4"]
+    bad = {**REPORT, section: {**REPORT[section], key: value}}
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    assert run(["report", path]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {path}: {message}" in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("method", ["NER", "RandomSpan"])
+@pytest.mark.parametrize("question", ["", " \t "])
+def test_extract_refuses_a_question_without_a_word(ws, capsys, tmp_path, method, question):
+    # NER wrote an empty keyword set, and RandomSpan failed naming no file or instance
+    lines = (ws["root"] / "data-dev.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = {**json.loads(lines[1]), "question": question}
+    data, out = tmp_path / "data.jsonl", tmp_path / "kw.jsonl"
+    data.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n", encoding="utf-8")
+    gazetteer = ws["root"] / "gazetteer.txt"
+    argv = ["extract", "--data", data, "--method", method, "--gazetteer", gazetteer]
+    assert run([*argv, "--output", out]) == 1
+    message = f"error: {data}:2: instance {rec['id']!r}: field 'question': expected a string with"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "raw, line",
     [(b'{\n  metrics: 1}\n', 2), (b'{"metrics":\n {"n": "\xff"}}\n', 2)],
@@ -504,7 +553,8 @@ def test_sweep_ratios_from_a_config_file_must_be_a_string(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"ratios": [0.5, 1.0]}), encoding="utf-8")
     assert run(["sweep", "--synthetic", "--train-size", "8", "--config", config]) == 1
-    assert "error: ratios: [0.5, 1.0] is not of type str" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {config}: field 'ratios': expected a string, got [0.5, 1.0]" in err
 
 
 def test_bad_setting_fails_before_any_file_is_read(capsys, tmp_path):
@@ -550,7 +600,8 @@ def test_checkpoint_with_an_infinite_setting_is_user_error(ws, capsys, tmp_path,
     np.savez(checkpoint, weights=np.zeros(16), bias=np.float64(0.0), meta=np.bytes_(meta_bytes))
     data = ws["root"] / "data-test.jsonl"
     assert run(["eval", "--checkpoint", checkpoint, "--data", data]) == 1
-    assert f"corrupt checkpoint {checkpoint}: cannot convert float infinity" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"corrupt checkpoint {checkpoint}: field {key!r}: expected an integer, got Infinity" in err
 
 
 def test_keyword_file_not_utf8_names_file_and_line(ws, capsys, tmp_path):
@@ -631,7 +682,7 @@ def test_parse_rejects_a_field_that_is_not_a_string(ws, capsys, tmp_path, field,
     raw.write_text("\n" + json.dumps(rec) + "\n", encoding="utf-8")
     out = tmp_path / "out.jsonl"
     assert run(["parse", "--input", raw, "--data", ws["root"] / "data-dev.jsonl", "--output", out]) == 1
-    assert f"error: {raw}:2: completion and generation_id must be strings" in capsys.readouterr().err
+    assert f"error: {raw}:2: field {field!r}: expected a string, got " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -655,7 +706,7 @@ def _keyed_input(ws, kind, tmp_path):
         lines = (root / "kw-dev.jsonl").read_text(encoding="utf-8").splitlines()[:2]
         bad = json.loads(lines[1])
         bad["word_count"] += 1
-        return lines, bad, ExtractionError, "word_count", load_keyword_sets
+        return lines, bad, ExtractionError, f"instance {bad['id']!r}: word_count", load_keyword_sets
     kmap = provider.keyword_map(dev, 1.0, seed=0)
     lines = [
         json.dumps({"id": inst.id, "completion": provider.completion_for(inst, kmap[inst.id])})
@@ -754,7 +805,7 @@ def test_budget_rejects_a_keyword_file_with_a_wrong_word_count(ws, tmp_path, cap
     code = run(["budget", "--data", root / "data-train.jsonl", "--keywords", tmp_path / "kw.jsonl"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "kw.jsonl:2: word_count" in err
+    assert f"kw.jsonl:2: instance {rec['id']!r}: word_count" in err
 
 
 def test_internal_error_exit_code(ws, capsys, monkeypatch):
@@ -1026,7 +1077,7 @@ def test_bad_source_flag_in_config_is_user_error(tmp_path, capsys, argv, key, va
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}), encoding="utf-8")
     assert run([*argv, "--config", cfg]) == 1
-    assert f"error: {key}: {value!r} is not of type" in capsys.readouterr().err
+    assert f"error: {cfg}: field {key!r}: expected " in capsys.readouterr().err
 
 
 def test_config_file_can_choose_the_synthetic_corpus(tmp_path, capsys):
@@ -1444,3 +1495,107 @@ def test_cli_survives_a_mutated_input_file(fuzz_ws, kind, data):
     finally:
         path.write_bytes(original)
     assert code in (0, 1) and "Traceback" not in err.getvalue(), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Field-type laws: in a valid input file, one field replaced by a value of
+# another JSON type either fails its command with exit 1, naming the file (and
+# line) and the field, or changes nothing the command prints or writes.
+
+# Tier-1 runs each law on a few examples; `--hypothesis-profile=ci` (registered
+# in tests/conftest.py) runs it on that profile's many.
+LAW_EXAMPLES = settings.default.max_examples if settings.get_current_profile_name() == "ci" else 20
+# null, bool, numbers (NaN and infinity too), strings, lists and objects
+JSON_VALUES = (None, True, 3, 2.5, float("nan"), float("inf"), "x", [], ["x"], {}, {"x": "y"})
+
+
+def _json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _replacements(value) -> list:
+    """The values of another JSON type than `value`, and the numbers a field like it never holds."""
+    other = [v for v in JSON_VALUES if _json_type(v) != _json_type(value)]
+    if type(value) is int:
+        return other + [2.5, float("nan"), float("inf")]
+    return other + [float("nan"), float("inf")] if type(value) is float else other
+
+
+def _fields(value, path=()):
+    """(container, key, path) for every field of a JSON value, at any depth."""
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield value, key, (*path, key)
+            yield from _fields(child, (*path, key))
+
+
+def _read_meta(path: Path) -> tuple[dict, dict]:
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in ("weights", "bias")}
+        return json.loads(bytes(data["meta"]).decode("utf-8")), arrays
+
+
+def _run_captured(argv, out: Path) -> tuple[int, str, str, bytes | None]:
+    """Exit code, stdout, stderr (the gateway's warnings too) and the output file's bytes."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(stderr)
+    logging.getLogger("privqa.gateway").addHandler(handler)
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = run(argv)
+    finally:
+        logging.getLogger("privqa.gateway").removeHandler(handler)
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+_VALID_RUNS: dict = {}
+
+
+@pytest.mark.parametrize(
+    "kind", ["data", "keywords", "augmented", "cache", "report", "config", "checkpoint"]
+)
+@settings(max_examples=LAW_EXAMPLES, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_field_of_another_type_fails_by_name_or_changes_nothing(fuzz_ws, kind, data):
+    path, argv = fuzz_ws[kind]
+    out = path.parent / "out"
+    if kind not in _VALID_RUNS:
+        _VALID_RUNS[kind] = _run_captured(argv, out)
+        assert _VALID_RUNS[kind][0] == 0, _VALID_RUNS[kind][2]
+    original = path.read_bytes()
+    if kind == "checkpoint":
+        doc, arrays = _read_meta(path)
+        where = f"checkpoint {path}"
+    elif kind in ("report", "config"):
+        doc = json.loads(original)
+        where = f"{path}: "
+    else:
+        lines = original.decode("utf-8").splitlines()
+        lineno = data.draw(st.integers(1, len(lines)))
+        doc = json.loads(lines[lineno - 1])
+        where = f"{path}:{lineno}"
+    container, key, keys = data.draw(st.sampled_from(list(_fields(doc))))
+    value = container[key]
+    replacements = _replacements(value)
+    if kind == "report" and keys == ("budget",) and value is not None:
+        replacements.remove(None)  # a report without a budget, as an SFT run writes, is valid
+    container[key] = data.draw(st.sampled_from(replacements))
+    try:
+        if kind == "checkpoint":
+            np.savez(path, **arrays, meta=np.bytes_(json.dumps(doc).encode("utf-8")))
+        elif kind in ("report", "config"):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            lines[lineno - 1] = json.dumps(doc)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, stdout, err, written = _run_captured(argv, out)
+    finally:
+        path.write_bytes(original)
+    valid_code, valid_stdout, _, valid_written = _VALID_RUNS[kind]
+    if (code, stdout, written) == (valid_code, valid_stdout, valid_written):
+        return
+    assert code == 1, err
+    assert where in err, err
+    names = [k.replace("-", "_") for k in keys if isinstance(k, str)]
+    assert any(name in err.replace("-", "_") for name in names), (keys, err)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -135,13 +136,13 @@ def test_load_augmented_rejects_duplicate_ids(tmp_path):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("context", "not an object", "context must be an object"),
-        ("context", [1, 2], "context must be an object"),
-        ("specific", {"a": "text", "b": {}}, "specific must map labels to objects"),
-        ("specific", ["a", "b"], "specific must map labels to objects"),
-        ("decision", "b", "decision must be a list"),
-        ("instance", [], "instance must be an object"),
-        ("meta", ["x"], "meta must be an object"),
+        ("context", "not an object", "field 'context': expected an object"),
+        ("context", [1, 2], "field 'context': expected an object"),
+        ("specific", {"a": "text", "b": {}}, "field 'context.specific.a': expected an object"),
+        ("specific", ["a", "b"], "field 'context.specific': expected an object"),
+        ("decision", "b", "field 'context.decision': expected a list of strings"),
+        ("instance", [], "field 'instance': expected an object"),
+        ("meta", ["x"], "field 'instance.meta': expected an object of strings"),
     ],
     ids=[
         "context-string",
@@ -256,7 +257,8 @@ def test_ingest_non_object_meta_names_line(tmp_path):
     path = tmp_path / "src.jsonl"
     rec = {"question": "Q?", "options": {"A": "x", "B": "y"}, "answer_idx": "A", "meta": ["x"]}
     path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError, match=r":1: meta must be an object"):
+    message = r":1: instance 'medqa-1': field 'meta': expected an object of strings"
+    with pytest.raises(DatasetFormatError, match=message):
         ingest_records(path, "medqa", "medqa", "dev")
 
 
@@ -282,7 +284,7 @@ def test_ingest_medmcqa_rejects_a_bad_answer_index(tmp_path, cop):
     path = tmp_path / "src.jsonl"
     rec = {"question": "Pick.", "opa": "w", "opb": "x", "opc": "y", "opd": "z", "cop": cop}
     path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError, match=r"src\.jsonl:1: not a medmcqa record \(cop "):
+    with pytest.raises(DatasetFormatError, match=r"src\.jsonl:1: not a medmcqa record \(field 'cop': "):
         ingest_records(path, "medmcqa", "medmcqa", "train")
 
 
@@ -297,3 +299,66 @@ def test_load_splits_lines_at_newlines_only(tmp_path):
     # a file saved with Windows line ends loads the same
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert load_dataset(path).instances == (first, second)
+
+
+def _write_record(path, **changes):
+    rec = {"id": "q0", "question": "What is it?", "choices": {"a": "x", "b": "y"}, "gold": "a"}
+    path.write_text(json.dumps({**rec, **changes}) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # each loaded once as the text of its Python repr: "None", "['tok1 alpha', 'b']"
+        ({"question": None}, "instance 'q0': field 'question': expected a string with a non-space"),
+        ({"question": ["tok1 alpha", "b"]}, "instance 'q0': field 'question': expected a string"),
+        ({"id": None}, "field 'id': expected a string with a non-space character, got null"),
+        ({"choices": {"a": "x", "b": 2}}, "instance 'q0': field 'choices': expected an object of"),
+        ({"meta": {"year": 2020}}, "instance 'q0': field 'meta': expected an object of strings"),
+    ],
+    ids=["question-null", "question-list", "id-null", "choice-number", "meta-number"],
+)
+def test_dataset_field_of_another_kind_is_refused(tmp_path, changes, message):
+    path = _write_record(tmp_path / "data.jsonl", **changes)
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:1: {message}")):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("question", ["", "   ", "\u2028\t"])
+def test_dataset_question_without_a_word_is_refused_at_load(tmp_path, question):
+    path = _write_record(tmp_path / "data.jsonl", question=question)
+    message = f"{path}:1: instance 'q0': field 'question': expected a string with a non-space"
+    with pytest.raises(DatasetFormatError, match=re.escape(message)):
+        load_dataset(path)
+
+
+def _augmented_file(tmp_path, change):
+    inst = make_instance(1)
+    path = tmp_path / "aug.jsonl"
+    write_augmented([AugmentedInstance(inst, _context_for(inst), "g1")], path)
+    rec = json.loads(path.read_text(encoding="utf-8"))
+    change(rec["context"])
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # `serialize_context` refuses a decision outside the choices; the file took it
+        (lambda ctx: ctx.update(decision=["z"]), "decision ['z'] names no choice of"),
+        (lambda ctx: ctx.update(decision=[1]), "field 'context.decision': expected a list of"),
+        # loaded as the texts "None" and "5"
+        (lambda ctx: ctx.update(overall=None), "field 'context.overall': expected a string, got null"),
+        (
+            lambda ctx: ctx["specific"]["a"].update(knowledge=5),
+            "field 'context.specific.a.knowledge': expected a string, got 5",
+        ),
+    ],
+    ids=["decision-label", "decision-number", "overall-null", "knowledge-number"],
+)
+def test_augmented_context_field_is_checked_at_load(tmp_path, change, message):
+    path = _augmented_file(tmp_path, change)
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:1: instance 'q1': {message}")):
+        load_augmented(path)

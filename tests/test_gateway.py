@@ -198,6 +198,17 @@ def test_live_malformed_body(tmp_path):
         gw.complete(REQUEST, "live")
 
 
+@pytest.mark.parametrize("content", [None, 5, ["text"]])
+def test_live_completion_that_is_no_string_is_malformed(tmp_path, content):
+    # a null content was cached as the completion null, and parsing it then failed internally
+    body = {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
+    path = tmp_path / "cache.jsonl"
+    gw = Gateway(path, transport=MockTransport([TransportReply(200, body)]))
+    with pytest.raises(GatewayError, match="malformed upstream response"):
+        gw.complete(REQUEST, "live")
+    assert not path.exists() and len(gw) == 0
+
+
 def test_live_truncation_flag(tmp_path):
     # a completion cut off at max_tokens is an error naming its key, and is not cached
     transport = MockTransport([ok("cut off", finish="length")])
@@ -1104,3 +1115,16 @@ def test_generate_live_through_loopback(tmp_path, server, capsys):
     assert {line["source"] for line in lines} == {"live"}
     assert len(server.received) == 3
     assert all(headers["Authorization"] == "Bearer sk-loopback" for headers, _ in server.received)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("retries", True), ("retries", 2.9), ("retries", "3"), ("source", 5)]
+)
+def test_cache_line_field_of_another_kind_is_skipped(tmp_path, caplog, field, value):
+    # each line loaded: the retries coerced to 1, 2 and 3, the source kept as the int 5
+    path = tmp_path / "cache.jsonl"
+    rec = {"cache_key": cache_key(REQUEST), "completion": "one", "source": "live", "retries": 0}
+    path.write_text(json.dumps({**rec, field: value}) + "\n", encoding="utf-8")
+    gw = Gateway(path)
+    assert len(gw) == 0
+    assert f"skipping corrupt cache line {path}:1 (field {field!r}: expected " in caplog.text

@@ -1,4 +1,5 @@
 import json
+import re
 import unicodedata
 
 import pytest
@@ -339,7 +340,8 @@ def test_keyword_sets_reject_a_wrong_word_count(tmp_path):
     rec = json.loads(path.read_text(encoding="utf-8"))
     rec["word_count"] = 3
     path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
-    with pytest.raises(ExtractionError, match=r"kw\.jsonl:1: word_count 3 but the keywords have 2"):
+    message = r"kw\.jsonl:1: instance 'q1': word_count 3 but the keywords have 2"
+    with pytest.raises(ExtractionError, match=message):
         load_keyword_sets(path)
 
 
@@ -362,7 +364,8 @@ def test_keyword_sets_reject_a_string_for_a_list(tmp_path, record):
     path = tmp_path / "kw.jsonl"
     rec = {"id": "q1", "method": "NER", "ratio": 1.0, "seed": 0, **record}
     path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
-    with pytest.raises(ExtractionError, match=r"kw\.jsonl:1: bad keyword record .*JSON lists"):
+    message = r"kw\.jsonl:1: instance 'q1': field '(keywords|starts)': expected a list of "
+    with pytest.raises(ExtractionError, match=message):
         load_keyword_sets(path)
 
 
@@ -373,5 +376,28 @@ def test_keyword_sets_reject_an_infinite_number(tmp_path, field):
     rec = json.loads(path.read_text(encoding="utf-8"))
     rec[field] = "INF" if field != "starts" else ["INF"]
     path.write_text(json.dumps(rec).replace('"INF"', "1e999") + "\n", encoding="utf-8")
-    with pytest.raises(ExtractionError, match=r"kw\.jsonl:1: bad keyword record"):
+    with pytest.raises(ExtractionError, match=rf"kw\.jsonl:1: instance 'q1': field '{field}': expected "):
+        load_keyword_sets(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # each loaded: the seed as 1, the ratio as nan and the method as "None"
+        ("seed", 1.7, "field 'seed': expected an integer, got 1.7"),
+        ("seed", True, "field 'seed': expected an integer, got true"),
+        ("ratio", "nan", "field 'ratio': expected a finite number, got \"nan\""),
+        ("method", None, "field 'method': expected a string, got null"),
+        # and these loaded as they stand
+        ("ratio", 1.5, "ratio 1.5 outside [0, 1]"),
+        ("method", "Bogus", "unknown method 'Bogus'; expected one of"),
+        ("starts", [-3], "negative start in [-3]"),
+    ],
+)
+def test_keyword_record_field_is_checked_at_load(tmp_path, field, value, message):
+    path = tmp_path / "kw.jsonl"
+    save_keyword_sets({"q1": extract_random_span("one two three four", 0.5, seed=2)}, path)
+    rec = {**json.loads(path.read_text(encoding="utf-8")), field: value}
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(ExtractionError, match=re.escape(f"{path}:1: instance 'q1': {message}")):
         load_keyword_sets(path)

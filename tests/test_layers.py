@@ -358,3 +358,43 @@ def test_cli_keeps_no_list_of_error_classes():
         and all(ast.unparse(elt) in errors or _names_an_exception(ast.unparse(elt)) for elt in node.elts)
     ]
     assert tuples == [["PrivqaError", "OSError"]], f"tuples of error classes in privqa.cli: {tuples}"
+
+
+# A builtin conversion of a subscript or a `.get(...)` is how the loaders once
+# read a field of another type as a wrong value: `str(rec["question"])` of a
+# list, `int(rec["seed"])` of 1.7. `privqa.errors.field` is the one check.
+CONVERSIONS = {"str", "int", "float", "bool"}
+
+
+def record_coercions(tree: ast.AST) -> list[str]:
+    """Each call of a builtin conversion on a subscript or on a `.get(...)` call."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in CONVERSIONS
+        and node.args
+        and (
+            isinstance(node.args[0], ast.Subscript)
+            or isinstance(node.args[0], ast.Call) and getattr(node.args[0].func, "attr", None) == "get"
+        )
+    ]
+
+
+def test_record_coercions_sees_every_form():
+    tree = ast.parse(
+        "str(rec['id'])\nint(rec.get('n', 0))\nbool(m[k])\nfloat(x)\nstr(a.b)\nlen(rec['x'])\n"
+        "def f(c):\n    return float(c['bias'][0])\n"
+    )
+    found = record_coercions(tree)
+    assert found == ["str(rec['id'])", "int(rec.get('n', 0))", "bool(m[k])", "float(c['bias'][0])"]
+
+
+def test_no_loader_coerces_a_decoded_field():
+    found = [f"{p.stem}: {c}" for p in sorted(SRC.glob("*.py")) for c in record_coercions(parse(p))]
+    assert not found, f"conversions of decoded fields outside privqa.errors.field: {found}"
+    defined = {
+        node.name for p in sorted(SRC.glob("*.py")) for node in ast.walk(parse(p))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_exact" not in defined and "field" in defined

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -938,6 +939,24 @@ def test_checkpoint_other_featurization(tmp_path, key, value):
     meta[key] = value
     np.savez(path, **arrays, meta=np.bytes_(json.dumps(meta).encode("utf-8")))
     with pytest.raises(ScorerError, match=key):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, dim",
+    [("dim", "8", 8), ("dim", 8.0, 8), ("dim", True, 1), ("hash_seed", 1.5, 8)],
+)
+def test_checkpoint_meta_of_another_kind_is_refused(tmp_path, key, value, dim):
+    # each loaded: the dims as 8, 8 and 1, and the hash seed as the other featurizer 1
+    path = tmp_path / "model.npz"
+    save_model(ScorerModel.zeros(FeaturizerConfig(dim=dim)), path)
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        arrays = {name: data[name] for name in ("weights", "bias")}
+    meta[key] = value
+    np.savez(path, **arrays, meta=np.bytes_(json.dumps(meta).encode("utf-8")))
+    message = f"corrupt checkpoint {path}: field {key!r}: expected an integer, got {json.dumps(value)}"
+    with pytest.raises(ScorerError, match=re.escape(message)):
         load_model(path)
 
 
