@@ -45,7 +45,6 @@ from privqa.harness import (
     augment_completion,
     build_keyword_map,
     evaluate,
-    ftcr_admission,
     render_report_table,
     run_budget_sweep,
     run_ood,
@@ -258,10 +257,8 @@ def _cmd_parse(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _experiment_config(args)
-    train_aug = load_augmented(args.train)
-    model, tlog = train_scorer(cfg, train_aug, load_augmented(args.dev))
+    model, tlog, ftcr = train_scorer(cfg, load_augmented(args.train), load_augmented(args.dev))
     save_model(model, args.checkpoint)
-    ftcr = ftcr_admission(cfg, train_aug)
     if ftcr is not None:
         print(f"context admitted for {ftcr['admitted']}/{ftcr['total']} training instances")
     print(

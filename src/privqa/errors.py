@@ -15,6 +15,15 @@ from typing import Any, Callable, Iterable, TypeVar
 
 V = TypeVar("V")
 
+
+def _all(kind: type, values: Iterable) -> bool:
+    return all(type(v) is kind for v in values)
+
+
+def _finite(value: Any) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 # A field's kind is a type or one of these two. A float is a finite number, an int is
 # never a bool (JSON's true is no number), and a WHOLE number is an int or a whole float.
 TEXT, WHOLE = "a string with a non-space character", "a whole number"
@@ -23,19 +32,16 @@ _KINDS = {  # kind: (how a message names it, the test its value passes)
     TEXT: (TEXT, lambda v: type(v) is str and v.strip() != ""),
     int: ("an integer", lambda v: type(v) is int),
     WHOLE: (WHOLE, lambda v: type(v) is int or type(v) is float and v.is_integer()),
-    float: ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    float: ("a finite number", _finite),
     bool: ("true or false", lambda v: type(v) is bool),
     dict: ("an object", lambda v: type(v) is dict),
     dict[str, str]: ("an object of strings", lambda v: type(v) is dict and _all(str, v.values())),
     list[str]: ("a list of strings", lambda v: type(v) is list and _all(str, v)),
     list[int]: ("a list of integers", lambda v: type(v) is list and _all(int, v)),
+    list[float]: ("a list of finite numbers", lambda v: type(v) is list and all(map(_finite, v))),
     list[dict]: ("a list of objects", lambda v: type(v) is list and _all(dict, v)),
 }
 _REQUIRED = object()
-
-
-def _all(kind: type, values: Iterable) -> bool:
-    return all(type(v) is kind for v in values)
 
 
 class PrivqaError(Exception):
@@ -74,6 +80,8 @@ def field(record: Any, key: str | tuple, kind: Any, error: Callable, default: An
             if path[depth] not in record:
                 return default
             record = record[path[depth]]
+    if kind is list[float]:
+        return [float(v) for v in record]
     return float(record) if kind is float else int(record) if kind is WHOLE else record
 
 

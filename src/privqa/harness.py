@@ -560,20 +560,27 @@ def _materialize(
 
 def train_scorer(
     config: ExperimentConfig,
-    train_aug: Sequence[AugmentedInstance],
-    dev_aug: Sequence[AugmentedInstance],
+    train_aug: Iterable[AugmentedInstance],
+    dev_aug: Iterable[AugmentedInstance],
     featurizer: FeaturizerConfig | None = None,
-) -> tuple[ScorerModel, TrainLog]:
+) -> tuple[ScorerModel, TrainLog, dict | None]:
     """Train under the configured regime, early-stopping on the dev instances.
 
-    `featurizer` must equal the config's; by default a fresh one is built.
+    It consumes the contexts it is handed: each split's are dropped once its
+    scorer inputs are built, before training starts, so a caller that keeps
+    no reference of its own holds none through training. The report's FTCR
+    section, counted over the train contexts, comes back with the model and
+    its log. `featurizer` must equal the config's; by default a fresh one is
+    built.
     """
-    return train(
-        config,
-        build_inputs(train_aug, config.regime, config.context_view()),
-        build_inputs(dev_aug, "FTC", eval_view(config)),
-        featurizer or config.featurizer(),
-    )
+    train_aug = list(train_aug)
+    ftcr = ftcr_admission(config, train_aug)
+    train_items = build_inputs(train_aug, config.regime, config.context_view())
+    del train_aug
+    dev_items = build_inputs(list(dev_aug), "FTC", eval_view(config))
+    del dev_aug
+    model, tlog = train(config, train_items, dev_items, featurizer or config.featurizer())
+    return model, tlog, ftcr
 
 
 def predict_labels(
@@ -660,15 +667,19 @@ def _run(
     """
     if memo is None:
         memo = CommandMemo()
-    train, dev = datasets["train"], datasets["dev"]
     # SFT reads no provider, so its test split always joins the one stream
     shared = test_provider is provider or config.regime == "SFT"
     kmaps: list[dict[str, KeywordSet]] = []
-    splits = [train, dev, test] if shared else [train, dev]
+    splits = [datasets["train"], datasets["dev"]] + ([test] if shared else [])
     with closing(_materialize(config, splits, provider, memo, kmaps)) as contexts:
-        train_aug = list(islice(contexts, len(train)))
-        dev_aug = list(islice(contexts, len(dev)))
-        model, tlog = train_scorer(config, train_aug, dev_aug, featurizer)
+        # train_scorer consumes both slices, so no train or dev context
+        # outlives its scorer inputs
+        model, tlog, ftcr = train_scorer(
+            config,
+            islice(contexts, len(datasets["train"])),
+            islice(contexts, len(datasets["dev"])),
+            featurizer,
+        )
         if shared:
             test_aug = list(contexts)
     if not shared:
@@ -677,8 +688,7 @@ def _run(
     dataset = {"name": test.name, "split": test.split, "sizes": sizes}
     if transfer is not None:
         dataset["transfer"] = transfer
-    budget = _budget_section(train, kmaps[0] if kmaps else None)
-    ftcr = ftcr_admission(config, train_aug)
+    budget = _budget_section(datasets["train"], kmaps[0] if kmaps else None)
     return evaluate(model, config, test_aug, dataset, tlog=tlog, budget=budget, ftcr=ftcr)
 
 

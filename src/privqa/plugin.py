@@ -11,7 +11,6 @@ id they interrupted.
 from __future__ import annotations
 
 import json
-import math
 import queue
 import subprocess
 import threading
@@ -19,7 +18,7 @@ from typing import Sequence
 
 from privqa.contexts import ContextView
 from privqa.corpus import AugmentedInstance
-from privqa.errors import PrivqaError
+from privqa.errors import PrivqaError, field
 from privqa.harness import choice_texts
 from privqa.scorer import ScoreVector, softmax
 
@@ -117,22 +116,15 @@ class ExternalScorer:
             raise self._fail(
                 f"response id {reply.get('id')!r} does not match request id {instance_id!r}"
             )
-        scores = reply.get("scores")
-        if not isinstance(scores, list) or len(scores) != len(inputs):
+        # a string, a bool, NaN or Infinity (json.loads accepts the last two) fails here;
+        # softmax would turn a NaN into NaN probabilities and argmax pick the first label
+        error = lambda message: self._fail(f"response for instance {instance_id}: {message}")
+        values = field(reply, "scores", list[float], error)
+        if len(values) != len(inputs):
             raise self._fail(
-                f"response for instance {instance_id} has {0 if not isinstance(scores, list) else len(scores)}"
-                f" scores for {len(inputs)} inputs"
+                f"response for instance {instance_id} has {len(values)} scores"
+                f" for {len(inputs)} inputs"
             )
-        try:
-            values = [float(s) for s in scores]
-        except (TypeError, ValueError) as exc:
-            raise self._fail(
-                f"response for instance {instance_id} has non-numeric scores"
-            ) from exc
-        # json.loads accepts NaN and Infinity; softmax would turn them into NaN
-        # probabilities and argmax would silently pick the first label
-        if not all(math.isfinite(v) for v in values):
-            raise self._fail(f"response for instance {instance_id} has non-finite scores")
         return values
 
     def close(self) -> None:

@@ -44,6 +44,7 @@ from privqa.synthetic import (
     filler_tokens,
     gazetteer_tokens,
 )
+from tests.test_harness import contexts_alive_in_training
 
 SPEC = SyntheticSpec(seed=5, train_size=60, dev_size=24, test_size=24)
 
@@ -228,6 +229,17 @@ def test_checkpoint_is_written_at_the_path_given(ws, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["aug.jsonl", "model.ckpt"]
     assert run(["eval", "--checkpoint", model, "--data", aug]) == 0
     assert "accuracy:" in capsys.readouterr().out
+
+
+def test_train_command_holds_no_context_in_training(ws, tmp_path, capsys, monkeypatch):
+    aug = tmp_path / "aug.jsonl"
+    write_augmented(ws["provider"].provide(ws["corpus"]["dev"], 0.5, seed=0)[0], aug)
+    alive = contexts_alive_in_training(monkeypatch)
+    train = ["train", *FAST, "--max-epochs", "1", "--regime", "FTCR", "--train", aug, "--dev", aug]
+    assert run([*train, "--checkpoint", tmp_path / "model.npz"]) == 0
+    assert alive == [0]
+    # the FTCR section comes back from training and is printed
+    assert "training instances" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])

@@ -1,3 +1,4 @@
+import gc
 import random
 import threading
 import time
@@ -37,6 +38,7 @@ from privqa.harness import (
     run_experiment,
     run_ood,
     run_representation_compare,
+    train_scorer,
     write_report,
 )
 from privqa.keywords import (
@@ -196,6 +198,19 @@ def test_ftcr_admission_property(augmented):
     admission = ftcr_admission(small_config(regime="FTCR"), augmented)
     assert admission == {"admitted": len(admitted), "total": len(augmented)}
     assert ftcr_admission(small_config(regime="FTC"), augmented) is None
+
+
+@pytest.mark.parametrize("regime", ["FTC", "SFT", "FTCR"])
+def test_train_scorer_returns_the_ftcr_section(corpus, provider, mixed_augmented, regime):
+    # the contexts go in as one-pass iterators, as a run's stream hands them over
+    config = small_config(regime=regime, ratio=0.5, max_epochs=1)
+    dev_aug = provider.provide(corpus["dev"], 0.5, seed=SPEC.seed)[0]
+    _, _, ftcr = train_scorer(config, iter(mixed_augmented), iter(dev_aug))
+    assert ftcr == ftcr_admission(config, mixed_augmented)
+    if regime == "FTCR":
+        assert 0 < ftcr["admitted"] < ftcr["total"] == len(mixed_augmented)
+    else:
+        assert ftcr is None
 
 
 def test_context_free_ftc_equals_sft(mixed_augmented):
@@ -404,6 +419,61 @@ def test_run_trains_while_the_test_completions_are_in_flight(tmp_path, corpus, p
     assert threading.active_count() == threads
     assert render_report(report) == render_report(run_experiment(config, corpus, provider))
     assert cache_keys_in(tmp_path / "cache.jsonl") == request_keys(pipe, corpus, config)
+
+
+def contexts_alive_in_training(monkeypatch) -> list[int]:
+    """Patch `harness.train` to count, at each entry, the live contexts made since this call.
+
+    No `gc.collect()` runs first: a context is counted until nothing refers to it.
+    """
+    # holding the older contexts keeps their ids from going to new ones
+    known = {id(obj): obj for obj in gc.get_objects() if isinstance(obj, AugmentedInstance)}
+    real_train = harness.train
+    counts = []
+
+    def train(*args, **kwargs):
+        counts.append(
+            sum(isinstance(obj, AugmentedInstance) and id(obj) not in known for obj in gc.get_objects())
+        )
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", train)
+    return counts
+
+
+@pytest.mark.parametrize("regime", ["FTC", "FTCR"])
+def test_run_holds_no_context_in_training(corpus, provider, monkeypatch, regime):
+    alive = contexts_alive_in_training(monkeypatch)
+    run_experiment(small_config(regime=regime, ratio=0.5, max_epochs=1), corpus, provider)
+    assert alive == [0]
+
+
+def test_sweep_runs_hold_no_context_in_training(corpus, provider, monkeypatch):
+    alive = contexts_alive_in_training(monkeypatch)
+    run_budget_sweep(small_config(max_epochs=1), corpus, provider, ratios=(0.5, 1.0))
+    assert alive == [0, 0]
+
+
+def test_stream_run_holds_no_context_while_test_completions_are_in_flight(
+    tmp_path, corpus, provider, monkeypatch
+):
+    config = small_config(max_epochs=1)
+    test_sent = threading.Event()
+    upstream = OracleUpstream(
+        corpus, provider, config.ratio, on_send=lambda split: split == "test" and test_sent.set()
+    )
+    pipe = live_pipeline(tmp_path / "cache.jsonl", corpus, provider, upstream)
+    alive = contexts_alive_in_training(monkeypatch)
+    counting_train = harness.train
+
+    def train(*args, **kwargs):
+        assert test_sent.wait(10)
+        return counting_train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", train)
+    report = run_experiment(config, corpus, pipe)
+    assert alive == [0]
+    assert report.metrics["n"] == len(corpus["test"])
 
 
 def test_run_caches_every_generation_when_a_test_one_fails_to_parse(tmp_path, corpus, provider):

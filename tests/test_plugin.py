@@ -94,8 +94,21 @@ def test_response_non_numeric_scores():
         'print(json.dumps({"id": req["id"], "scores": ["hi", "yo"]}), flush=True)'
     )
     with ExternalScorer(bad_responder(body), timeout=5.0) as s:
-        with pytest.raises(PluginError, match="non-numeric"):
+        with pytest.raises(PluginError, match="inst-10: field 'scores': expected a list of finite"):
             s.score("inst-10", ["a", "b"])
+
+
+def test_response_scores_of_another_json_type_are_not_converted():
+    # a numeric string and a bool used to be taken as [1.5, 1.0]
+    body = (
+        "req = json.loads(line); "
+        'print(json.dumps({"id": req["id"], "scores": ["1.5", True]}), flush=True)'
+    )
+    with ExternalScorer(bad_responder(body), timeout=5.0) as s:
+        with pytest.raises(PluginError, match="inst-14: field 'scores': expected a list of finite"):
+            s.score("inst-14", ["a", "b"])
+        # the child is out of step, so it is killed at once
+        assert s._proc.wait(timeout=2.0) != 0
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -106,7 +119,7 @@ def test_response_non_finite_scores(bad):
         f'print(json.dumps({{"id": req["id"], "scores": [1.0, float("{bad}")]}}), flush=True)'
     )
     with ExternalScorer(bad_responder(body), timeout=5.0) as s:
-        with pytest.raises(PluginError, match="inst-13 has non-finite"):
+        with pytest.raises(PluginError, match="inst-13: field 'scores': expected a list of finite"):
             s.score("inst-13", ["a", "b"])
 
 

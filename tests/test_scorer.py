@@ -723,7 +723,7 @@ spec = SyntheticSpec(seed=0, train_size=200, dev_size=80, test_size=8)
 corpus = build_corpus(spec)
 provider = SyntheticContextProvider(spec)
 train_aug, dev_aug = (provider.provide(corpus[s], 0.5, 0)[0] for s in ("train", "dev"))
-model, _ = train_scorer(ExperimentConfig(ratio=0.5, max_epochs=3), train_aug, dev_aug)
+model, _, _ = train_scorer(ExperimentConfig(ratio=0.5, max_epochs=3), train_aug, dev_aug)
 print(hashlib.sha256(model.weights.tobytes()).hexdigest(), model.bias.hex())
 """
 
