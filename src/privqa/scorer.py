@@ -22,8 +22,9 @@ support gets zero gradient at every step, so under decoupled decay its
 Adam moments and its weight stay exactly 0; every optimizer operation is
 elementwise, and scores and gradients are summed in the same order as over
 full-dim weights. The trained weights, bias and log therefore equal those
-of dense Adam over all `dim` weights bit for bit, and the returned model is
-full-dim.
+of dense Adam over all `dim` weights bit for bit. The returned model holds
+only its support: the sorted feature indices and their weights, every other
+weight being 0.0. Checkpoints store the full-dim vector.
 """
 
 from __future__ import annotations
@@ -319,14 +320,54 @@ def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
 
 @dataclass
 class ScorerModel:
-    weights: np.ndarray
+    """A linear head held as its support.
+
+    `indices` are the feature indices that have a weight, strictly
+    increasing and below the featurizer's dim, and `values` their weights;
+    every other feature's weight is 0.0.
+    """
+
+    indices: np.ndarray
+    values: np.ndarray
     bias: float
     featurizer: FeaturizerConfig
 
     @classmethod
     def zeros(cls, featurizer: FeaturizerConfig | None = None) -> "ScorerModel":
-        cfg = featurizer or FeaturizerConfig()
-        return cls(weights=np.zeros(cfg.dim, dtype=np.float64), bias=0.0, featurizer=cfg)
+        empty = np.empty(0, dtype=np.int64)
+        return cls(empty, empty.astype(np.float64), 0.0, featurizer or FeaturizerConfig())
+
+    @classmethod
+    def from_weights(
+        cls, weights: np.ndarray, bias: float, featurizer: FeaturizerConfig
+    ) -> "ScorerModel":
+        """The model of a full-dim weight vector: every entry whose bits are
+        nonzero is kept, so a -0.0 is too."""
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (featurizer.dim,):
+            raise ScorerError(
+                f"weight shape {weights.shape} does not match dim {featurizer.dim}"
+            )
+        indices = np.flatnonzero(weights.view(np.int64))
+        return cls(indices, weights[indices], bias, featurizer)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """A fresh read-only full-dim copy of the weights, for checkpoints and
+        inspection; scoring and gradients read the support through `weights_at`."""
+        out = np.zeros(self.featurizer.dim, dtype=np.float64)
+        out[self.indices] = self.values
+        out.flags.writeable = False
+        return out
+
+    def weights_at(self, indices: np.ndarray) -> np.ndarray:
+        """The weight of each feature index: its support value, or 0.0 outside the support."""
+        out = np.zeros(indices.size, dtype=np.float64)
+        if self.indices.size:
+            at = np.minimum(np.searchsorted(self.indices, indices), self.indices.size - 1)
+            hit = self.indices[at] == indices
+            out[hit] = self.values[at[hit]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -392,11 +433,12 @@ def score_texts(model: ScorerModel, texts: Sequence[str]) -> np.ndarray:
     """Raw score of each text: one featurizing pass and one kernel call.
 
     The kernel reads the featurizer's int32 slots and counts, against the
-    weights gathered once per memo slot.
+    weights looked up once per memo slot; a slot outside the model's support,
+    such as an n-gram first seen after training, weighs 0.0.
     """
     cfg = model.featurizer
     slots, counts, sizes = _featurize_slots(texts, cfg)
-    weights = model.weights[cfg._tokens.indices[: len(cfg._tokens.slots)]]
+    weights = model.weights_at(cfg._tokens.indices[: len(cfg._tokens.slots)])
     rows = np.repeat(np.arange(len(texts)), sizes)
     return _raw_scores(weights, model.bias, slots, counts, rows, len(texts))
 
@@ -494,13 +536,15 @@ def loss_and_grad(model: ScorerModel, batch: Sequence[TrainItem]) -> LossGrad:
         raise ScorerError("empty batch")
     cfg = model.featurizer
     slots, values, sizes, counts, gold = _featurize_items(batch, cfg)
-    indices = cfg._tokens.indices[slots]
+    # the batch's slots, renumbered compactly; each has its own feature index
+    touched, positions = np.unique(slots, return_inverse=True)
+    indices = cfg._tokens.indices[touched]
     loss, grad, bias_grad = _loss_grad(
-        model.weights, model.bias, indices, values, sizes, counts, gold
+        model.weights_at(indices), model.bias, positions, values, sizes, counts, gold
     )
     # in index order, so the memo's slot order never shows
-    touched = np.unique(indices)
-    weight_grad = dict(zip(touched.tolist(), grad[touched].tolist()))
+    order = np.argsort(indices)
+    weight_grad = dict(zip(indices[order].tolist(), grad[order].tolist()))
     return LossGrad(loss=loss, weight_grad=weight_grad, bias_grad=bias_grad)
 
 
@@ -552,26 +596,26 @@ def train(
     """Deterministic mini-batch training with warmup and early stopping.
 
     Identical config and items give identical weights. The best checkpoint
-    by dev accuracy is returned; on ties the earlier epoch wins.
+    by dev accuracy is returned; on ties the earlier epoch wins. The model
+    holds one weight per feature index the training texts use, and no
+    full-dim array.
     """
     if not train_items:
         raise ScorerError("no training items")
     if not dev_items:
         raise ScorerError("no dev items for early stopping")
     cfg = featurizer or FeaturizerConfig()
-    # The returned model is full-dim, so a dim too large to allocate fails
-    # here, before any featurizing. The weights themselves are built once
-    # `_fit` has returned, when the featurized splits and the optimizer's
-    # buffers are already freed, so the two are never held at once.
+    # Checkpoints and `ScorerModel.weights` are full-dim, so a dim too large
+    # to allocate fails here, before any featurizing.
     try:
         np.empty(cfg.dim, dtype=np.float64)
     except (ValueError, MemoryError) as exc:
         raise ScorerError(f"featurizer dim {cfg.dim}: cannot allocate its weights ({exc})") from exc
 
     best_w, best_bias, log, support = _fit(config, train_items, dev_items, cfg)
-    weights = np.zeros(cfg.dim, dtype=np.float64)
-    weights[cfg._tokens.indices[support]] = best_w[:-1]
-    return ScorerModel(weights=weights, bias=best_bias, featurizer=cfg), log
+    indices = cfg._tokens.indices[support]
+    order = np.argsort(indices)
+    return ScorerModel(indices[order], best_w[order], best_bias, cfg), log
 
 
 def _support_positions(slots: np.ndarray, support: np.ndarray, n_slots: int) -> np.ndarray:
@@ -727,8 +771,17 @@ def load_model(path: str | Path) -> ScorerModel:
             f"checkpoint {p}: ngram_orders {featurization[0]} and lowercase {featurization[1]}"
             f" differ from this featurizer's {list(NGRAM_ORDERS)} and {LOWERCASE}"
         )
-    if weights.shape != (cfg.dim,):
+    try:
+        model = ScorerModel.from_weights(weights, bias, cfg)
+    except ScorerError as exc:
+        raise ScorerError(f"checkpoint {p}: {exc}") from exc
+    # a NaN or infinite weight would score every choice alike, silently
+    bad = np.flatnonzero(~np.isfinite(model.values))
+    if bad.size:
+        at = bad[0]
         raise ScorerError(
-            f"checkpoint {p}: weight shape {weights.shape} does not match dim {cfg.dim}"
+            f"checkpoint {p}: weight at index {model.indices[at]} is {model.values[at]}, not finite"
         )
-    return ScorerModel(weights=weights, bias=bias, featurizer=cfg)
+    if not math.isfinite(bias):
+        raise ScorerError(f"checkpoint {p}: bias is {bias}, not finite")
+    return model

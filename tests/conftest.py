@@ -1,8 +1,8 @@
 """Child processes started by the tests import privqa from this checkout's src.
 
-`--hypothesis-profile=ci` runs the field-type laws in tests/test_cli.py on
-many more examples than tier-1 gives them; a test that sets its own
-`max_examples` keeps it.
+`--hypothesis-profile=ci` runs the field-type laws in tests/test_cli.py and
+the exactness law in tests/test_scorer.py on many more examples than tier-1
+gives them; a test that sets its own `max_examples` keeps it.
 """
 
 import os

@@ -185,9 +185,8 @@ def test_criterion_3_gradient_check():
             "FTC",
             ContextView.FULL,
         )
-        model = ScorerModel.zeros(cfg)
-        model.weights[:] = np.array([rng.gauss(0, 0.5) for _ in range(cfg.dim)])
-        model.bias = rng.gauss(0, 0.5)
+        weights = np.array([rng.gauss(0, 0.5) for _ in range(cfg.dim)])
+        model = ScorerModel.from_weights(weights, rng.gauss(0, 0.5), cfg)
         lg = loss_and_grad(model, batch)
         scale = max(max((abs(v) for v in lg.weight_grad.values()), default=0.0), 1e-8)
 
@@ -195,12 +194,12 @@ def test_criterion_3_gradient_check():
         coords = rng.sample(touched, min(15, len(touched)))
         coords += [rng.randrange(cfg.dim) for _ in range(20 - len(coords))]
         for idx in coords:
-            keep = model.weights[idx]
-            model.weights[idx] = keep + eps
-            up = loss_and_grad(model, batch).loss
-            model.weights[idx] = keep - eps
-            down = loss_and_grad(model, batch).loss
-            model.weights[idx] = keep
+            keep = weights[idx]
+            weights[idx] = keep + eps
+            up = loss_and_grad(ScorerModel.from_weights(weights, model.bias, cfg), batch).loss
+            weights[idx] = keep - eps
+            down = loss_and_grad(ScorerModel.from_weights(weights, model.bias, cfg), batch).loss
+            weights[idx] = keep
             fd = (up - down) / (2 * eps)
             worst = max(worst, abs(fd - lg.weight_grad.get(idx, 0.0)) / scale)
 

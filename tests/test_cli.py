@@ -604,6 +604,22 @@ def test_checkpoint_with_out_of_range_hash_seed_is_user_error(ws, capsys, tmp_pa
     assert f"corrupt checkpoint {checkpoint}: featurizer hash_seed -1 outside" in err
 
 
+def test_checkpoint_with_non_finite_weights_is_user_error(ws, capsys, tmp_path):
+    # loaded, it would answer the first label for every instance
+    checkpoint = tmp_path / "model.npz"
+    meta = {"dim": 4096, "hash_seed": 17, "ngram_orders": [1, 2], "lowercase": True}
+    np.savez(
+        checkpoint,
+        weights=np.full(4096, np.nan),
+        bias=np.float64(np.inf),
+        meta=np.bytes_(json.dumps(meta).encode("utf-8")),
+    )
+    data = ws["root"] / "data-test.jsonl"
+    assert run(["eval", "--checkpoint", checkpoint, "--data", data]) == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint}: weight at index 0 is nan, not finite" in err
+
+
 @pytest.mark.parametrize("key", ["dim", "hash_seed"])
 def test_checkpoint_with_an_infinite_setting_is_user_error(ws, capsys, tmp_path, key):
     checkpoint = tmp_path / "model.npz"

@@ -4,6 +4,7 @@ import threading
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,7 @@ from privqa.keywords import (
     subsample_keywords,
 )
 from privqa.promptkit import build_prompt, render_block
+from privqa.scorer import ScorerModel
 from privqa.synthetic import SyntheticContextProvider, SyntheticSpec, build_corpus, gazetteer_tokens
 from tests.test_gateway import cache_keys_in
 from tests.test_scorer import make_augmented
@@ -473,6 +475,66 @@ def test_stream_run_holds_no_context_while_test_completions_are_in_flight(
     monkeypatch.setattr(harness, "train", train)
     report = run_experiment(config, corpus, pipe)
     assert alive == [0]
+    assert report.metrics["n"] == len(corpus["test"])
+
+
+def models_handed_to_evaluate(monkeypatch) -> list[ScorerModel]:
+    """Patch `harness.evaluate` to record each model a run hands it, and make
+    reading `ScorerModel.weights`, the full-dim copy, fail the test."""
+    models = []
+    real_evaluate = harness.evaluate
+
+    def evaluate(model, *args, **kwargs):
+        models.append(model)
+        return real_evaluate(model, *args, **kwargs)
+
+    def weights(model):
+        pytest.fail("a run built the full-dim weights")
+
+    monkeypatch.setattr(harness, "evaluate", evaluate)
+    monkeypatch.setattr(ScorerModel, "weights", property(weights))
+    return models
+
+
+def full_dim_arrays(model: ScorerModel) -> list[str]:
+    return [
+        name for name, value in vars(model).items()
+        if isinstance(value, np.ndarray) and value.size >= model.featurizer.dim
+    ]
+
+
+def test_run_model_holds_only_its_support(corpus, provider, monkeypatch):
+    models = models_handed_to_evaluate(monkeypatch)
+    report = run_experiment(small_config(max_epochs=2), corpus, provider)
+    (model,) = models
+    assert full_dim_arrays(model) == []
+    assert 0 < model.indices.size < model.featurizer.dim
+    assert report.metrics["n"] == len(corpus["test"])
+
+
+def test_live_run_model_holds_only_its_support_with_test_completions_in_flight(
+    tmp_path, corpus, provider, monkeypatch
+):
+    config = small_config(max_epochs=2)
+    test_sent = threading.Event()
+    upstream = OracleUpstream(
+        corpus, provider, config.ratio, on_send=lambda split: split == "test" and test_sent.set()
+    )
+    pipe = live_pipeline(tmp_path / "cache.jsonl", corpus, provider, upstream)
+    real_train = harness.train
+    sent_before_training = []
+
+    def train(*args, **kwargs):
+        sent_before_training.append(test_sent.wait(10))
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", train)
+    models = models_handed_to_evaluate(monkeypatch)
+    report = run_experiment(config, corpus, pipe)
+    (model,) = models
+    assert sent_before_training == [True]
+    assert full_dim_arrays(model) == []
+    assert 0 < model.indices.size < model.featurizer.dim
     assert report.metrics["n"] == len(corpus["test"])
 
 

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import weakref
 from itertools import chain
@@ -413,10 +414,11 @@ def test_zero_model_ties_break_to_lowest_label():
 
 def test_confident_model_loss_near_zero():
     aug = make_augmented(gold="b")
-    model = ScorerModel.zeros(CFG)
     gold_text = choice_texts(aug, ContextView.FULL)[1]
-    fv = featurize(gold_text, model.featurizer)
-    model.weights[fv.indices] = 100.0
+    fv = featurize(gold_text, CFG)
+    weights = np.zeros(CFG.dim)
+    weights[fv.indices] = 100.0
+    model = ScorerModel.from_weights(weights, 0.0, CFG)
     scores = score_texts(model, choice_texts(aug, ContextView.FULL))
     assert softmax(scores)[1] > 0.999
     assert loss_and_grad(model, full_items([aug])).loss < 1e-3
@@ -443,11 +445,8 @@ def test_gradient_matches_finite_differences():
     worst = 0.0
     for pair in range(20):
         batch = full_items([random_augmented(rng, f"p{pair}-{i}") for i in range(3)])
-        model = ScorerModel.zeros(CFG)
-        model.weights[:] = np.array(
-            [rng.gauss(0, 0.5) for _ in range(CFG.dim)], dtype=np.float64
-        )
-        model.bias = rng.gauss(0, 0.5)
+        weights = np.array([rng.gauss(0, 0.5) for _ in range(CFG.dim)], dtype=np.float64)
+        model = ScorerModel.from_weights(weights, rng.gauss(0, 0.5), CFG)
         lg = loss_and_grad(model, batch)
         scale = max(max((abs(v) for v in lg.weight_grad.values()), default=0.0), 1e-8)
 
@@ -455,12 +454,12 @@ def test_gradient_matches_finite_differences():
         coords = rng.sample(touched, min(10, len(touched)))
         coords += [rng.randrange(CFG.dim) for _ in range(5)]
         for idx in coords:
-            keep = model.weights[idx]
-            model.weights[idx] = keep + eps
-            up = loss_and_grad(model, batch).loss
-            model.weights[idx] = keep - eps
-            down = loss_and_grad(model, batch).loss
-            model.weights[idx] = keep
+            keep = weights[idx]
+            weights[idx] = keep + eps
+            up = loss_and_grad(ScorerModel.from_weights(weights, model.bias, CFG), batch).loss
+            weights[idx] = keep - eps
+            down = loss_and_grad(ScorerModel.from_weights(weights, model.bias, CFG), batch).loss
+            weights[idx] = keep
             fd = (up - down) / (2 * eps)
             worst = max(worst, abs(fd - lg.weight_grad.get(idx, 0.0)) / scale)
 
@@ -506,9 +505,8 @@ def test_gradient_equals_dict_loop_exactly():
         batch = full_items(
             [random_augmented(rng, f"e{pair}-{i}") for i in range(rng.randrange(1, 9))]
         )
-        model = ScorerModel.zeros(CFG)
-        model.weights[:] = np.array([rng.gauss(0, 0.5) for _ in range(CFG.dim)])
-        model.bias = rng.gauss(0, 0.5)
+        weights = np.array([rng.gauss(0, 0.5) for _ in range(CFG.dim)])
+        model = ScorerModel.from_weights(weights, rng.gauss(0, 0.5), CFG)
         featurized = [([featurize(t, CFG) for t in item.texts], item.gold_index) for item in batch]
         loss, grad, bias_grad = reference_loss_grad(model.weights, model.bias, featurized)
         lg = loss_and_grad(model, batch)
@@ -523,9 +521,8 @@ def test_bias_gradient_is_zero_for_shared_bias():
     # the bias shifts every choice equally, so softmax cancels it exactly
     rng = random.Random(4)
     batch = full_items([random_augmented(rng, f"b{i}") for i in range(4)])
-    model = ScorerModel.zeros(CFG)
-    model.weights[:] = np.array([rng.gauss(0, 0.5) for _ in range(CFG.dim)])
-    lg = loss_and_grad(model, batch)
+    weights = np.array([rng.gauss(0, 0.5) for _ in range(CFG.dim)])
+    lg = loss_and_grad(ScorerModel.from_weights(weights, 0.0, CFG), batch)
     assert abs(lg.bias_grad) <= 1e-12
 
 
@@ -684,11 +681,68 @@ def test_kernel_sums_each_text_left_to_right(batch, weights, bias):
     # items of 2-4 choices, scored in one call: each raw score is the bias
     # plus the text's terms in featurizer order, summed one at a time
     cfg = FeaturizerConfig(dim=16, hash_seed=17)
-    model = ScorerModel(np.array(weights), bias, cfg)
+    model = ScorerModel.from_weights(np.array(weights), bias, cfg)
     texts = [text for item in batch for text in item.texts]
     scores = score_texts(model, texts)
     assert scores.dtype == np.float64
     assert scores.tolist() == [ordered_score(model.weights, bias, featurize(t, cfg)) for t in texts]
+
+
+# 0.0, -0.0, subnormals and values up to 1e300, small enough that no score
+# of a short text overflows
+EXACT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+EXACT_EXAMPLES = settings.default.max_examples if settings.get_current_profile_name() == "ci" else 60
+
+
+@st.composite
+def dense_weights(draw):
+    dim = draw(st.sampled_from([16, 4096]))
+    weights = np.zeros(dim)
+    entries = draw(st.dictionaries(st.integers(0, dim - 1), EXACT_VALUES, max_size=40))
+    for idx, value in entries.items():
+        weights[idx] = value
+    return weights
+
+
+@settings(max_examples=EXACT_EXAMPLES, deadline=None)
+@given(
+    weights=dense_weights(),
+    bias=EXACT_VALUES,
+    first=st.lists(st.lists(st.sampled_from(TRAIN_WORDS), max_size=5).map(" ".join), max_size=4),
+    later=st.lists(st.lists(st.sampled_from(DEV_WORDS), max_size=5).map(" ".join), max_size=4),
+)
+def test_support_model_is_exact_to_its_dense_weights(weights, bias, first, later):
+    cfg = FeaturizerConfig(dim=weights.size, hash_seed=17)
+    model = ScorerModel.from_weights(weights, bias, cfg)
+    assert model.weights.tobytes() == weights.tobytes()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, resaved = os.path.join(tmp, "a.npz"), os.path.join(tmp, "b.npz")
+        save_model(model, saved)
+        save_model(load_model(saved), resaved)
+        with open(saved, "rb") as a, open(resaved, "rb") as b:
+            assert a.read() == b.read()
+
+    # `later` brings n-grams the memo first sees after `first` was scored
+    for texts in (first, later + first):
+        scores = score_texts(model, texts)
+        expected = [ordered_score(weights, bias, featurize(t, cfg)) for t in texts]
+        assert scores.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+def test_from_weights_checks_the_shape():
+    with pytest.raises(ScorerError, match=r"weight shape \(8,\) does not match dim 16"):
+        ScorerModel.from_weights(np.zeros(8), 0.0, FeaturizerConfig(dim=16))
+
+
+def test_weights_are_a_read_only_copy():
+    model = ScorerModel.from_weights(np.arange(16.0), 0.0, FeaturizerConfig(dim=16))
+    with pytest.raises(ValueError, match="read-only"):
+        model.weights[3] = 1.0
+    assert model.indices.tolist() == list(range(1, 16))
 
 
 def test_best_choices_is_argmax_per_group():
@@ -752,11 +806,11 @@ def test_checkpoint_bits_do_not_depend_on_cpu_kernels():
     assert len(outputs) == 1, sorted(outputs)
 
 
-def test_train_frees_its_arrays_before_building_the_weights():
-    # Traced peak of `train` over what it leaves behind (its memo and the
-    # returned weights). The bound sits between 3.2 MB, read on this split
-    # when 64-bit featurized arrays were still held as the full-dim weights
-    # were built, and 0.2 MB with 32-bit arrays freed before them.
+def test_trained_model_keeps_only_its_support():
+    # What `train` leaves behind (its memo and the model) and its traced
+    # peak, at the default dim. A full-dim weight vector alone is 2.1 MB:
+    # with one built after training, this split left 2.59 MB and peaked at
+    # 2.80 MB.
     spec = SyntheticSpec(seed=0, train_size=200, dev_size=80, test_size=8)
     corpus = build_corpus(spec)
     provider = SyntheticContextProvider(spec)
@@ -764,14 +818,18 @@ def test_train_frees_its_arrays_before_building_the_weights():
     config = ExperimentConfig(ratio=0.5, max_epochs=1)
     train_items = build_inputs(train_aug, config.regime, config.context_view())
     dev_items = build_inputs(dev_aug, "FTC", eval_view(config))
+    cfg = FeaturizerConfig()
     tracemalloc.start()
     try:
-        model, _ = train(config, train_items, dev_items, FeaturizerConfig())
+        model, _ = train(config, train_items, dev_items, cfg)
         left, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.weights.nbytes == 8 * 2**18
-    assert peak - left < 1.5e6
+    assert left < 1.0e6
+    assert peak < 3.2e6
+    train_indices, _, _ = featurize_texts([t for item in train_items for t in item.texts], cfg)
+    support = np.unique(train_indices).size
+    assert model.indices.size == model.values.size == support
 
 
 def test_train_is_deterministic():
@@ -811,7 +869,7 @@ def test_slot_order_does_not_leak_into_results():
 
     weights = np.array([rng.gauss(0, 0.5) for _ in range(4096)])
     cold_grad, warm_grad = (
-        loss_and_grad(ScorerModel(weights, 0.3, cfg), train_items[:8])
+        loss_and_grad(ScorerModel.from_weights(weights, 0.3, cfg), train_items[:8])
         for cfg in (FeaturizerConfig(dim=4096, hash_seed=17), warm)
     )
     assert warm_grad == cold_grad
@@ -915,13 +973,33 @@ def test_checkpoint_corrupt(tmp_path):
         load_model(path)
 
 
-def test_checkpoint_shape_mismatch(tmp_path):
-    model = ScorerModel.zeros(CFG)
-    clipped = ScorerModel(
-        weights=model.weights[: CFG.dim // 2].copy(), bias=0.0, featurizer=CFG
+@pytest.mark.parametrize(
+    "weights, bias, message",
+    [
+        (np.full(CFG.dim, np.nan), np.inf, "weight at index 0 is nan, not finite"),
+        (np.where(np.arange(CFG.dim) == 7, -np.inf, 1.0), 0.5, "weight at index 7 is -inf"),
+        (np.zeros(CFG.dim), np.nan, "bias is nan, not finite"),
+    ],
+)
+def test_checkpoint_with_a_non_finite_value_is_refused(tmp_path, weights, bias, message):
+    path = tmp_path / "model.npz"
+    meta = {"dim": CFG.dim, "hash_seed": 17, "ngram_orders": [1, 2], "lowercase": True}
+    np.savez(
+        path, weights=weights, bias=np.float64(bias), meta=np.bytes_(json.dumps(meta).encode("utf-8"))
     )
+    with pytest.raises(ScorerError, match=re.escape(f"checkpoint {path}: {message}")):
+        load_model(path)
+
+
+def test_checkpoint_shape_mismatch(tmp_path):
     path = tmp_path / "short.npz"
-    save_model(clipped, path)
+    meta = {"dim": CFG.dim, "hash_seed": 17, "ngram_orders": [1, 2], "lowercase": True}
+    np.savez(
+        path,
+        weights=np.zeros(CFG.dim // 2),
+        bias=np.float64(0.0),
+        meta=np.bytes_(json.dumps(meta).encode("utf-8")),
+    )
     with pytest.raises(ScorerError, match="shape"):
         load_model(path)
 
