@@ -438,7 +438,11 @@ def score_texts(model: ScorerModel, texts: Sequence[str]) -> np.ndarray:
     """
     cfg = model.featurizer
     slots, counts, sizes = _featurize_slots(texts, cfg)
-    weights = model.weights_at(cfg._tokens.indices[: len(cfg._tokens.slots)])
+    # the memo table's keys are its slots' indices in increasing order, a
+    # third of the cost of searching them in slot order (default sweep)
+    memo = cfg._tokens.slots
+    weights = np.empty(len(memo), dtype=np.float64)
+    weights[memo.values] = model.weights_at(memo.keys)
     rows = np.repeat(np.arange(len(texts)), sizes)
     return _raw_scores(weights, model.bias, slots, counts, rows, len(texts))
 
