@@ -541,6 +541,8 @@ def _require_splits(datasets: dict[str, Dataset], *names: str) -> None:
     for name in names:
         if name not in datasets:
             raise HarnessError(f"missing dataset split {name!r}")
+        if not len(datasets[name]):
+            raise HarnessError(f"dataset split {name!r} has no instances")
 
 
 def _materialize(

@@ -758,8 +758,7 @@ def load_model(path: str | Path) -> ScorerModel:
     try:
         with np.load(p, allow_pickle=False) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            weights = np.asarray(data["weights"], dtype=np.float64)
-            bias = np.asarray(data["bias"], dtype=np.float64).item()
+            weights, bias = data["weights"], data["bias"]
             dim, hash_seed = (errors.field(meta, k, int, ScorerError) for k in ("dim", "hash_seed"))
             cfg = FeaturizerConfig(dim=dim, hash_seed=hash_seed)
             featurization = (meta["ngram_orders"], meta["lowercase"])
@@ -775,6 +774,16 @@ def load_model(path: str | Path) -> ScorerModel:
             f"checkpoint {p}: ngram_orders {featurization[0]} and lowercase {featurization[1]}"
             f" differ from this featurizer's {list(NGRAM_ORDERS)} and {LOWERCASE}"
         )
+    # converted, a "1.5" bias, a bool or int weight or a complex one's real
+    # part would load as a float; a big-endian float64 is still float64
+    for name, array in (("weights", weights), ("bias", bias)):
+        if array.dtype.kind != "f" or array.dtype.itemsize != 8:
+            raise ScorerError(
+                f"checkpoint {p}: array {name!r} has dtype {array.dtype}, not float64"
+            )
+    if bias.shape:
+        raise ScorerError(f"checkpoint {p}: array 'bias' has shape {bias.shape}, not ()")
+    bias = bias.item()
     try:
         model = ScorerModel.from_weights(weights, bias, cfg)
     except ScorerError as exc:

@@ -561,6 +561,22 @@ def test_unreadable_sweep_ratios_fail_before_any_training(capsys, monkeypatch, t
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare", "ood"])
+@pytest.mark.parametrize(
+    "sizes, split",
+    [(("8", "8", "0"), "test"), (("-3", "8", "8"), "train"), (("8", "0", "8"), "dev")],
+    ids=["test-0", "train-negative", "dev-0"],
+)
+def test_an_empty_split_fails_before_any_training(capsys, monkeypatch, command, sizes, split):
+    trained, real = [], harness.train
+    monkeypatch.setattr(harness, "train", lambda *args: trained.append(args) or real(*args))
+    flags = zip(("--train-size", "--dev-size", "--test-size"), sizes)
+    argv = [command, "--synthetic", *(a for flag in flags for a in flag), "--max-epochs", "1"]
+    assert run(argv) == 1
+    assert f"error: dataset split {split!r} has no instances" in capsys.readouterr().err
+    assert not trained
+
+
 def test_sweep_ratios_from_a_config_file_must_be_a_string(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"ratios": [0.5, 1.0]}), encoding="utf-8")
@@ -618,6 +634,39 @@ def test_checkpoint_with_non_finite_weights_is_user_error(ws, capsys, tmp_path):
     assert run(["eval", "--checkpoint", checkpoint, "--data", data]) == 1
     err = capsys.readouterr().err
     assert f"checkpoint {checkpoint}: weight at index 0 is nan, not finite" in err
+
+
+@pytest.mark.parametrize(
+    "weights, bias, message",
+    [
+        (np.zeros(16), np.str_("1.5"), "array 'bias' has dtype <U3"),
+        (np.arange(16) % 2 == 0, np.float64(0.0), "array 'weights' has dtype bool"),
+        (np.arange(16, dtype=np.int64), np.float64(0.0), "array 'weights' has dtype int64"),
+        (np.full(16, 1 + 2j), np.float64(0.0), "array 'weights' has dtype complex128"),
+    ],
+    ids=["str-bias", "bool", "int64", "complex"],
+)
+def test_checkpoint_array_of_another_dtype_is_user_error(ws, capsys, tmp_path, weights, bias, message):
+    # each used to load converted to float64: "1.5" as 1.5, a complex weight as its real part
+    aug = tmp_path / "aug.jsonl"
+    write_augmented(ws["provider"].provide(ws["corpus"]["test"], 1.0, seed=0)[0], aug)
+    checkpoint = tmp_path / "model.npz"
+    meta = {"dim": 16, "hash_seed": 17, "ngram_orders": [1, 2], "lowercase": True}
+    np.savez(checkpoint, weights=weights, bias=bias, meta=np.bytes_(json.dumps(meta).encode("utf-8")))
+    assert run(["eval", "--checkpoint", checkpoint, "--data", aug]) == 1
+    assert f"error: checkpoint {checkpoint}: {message}, not float64" in capsys.readouterr().err
+
+
+def test_checkpoint_of_either_byte_order_loads(tmp_path):
+    model = ScorerModel.from_weights(np.linspace(-1, 1, 16), 0.25, FeaturizerConfig(dim=16))
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in ("weights", "bias", "meta")}
+    np.savez(path, **{**arrays, "weights": arrays["weights"].astype(">f8")})
+    loaded = scorer.load_model(path)
+    assert loaded.bias == 0.25
+    assert np.array_equal(loaded.weights, model.weights)
 
 
 @pytest.mark.parametrize("key", ["dim", "hash_seed"])

@@ -13,7 +13,9 @@ Every error class derives from `privqa.errors.PrivqaError`, and the CLI
 catches that base, not a hand-kept list of classes. Only a live transport
 loads an HTTP stack: importing the CLI loads none, and nothing imports
 `requests`. A synthetic sweep loads neither OpenSSL's hashes, `logging` nor
-`concurrent.futures`.
+`concurrent.futures`. The package re-exports nothing, so importing a module
+loads only what that module imports: the reference external scorer loads no
+other privqa module and no numpy, and `privqa.contexts` loads no numpy.
 """
 
 import ast
@@ -92,6 +94,27 @@ def test_cli_import_loads_no_http_stack():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
     )
     assert out.stdout.strip() == "[]", f"importing privqa loads {out.stdout.strip()}"
+
+
+def loaded_after(module: str) -> list[str]:
+    """numpy and the privqa modules loaded in a fresh interpreter that imports `module`."""
+    probe = (
+        f"import sys, {module}; "
+        "print(*sorted(m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'privqa'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    return out.stdout.split()
+
+
+def test_plugin_stub_loads_only_itself():
+    # the reference external scorer needs json and sys, nothing of privqa's
+    assert loaded_after("privqa.plugin_stub") == ["privqa", "privqa.plugin_stub"]
+
+
+def test_contexts_import_loads_no_numpy():
+    assert "numpy" not in loaded_after("privqa.contexts")
 
 
 def test_synthetic_sweep_loads_only_what_it_runs():
