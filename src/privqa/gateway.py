@@ -27,7 +27,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from privqa._digest import sha256
 from privqa.errors import PrivqaError, field
@@ -249,7 +249,6 @@ class Gateway:
     can take the slot of one that is backing off; repeats follow in order on
     the calling thread, and the cache lines land in request order. A failure
     is raised only after every other request has been sent and cached.
-    `complete_all` is the stream of a whole batch, as a list.
 
     `clock` is accepted and ignored: cache lines carry no timestamp.
     """
@@ -403,17 +402,6 @@ class Gateway:
         if mode not in MODES:
             raise GatewayError(f"unknown mode {mode!r}; expected one of {MODES}")
         return iter(_Stream(self, requests, mode))
-
-    def complete_all(
-        self, requests: Sequence[GenerationRequest], mode: str
-    ) -> list[GenerationRecord]:
-        """Resolve a batch of requests as one `stream`; the records come back in request order.
-
-        Every request is tried: when one fails, the others are still sent and
-        cached, then the first failure in request order is raised, so a rerun
-        pays only for what failed.
-        """
-        return list(self.stream(requests, mode))
 
     def _call_upstream(self, request: GenerationRequest, key: str) -> GenerationRecord:
         payload = _chat_payload(request)

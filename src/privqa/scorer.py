@@ -24,7 +24,7 @@ elementwise, and scores and gradients are summed in the same order as over
 full-dim weights. The trained weights, bias and log therefore equal those
 of dense Adam over all `dim` weights bit for bit. The returned model holds
 only its support: the sorted feature indices and their weights, every other
-weight being 0.0. Checkpoints store the full-dim vector.
+weight being 0.0. Checkpoints store the support; older full-dim ones still load.
 """
 
 from __future__ import annotations
@@ -341,8 +341,8 @@ class ScorerModel:
     def from_weights(
         cls, weights: np.ndarray, bias: float, featurizer: FeaturizerConfig
     ) -> "ScorerModel":
-        """The model of a full-dim weight vector: every entry whose bits are
-        nonzero is kept, so a -0.0 is too."""
+        """The model of a full-dim weight vector, as older checkpoints hold it:
+        every entry whose bits are nonzero is kept, so a -0.0 is too."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (featurizer.dim,):
             raise ScorerError(
@@ -353,8 +353,8 @@ class ScorerModel:
 
     @property
     def weights(self) -> np.ndarray:
-        """A fresh read-only full-dim copy of the weights, for checkpoints and
-        inspection; scoring and gradients read the support through `weights_at`."""
+        """A fresh read-only full-dim copy of the weights, for inspection;
+        scoring, gradients and checkpoints use the support alone."""
         out = np.zeros(self.featurizer.dim, dtype=np.float64)
         out[self.indices] = self.values
         out.flags.writeable = False
@@ -609,13 +609,6 @@ def train(
     if not dev_items:
         raise ScorerError("no dev items for early stopping")
     cfg = featurizer or FeaturizerConfig()
-    # Checkpoints and `ScorerModel.weights` are full-dim, so a dim too large
-    # to allocate fails here, before any featurizing.
-    try:
-        np.empty(cfg.dim, dtype=np.float64)
-    except (ValueError, MemoryError) as exc:
-        raise ScorerError(f"featurizer dim {cfg.dim}: cannot allocate its weights ({exc})") from exc
-
     best_w, best_bias, log, support = _fit(config, train_items, dev_items, cfg)
     indices = cfg._tokens.indices[support]
     order = np.argsort(indices)
@@ -745,25 +738,30 @@ def save_model(model: ScorerModel, path: str | Path) -> None:
     with Path(path).open("wb") as fh:
         np.savez(
             fh,
-            weights=model.weights,
+            indices=model.indices,
+            values=model.values,
             bias=np.float64(model.bias),
             meta=np.bytes_(json.dumps(meta).encode("utf-8")),
         )
 
 
 def load_model(path: str | Path) -> ScorerModel:
+    """Read the support `save_model` writes, or an older checkpoint's full-dim `weights`."""
     p = Path(path)
     if not p.exists():
         raise ScorerError(f"checkpoint not found: {p}")
     try:
         with np.load(p, allow_pickle=False) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            weights, bias = data["weights"], data["bias"]
+            layout = sorted(set(data.files) - {"meta", "bias"})
+            if layout not in (["weights"], ["indices", "values"]):
+                raise ScorerError(f"arrays {layout}: neither 'weights' nor 'indices' and 'values'")
+            arrays = {name: data[name] for name in ("bias", *layout)}
             dim, hash_seed = (errors.field(meta, k, int, ScorerError) for k in ("dim", "hash_seed"))
             cfg = FeaturizerConfig(dim=dim, hash_seed=hash_seed)
             featurization = (meta["ngram_orders"], meta["lowercase"])
     # a damaged archive surfaces as any of these, from zipfile, zlib or numpy,
-    # and meta outside the featurizer's range as a ScorerError
+    # and meta outside the featurizer's range or arrays of neither layout as a ScorerError
     except (
         OSError, EOFError, KeyError, TypeError, ValueError, OverflowError, RuntimeError,
         zipfile.BadZipFile, zlib.error, ScorerError,
@@ -775,19 +773,35 @@ def load_model(path: str | Path) -> ScorerModel:
             f" differ from this featurizer's {list(NGRAM_ORDERS)} and {LOWERCASE}"
         )
     # converted, a "1.5" bias, a bool or int weight or a complex one's real
-    # part would load as a float; a big-endian float64 is still float64
-    for name, array in (("weights", weights), ("bias", bias)):
-        if array.dtype.kind != "f" or array.dtype.itemsize != 8:
-            raise ScorerError(
-                f"checkpoint {p}: array {name!r} has dtype {array.dtype}, not float64"
-            )
+    # part would load as a float; either byte order loads, converted to native
+    for name, array in arrays.items():
+        want = np.dtype(np.int64 if name == "indices" else np.float64)
+        if (array.dtype.kind, array.dtype.itemsize) != (want.kind, want.itemsize):
+            raise ScorerError(f"checkpoint {p}: array {name!r} has dtype {array.dtype}, not {want}")
+        arrays[name] = array.astype(want, copy=False)
+    bias = arrays.pop("bias")
     if bias.shape:
         raise ScorerError(f"checkpoint {p}: array 'bias' has shape {bias.shape}, not ()")
     bias = bias.item()
-    try:
-        model = ScorerModel.from_weights(weights, bias, cfg)
-    except ScorerError as exc:
-        raise ScorerError(f"checkpoint {p}: {exc}") from exc
+    if "weights" in arrays:
+        try:
+            model = ScorerModel.from_weights(arrays["weights"], bias, cfg)
+        except ScorerError as exc:
+            raise ScorerError(f"checkpoint {p}: {exc}") from exc
+    else:
+        # scoring looks an index up by binary search, and its value by position
+        indices, values, fault = arrays["indices"], arrays["values"], None
+        if indices.ndim != 1:
+            fault = f"'indices' has shape {indices.shape}, not 1-d"
+        elif values.shape != indices.shape:
+            fault = f"'values' has shape {values.shape}, not that of 'indices' {indices.shape}"
+        elif np.any(indices[1:] <= indices[:-1]):
+            fault = "'indices' is not strictly increasing"
+        elif indices.size and not (0 <= indices[0] and indices[-1] < dim):
+            fault = f"'indices' spans [{indices[0]}, {indices[-1]}], outside [0, {dim}) of dim {dim}"
+        if fault:
+            raise ScorerError(f"checkpoint {p}: array {fault}")
+        model = ScorerModel(indices, values, bias, cfg)
     # a NaN or infinite weight would score every choice alike, silently
     bad = np.flatnonzero(~np.isfinite(model.values))
     if bad.size:

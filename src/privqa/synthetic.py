@@ -151,16 +151,13 @@ class SyntheticContextProvider(ContextProvider):
     ) -> ParsedContext:
         """The structured context the oracle would generate for a disclosure.
 
-        With a command `memo`, the instance's draws are made once per command.
+        The instance's draws are made once per command `memo` (a fresh one if none is given).
         """
-        if memo is None:
-            noise, uninformed = self._draws(instance)
-        else:
-            # one spec builds one instance under an id
-            draws = memo.draws.get((self.spec, instance.id))
-            if draws is None:
-                draws = memo.draws[self.spec, instance.id] = self._draws(instance)
-            noise, uninformed = draws
+        draws = (memo or CommandMemo()).draws
+        at = (self.spec, instance.id)  # one spec builds one instance under an id
+        if at not in draws:
+            draws[at] = self._draws(instance)
+        noise, uninformed = draws[at]
         disclosed = _disclosed_words(keywords)
         key = instance.meta["key"]
         informed = key in disclosed
@@ -203,9 +200,10 @@ class SyntheticContextProvider(ContextProvider):
 
     def mock_completions(self, dataset: Dataset, ratio: float, seed: int) -> dict[str, str]:
         """Canned completions keyed by instance id, for gateway mock mode."""
-        kmap = self.keyword_map(dataset, ratio, seed)
+        memo = CommandMemo()
+        kmap = self.keyword_map(dataset, ratio, seed, memo=memo)
         return {
-            inst.id: self.completion_for(inst, kmap[inst.id]) for inst in dataset.instances
+            inst.id: self.completion_for(inst, kmap[inst.id], memo) for inst in dataset.instances
         }
 
     def demonstrations(self, dataset: Dataset, count: int = 2) -> list[Demonstration]:

@@ -26,7 +26,13 @@ from privqa.corpus import (
     write_dataset,
 )
 from privqa.gateway import GenerationRecord
-from privqa.harness import ExperimentConfig, HarnessError, PipelineProvider
+from privqa.harness import (
+    ExperimentConfig,
+    HarnessError,
+    PipelineProvider,
+    accuracy,
+    predict_labels,
+)
 from privqa.keywords import (
     ExtractionError,
     KeywordSet,
@@ -45,6 +51,7 @@ from privqa.synthetic import (
     gazetteer_tokens,
 )
 from tests.test_harness import contexts_alive_in_training
+from tests.test_scorer import read_checkpoint, save_dense, write_checkpoint
 
 SPEC = SyntheticSpec(seed=5, train_size=60, dev_size=24, test_size=24)
 
@@ -594,15 +601,47 @@ def test_bad_setting_fails_before_any_file_is_read(capsys, tmp_path):
     assert "cannot read" not in err
 
 
-def test_featurizer_dim_too_large_to_allocate_is_user_error(capsys, monkeypatch):
-    # 2**63 is in range, but no weight vector that long can be allocated: the
-    # run stops before it featurizes a training text
-    featurized = []
-    monkeypatch.setattr(scorer, "_featurize_items", lambda *args: featurized.append(args))
-    argv = ["sweep", "--synthetic", "--train-size", "8", "--dev-size", "8", "--test-size", "8"]
-    assert run([*argv, "--max-epochs", "1", "--dim", str(2**63)]) == 1
-    assert f"error: featurizer dim {2**63}: cannot allocate its weights" in capsys.readouterr().err
-    assert not featurized
+def test_train_and_eval_at_a_dim_too_large_to_hold_densely(ws, tmp_path, monkeypatch):
+    # a full-dim weight vector at dim 2**63 would take 2**66 bytes; the model
+    # and its checkpoint hold only the support
+    aug, checkpoint, report = tmp_path / "aug.jsonl", tmp_path / "model.npz", tmp_path / "r.json"
+    write_augmented(ws["provider"].provide(ws["corpus"]["dev"], 1.0, seed=0)[0], aug)
+    trained = []
+
+    def keep(model, path):
+        trained.append(model)
+        save_model(model, path)
+
+    monkeypatch.setattr(cli, "save_model", keep)
+    train = ["train", *FAST[2:], "--max-epochs", "2", "--train", aug, "--dev", aug]
+    assert run([*train, "--dim", str(2**63), "--checkpoint", checkpoint]) == 0
+    assert run(["eval", "--checkpoint", checkpoint, "--data", aug, "--report", report]) == 0
+    [model] = trained
+    assert model.featurizer.dim == 2**63 and model.indices.size
+    preds, gold = predict_labels(model, ExperimentConfig(featurizer_dim=2**63), load_augmented(aug))
+    written = json.loads(report.read_text(encoding="utf-8"))
+    assert written["config"]["featurizer_dim"] == 2**63
+    assert written["predictions"] == preds
+    assert written["metrics"]["accuracy"] == accuracy(preds, gold)
+
+
+def test_dense_and_support_checkpoints_give_identical_reports(ws, tmp_path, capsys):
+    # a checkpoint written by older versions holds the full-dim weights
+    aug = tmp_path / "aug.jsonl"
+    write_augmented(ws["provider"].provide(ws["corpus"]["dev"], 0.5, seed=0)[0], aug)
+    support, dense = tmp_path / "support.npz", tmp_path / "dense.npz"
+    train = ["train", *FAST, "--max-epochs", "2", "--train", aug, "--dev", aug]
+    assert run([*train, "--checkpoint", support]) == 0
+    meta, arrays = read_checkpoint(support)
+    assert sorted(arrays) == ["bias", "indices", "values"]
+    save_dense(scorer.load_model(support), dense)
+    reports = []
+    for checkpoint in (support, dense):
+        capsys.readouterr()
+        report = checkpoint.with_suffix(".json")
+        assert run(["eval", "--checkpoint", checkpoint, "--data", aug, "--report", report]) == 0
+        reports.append((capsys.readouterr().out.splitlines()[0], report.read_bytes()))
+    assert reports[0] == reports[1]
 
 
 def test_checkpoint_with_out_of_range_hash_seed_is_user_error(ws, capsys, tmp_path):
@@ -657,16 +696,107 @@ def test_checkpoint_array_of_another_dtype_is_user_error(ws, capsys, tmp_path, w
     assert f"error: checkpoint {checkpoint}: {message}, not float64" in capsys.readouterr().err
 
 
+# a dim-16 checkpoint in the layout `save_model` writes, with three support weights
+META_16 = {"dim": 16, "hash_seed": 17, "ngram_orders": [1, 2], "lowercase": True}
+SUPPORT = {"indices": np.array([3, 5, 9]), "values": np.array([0.5, -1.0, 2.0]), "bias": np.float64(0)}
+
+
+def _eval_refuses(ws, capsys, checkpoint, arrays, message):
+    write_checkpoint(checkpoint, META_16, arrays)
+    assert run(["eval", "--checkpoint", checkpoint, "--data", ws["root"] / "data-test.jsonl"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_checkpoint_support_loads(tmp_path):
+    checkpoint = tmp_path / "model.npz"
+    write_checkpoint(checkpoint, META_16, SUPPORT)
+    model = scorer.load_model(checkpoint)
+    assert model.weights.tolist() == [0.0] * 3 + [0.5, 0.0, -1.0] + [0.0] * 3 + [2.0] + [0.0] * 6
+
+
+@pytest.mark.parametrize(
+    "name, array, dtype",
+    [
+        ("indices", np.array([3, 5, 9], dtype=np.int32), "int32"),
+        ("indices", np.array([3, 5, 9], dtype=np.uint64), "uint64"),
+        ("indices", np.array([3.0, 5.0, 9.0]), "float64"),
+        ("values", np.array([1, 2, 3]), "int64"),
+        ("values", np.array([0.5, -1.0, 2.0], dtype=np.float32), "float32"),
+    ],
+    ids=["int32-indices", "uint64-indices", "float-indices", "int-values", "float32-values"],
+)
+def test_checkpoint_support_of_another_dtype_is_user_error(ws, capsys, tmp_path, name, array, dtype):
+    # converted, float or unsigned indices and int or float32 values would load
+    checkpoint = tmp_path / "model.npz"
+    want = "int64" if name == "indices" else "float64"
+    message = f"checkpoint {checkpoint}: array {name!r} has dtype {dtype}, not {want}"
+    _eval_refuses(ws, capsys, checkpoint, {**SUPPORT, name: array}, message)
+
+
+@pytest.mark.parametrize(
+    "indices, values, shape",
+    [(np.array([[3, 5, 9]]), np.array([[0.5, -1.0, 2.0]]), (1, 3)), (np.int64(3), np.float64(1.0), ())],
+    ids=["2-d", "0-d"],
+)
+def test_checkpoint_indices_not_1d_is_user_error(ws, capsys, tmp_path, indices, values, shape):
+    checkpoint = tmp_path / "model.npz"
+    message = f"checkpoint {checkpoint}: array 'indices' has shape {shape}, not 1-d"
+    _eval_refuses(ws, capsys, checkpoint, {**SUPPORT, "indices": indices, "values": values}, message)
+
+
+def test_checkpoint_values_not_the_length_of_indices_is_user_error(ws, capsys, tmp_path):
+    # scoring gathers a weight by its index's position: one would go missing
+    checkpoint = tmp_path / "model.npz"
+    message = f"checkpoint {checkpoint}: array 'values' has shape (2,), not that of 'indices' (3,)"
+    _eval_refuses(ws, capsys, checkpoint, {**SUPPORT, "values": np.array([0.5, -1.0])}, message)
+
+
+@pytest.mark.parametrize("indices", [[3, 9, 5], [3, 5, 5]], ids=["decreasing", "repeated"])
+def test_checkpoint_indices_not_strictly_increasing_is_user_error(ws, capsys, tmp_path, indices):
+    # scoring looks an index up by binary search, which would miss one out of order
+    checkpoint = tmp_path / "model.npz"
+    message = f"checkpoint {checkpoint}: array 'indices' is not strictly increasing"
+    _eval_refuses(ws, capsys, checkpoint, {**SUPPORT, "indices": np.array(indices)}, message)
+
+
+@pytest.mark.parametrize("indices", [[-1, 5, 9], [3, 5, 16]], ids=["negative", "dim"])
+def test_checkpoint_indices_outside_the_dim_is_user_error(ws, capsys, tmp_path, indices):
+    # no feature of a dim-16 featurizer has such an index, so its weight would never score
+    checkpoint = tmp_path / "model.npz"
+    message = (
+        f"checkpoint {checkpoint}: array 'indices' spans [{indices[0]}, {indices[-1]}],"
+        " outside [0, 16) of dim 16"
+    )
+    _eval_refuses(ws, capsys, checkpoint, {**SUPPORT, "indices": np.array(indices)}, message)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["indices"], ["values"], [], ["indices", "values", "weights"]],
+    ids=["indices-alone", "values-alone", "bias-alone", "both-layouts"],
+)
+def test_checkpoint_of_neither_layout_is_corrupt(ws, capsys, tmp_path, names):
+    checkpoint = tmp_path / "model.npz"
+    arrays = {**SUPPORT, "weights": np.zeros(16)}
+    message = (
+        f"corrupt checkpoint {checkpoint}: arrays {names}:"
+        " neither 'weights' nor 'indices' and 'values'"
+    )
+    _eval_refuses(ws, capsys, checkpoint, {n: arrays[n] for n in ["bias", *names]}, message)
+
+
 def test_checkpoint_of_either_byte_order_loads(tmp_path):
     model = ScorerModel.from_weights(np.linspace(-1, 1, 16), 0.25, FeaturizerConfig(dim=16))
     path = tmp_path / "model.npz"
-    save_model(model, path)
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in ("weights", "bias", "meta")}
-    np.savez(path, **{**arrays, "weights": arrays["weights"].astype(">f8")})
-    loaded = scorer.load_model(path)
-    assert loaded.bias == 0.25
-    assert np.array_equal(loaded.weights, model.weights)
+    for save in (save_model, save_dense):
+        save(model, path)
+        meta, arrays = read_checkpoint(path)
+        swapped = {name: a.astype(a.dtype.newbyteorder(">")) for name, a in arrays.items()}
+        write_checkpoint(path, meta, swapped)
+        loaded = scorer.load_model(path)
+        assert loaded.bias == 0.25
+        assert loaded.indices.dtype.isnative and loaded.values.dtype.isnative
+        assert loaded.weights.tobytes() == model.weights.tobytes()
 
 
 @pytest.mark.parametrize("key", ["dim", "hash_seed"])
@@ -1606,10 +1736,6 @@ def _fields(value, path=()):
             yield from _fields(child, (*path, key))
 
 
-def _read_meta(path: Path) -> tuple[dict, dict]:
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in ("weights", "bias")}
-        return json.loads(bytes(data["meta"]).decode("utf-8")), arrays
 
 
 def _run_captured(argv, out: Path) -> tuple[int, str, str, bytes | None]:
@@ -1642,7 +1768,7 @@ def test_a_field_of_another_type_fails_by_name_or_changes_nothing(fuzz_ws, kind,
         assert _VALID_RUNS[kind][0] == 0, _VALID_RUNS[kind][2]
     original = path.read_bytes()
     if kind == "checkpoint":
-        doc, arrays = _read_meta(path)
+        doc, arrays = read_checkpoint(path)
         where = f"checkpoint {path}"
     elif kind in ("report", "config"):
         doc = json.loads(original)
@@ -1660,7 +1786,7 @@ def test_a_field_of_another_type_fails_by_name_or_changes_nothing(fuzz_ws, kind,
     container[key] = data.draw(st.sampled_from(replacements))
     try:
         if kind == "checkpoint":
-            np.savez(path, **arrays, meta=np.bytes_(json.dumps(doc).encode("utf-8")))
+            write_checkpoint(path, doc, arrays)
         elif kind in ("report", "config"):
             path.write_text(json.dumps(doc), encoding="utf-8")
         else:

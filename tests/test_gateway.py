@@ -342,7 +342,7 @@ def test_max_in_flight_must_be_positive(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Batches: complete_all
+# Batches: a whole stream, as a list
 
 
 def numbered_requests(n):
@@ -397,7 +397,7 @@ def test_complete_all_fans_out_and_keeps_request_order(tmp_path):
         transport = MockTransport(upstream)
         caches[width] = tmp_path / f"cache-{width}.jsonl"
         gw = Gateway(caches[width], transport=transport, max_in_flight=width)
-        records = gw.complete_all(requests, "live")
+        records = list(gw.stream(requests, "live"))
         assert [r.completion for r in records] == [f"answer {i}" for i in range(9)]
         assert all(r.source == "live" for r in records)
         assert transport.calls == 9
@@ -415,7 +415,7 @@ def test_complete_all_failure_keeps_the_rest_in_order(tmp_path):
     gw = Gateway(path, transport=MockTransport(upstream), max_in_flight=3)
     threads = threading.active_count()
     with pytest.raises(GatewayError, match="bad p4"):
-        gw.complete_all(requests, "live")
+        list(gw.stream(requests, "live"))
     assert upstream.finished.index(6) < upstream.finished.index(4)
     assert threading.active_count() == threads
     kept = [i for i in range(9) if i not in (4, 6)]
@@ -424,7 +424,7 @@ def test_complete_all_failure_keeps_the_rest_in_order(tmp_path):
     # a rerun pays only for what is missing, and appends it in request order
     transport = MockTransport(Upstream())
     rerun = Gateway(path, transport=transport, max_in_flight=3)
-    records = rerun.complete_all(requests, "live")
+    records = list(rerun.stream(requests, "live"))
     assert [r.completion for r in records] == [f"answer {i}" for i in range(9)]
     assert [p["messages"][0]["content"] for p in transport.payloads] == [
         requests[4].prompt.text,
@@ -443,7 +443,7 @@ def test_complete_all_repeated_key_goes_upstream_once(tmp_path):
     )
     transport = MockTransport(Upstream())
     gw = Gateway(path, transport=transport, max_in_flight=2)
-    records = gw.complete_all([first, second, again], "live")
+    records = list(gw.stream([first, second, again], "live"))
     assert transport.calls == 2
     assert [r.source for r in records] == ["live", "live", "replay"]
     assert records[2].completion == records[0].completion
@@ -482,7 +482,7 @@ def test_complete_all_sends_while_a_request_backs_off(tmp_path):
         return complete(request, mode, **kwargs)
 
     gw.complete = p0_sends_first
-    records = gw.complete_all(requests, "live")
+    records = list(gw.stream(requests, "live"))
     assert sent_during_backoff == [True]
     assert [r.completion for r in records] == ["answer 0", "answer 1"]
     assert [r.retries for r in records] == [1, 0]
@@ -498,24 +498,24 @@ def test_complete_all_inline_without_live_misses(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     requests = numbered_requests(4)
     mocks = {f"q{i}": f"canned {i}" for i in range(4)}
-    records = Gateway(path, mock_completions=mocks).complete_all(requests, "mock")
+    records = list(Gateway(path, mock_completions=mocks).stream(requests, "mock"))
     assert [r.source for r in records] == ["mock"] * 4
     assert cache_keys_in(path) == [cache_key(r) for r in requests]
     transport = MockTransport([TransportError("must not be called")])
-    live = Gateway(path, transport=transport).complete_all(requests, "live")
+    live = list(Gateway(path, transport=transport).stream(requests, "live"))
     assert [r.completion for r in live] == [f"canned {i}" for i in range(4)]
     assert transport.calls == 0
     with pytest.raises(ReplayCacheMiss):
-        Gateway(path).complete_all([*requests, REQUEST], "replay")
+        list(Gateway(path).stream([*requests, REQUEST], "replay"))
 
 
 def test_complete_all_empty_batch(tmp_path):
-    assert Gateway(tmp_path / "cache.jsonl").complete_all([], "live") == []
+    assert list(Gateway(tmp_path / "cache.jsonl").stream([], "live")) == []
 
 
 def test_complete_all_unknown_mode(tmp_path):
     with pytest.raises(GatewayError, match="mode"):
-        Gateway(tmp_path / "cache.jsonl").complete_all(numbered_requests(2), "yolo")
+        list(Gateway(tmp_path / "cache.jsonl").stream(numbered_requests(2), "yolo"))
 
 
 def test_corrupt_cache_fields_skipped(tmp_path, caplog):
@@ -593,7 +593,7 @@ def test_complete_all_retries_a_key_after_its_call_failed(tmp_path):
     transport = MockTransport([TransportReply(400, {"error": "bad"}), ok("second try")])
     gw = Gateway(tmp_path / "cache.jsonl", transport=transport, max_in_flight=1)
     with pytest.raises(GatewayError, match="400"):
-        gw.complete_all([REQUEST, REQUEST], "live")
+        list(gw.stream([REQUEST, REQUEST], "live"))
     assert transport.calls == 2
     assert gw.complete(REQUEST, "replay").completion == "second try"
 
@@ -614,7 +614,7 @@ def test_complete_all_calls_the_instance_complete_once_per_request(tmp_path):
 
     gw.complete = traced
     batch = [first, second, third, second, first]  # a hit, two misses, two repeats
-    records = gw.complete_all(batch, "live")
+    records = list(gw.stream(batch, "live"))
     assert sorted(seen) == sorted(
         [("q0", "replay"), ("q1", "live"), ("q2", "live"), ("q1", "replay"), ("q0", "replay")]
     )
@@ -627,7 +627,7 @@ def test_complete_all_first_request_of_a_key_owns_it(tmp_path):
     repeat = replace(REQUEST, prompt=replace(PROMPT, query_id="q-repeat"))
     transport = MockTransport(lambda payload: ok("shared"))
     gw = Gateway(tmp_path / "cache.jsonl", transport=transport, max_in_flight=2)
-    records = gw.complete_all([REQUEST, repeat], "live")
+    records = list(gw.stream([REQUEST, repeat], "live"))
     assert transport.calls == 1
     assert [r.source for r in records] == ["live", "replay"]
     lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
@@ -666,7 +666,7 @@ def test_complete_all_writes_no_line_for_a_key_fetched_outside_it(tmp_path):
     with gw._lock:
         gw._inflight[cache_key(REQUEST)] = watched
     batch = []
-    inside = threading.Thread(target=lambda: batch.extend(gw.complete_all([REQUEST], "live")))
+    inside = threading.Thread(target=lambda: batch.extend(gw.stream([REQUEST], "live")))
     inside.start()
     assert watched.waited.wait(10)
     release.set()
@@ -680,7 +680,7 @@ def test_complete_all_writes_no_line_for_a_key_fetched_outside_it(tmp_path):
 
 def run_batch(path, requests, delays, width):
     transport = MockTransport(Upstream(delays=delays))
-    records = Gateway(path, transport=transport, max_in_flight=width).complete_all(requests, "live")
+    records = list(Gateway(path, transport=transport, max_in_flight=width).stream(requests, "live"))
     return records, path.read_bytes(), transport.calls
 
 
@@ -831,7 +831,7 @@ def test_stream_closed_early_caches_what_resolved(tmp_path):
     assert 2 <= pulls.pulled <= 7
     assert cache_keys_in(path) == [cache_key(r) for r in requests[: pulls.pulled]]
     rerun = MockTransport(Upstream())
-    records = Gateway(path, transport=rerun, max_in_flight=2).complete_all(requests, "live")
+    records = list(Gateway(path, transport=rerun, max_in_flight=2).stream(requests, "live"))
     assert rerun.calls == 12 - pulls.pulled
     assert [r.completion for r in records] == [f"answer {i}" for i in range(12)]
 
@@ -1052,7 +1052,7 @@ def test_http_length_finish_is_truncated(tmp_path, server):
     server.script = [ok_reply("one"), ok_reply("cut off", finish="length"), ok_reply("three")]
     gw = Gateway(tmp_path / "cache.jsonl", transport=HttpTransport(server.url), max_in_flight=1)
     with pytest.raises(GatewayError) as exc:
-        gw.complete_all(requests, "live")
+        list(gw.stream(requests, "live"))
     arrived = [int(p["messages"][0]["content"].split("\n")[0][1:]) for _, p in server.received]
     assert sorted(arrived) == [0, 1, 2]
     cut = requests[arrived[1]]

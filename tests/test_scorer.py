@@ -27,6 +27,7 @@ from privqa.harness import (
     choice_texts,
     eval_view,
     predict_labels,
+    train_scorer,
 )
 from privqa.scorer import (
     CHUNK_TEXTS,
@@ -719,18 +720,28 @@ def test_support_model_is_exact_to_its_dense_weights(weights, bias, first, later
     model = ScorerModel.from_weights(weights, bias, cfg)
     assert model.weights.tobytes() == weights.tobytes()
 
+    # the support layout round-trips byte for byte, and the same model written
+    # as an older full-dim checkpoint loads to it and re-saves to those bytes
     with tempfile.TemporaryDirectory() as tmp:
-        saved, resaved = os.path.join(tmp, "a.npz"), os.path.join(tmp, "b.npz")
+        saved, resaved, dense, undensed = (os.path.join(tmp, f"{name}.npz") for name in "abcd")
         save_model(model, saved)
         save_model(load_model(saved), resaved)
-        with open(saved, "rb") as a, open(resaved, "rb") as b:
-            assert a.read() == b.read()
+        save_dense(model, dense)
+        from_dense = load_model(dense)
+        save_model(from_dense, undensed)
+        written = set()
+        for path in (saved, resaved, undensed):
+            with open(path, "rb") as fh:
+                written.add(fh.read())
+        assert len(written) == 1
+    assert from_dense.weights.tobytes() == weights.tobytes() and from_dense.bias == bias
 
     # `later` brings n-grams the memo first sees after `first` was scored
     for texts in (first, later + first):
-        scores = score_texts(model, texts)
         expected = [ordered_score(weights, bias, featurize(t, cfg)) for t in texts]
-        assert scores.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+        for loaded in (model, from_dense):
+            scores = score_texts(loaded, texts)
+            assert scores.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
 def test_from_weights_checks_the_shape():
@@ -830,6 +841,27 @@ def test_trained_model_keeps_only_its_support():
     train_indices, _, _ = featurize_texts([t for item in train_items for t in item.texts], cfg)
     support = np.unique(train_indices).size
     assert model.indices.size == model.values.size == support
+
+
+def test_training_and_saving_allocate_nothing_dim_sized(tmp_path):
+    # At dim 2**24 one full-dim float64 vector is 134 MB; training over the
+    # support and a checkpoint of the support need a few MB
+    spec = SyntheticSpec(seed=0, train_size=200, dev_size=80, test_size=8)
+    corpus = build_corpus(spec)
+    provider = SyntheticContextProvider(spec)
+    train_aug, dev_aug = (provider.provide(corpus[s], 0.5, 0)[0] for s in ("train", "dev"))
+    config = ExperimentConfig(ratio=0.5, max_epochs=1, featurizer_dim=2**24)
+    path = tmp_path / "model.npz"
+    tracemalloc.start()
+    try:
+        model, _, _ = train_scorer(config, train_aug, dev_aug)
+        save_model(model, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert path.stat().st_size < 1e6
+    assert load_model(path).indices.tolist() == model.indices.tolist()
 
 
 def test_train_is_deterministic():
@@ -945,6 +977,25 @@ def test_gold_index_outside_its_choices(gold, texts):
         train(TrainConfig(max_epochs=1), [good], [bad, good], featurizer=CFG)
 
 
+def read_checkpoint(path):
+    """A checkpoint's meta and its other arrays, whichever layout it holds."""
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        return meta, {name: data[name] for name in data.files if name != "meta"}
+
+
+def write_checkpoint(path, meta, arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays, meta=np.bytes_(json.dumps(meta).encode("utf-8")))
+
+
+def save_dense(model, path):
+    """Write `model` in the layout older versions wrote: full-dim `weights`, `bias` and `meta`."""
+    cfg = model.featurizer
+    meta = {"dim": cfg.dim, "hash_seed": cfg.hash_seed, "ngram_orders": [1, 2], "lowercase": True}
+    write_checkpoint(path, meta, {"weights": model.weights, "bias": np.float64(model.bias)})
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = random.Random(6)
     items = make_separable_items(30, rng)
@@ -983,12 +1034,10 @@ def test_checkpoint_corrupt(tmp_path):
 )
 def test_checkpoint_with_a_non_finite_value_is_refused(tmp_path, weights, bias, message):
     path = tmp_path / "model.npz"
-    meta = {"dim": CFG.dim, "hash_seed": 17, "ngram_orders": [1, 2], "lowercase": True}
-    np.savez(
-        path, weights=weights, bias=np.float64(bias), meta=np.bytes_(json.dumps(meta).encode("utf-8"))
-    )
-    with pytest.raises(ScorerError, match=re.escape(f"checkpoint {path}: {message}")):
-        load_model(path)
+    for save in (save_model, save_dense):
+        save(ScorerModel.from_weights(weights, bias, CFG), path)
+        with pytest.raises(ScorerError, match=re.escape(f"checkpoint {path}: {message}")):
+            load_model(path)
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
@@ -1008,16 +1057,15 @@ def test_checkpoint_shape_mismatch(tmp_path):
     "key, value", [("ngram_orders", [1]), ("ngram_orders", [1, 2, 3]), ("lowercase", False)]
 )
 def test_checkpoint_other_featurization(tmp_path, key, value):
-    model = ScorerModel.zeros(CFG)
+    model = ScorerModel.from_weights(np.linspace(-1, 1, CFG.dim), 0.5, CFG)
     path = tmp_path / "model.npz"
-    save_model(model, path)
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        arrays = {name: data[name] for name in ("weights", "bias")}
-    meta[key] = value
-    np.savez(path, **arrays, meta=np.bytes_(json.dumps(meta).encode("utf-8")))
-    with pytest.raises(ScorerError, match=key):
-        load_model(path)
+    for save in (save_model, save_dense):
+        save(model, path)
+        meta, arrays = read_checkpoint(path)
+        meta[key] = value
+        write_checkpoint(path, meta, arrays)
+        with pytest.raises(ScorerError, match=key):
+            load_model(path)
 
 
 @pytest.mark.parametrize(
@@ -1027,15 +1075,15 @@ def test_checkpoint_other_featurization(tmp_path, key, value):
 def test_checkpoint_meta_of_another_kind_is_refused(tmp_path, key, value, dim):
     # each loaded: the dims as 8, 8 and 1, and the hash seed as the other featurizer 1
     path = tmp_path / "model.npz"
-    save_model(ScorerModel.zeros(FeaturizerConfig(dim=dim)), path)
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        arrays = {name: data[name] for name in ("weights", "bias")}
-    meta[key] = value
-    np.savez(path, **arrays, meta=np.bytes_(json.dumps(meta).encode("utf-8")))
+    model = ScorerModel.from_weights(np.arange(float(dim)), 0.0, FeaturizerConfig(dim=dim))
     message = f"corrupt checkpoint {path}: field {key!r}: expected an integer, got {json.dumps(value)}"
-    with pytest.raises(ScorerError, match=re.escape(message)):
-        load_model(path)
+    for save in (save_model, save_dense):
+        save(model, path)
+        meta, arrays = read_checkpoint(path)
+        meta[key] = value
+        write_checkpoint(path, meta, arrays)
+        with pytest.raises(ScorerError, match=re.escape(message)):
+            load_model(path)
 
 
 def test_checkpoint_missing_meta_key(tmp_path):
