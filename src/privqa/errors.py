@@ -3,15 +3,20 @@
 Every error that bad input or settings can cause derives from `PrivqaError`.
 The readers raise the caller's error class, naming the file and, where there
 is one, the line. `field` is the one check of a decoded value's kind: a field
-of another kind fails, naming its path. This module imports nothing from privqa.
+of another kind fails, naming its path. Record files, reports and checkpoints
+are written through `replacing`, so each is either whole or as it was. This
+module imports nothing from privqa.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
+from itertools import count
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
 V = TypeVar("V")
 
@@ -133,8 +138,38 @@ def read_records(
     return out
 
 
+@contextmanager
+def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """A new file to write that takes `path`'s place only once the block completes.
+
+    It is a sibling of `path`, opened with "x", so it gets the permission
+    bits `open(path, "w")` gives a new file. Once the block completes it is
+    closed and renamed over `path`; if the block raises, `KeyboardInterrupt`
+    included, it is removed and `path` keeps its old content. Nothing is
+    synced to disk: this guards against an interrupted writer, not a crash.
+    """
+    path = Path(path)
+    for n in count():
+        tmp = path.with_name(f".{path.name}.{n}.tmp")
+        try:
+            fh = tmp.open("xb") if binary else tmp.open("x", encoding="utf-8")
+            break
+        except FileExistsError:
+            continue
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_records(path: str | Path, records: Iterable[dict]) -> None:
-    """Write one JSON object per line, non-ASCII text as is: what `read_records` reads."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    """Write one JSON object per line, non-ASCII text as is: what `read_records` reads.
+
+    A writer that stops part way leaves `path` as it was.
+    """
+    with replacing(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")

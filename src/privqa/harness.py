@@ -19,12 +19,11 @@ Regimes:
 from __future__ import annotations
 
 import json
-from collections import ChainMap
 from contextlib import closing
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from privqa import __version__
 from privqa._digest import sha256
@@ -37,7 +36,7 @@ from privqa.contexts import (
     parse_generation,
 )
 from privqa.corpus import AugmentedInstance, Dataset, QAInstance, plain_augmented
-from privqa.errors import PrivqaError
+from privqa.errors import PrivqaError, replacing
 from privqa.gateway import MODES, PROMPT_STYLE, Gateway, GenerationRequest
 from privqa.keywords import (
     METHOD_NER,
@@ -342,17 +341,13 @@ class ContextProvider:
     gazetteer: Gazetteer | None = None
 
     def completions(
-        self,
-        instances: Iterable[QAInstance],
-        kmap: Mapping[str, KeywordSet],
-        memo: CommandMemo | None = None,
+        self, disclosed: Iterable[tuple[QAInstance, KeywordSet]], memo: CommandMemo | None = None
     ) -> Iterator[tuple[str, str]]:
         """A generator of (completion text, generation id) per instance, in input order.
 
-        `instances` may be lazy: an instance's keywords are in `kmap` from
-        the moment it is pulled until the next one is, so the hook reads
-        them as it pulls it. Closing the generator releases what it holds.
-        A provider may keep ratio-free work in the command's `memo`.
+        `disclosed` pairs each instance with the keywords its prompt may
+        disclose, and may be lazy. Closing the generator releases what it
+        holds. A provider may keep ratio-free work in the command's `memo`.
         """
         raise NotImplementedError
 
@@ -376,7 +371,8 @@ class ContextProvider:
         for inst in instances:
             if inst.id not in kmap:
                 raise HarnessError(f"no keywords for instance {inst.id!r}")
-        return list(_parsed(self.completions(instances, kmap, memo), instances))
+        pairs = ((inst, kmap[inst.id]) for inst in instances)
+        return list(_parsed(self.completions(pairs, memo), instances))
 
     def stream(
         self,
@@ -390,19 +386,20 @@ class ContextProvider:
         """The augmented instances of `datasets`, in order, from one `completions` call.
 
         A dataset's keyword map is built when the completions reach its
-        first instance, and appended to `kmaps`. Closing the stream closes
-        the completions.
+        first instance, and appended to `kmaps`; the completions get each
+        instance paired with its keywords from that map. Closing the stream
+        closes the completions.
         """
-        kmap: ChainMap[str, KeywordSet] = ChainMap({})
 
-        def instances() -> Iterator[QAInstance]:
+        def disclosed() -> Iterator[tuple[QAInstance, KeywordSet]]:
             for dataset in datasets:
-                kmap.maps[0] = self.keyword_map(dataset, ratio, seed, method, memo)
+                kmap = self.keyword_map(dataset, ratio, seed, method, memo)
                 if kmaps is not None:
-                    kmaps.append(kmap.maps[0])
-                yield from dataset.instances
+                    kmaps.append(kmap)
+                for inst in dataset.instances:
+                    yield inst, kmap[inst.id]
 
-        completions = self.completions(instances(), kmap, memo)
+        completions = self.completions(disclosed(), memo)
         return _parsed(completions, chain.from_iterable(ds.instances for ds in datasets))
 
     def provide(
@@ -442,25 +439,20 @@ class PipelineProvider(ContextProvider):
         self.mode = mode
 
     def completions(
-        self,
-        instances: Iterable[QAInstance],
-        kmap: Mapping[str, KeywordSet],
-        memo: CommandMemo | None = None,
+        self, disclosed: Iterable[tuple[QAInstance, KeywordSet]], memo: CommandMemo | None = None
     ) -> Iterator[tuple[str, str]]:
-        """Complete every instance's prompt through one gateway stream.
+        """Complete each instance's prompt, built from its keywords, through one gateway stream.
 
-        The gateway's workers pull the instances, so each prompt is built
-        on the thread that sends it, and only then. Every prompt depends on
-        its keywords, so nothing goes into `memo`.
+        The gateway's workers pull the pairs, so each prompt is built on the
+        thread that sends it, and only then. Every prompt depends on its
+        keywords, so nothing goes into `memo`.
         """
         requests = (
             GenerationRequest(
                 model_id=self.model_id,
-                prompt=build_prompt(
-                    self.demos, kmap[inst.id].keywords, inst.choices, query_id=inst.id
-                ),
+                prompt=build_prompt(self.demos, ks.keywords, inst.choices, query_id=inst.id),
             )
-            for inst in instances
+            for inst, ks in disclosed
         )
         with closing(self.gateway.stream(requests, self.mode)) as records:
             for record in records:
@@ -493,7 +485,8 @@ def render_report(report: EvalReport) -> str:
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(render_report(report), encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(render_report(report))
 
 
 def _file_digest(path: str | Path) -> str:
@@ -662,10 +655,11 @@ def _run(
 
     Train, dev and, when one provider serves all three, test contexts come
     from one stream: the model trains while the test completions are still
-    being generated. Runs handed one `featurizer` (equal to their configs')
-    and one command `memo` hash each n-gram, extract each question and draw
-    each instance's keyword order and oracle draws once across them; by
-    default the run builds its own of each.
+    being generated. A test split of another provider (an OOD target) opens
+    a stream of its own once training is done. Runs handed one `featurizer`
+    (equal to their configs') and one command `memo` hash each n-gram,
+    extract each question and draw each instance's keyword order and oracle
+    draws once across them; by default the run builds its own of each.
     """
     if memo is None:
         memo = CommandMemo()
@@ -685,7 +679,7 @@ def _run(
         if shared:
             test_aug = list(contexts)
     if not shared:
-        test_aug, _ = test_provider.provide(test, config.ratio, config.seed, config.method, memo)
+        test_aug = list(_materialize(config, [test], test_provider, memo, kmaps))
     sizes = {split: len(ds) for split, ds in sorted(datasets.items())}
     dataset = {"name": test.name, "split": test.split, "sizes": sizes}
     if transfer is not None:

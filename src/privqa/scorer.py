@@ -735,7 +735,7 @@ def save_model(model: ScorerModel, path: str | Path) -> None:
         "lowercase": LOWERCASE,
     }
     # through an open file, since np.savez appends ".npz" to a path without it
-    with Path(path).open("wb") as fh:
+    with errors.replacing(path, binary=True) as fh:
         np.savez(
             fh,
             indices=model.indices,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 # parse_generation and subsample_keywords are not called here: the oracle's
 # keyword map and parse run through privqa.harness. They stay importable from
@@ -190,13 +190,10 @@ class SyntheticContextProvider(ContextProvider):
         return serialize_context(context, instance.labels())[len(CONTEXT_HEAD) :]
 
     def completions(
-        self,
-        instances: Iterable[QAInstance],
-        kmap: Mapping[str, KeywordSet],
-        memo: CommandMemo | None = None,
+        self, disclosed: Iterable[tuple[QAInstance, KeywordSet]], memo: CommandMemo | None = None
     ) -> Iterator[tuple[str, str]]:
-        for inst in instances:
-            yield self.completion_for(inst, kmap[inst.id], memo), f"synthetic:{inst.id}"
+        for inst, keywords in disclosed:
+            yield self.completion_for(inst, keywords, memo), f"synthetic:{inst.id}"
 
     def mock_completions(self, dataset: Dataset, ratio: float, seed: int) -> dict[str, str]:
         """Canned completions keyed by instance id, for gateway mock mode."""

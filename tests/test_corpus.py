@@ -16,6 +16,7 @@ from privqa.corpus import (
     write_augmented,
     write_dataset,
 )
+from privqa.errors import write_records
 
 
 def make_instance(i=0, n_choices=4):
@@ -362,3 +363,21 @@ def test_augmented_context_field_is_checked_at_load(tmp_path, change, message):
     path = _augmented_file(tmp_path, change)
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:1: instance 'q1': {message}")):
         load_augmented(path)
+
+
+def test_interrupted_write_records_leaves_the_old_file(tmp_path):
+    path = tmp_path / "data.jsonl"
+    write_dataset(make_dataset(10), path)
+    before = path.read_bytes()
+
+    def records():
+        for i in range(10):
+            if i == 4:
+                raise KeyboardInterrupt
+            yield {"id": f"new{i}"}
+
+    with pytest.raises(KeyboardInterrupt):
+        write_records(path, records())
+    assert path.read_bytes() == before
+    assert len(load_dataset(path)) == 10
+    assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]

@@ -590,23 +590,17 @@ def test_run_experiment_ftc(corpus, provider):
 
 
 class CountingProvider(SyntheticContextProvider):
-    """The oracle, recording each keyword map it builds and each one `provide` returns."""
+    """The oracle, recording each keyword map it builds."""
 
     def __init__(self, spec):
         super().__init__(spec)
         self.mapped = []
         self.built = {}
-        self.provided = {}
 
     def keyword_map(self, dataset, *args, **kwargs):
         self.mapped.append(dataset.split)
         kmap = self.built[dataset.split] = super().keyword_map(dataset, *args, **kwargs)
         return kmap
-
-    def provide(self, dataset, *args, **kwargs):
-        augmented, kmap = super().provide(dataset, *args, **kwargs)
-        self.provided[dataset.split] = kmap
-        return augmented, kmap
 
 
 def test_run_budget_reuses_provided_keyword_map(corpus, monkeypatch):
@@ -671,6 +665,19 @@ def test_write_report_round_trip(tmp_path, corpus, provider):
     path = tmp_path / "report.json"
     write_report(report, path)
     assert path.read_text(encoding="utf-8") == render_report(report)
+
+
+def test_interrupted_write_report_leaves_the_old_report(tmp_path, corpus, interrupt_writes):
+    old = run_experiment(small_config(regime="SFT", max_epochs=1), corpus)
+    new = replace(old, predictions={})
+    path = tmp_path / "report.json"
+    write_report(old, path)
+    before = path.read_bytes()
+    interrupt_writes()
+    with pytest.raises(KeyboardInterrupt):
+        write_report(new, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_run_ood_transfers_context_signal(corpus, provider):
@@ -742,7 +749,7 @@ def test_ood_memo_keeps_each_providers_gazetteer(corpus):
     shared = replace(corpus["train"], name="target", split="test")
     run_ood(small_config(max_epochs=1), corpus, {"test": shared}, source, target)
     want = build_keyword_map(shared, 1.0, 0, METHOD_NER, target.gazetteer)
-    assert target.provided["test"] == want
+    assert target.built["test"] == want
     assert want != build_keyword_map(shared, 1.0, 0, METHOD_NER, source.gazetteer)
 
 

@@ -5,9 +5,9 @@ label, is decided in `privqa.harness`. The scorer must not reach back into
 the modules that know about instances, contexts or runs. Run reports are
 built by `harness.evaluate`; the CLI asks for one and only rebuilds saved
 reports it reads back. Every context provider materializes through the one
-`ContextProvider.stream` (or `augment_all`, under a given keyword map), and
-the context cue is spelled once, in
-`privqa.contexts`. No module keeps an import it does not use. Scores and
+`ContextProvider.stream` (or `augment_all`, under a given keyword map): no
+module of the package calls `provide`, so an OOD target's test split opens
+a stream too. The context cue is spelled once, in `privqa.contexts`. No module keeps an import it does not use. Scores and
 predictions reduce in a fixed order: no BLAS product and no numpy `exp`.
 Every error class derives from `privqa.errors.PrivqaError`, and the CLI
 catches that base, not a hand-kept list of classes. Only a live transport
@@ -192,6 +192,18 @@ def test_providers_only_supply_completions():
         if isinstance(node, ast.FunctionDef) and node.name in ("augment_all", "stream")
     }
     assert not overriders, f"{sorted(overriders)} override ContextProvider's materializing"
+
+
+def test_no_run_path_calls_provide():
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "provide"
+    ]
+    assert not calls, f"{calls} materialize outside ContextProvider.stream"
 
 
 def cue_literals(tree: ast.AST) -> list[int]:

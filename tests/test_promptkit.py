@@ -190,3 +190,49 @@ def test_every_block_keeps_its_line_structure(demos, query):
         assert lines[2].startswith(CONTEXT_HEAD)
     assert blocks[-1].splitlines()[2:] == [CONTEXT_HEAD]
     assert render_block(*fields(query)) == blocks[-1]
+
+
+# Pieces of a keyword or an answer: commas, the keyword separator, and text
+# that looks like a marker; line breaks are every `str.splitlines` boundary.
+PIECE = st.sampled_from(
+    ["x", "y z", ",", ", ", " ", "\t", "(a)", "Context:", KEYWORDS_MARKER, ANSWERS_MARKER]
+)
+BREAK = st.sampled_from(
+    ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+DISCLOSED = st.lists(st.one_of(PIECE, PIECE, BREAK), min_size=1, max_size=5).map("".join)
+MARKER_TOKENS = {*KEYWORDS_MARKER.split(), *ANSWERS_MARKER.split(), CONTEXT_HEAD}
+
+
+def tokens(text):
+    # `\s` takes every line break for a space, so these are the tokens of
+    # the text with its line breaks folded
+    return re.findall(r"[^\s,]+", text)
+
+
+def query_block(keywords, choices):
+    return build_prompt([DEMO], keywords, choices).text.rsplit("\n\n", 1)[1]
+
+
+def keywords_read_back(block):
+    payload = block.split("\n")[0].removeprefix(KEYWORDS_MARKER + " ")
+    return tuple(payload.split(", ")) if payload else ()
+
+
+@given(keywords=st.lists(DISCLOSED, max_size=4), a=DISCLOSED, b=DISCLOSED)
+def test_query_block_discloses_only_its_keywords(keywords, a, b):
+    choices = {"a": a, "b": b}
+    block = query_block(tuple(keywords), choices)
+    allowed = MARKER_TOKENS | {f"({label})" for label in choices}
+    for text in (*keywords, *choices.values()):
+        allowed.update(tokens(text))
+    assert set(tokens(block)) <= allowed
+    if all(", " not in k and k.splitlines() == [k] for k in keywords):
+        assert keywords_read_back(block) == tuple(keywords)
+
+
+def test_keyword_holding_the_separator_reads_back_as_two():
+    # the keyword line joins keywords with ", ", so one that holds it splits
+    block = query_block(("a, b",), CHOICES)
+    assert block.split("\n")[0] == "Question Keywords: a, b"
+    assert keywords_read_back(block) == ("a", "b")

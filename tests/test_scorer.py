@@ -1012,6 +1012,19 @@ def test_checkpoint_round_trip(tmp_path):
     )
 
 
+def test_interrupted_save_model_leaves_the_old_checkpoint(tmp_path, interrupt_writes):
+    path = tmp_path / "model.npz"
+    save_model(ScorerModel.zeros(CFG), path)
+    before = path.read_bytes()
+    items = make_separable_items(10, random.Random(3))
+    model, _ = train(TrainConfig(max_epochs=1), items, items[:3], featurizer=CFG)
+    interrupt_writes()
+    with pytest.raises(KeyboardInterrupt):
+        save_model(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
+
 def test_checkpoint_missing(tmp_path):
     with pytest.raises(ScorerError, match="not found"):
         load_model(tmp_path / "absent.npz")

@@ -155,7 +155,7 @@ def test_completion_reconstructs_generation():
     completion = provider.completion_for(inst, ks)
     full = serialize_context(provider.oracle_context(inst, ks), inst.labels())
     assert CONTEXT_HEAD + completion == full
-    pairs = provider.completions([inst], {inst.id: ks})
+    pairs = provider.completions([(inst, ks)])
     assert list(pairs) == [(completion, f"synthetic:{inst.id}")]
 
 
@@ -247,8 +247,9 @@ def test_shared_memo_completions_equal_memo_less_ones():
     for ratio in (0.25, 0.5, 0.75, 1.0):
         for data in corpus.values():
             kmap = provider.keyword_map(data, ratio, SPEC.seed, memo=memo)
-            shared = list(provider.completions(data.instances, kmap, memo))
-            assert shared == list(provider.completions(data.instances, kmap))
+            disclosed = [(inst, kmap[inst.id]) for inst in data.instances]
+            shared = list(provider.completions(disclosed, memo))
+            assert shared == list(provider.completions(disclosed))
     assert len(memo.draws) == sum(len(ds) for ds in corpus.values())
 
 
@@ -260,9 +261,9 @@ class MemoSpy(SyntheticContextProvider):
         self.seen = []
         self.drawn = []
 
-    def completions(self, instances, kmap, memo=None):
+    def completions(self, disclosed, memo=None):
         self.seen.append((memo, len(memo.draws)))
-        return super().completions(instances, kmap, memo)
+        return super().completions(disclosed, memo)
 
     def _draws(self, instance):
         self.drawn.append(instance.id)
