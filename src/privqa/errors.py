@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from contextlib import contextmanager
 from itertools import count
 from pathlib import Path
@@ -142,13 +143,15 @@ def read_records(
 def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """A new file to write that takes `path`'s place only once the block completes.
 
-    It is a sibling of `path`, opened with "x", so it gets the permission
-    bits `open(path, "w")` gives a new file. Once the block completes it is
-    closed and renamed over `path`; if the block raises, `KeyboardInterrupt`
-    included, it is removed and `path` keeps its old content. Nothing is
-    synced to disk: this guards against an interrupted writer, not a crash.
+    A symlink at `path` is followed: its target is the file replaced, and the
+    link stays. The new file is a sibling of that target, opened with "x".
+    Once the block completes it is closed, given the permission bits of the
+    file it replaces (a new file keeps those `open(path, "w")` gives), and
+    renamed over it; if the block raises, `KeyboardInterrupt` included, it is
+    removed and `path` keeps its old content. Nothing is synced to disk: this
+    guards against an interrupted writer, not a crash.
     """
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     for n in count():
         tmp = path.with_name(f".{path.name}.{n}.tmp")
         try:
@@ -159,6 +162,8 @@ def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
     try:
         with fh:
             yield fh
+        if path.exists():
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -12,9 +12,11 @@ separator. A completion cut off at that limit is an error, never a cached
 success. A stream resolves a lazy iterable of requests in order, sending
 each key once: up to twice as many worker threads as send slots pull the
 requests (building each as they pull it) and call `Gateway.complete` (a
-request that is backing off holds a thread but no slot). The records come
-back and the cache lines are written in request order, so the cache file
-never depends on which call finished first. A failed request does not stop
+request that is backing off holds a thread but no slot); a repeated key
+waits for the request of its key before it, then gets a cache hit, or a
+resend if that request failed. The records come back and the cache lines
+are written in request order, so the cache file never depends on which
+call finished first. A failed request does not stop
 the stream: every other request is still sent and cached before the first
 failure is raised, so a rerun pays only for what failed.
 """
@@ -245,10 +247,10 @@ class Gateway:
 
     `stream` resolves a lazy iterable of requests in order: worker threads,
     up to `2 * max_in_flight` of them, pull each request as they get to it
-    and send each key's first request through `complete`, so another request
-    can take the slot of one that is backing off; repeats follow in order on
-    the calling thread, and the cache lines land in request order. A failure
-    is raised only after every other request has been sent and cached.
+    and resolve each through `complete`, so another request can take the
+    slot of one that is backing off; a repeat waits for the request of its
+    key before it, and the cache lines land in request order. A failure is
+    raised only after every other request has been sent and cached.
 
     `clock` is accepted and ignored: cache lines carry no timestamp.
     """
@@ -387,17 +389,17 @@ class Gateway:
         finishes the last. The semaphore alone bounds concurrent sends; the
         spare thread per slot sends while a request sleeps out a 429/5xx
         backoff or a `Retry-After`, which would otherwise idle its slot. At
-        most `2 * max_in_flight` requests are pulled but unresolved at once.
-        Each key is sent once: the first request of a key passes through
-        `complete`, and a repeat is resolved on the calling thread after its
-        first, so it gets a cache hit, or tries again if that request failed.
-        Every record that did not come from the cache gets its cache line,
-        in request order, as it is yielded. A failure, in a request or in
+        most `2 * max_in_flight` requests are pulled but unresolved at once,
+        since a worker resolves each request it pulls before it pulls another.
+        Each key is sent once: a repeat waits on its worker until the request
+        of its key before it has resolved, so it gets a cache hit, or tries
+        again if that request failed. Every record that did not come from the
+        cache gets its cache line, in request order, as it is yielded. A failure, in a request or in
         building one, is not raised at once: every remaining request is
         still resolved and cached, then the first failure in request order
-        is raised. Closing the stream early stops the pulling, waits for the
-        requests in flight and writes the lines of every request that
-        resolved. No worker thread outlives the stream.
+        is raised. Closing the stream early stops the pulling, resolves
+        every request already pulled, repeats included, and writes their
+        lines. No worker thread outlives the stream.
         """
         if mode not in MODES:
             raise GatewayError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -455,8 +457,10 @@ class Gateway:
 class _Stream:
     """One `Gateway.stream`: requests pulled in order, outcomes posted by position.
 
-    An outcome is a resolved `(record, cache line or None)`, an exception, or,
-    for a repeated key, the request itself, which the consumer resolves.
+    An outcome is a resolved `(record, cache line or None)` or an exception.
+    Each worker resolves the request it pulled before it pulls another; a
+    repeated key first waits until the request of its key before it has
+    been posted or taken.
     """
 
     def __init__(self, gateway: Gateway, requests: Iterable[GenerationRequest], mode: str):
@@ -464,18 +468,18 @@ class _Stream:
         self.mode = mode
         self.width = 2 * gateway.max_in_flight
         self.requests = iter(requests)
-        self.pull_lock = threading.Lock()  # guards the requests, `pulled`, `done` and `keys`
+        self.pull_lock = threading.Lock()  # guards the requests and the four fields below
         self.pulled = 0
         self.done = False
-        self.keys: set[str] = set()
-        self.cond = threading.Condition()  # guards the rest
-        self.posted: dict[int, object] = {}
-        self.open = 0  # pulled by a worker and not yet resolved
+        self.last: dict[str, int] = {}  # each key's last pulled position
         self.closing = False
+        self.cond = threading.Condition()  # guards `posted` and `taken`
+        self.posted: dict[int, object] = {}
+        self.taken = 0  # the next position the consumer takes
         self.workers: list[threading.Thread] = []
 
-    def pull(self) -> tuple[int, GenerationRequest | Exception, str, bool] | None:
-        """The next position, its request, key, and whether the key came before.
+    def pull(self) -> tuple[int, GenerationRequest | Exception, str, int] | None:
+        """The next position, its request, key, and the position of its key before (or -1).
 
         None once the requests are exhausted or the stream is closing. A
         request that fails to build takes its position as the exception, and
@@ -493,12 +497,12 @@ class _Stream:
             except Exception as exc:
                 self.pulled += 1
                 self.done = True
-                return pos, exc, "", False
+                return pos, exc, "", -1
             self.pulled += 1
             key = cache_key(request)
-            repeat = key in self.keys
-            self.keys.add(key)
-            return pos, request, key, repeat
+            before = self.last.get(key, -1)
+            self.last[key] = pos
+            return pos, request, key, before
 
     def resolve(self, request: GenerationRequest) -> tuple[GenerationRecord, str | None] | Exception:
         try:
@@ -509,30 +513,19 @@ class _Stream:
 
     def work(self, item: tuple | None) -> None:
         """Resolve and post `item`, then pull and resolve until the requests run out."""
-        while True:
-            if item is not None:
-                pos, request, _, repeat = item
-                if repeat:  # left to the consumer, and still open
-                    outcome = request
-                else:
-                    outcome = request if isinstance(request, Exception) else self.resolve(request)
-                with self.cond:
-                    self.posted[pos] = outcome
-                    if not repeat:
-                        self.open -= 1
-                    self.cond.notify_all()
-            with self.cond:
-                while self.open >= self.width and not self.closing:
+        item = item or self.pull()
+        while item is not None:
+            pos, request, _, before = item
+            with self.cond:  # a repeat: a hit after its key's request, or a resend if that failed
+                while before >= self.taken and before not in self.posted:
                     self.cond.wait()
-                if self.closing:
-                    return
-                self.open += 1
+            outcome = request if isinstance(request, Exception) else self.resolve(request)
+            with self.cond:
+                self.posted[pos] = outcome
+                self.cond.notify_all()
             item = self.pull()
-            if item is None:
-                with self.cond:
-                    self.open -= 1
-                    self.cond.notify_all()
-                return
+        with self.cond:
+            self.cond.notify_all()
 
     def take(self, pos: int) -> tuple[GenerationRecord, str | None] | Exception | None:
         """The resolved outcome at `pos`; None past the last request."""
@@ -540,14 +533,14 @@ class _Stream:
             item = self.pull()
             if item is None:
                 return None
-            _, request, key, repeat = item
+            _, request, key, before = item
             if isinstance(request, Exception):
                 return request
             with self.gateway._lock:
                 hit = key in self.gateway._cache
-            if repeat or hit or self.mode != "live":
+            if before >= 0 or hit or self.mode != "live":
                 return self.resolve(request)
-            self.open = 1
+            self.taken = pos  # every request before it resolved here
             self.workers = [
                 threading.Thread(target=self.work, args=(item if i == 0 else None,))
                 for i in range(self.width)
@@ -557,19 +550,13 @@ class _Stream:
         with self.cond:
             while pos not in self.posted and not (self.done and pos >= self.pulled):
                 self.cond.wait()
-            outcome = self.posted.pop(pos, None)
-        if isinstance(outcome, GenerationRequest):  # a repeat, after its first
-            outcome = self.resolve(outcome)
-            with self.cond:
-                self.open -= 1
-                self.cond.notify_all()
-        return outcome
+            self.taken = pos + 1
+            return self.posted.pop(pos, None)
 
     def close(self) -> None:
-        """Stop pulling, wait for the workers, and cache what resolved but was not taken."""
-        with self.cond:
+        """Stop pulling, let the workers resolve what they pulled, cache what was not taken."""
+        with self.pull_lock:
             self.closing = True
-            self.cond.notify_all()
         for worker in self.workers:
             worker.join()
         for pos in sorted(self.posted):

@@ -1,5 +1,6 @@
 import json
 import re
+import stat
 
 import pytest
 
@@ -381,3 +382,24 @@ def test_interrupted_write_records_leaves_the_old_file(tmp_path):
     assert path.read_bytes() == before
     assert len(load_dataset(path)) == 10
     assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+
+def test_write_records_keeps_the_permission_bits_of_the_file_it_replaces(tmp_path):
+    path = tmp_path / "report.jsonl"
+    write_records(path, [{"id": "old"}])
+    path.chmod(0o600)
+    write_records(path, [{"id": "new"}])
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_text(encoding="utf-8") == '{"id": "new"}\n'
+
+
+def test_write_records_through_a_symlink_rewrites_its_target(tmp_path):
+    target = tmp_path / "runs" / "report.jsonl"
+    target.parent.mkdir()
+    write_records(target, [{"id": "old"}])
+    link = tmp_path / "report.jsonl"
+    link.symlink_to(target)
+    write_records(link, [{"id": "new"}])
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == '{"id": "new"}\n'
+    assert [p.name for p in target.parent.iterdir()] == ["report.jsonl"]

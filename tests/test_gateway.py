@@ -762,8 +762,9 @@ def test_stream_pulls_on_workers_and_keeps_request_order(tmp_path):
 
 
 def test_stream_bounds_requests_pulled_but_unresolved(tmp_path):
-    # a slow consumer and many repeats: repeats wait for the consumer, and
-    # the workers stop pulling once twice the slots are open
+    # a slow consumer and many repeats: each repeat waits on its worker for
+    # the request of its key before it, and no worker pulls again until its
+    # request resolved, so at most twice the slots are open
     prompts = numbered_requests(3)
     requests = [prompts[i % 3] for i in range(30)]
     pulls = Pulls(requests)
@@ -779,8 +780,8 @@ def test_stream_bounds_requests_pulled_but_unresolved(tmp_path):
 
 
 def test_stream_resends_a_repeat_pulled_while_its_first_failed(tmp_path):
-    # the repeat is pulled while its first request is still in flight; it
-    # waits for the consumer, and goes upstream again once the first failed
+    # the repeat is pulled while its first request is still in flight; its
+    # worker waits for that request, and sends again once it failed
     first_sent, repeat_pulled = threading.Event(), threading.Event()
     replies = []
 
@@ -836,6 +837,41 @@ def test_stream_closed_early_caches_what_resolved(tmp_path):
     assert [r.completion for r in records] == [f"answer {i}" for i in range(12)]
 
 
+def test_stream_closed_early_resolves_every_request_pulled(tmp_path):
+    # B succeeds and A gets a 400; A's repeat is pulled before the consumer
+    # closes the stream, so it is still resolved: sent again and cached
+    b, a = numbered_requests(2)
+    a_again = replace(a, prompt=replace(a.prompt, query_id="q1-again"))
+    refused = []
+
+    def upstream(payload):
+        if payload["messages"][0]["content"].startswith("p1") and not refused:
+            refused.append(payload)
+            return TransportReply(400, {"error": "bad p1"})
+        return ok("answer")
+
+    pulled = threading.Event()
+
+    def requests():
+        yield b
+        yield a
+        yield a_again
+        pulled.set()  # at the next pull, so once A's repeat was pulled
+
+    path = tmp_path / "cache.jsonl"
+    transport = MockTransport(upstream)
+    gw = Gateway(path, transport=transport, max_in_flight=1)
+    threads = threading.active_count()
+    stream = gw.stream(requests(), "live")
+    assert next(stream).completion == "answer"
+    assert pulled.wait(10)
+    stream.close()
+    assert threading.active_count() == threads
+    assert transport.calls == 3
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["summary"]["query_id"] for line in lines] == ["q0", "q1-again"]
+
+
 def test_stream_raises_failures_in_request_order(tmp_path):
     # a failed send before a request that fails to build: the send's failure
     # is raised, after every other request was sent and cached
@@ -888,6 +924,58 @@ def test_stream_stress_with_a_short_switch_interval(tmp_path):
     assert cache_keys_in(path) == firsts
     assert pulls.resolved == len(requests)
     assert pulls.most_open <= 2 * gw.max_in_flight
+
+
+def stream_outcome(path, requests, primed, fail, width):
+    """Prime keys in mock mode, then stream live on a thread that must finish.
+
+    Returns the yielded `(completion, source, retries)`, the first failure's
+    message, the cache file's bytes and the number of sends.
+    """
+    prompts = numbered_requests(6)
+    path.touch()
+    transport = MockTransport(Upstream(delays=(0.002, 0.0, 0.001), fail=fail))
+    canned = {f"q{i}": f"primed {i}" for i in primed}
+    gw = Gateway(path, transport=transport, mock_completions=canned, max_in_flight=width)
+    for i in sorted(primed):
+        gw.complete(prompts[i], "mock")
+    yielded, failure = [], []
+
+    def consume():
+        try:
+            for record in gw.stream(requests, "live"):
+                yielded.append((record.completion, record.source, record.retries))
+        except GatewayError as exc:
+            failure.append(str(exc))
+
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    consumer.join(5)
+    assert not consumer.is_alive(), f"stream of width {width} hung"
+    return yielded, failure, path.read_bytes(), transport.calls
+
+
+@settings(deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    fail=st.sets(st.integers(0, 5), max_size=3),
+    primed=st.sets(st.integers(0, 5), max_size=3),
+    width=st.integers(1, 4),
+)
+def test_stream_with_failures_and_cached_keys_equals_serial(
+    tmp_path_factory, picks, fail, primed, width
+):
+    # keys sent with a 400 and keys cached before the stream starts, so the
+    # stream resolves a prefix on the calling thread before its workers start
+    prompts = numbered_requests(6)
+    requests = [
+        replace(prompts[i], prompt=replace(prompts[i].prompt, query_id=f"q{i}-{n}"))
+        for n, i in enumerate(picks)
+    ]
+    tmp = tmp_path_factory.mktemp("stream")
+    serial = stream_outcome(tmp / "serial.jsonl", requests, primed, fail, 1)
+    wide = stream_outcome(tmp / "wide.jsonl", requests, primed, fail, width)
+    assert wide == serial
 
 
 # ---------------------------------------------------------------------------
