@@ -228,7 +228,7 @@ def _cmd_generate(args) -> int:
         model_id=args.model,
         mode=args.mode,
     )
-    augmented = provider.augment_all(dataset.instances, kmap)
+    augmented = list(provider.stream([dataset], [kmap]))
     write_augmented(augmented, args.output)
     print(f"generated {len(augmented)} contexts -> {args.output}")
     return 0

@@ -73,7 +73,7 @@ class GenerationRequest:
 class GenerationRecord:
     cache_key: str
     completion: str
-    source: str  # "live" | "replay" | "mock"
+    source: str  # "live" | "replay" | "mock" | "synthetic"
     retries: int = 0
 
 
@@ -399,7 +399,8 @@ class Gateway:
         still resolved and cached, then the first failure in request order
         is raised. Closing the stream early stops the pulling, resolves
         every request already pulled, repeats included, and writes their
-        lines. No worker thread outlives the stream.
+        lines. No worker thread outlives the stream. The workers are daemon
+        threads, so an interrupted process need not wait out a hung send.
         """
         if mode not in MODES:
             raise GatewayError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -468,11 +469,10 @@ class _Stream:
         self.mode = mode
         self.width = 2 * gateway.max_in_flight
         self.requests = iter(requests)
-        self.pull_lock = threading.Lock()  # guards the requests and the four fields below
+        self.pull_lock = threading.Lock()  # guards the requests and the three fields below
         self.pulled = 0
-        self.done = False
+        self.done = False  # the requests ran out, or `close` was called
         self.last: dict[str, int] = {}  # each key's last pulled position
-        self.closing = False
         self.cond = threading.Condition()  # guards `posted` and `taken`
         self.posted: dict[int, object] = {}
         self.taken = 0  # the next position the consumer takes
@@ -486,7 +486,7 @@ class _Stream:
         ends the requests.
         """
         with self.pull_lock:
-            if self.done or self.closing:
+            if self.done:
                 return None
             pos = self.pulled
             try:
@@ -542,7 +542,7 @@ class _Stream:
                 return self.resolve(request)
             self.taken = pos  # every request before it resolved here
             self.workers = [
-                threading.Thread(target=self.work, args=(item if i == 0 else None,))
+                threading.Thread(target=self.work, args=(item if i == 0 else None,), daemon=True)
                 for i in range(self.width)
             ]
             for worker in self.workers:
@@ -555,8 +555,9 @@ class _Stream:
 
     def close(self) -> None:
         """Stop pulling, let the workers resolve what they pulled, cache what was not taken."""
-        with self.pull_lock:
-            self.closing = True
+        # not under the pull lock: a worker blocked building its request holds
+        # that lock, and every worker waiting on it would pull once more
+        self.done = True
         for worker in self.workers:
             worker.join()
         for pos in sorted(self.posted):

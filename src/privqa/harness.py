@@ -37,7 +37,7 @@ from privqa.contexts import (
 )
 from privqa.corpus import AugmentedInstance, Dataset, QAInstance, plain_augmented
 from privqa.errors import PrivqaError, replacing
-from privqa.gateway import MODES, PROMPT_STYLE, Gateway, GenerationRequest
+from privqa.gateway import MODES, PROMPT_STYLE, Gateway, GenerationRecord, GenerationRequest
 from privqa.keywords import (
     METHOD_NER,
     METHOD_RANDOM_SPAN,
@@ -323,17 +323,8 @@ def augment_completion(
     return AugmentedInstance(instance=instance, context=parsed, generation_id=generation_id)
 
 
-def _parsed(
-    completions: Iterator[tuple[str, str]], instances: Iterable[QAInstance]
-) -> Iterator[AugmentedInstance]:
-    """Each completion parsed into its instance's context; closing this closes `completions`."""
-    with closing(completions):
-        for pair, inst in zip(completions, instances):
-            yield augment_completion(inst, *pair)
-
-
 class ContextProvider:
-    """Materializes contexts: keyword map, one completion per instance, parse.
+    """Completes the keyword maps it is handed: one completion per instance, parsed.
 
     Subclasses differ only in where the completions come from (`completions`).
     """
@@ -342,11 +333,11 @@ class ContextProvider:
 
     def completions(
         self, disclosed: Iterable[tuple[QAInstance, KeywordSet]], memo: CommandMemo | None = None
-    ) -> Iterator[tuple[str, str]]:
-        """A generator of (completion text, generation id) per instance, in input order.
+    ) -> Iterator[GenerationRecord]:
+        """An iterator of one `GenerationRecord` per instance, in input order.
 
         `disclosed` pairs each instance with the keywords its prompt may
-        disclose, and may be lazy. Closing the generator releases what it
+        disclose, and may be lazy. Closing the iterator releases what it
         holds. A provider may keep ratio-free work in the command's `memo`.
         """
         raise NotImplementedError
@@ -361,46 +352,32 @@ class ContextProvider:
     ) -> dict[str, KeywordSet]:
         return build_keyword_map(dataset, ratio, seed, method, self.gazetteer, memo)
 
-    def augment_all(
-        self,
-        instances: Sequence[QAInstance],
-        kmap: dict[str, KeywordSet],
-        memo: CommandMemo | None = None,
-    ) -> list[AugmentedInstance]:
-        """Augmented instances in input order; an id `kmap` lacks fails before any completion."""
-        for inst in instances:
-            if inst.id not in kmap:
-                raise HarnessError(f"no keywords for instance {inst.id!r}")
-        pairs = ((inst, kmap[inst.id]) for inst in instances)
-        return list(_parsed(self.completions(pairs, memo), instances))
-
     def stream(
         self,
         datasets: Sequence[Dataset],
-        ratio: float,
-        seed: int,
-        method: str = METHOD_NER,
+        kmaps: Iterable[dict[str, KeywordSet]],
         memo: CommandMemo | None = None,
-        kmaps: list[dict[str, KeywordSet]] | None = None,
     ) -> Iterator[AugmentedInstance]:
         """The augmented instances of `datasets`, in order, from one `completions` call.
 
-        A dataset's keyword map is built when the completions reach its
-        first instance, and appended to `kmaps`; the completions get each
-        instance paired with its keywords from that map. Closing the stream
-        closes the completions.
+        `kmaps` yields each dataset's keyword map, and is pulled when the
+        completions reach that dataset; an id its map lacks fails before
+        the dataset's first completion. Closing the stream closes the
+        completions.
         """
 
         def disclosed() -> Iterator[tuple[QAInstance, KeywordSet]]:
-            for dataset in datasets:
-                kmap = self.keyword_map(dataset, ratio, seed, method, memo)
-                if kmaps is not None:
-                    kmaps.append(kmap)
+            for dataset, kmap in zip(datasets, kmaps):
+                for inst in dataset.instances:
+                    if inst.id not in kmap:
+                        raise HarnessError(f"no keywords for instance {inst.id!r}")
                 for inst in dataset.instances:
                     yield inst, kmap[inst.id]
 
-        completions = self.completions(disclosed(), memo)
-        return _parsed(completions, chain.from_iterable(ds.instances for ds in datasets))
+        instances = chain.from_iterable(ds.instances for ds in datasets)
+        with closing(self.completions(disclosed(), memo)) as records:
+            for record, inst in zip(records, instances):
+                yield augment_completion(inst, record.completion, record.cache_key)
 
     def provide(
         self,
@@ -411,9 +388,8 @@ class ContextProvider:
         memo: CommandMemo | None = None,
     ) -> tuple[list[AugmentedInstance], dict[str, KeywordSet]]:
         """The augmented instances and the keyword map their prompts disclosed."""
-        kmaps: list[dict[str, KeywordSet]] = []
-        augmented = list(self.stream([dataset], ratio, seed, method, memo, kmaps))
-        return augmented, kmaps[0]
+        kmap = self.keyword_map(dataset, ratio, seed, method, memo)
+        return list(self.stream([dataset], [kmap], memo)), kmap
 
 
 class PipelineProvider(ContextProvider):
@@ -440,8 +416,8 @@ class PipelineProvider(ContextProvider):
 
     def completions(
         self, disclosed: Iterable[tuple[QAInstance, KeywordSet]], memo: CommandMemo | None = None
-    ) -> Iterator[tuple[str, str]]:
-        """Complete each instance's prompt, built from its keywords, through one gateway stream.
+    ) -> Iterator[GenerationRecord]:
+        """The gateway's stream of each instance's prompt, built from its keywords.
 
         The gateway's workers pull the pairs, so each prompt is built on the
         thread that sends it, and only then. Every prompt depends on its
@@ -454,9 +430,7 @@ class PipelineProvider(ContextProvider):
             )
             for inst, ks in disclosed
         )
-        with closing(self.gateway.stream(requests, self.mode)) as records:
-            for record in records:
-                yield record.completion, record.cache_key
+        return self.gateway.stream(requests, self.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +519,22 @@ def _materialize(
     memo: CommandMemo,
     kmaps: list[dict[str, KeywordSet]],
 ) -> Iterator[AugmentedInstance]:
-    """The augmented instances of `datasets`, in order, as one stream."""
+    """The augmented instances of `datasets`, in order, as one stream.
+
+    Each dataset's keyword map is built when the stream reaches it, and
+    appended to `kmaps`.
+    """
     if config.regime == "SFT":
         return (plain_augmented(inst) for ds in datasets for inst in ds.instances)
     if provider is None:
         raise HarnessError(f"regime {config.regime} needs a context provider")
-    return provider.stream(datasets, config.ratio, config.seed, config.method, memo, kmaps)
+
+    def built() -> Iterator[dict[str, KeywordSet]]:
+        for ds in datasets:
+            kmaps.append(provider.keyword_map(ds, config.ratio, config.seed, config.method, memo))
+            yield kmaps[-1]
+
+    return provider.stream(datasets, built(), memo)
 
 
 def train_scorer(
@@ -759,9 +743,9 @@ def run_representation_compare(
 ) -> dict[str, EvalReport]:
     """Compare disclosure representations at a matched privacy budget.
 
-    The entity-keyword budget on the shared subset (instances with at least
-    one gazetteer match) sets the target; the random baselines disclose that
-    fraction of each question. A baseline whose realized corpus budget, the
+    The entity run, on the shared subset (instances with at least one
+    gazetteer match), goes first, and its report's budget sets the target;
+    the random baselines disclose that fraction of each question. A baseline whose realized corpus budget, the
     one its run's report gives, lands more than `BUDGET_TOLERANCE` from the
     target is an error. The methods' runs share one featurizer and one
     command memo, built for this comparison, so the entity run re-extracts
@@ -782,11 +766,10 @@ def run_representation_compare(
             raise HarnessError(
                 f"no instance in split {split!r} discloses a keyword at ratio {config.ratio:g}"
             )
-    target = corpus_budget_report(shared["train"], ner_maps["train"]).budget
 
     featurizer = config.featurizer()
     out: dict[str, EvalReport] = {}
-    for method in METHODS:
+    for method in METHODS:  # entities first: their run's budget is the target
         ratio = config.ratio if method == METHOD_NER else target
         cfg = replace(config, method=method, ratio=ratio)
         out[method] = _run(
@@ -795,7 +778,9 @@ def run_representation_compare(
         )
         # the report's budget is that of the train map the run disclosed
         realized = out[method].budget["budget"]
-        if method != METHOD_NER and abs(realized - target) > BUDGET_TOLERANCE:
+        if method == METHOD_NER:
+            target = realized
+        elif abs(realized - target) > BUDGET_TOLERANCE:
             raise HarnessError(
                 f"{method} budget {format_budget(realized)} misses target "
                 f"{format_budget(target)} by more than {BUDGET_TOLERANCE:.0%}"

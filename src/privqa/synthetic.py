@@ -33,6 +33,7 @@ from privqa.contexts import (  # noqa: F401
     serialize_context,
 )
 from privqa.corpus import LABELS, Dataset, QAInstance
+from privqa.gateway import GenerationRecord
 from privqa.harness import CommandMemo, ContextProvider
 from privqa.keywords import Gazetteer, KeywordSet, extract_ner
 from privqa.keywords import subsample_keywords  # noqa: F401
@@ -191,9 +192,10 @@ class SyntheticContextProvider(ContextProvider):
 
     def completions(
         self, disclosed: Iterable[tuple[QAInstance, KeywordSet]], memo: CommandMemo | None = None
-    ) -> Iterator[tuple[str, str]]:
+    ) -> Iterator[GenerationRecord]:
         for inst, keywords in disclosed:
-            yield self.completion_for(inst, keywords, memo), f"synthetic:{inst.id}"
+            completion = self.completion_for(inst, keywords, memo)
+            yield GenerationRecord(f"synthetic:{inst.id}", completion, source="synthetic")
 
     def mock_completions(self, dataset: Dataset, ratio: float, seed: int) -> dict[str, str]:
         """Canned completions keyed by instance id, for gateway mock mode."""

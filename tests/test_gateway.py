@@ -2,6 +2,7 @@ import contextlib
 import json
 import random
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -870,6 +871,45 @@ def test_stream_closed_early_resolves_every_request_pulled(tmp_path):
     assert transport.calls == 3
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["summary"]["query_id"] for line in lines] == ["q0", "q1-again"]
+
+
+# Streams two live requests to an upstream that never answers, on the main
+# thread as the CLI does, and is interrupted twice: in the stream, and in the
+# close that joins its workers.
+INTERRUPTED_STREAM = """
+import signal, sys, threading
+from privqa.gateway import Gateway, GenerationRequest, MockTransport
+from privqa.promptkit import PromptText
+
+interrupts = 0
+
+def interrupt(signum, frame):
+    global interrupts
+    interrupts += 1
+    if interrupts == 2:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    raise KeyboardInterrupt
+
+requests = [
+    GenerationRequest("m", PromptText(f"p{i}\\nContext:", 1, f"q{i}")) for i in range(2)
+]
+gw = Gateway(sys.argv[1], transport=MockTransport(lambda payload: threading.Event().wait()))
+signal.signal(signal.SIGALRM, interrupt)
+signal.setitimer(signal.ITIMER_REAL, 0.3, 0.3)
+try:
+    list(gw.stream(requests, "live"))
+except KeyboardInterrupt:
+    print("interrupted", interrupts)
+"""
+
+
+def test_stream_workers_let_an_interrupted_process_exit(tmp_path):
+    # the workers are daemons, so the child exits though both sends still hang
+    out = subprocess.run(
+        [sys.executable, "-c", INTERRUPTED_STREAM, str(tmp_path / "cache.jsonl")],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (out.returncode, out.stdout) == (0, "interrupted 2\n"), out.stderr
 
 
 def test_stream_raises_failures_in_request_order(tmp_path):

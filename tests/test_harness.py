@@ -345,9 +345,40 @@ def test_pipeline_augment_all_needs_every_keyword_set(tmp_path, corpus, provider
         mode="live",
     )
     with pytest.raises(HarnessError, match=f"no keywords for instance {last!r}"):
-        pipe.augment_all(data.instances, kmap)
+        list(pipe.stream([data], [kmap]))
     assert transport.calls == 0
     assert not (tmp_path / "cache.jsonl").exists()
+
+
+def test_provider_pulls_each_keyword_map_when_it_reaches_its_dataset(corpus, provider):
+    dev, test = corpus["dev"], corpus["test"]
+    maps = [provider.keyword_map(ds, 0.5, seed=SPEC.seed) for ds in (dev, test)]
+    pulled = []
+
+    def kmaps():
+        for kmap in maps:
+            pulled.append(kmap)
+            yield kmap
+
+    stream = provider.stream([dev, test], kmaps())
+    got = [next(stream) for _ in dev.instances]
+    assert len(pulled) == 1
+    got.append(next(stream))
+    assert len(pulled) == 2
+    got.extend(stream)
+    assert [a.instance for a in got] == [*dev.instances, *test.instances]
+
+
+def test_provider_refuses_a_missing_keyword_set_once_it_reaches_its_dataset(corpus, provider):
+    dev, test = corpus["dev"], corpus["test"]
+    maps = [provider.keyword_map(ds, 0.5, seed=SPEC.seed) for ds in (dev, test)]
+    missing = test.instances[-1].id
+    del maps[1][missing]
+    stream = provider.stream([dev, test], iter(maps))
+    # the dev records come first; the test split fails before its first record
+    assert [next(stream).instance for _ in dev.instances] == list(dev.instances)
+    with pytest.raises(HarnessError, match=f"no keywords for instance {missing!r}"):
+        next(stream)
 
 
 class OracleUpstream:

@@ -5,7 +5,7 @@ label, is decided in `privqa.harness`. The scorer must not reach back into
 the modules that know about instances, contexts or runs. Run reports are
 built by `harness.evaluate`; the CLI asks for one and only rebuilds saved
 reports it reads back. Every context provider materializes through the one
-`ContextProvider.stream` (or `augment_all`, under a given keyword map): no
+`ContextProvider.stream`, under the keyword maps it is handed: no
 module of the package calls `provide`, so an OOD target's test split opens
 a stream too. The context cue is spelled once, in `privqa.contexts`. No module keeps an import it does not use. Scores and
 predictions reduce in a fixed order: no BLAS product and no numpy `exp`.

@@ -8,6 +8,8 @@ from privqa.contexts import (
     parse_generation,
     serialize_context,
 )
+from privqa.corpus import Dataset
+from privqa.gateway import GenerationRecord
 from privqa.harness import (
     CommandMemo,
     ExperimentConfig,
@@ -155,15 +157,15 @@ def test_completion_reconstructs_generation():
     completion = provider.completion_for(inst, ks)
     full = serialize_context(provider.oracle_context(inst, ks), inst.labels())
     assert CONTEXT_HEAD + completion == full
-    pairs = provider.completions([(inst, ks)])
-    assert list(pairs) == [(completion, f"synthetic:{inst.id}")]
+    records = provider.completions([(inst, ks)])
+    assert list(records) == [GenerationRecord(f"synthetic:{inst.id}", completion, "synthetic")]
 
 
 def test_augment_matches_oracle():
     provider = SyntheticContextProvider(SPEC)
     inst = build_corpus(SPEC)["dev"].instances[1]
     ks = provider.keywords_for(inst)
-    [aug] = provider.augment_all([inst], {inst.id: ks})
+    [aug] = provider.stream([Dataset("synthetic", "dev", (inst,))], [{inst.id: ks}])
     assert aug.context == provider.oracle_context(inst, ks)
     assert aug.generation_id == f"synthetic:{inst.id}"
     assert aug.instance is inst
